@@ -113,10 +113,11 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     h, w = clip.frames[0].shape
-    count = clip.frame_count * h * w
-    noise = prng.gaussian(seed, count).reshape(clip.frame_count, h, w)
-    frames = [
-        quantize_luma(f.astype(np.float64) + sigma * noise[k])
-        for k, f in enumerate(clip.frames)
-    ]
+    size = h * w
+    count = clip.frame_count * size
+    frames = []
+    for k, f in enumerate(clip.frames):
+        # one frame of deviates at a time, never the whole clip's
+        noise = prng.gaussian(seed, count, k * size, (k + 1) * size).reshape(h, w)
+        frames.append(quantize_luma(f.astype(np.float64) + sigma * noise))
     return _clone(clip, frames)

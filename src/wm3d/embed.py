@@ -1,12 +1,21 @@
 """Spread-spectrum embedding of prepared sign planes into a video.
 
-For each selected shot the pipeline is: temporal Haar analysis,
-3-level spatial Haar on every coefficient frame, a multiplicative
-+-alpha update of the chosen subband region in coefficient frames 1..8
-(the DC frame is never touched), exact inverse transforms, then
-rounding back to 8-bit luma. Bitplane b of the watermark goes to
-coefficient frame b+1, so the least significant plane rides on the
-coarsest temporal detail.
+Bitplane b of the watermark goes to temporal coefficient frame b+1 (the
+DC frame is never touched), inside one window of a level-3 subband, so
+the least significant plane rides on the coarsest temporal detail. A
+level-3 coefficient depends only on its own 8x8 pixel block, so each
+selected shot is worked on through one block-aligned crop: the window's
+blocks plus a 1-coefficient halo. The crop gets temporal Haar analysis
+and a 3-level spatial Haar on coefficient frames 1..8 only, then a
+multiplicative +-alpha update of the window. Only the coefficient
+change is synthesized back, added to the crop and rounded to 8-bit
+luma; pixels outside the crop are copied.
+
+The coefficients, and so the realized signs and key bytes, are
+bit-identical to transforming whole frames. Pixels may differ from a
+whole-frame round trip only at rounding ties: where the exact value is
+k + 0.5, the whole-frame path computes it within 1e-9 of the tie (for
+example 252.4999999999997) and may round the other way.
 
 The sign actually written at each position depends on whether the
 local neighborhood max lies above or below the coefficient; those
@@ -18,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GeometryError
-from .keyfile import KeyBundle, ShotRecord
+from .keyfile import BANDS, PLANE_COUNT, KeyBundle, ShotRecord
 from .media_io import VideoClip, quantize_luma
 from .prng import MASK64
 from .shots import (
@@ -30,9 +39,10 @@ from .shots import (
     validate_boundaries,
 )
 from .wavelet3d import (
+    SPATIAL_LEVELS,
     SubbandRect,
-    spatial_forward3_volume,
-    spatial_inverse3_volume,
+    spatial_forward3,
+    spatial_inverse3,
     subband_rect,
     temporal_forward,
     temporal_inverse,
@@ -40,7 +50,6 @@ from .wavelet3d import (
 from .wmprep import decompose_bitplanes, disorder, permute
 
 DEFAULT_ALPHA = 0.1
-PLANE_COUNT = 8
 
 _NEIGHBOR_OFFSETS = [
     (-1, -1), (-1, 0), (-1, 1),
@@ -69,7 +78,7 @@ class EmbedParams:
             raise ValueError(f"alpha {self.alpha} outside [0, 1)")
         if self.region_row0 < 0 or self.region_col0 < 0:
             raise ValueError("region offset must be non-negative")
-        if self.band not in ("ll3", "lh3", "hl3", "hh3"):
+        if self.band not in BANDS:
             raise ValueError(f"unknown band {self.band!r}")
 
     def rect_for(self, height: int, width: int) -> SubbandRect:
@@ -90,28 +99,6 @@ def _wm_slices(rect: SubbandRect, params: EmbedParams, wm_h: int, wm_w: int):
     return slice(r0, r0 + wm_h), slice(c0, c0 + wm_w)
 
 
-def neighbor_max(frame: np.ndarray, rect: SubbandRect, i: int, j: int) -> float:
-    """Max coefficient among the in-subband neighbors of (i, j).
-
-    Coordinates are absolute frame positions; the 8-neighborhood is
-    clipped at the subband boundary, so nothing outside `rect` is read.
-    """
-    arr = np.asarray(frame)
-    rows, cols = rect.slices()
-    if not (rows.start <= i < rows.stop and cols.start <= j < cols.stop):
-        raise ValueError(f"position ({i},{j}) outside subband {rect}")
-    best = None
-    for di, dj in _NEIGHBOR_OFFSETS:
-        r, c = i + di, j + dj
-        if rows.start <= r < rows.stop and cols.start <= c < cols.stop:
-            v = float(arr[r, c])
-            if best is None or v > best:
-                best = v
-    if best is None:
-        raise ValueError("subband too small: position has no neighbors")
-    return best
-
-
 def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
     """Neighbor max at every position of a subband region at once."""
     h, w = sub.shape
@@ -122,20 +109,6 @@ def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
         for di, dj in _NEIGHBOR_OFFSETS
     ]
     return np.max(stack, axis=0)
-
-
-def spread_sign(t: float, r: float, wd: int) -> int:
-    """Realized sign for one coefficient.
-
-    +1 when the neighborhood max t lies strictly on the side named by
-    the prepared sign (above for +1, below for -1); -1 otherwise, ties
-    included.
-    """
-    if t > r and wd == 1:
-        return 1
-    if t < r and wd == -1:
-        return 1
-    return -1
 
 
 def _spread_sign_grid(t: np.ndarray, r: np.ndarray, wd: np.ndarray) -> np.ndarray:
@@ -169,8 +142,36 @@ def embed_plane(
     return out, realized
 
 
+def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
+    """Pixel crop holding every coefficient the window's update reads.
+
+    The crop is the window's 8x8 blocks plus the 1-coefficient halo of
+    the neighbor max, clipped at the subband edge. Returns its pixel
+    slices and params whose window offset addresses the crop's subband.
+    """
+    rect = params.rect_for(height, width)
+    _wm_slices(rect, params, wm_h, wm_w)
+    r0, c0 = params.region_row0, params.region_col0
+    top, left = max(r0 - 1, 0), max(c0 - 1, 0)
+    bottom, right = min(r0 + wm_h + 1, rect.rows), min(c0 + wm_w + 1, rect.cols)
+    b = 1 << SPATIAL_LEVELS
+    crop = slice(b * top, b * bottom), slice(b * left, b * right)
+    return crop, replace(params, region_row0=r0 - top, region_col0=c0 - left)
+
+
+def _crop_coeffs(frames, crop) -> tuple:
+    """(temporal volume, spatial coefficient frames 1..8) of a crop."""
+    volume = temporal_forward(np.stack([np.asarray(f)[crop] for f in frames]))
+    return volume, spatial_forward3(volume.frames[1 : PLANE_COUNT + 1])
+
+
 def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
-    """Watermark one shot; returns (quantized frames, realized planes)."""
+    """Watermark one shot of 8-bit frames.
+
+    Returns (quantized frames, realized planes). Only the window's crop
+    is transformed; the coefficient change is synthesized back through
+    the spatial inverse and an (n x 8) temporal synthesis matrix.
+    """
     n = len(frames)
     if n < MIN_EMBED_SHOT_LEN:
         raise GeometryError(
@@ -181,16 +182,24 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     if planes.shape[0] != PLANE_COUNT:
         raise ValueError(f"expected {PLANE_COUNT} sign planes")
 
-    volume = spatial_forward3_volume(temporal_forward(frames))
-    coeffs = volume.frames
+    crop, local = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
+    volume, coeffs = _crop_coeffs(frames, crop)
+    delta = np.empty_like(coeffs)
     realized = np.empty_like(planes, dtype=np.int8)
-    for k in range(1, PLANE_COUNT + 1):
-        coeffs[k], realized[k - 1] = embed_plane(coeffs[k], planes[k - 1], params)
+    for k in range(PLANE_COUNT):
+        marked, realized[k] = embed_plane(coeffs[k], planes[k], local)
+        delta[k] = marked - coeffs[k]
 
-    rebuilt = temporal_inverse(
-        spatial_inverse3_volume(replace(volume, frames=coeffs))
-    )
-    return [quantize_luma(f) for f in rebuilt], realized
+    # Column k-1 is the pixel-domain trace of unit coefficient frame k.
+    unit = np.zeros((volume.padded_length, PLANE_COUNT, 1))
+    unit[1 : PLANE_COUNT + 1, :, 0] = np.eye(PLANE_COUNT)
+    synthesis = temporal_inverse(replace(volume, frames=unit))[..., 0]
+    change = np.tensordot(synthesis, spatial_inverse3(delta), axes=1)
+
+    out = [np.array(f, dtype=np.uint8) for f in frames]
+    for frame, d in zip(out, change):
+        frame[crop] = quantize_luma(frame[crop] + d)
+    return out, realized
 
 
 def prepare_sign_planes(watermark: np.ndarray, seed1: int, seed2: int) -> np.ndarray:
@@ -263,11 +272,4 @@ def embed_clip(
         selected=tuple(selected),
         records=records,
     )
-    watermarked = VideoClip(
-        frames=out_frames,
-        rate=clip.rate,
-        chroma_token=clip.chroma_token,
-        chroma=clip.chroma,
-        extras=clip.extras,
-    )
-    return watermarked, bundle
+    return replace(clip, frames=out_frames), bundle

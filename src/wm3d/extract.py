@@ -3,21 +3,28 @@
 The received video plus the bundle (seeds, geometry, stored shot
 boundaries and the realized sign planes) reproduce the forward
 transforms and invert the preparation; the original video is never
-consulted. Ties in the neighborhood comparison decode as -1, mirroring
-the embedding rule.
+consulted. As in embedding, only the watermark window's crop and its
+coefficient frames 1..8 are transformed. Ties in the neighborhood
+comparison decode as -1, mirroring the embedding rule.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import PLANE_COUNT, EmbedParams, _neighbor_max_grid, _wm_slices
+from .embed import (
+    EmbedParams,
+    _crop_coeffs,
+    _neighbor_max_grid,
+    _spread_sign_grid,
+    _window_crop,
+    _wm_slices,
+)
 from .errors import GeometryError
-from .keyfile import KeyBundle
+from .keyfile import PLANE_COUNT, KeyBundle
 from .media_io import VideoClip
 from .metrics import nc as nc_metric
 from .shots import shot_spans
-from .wavelet3d import spatial_forward3_volume, temporal_forward
 from .wmprep import compose_bitplanes, undisorder, unpermute
 
 
@@ -55,8 +62,7 @@ def extract_plane(
 
     sub = arr[rect.slices()]
     t = _neighbor_max_grid(sub)
-    hit = ((t[win] > sub[win]) & (wk == 1)) | ((t[win] < sub[win]) & (wk == -1))
-    return np.where(hit, 1, -1).astype(np.int8)
+    return _spread_sign_grid(t[win], sub[win], wk)
 
 
 def _repair_length(frames, expected: int):
@@ -81,14 +87,15 @@ def extract_shot(
 ) -> ShotExtraction:
     """Recover the watermark carried by one shot."""
     frames, mismatch = _repair_length(frames, expected_length)
-    volume = spatial_forward3_volume(temporal_forward(frames))
-    coeffs = volume.frames
+    crop, local = _window_crop(
+        params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
+    )
+    _, coeffs = _crop_coeffs(frames, crop)
 
     bits = []
-    for k in range(1, PLANE_COUNT + 1):
-        recovered = extract_plane(coeffs[k], key_planes[k - 1], params)
-        plane = unpermute(undisorder(recovered, k - 1, seed2), seed1)
-        bits.append(plane)
+    for k in range(PLANE_COUNT):
+        recovered = extract_plane(coeffs[k], key_planes[k], local)
+        bits.append(unpermute(undisorder(recovered, k, seed2), seed1))
     bitplanes = np.stack(bits)
     return ShotExtraction(
         shot_index=-1,

@@ -114,6 +114,8 @@ def _pack_plane(plane: np.ndarray) -> str:
 
 
 def _unpack_plane(text: str, height: int, width: int) -> np.ndarray:
+    if height < 1 or width < 1:
+        raise FormatError("watermark dimensions must be positive")
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except (binascii.Error, UnicodeEncodeError) as exc:
@@ -219,18 +221,17 @@ def read_key(source) -> KeyBundle:
         except ValueError as exc:
             raise FormatError(f"bad shot index line {lines[pos]!r}") from exc
         pos += 1
-        planes = np.empty(
-            (PLANE_COUNT, bundle.wm_height, bundle.wm_width), dtype=np.int8
-        )
+        # Each plane's payload length is checked against the header's
+        # dimensions before anything of that size is allocated.
+        planes = []
         for k in range(PLANE_COUNT):
             prefix = f"plane{k + 1}="
             if pos >= len(lines) or not lines[pos].startswith(prefix):
                 raise FormatError(f"missing plane {k + 1} for shot {index}")
-            planes[k] = _unpack_plane(
-                lines[pos][len(prefix) :], bundle.wm_height, bundle.wm_width
-            )
+            text = lines[pos][len(prefix) :]
+            planes.append(_unpack_plane(text, bundle.wm_height, bundle.wm_width))
             pos += 1
-        bundle.records.append(ShotRecord(shot_index=index, planes=planes))
+        bundle.records.append(ShotRecord(shot_index=index, planes=np.stack(planes)))
 
     _check_bundle(bundle)
     return bundle

@@ -62,17 +62,18 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
+def _words(seed: int, index: np.ndarray) -> np.ndarray:
+    """Stream outputs at the given 0-based uint64 positions (counter form)."""
+    return mix64_np(np.uint64(seed & MASK64) + index * np.uint64(_GOLDEN))
+
+
 def stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the splitmix64 stream for `seed`.
 
-    Uses the counter form (output i = finalize(seed + i*gamma)) so the
-    whole stream vectorizes; matches SplitMix64.next_u64 exactly.
+    Uses the counter form (output i = finalize(seed + (i+1)*gamma)) so
+    the whole stream vectorizes; matches SplitMix64.next_u64 exactly.
     """
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    x = np.uint64(seed & MASK64) + idx * np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    return _words(seed, np.arange(count, dtype=np.uint64))
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
@@ -89,13 +90,24 @@ def permutation(n: int, seed: int) -> np.ndarray:
     return p
 
 
-def gaussian(seed: int, count: int) -> np.ndarray:
-    """`count` standard normal deviates via Box-Muller over splitmix64."""
+def gaussian(
+    seed: int, count: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Deviates [start, stop) of `count` standard normals (Box-Muller).
+
+    With pairs = ceil(count / 2), deviate i takes stream words p and
+    pairs + p, p = i mod pairs: a cosine for i < pairs, a sine after.
+    Any range is thus drawn without the rest, bit-identical to the same
+    slice of the whole draw.
+    """
+    stop = count if stop is None else stop
     pairs = (count + 1) // 2
-    raw = stream(seed, 2 * pairs)
-    u1 = (raw[:pairs].astype(np.float64) + 1.0) * 2.0**-64  # (0, 1], log-safe
-    u2 = raw[pairs:].astype(np.float64) * 2.0**-64
+    cos_at = np.arange(start, min(stop, pairs), dtype=np.uint64)
+    sin_at = np.arange(max(start, pairs), stop, dtype=np.uint64) - np.uint64(pairs)
+    p = np.concatenate([cos_at, sin_at])
+    u1 = (_words(seed, p).astype(np.float64) + 1.0) * 2.0**-64  # (0, 1], log-safe
+    u2 = _words(seed, p + np.uint64(pairs)).astype(np.float64) * 2.0**-64
     r = np.sqrt(-2.0 * np.log(u1))
     theta = (2.0 * np.pi) * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-    return z[:count]
+    n = len(cos_at)
+    return np.concatenate([r[:n] * np.cos(theta[:n]), r[n:] * np.sin(theta[n:])])

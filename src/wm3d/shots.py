@@ -32,9 +32,12 @@ def histogram_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     0 for identical histograms, 1 when no pixel mass shares a bin.
     """
-    ha = _histogram(a).astype(np.int64)
-    hb = _histogram(b).astype(np.int64)
-    return float(np.sum(np.abs(ha - hb))) / (2.0 * a.size)
+    return _distance(_histogram(a), _histogram(b), a.size)
+
+
+def _distance(ha: np.ndarray, hb: np.ndarray, size: int) -> float:
+    diff = ha.astype(np.int64) - hb.astype(np.int64)
+    return float(np.sum(np.abs(diff))) / (2.0 * size)
 
 
 def detect_shots(clip: VideoClip, threshold: float = DEFAULT_THRESHOLD) -> list:
@@ -49,9 +52,12 @@ def detect_shots(clip: VideoClip, threshold: float = DEFAULT_THRESHOLD) -> list:
     if not clip.frames:
         raise ValueError("empty clip")
     boundaries = [0]
+    prev = _histogram(clip.frames[0])
     for k in range(1, clip.frame_count):
-        if histogram_distance(clip.frames[k], clip.frames[k - 1]) > threshold:
+        cur = _histogram(clip.frames[k])
+        if _distance(cur, prev, clip.frames[k].size) > threshold:
             boundaries.append(k)
+        prev = cur
     boundaries.append(clip.frame_count)
     return boundaries
 

@@ -7,14 +7,17 @@ Coefficient frames are kept in lowest-to-highest temporal frequency
 order: index 0 is the DC frame, index 1 the coarsest detail frame, and
 the finest details sit at the end.
 
-Each coefficient frame is then decomposed spatially with 3 levels of
-separable orthonormal Haar in the nested layout (approximation at the
-top left). Both directions use the same 1/sqrt2 normalization, so all
-transforms preserve energy and round-trip exactly.
+Coefficient frames are decomposed spatially with 3 levels of separable
+orthonormal Haar in the nested layout (approximation at the top left).
+Both directions use the same 1/sqrt2 normalization, so all transforms
+preserve energy and round-trip exactly. A level-3 coefficient depends
+only on its own 8x8 pixel block, so the transforms of a block-aligned
+crop are bit-identical to the same coefficients of the whole frame;
+embedding and extraction rely on this to transform only the crop.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,13 +36,11 @@ class CoeffVolume:
     frames: (padded_length, H, W) float64; frames[0] is the DC frame.
     original_length: shot length before padding.
     temporal_levels: dyadic levels applied (log2 of padded length).
-    spatial_levels: 0 until the per-frame spatial transform is applied.
     """
 
     frames: np.ndarray
     original_length: int
     temporal_levels: int
-    spatial_levels: int = 0
 
     @property
     def padded_length(self) -> int:
@@ -150,8 +151,9 @@ def _require_div8(h: int, w: int) -> None:
         )
 
 
-def _spatial_forward3_nd(x: np.ndarray) -> np.ndarray:
-    h, w = x.shape[-2:]
+def spatial_forward3(x: np.ndarray) -> np.ndarray:
+    """3-level separable orthonormal Haar analysis of (..., H, W) frames."""
+    h, w = np.shape(x)[-2:]
     _require_div8(h, w)
     x = np.array(x, dtype=np.float64)
     for level in range(SPATIAL_LEVELS):
@@ -160,50 +162,15 @@ def _spatial_forward3_nd(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _spatial_inverse3_nd(x: np.ndarray) -> np.ndarray:
-    h, w = x.shape[-2:]
+def spatial_inverse3(x: np.ndarray) -> np.ndarray:
+    """Exact inverse of spatial_forward3."""
+    h, w = np.shape(x)[-2:]
     _require_div8(h, w)
     x = np.array(x, dtype=np.float64)
     for level in (2, 1, 0):
         hh, ww = h >> level, w >> level
         x[..., :hh, :ww] = _inv_w(_inv_h(x[..., :hh, :ww]))
     return x
-
-
-def spatial_forward3(frame: np.ndarray) -> np.ndarray:
-    """3-level separable orthonormal Haar analysis of one frame."""
-    arr = np.asarray(frame)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D frame")
-    return _spatial_forward3_nd(arr)
-
-
-def spatial_inverse3(frame: np.ndarray) -> np.ndarray:
-    """Exact inverse of spatial_forward3."""
-    arr = np.asarray(frame)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D frame")
-    return _spatial_inverse3_nd(arr)
-
-
-def spatial_forward3_volume(volume: CoeffVolume) -> CoeffVolume:
-    """Apply the 3-level spatial transform to every coefficient frame."""
-    if volume.spatial_levels != 0:
-        raise ValueError("volume already spatially transformed")
-    return replace(
-        volume,
-        frames=_spatial_forward3_nd(volume.frames),
-        spatial_levels=SPATIAL_LEVELS,
-    )
-
-
-def spatial_inverse3_volume(volume: CoeffVolume) -> CoeffVolume:
-    """Invert the per-frame spatial transform of a volume."""
-    if volume.spatial_levels != SPATIAL_LEVELS:
-        raise ValueError("volume is not spatially transformed")
-    return replace(
-        volume, frames=_spatial_inverse3_nd(volume.frames), spatial_levels=0
-    )
 
 
 def subband_rect(height: int, width: int, band: str, level: int) -> SubbandRect:

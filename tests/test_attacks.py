@@ -10,8 +10,9 @@ from wm3d.attacks import (
     attack_swap,
     quantization_table,
 )
+from oracles import gaussian_one_shot
 from wm3d.errors import GeometryError
-from wm3d.media_io import VideoClip
+from wm3d.media_io import VideoClip, quantize_luma
 from wm3d.metrics import psnr
 
 
@@ -138,6 +139,14 @@ def test_noise_deterministic_and_seeded():
     assert any(not np.array_equal(x, y) for x, y in zip(a.frames, c.frames))
     with pytest.raises(ValueError):
         attack_noise(clip, -1.0, 42)
+
+
+def test_noise_matches_one_shot_draw():
+    clip = _rand_clip(n=5, h=16, w=24, seed=9)
+    out = attack_noise(clip, 2.5, 11)
+    noise = gaussian_one_shot(11, 5 * 16 * 24).reshape(5, 16, 24)
+    for frame, marked, z in zip(clip.frames, out.frames, noise):
+        assert np.array_equal(marked, quantize_luma(frame + 2.5 * z))
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,24 @@ def test_extract_mismatched_dims_exits_3(workdir, tmp_path):
     assert code == 3
 
 
+def test_extract_huge_key_dims_exits_2(workdir, capsys):
+    assert _embed(workdir) == 0
+    key = workdir / "k.key"
+    text = key.read_text().replace("wm_w=16", "wm_w=1000000")
+    key.write_text(text.replace("wm_h=16", "wm_h=1000000"))
+    capsys.readouterr()
+    code = main(
+        [
+            "extract",
+            "--in", str(workdir / "marked.y4m"),
+            "--key", str(key),
+            "--out", str(workdir / "x.pgm"),
+        ]
+    )
+    assert code == 2
+    assert "payload" in capsys.readouterr().err
+
+
 def test_capacity_error_exits_3(tmp_path):
     clip = VideoClip(frames=[np.full((288, 352), 99, np.uint8)] * 9)
     write_y4m(clip, tmp_path / "cif.y4m")

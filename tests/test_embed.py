@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import SEED1, SEED2, SEED3, make_noise_clip
+from oracles import neighbor_max, spread_sign
 from wm3d.embed import (
     EmbedParams,
     _neighbor_max_grid,
     embed_clip,
     embed_plane,
     embed_shot,
-    neighbor_max,
     prepare_sign_planes,
-    spread_sign,
 )
 from wm3d.errors import GeometryError
 from wm3d.media_io import VideoClip

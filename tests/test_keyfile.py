@@ -102,6 +102,16 @@ def test_wrong_payload_length_rejected():
         read_key(io.StringIO("\n".join(lines) + "\n"))
 
 
+@pytest.mark.parametrize("wm_w, wm_h", [(10**6, 10**6), (0, 16), (-8, -1)])
+def test_header_dims_checked_before_allocating(wm_w, wm_h):
+    # (8, 10**6, 10**6) planes would be 8 TB; the 32-byte payloads must
+    # be rejected before anything of the header's size is allocated.
+    _, text = _roundtrip(_bundle())
+    text = text.replace("wm_w=16", f"wm_w={wm_w}").replace("wm_h=16", f"wm_h={wm_h}")
+    with pytest.raises(FormatError):
+        read_key(io.StringIO(text))
+
+
 def test_missing_plane_rejected():
     _, text = _roundtrip(_bundle())
     lines = [ln for ln in text.splitlines() if not ln.startswith("plane8=")]

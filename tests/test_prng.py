@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from oracles import gaussian_one_shot
 from wm3d.prng import (
     MASK64,
     SplitMix64,
@@ -92,3 +94,17 @@ def test_gaussian_deterministic_and_sane():
 
 def test_gaussian_odd_count():
     assert gaussian(9, 7).shape == (7,)
+
+
+@pytest.mark.parametrize(
+    "count, chunk",
+    [(7, 3), (1001, 100), (230401, 230400), (64 * 230400, 230400)],
+)
+def test_gaussian_ranges_match_one_shot_draw(count, chunk):
+    # chunks of 3 and 100 straddle the cosine/sine split at ceil(count/2)
+    whole = gaussian_one_shot(5, count)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        assert np.array_equal(gaussian(5, count, start, stop), whole[start:stop])
+    if count < 10**6:
+        assert np.array_equal(gaussian(5, count), whole)

@@ -45,6 +45,25 @@ def test_histogram_distance_extremes():
     assert histogram_distance(a, np.full((8, 8), 255, np.uint8)) == 1.0
 
 
+def test_detect_matches_pairwise_distances():
+    rs = np.random.RandomState(4)
+    frames = [
+        np.clip(rs.randint(0, 256) + 30 * rs.randn(16, 16), 0, 255).astype(np.uint8)
+        for _ in range(40)
+    ]
+    clip = VideoClip(frames=frames)
+    counts = set()
+    for threshold in (0.1, DEFAULT_THRESHOLD, 0.6, 0.9):
+        expected = [0] + [
+            k
+            for k in range(1, 40)
+            if histogram_distance(frames[k], frames[k - 1]) > threshold
+        ] + [40]
+        assert detect_shots(clip, threshold) == expected
+        counts.add(len(expected))
+    assert len(counts) > 2  # the thresholds split the clip differently
+
+
 def test_detect_threshold_validation():
     clip = VideoClip(frames=_flat(0, 2))
     with pytest.raises(ValueError):

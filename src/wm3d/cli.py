@@ -10,6 +10,7 @@ import csv
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .attacks import (
     attack_average,
@@ -152,19 +153,14 @@ def cmd_extract(args) -> int:
 
 def cmd_attack(args) -> int:
     clip = _load_clip(args.input)
+    attack = _ATTACKS[args.type]
+    original = None
     if args.type == "drop":
         if not args.original:
             raise FormatError("attack type 'drop' requires --original")
-        attacked = attack_drop(clip, _load_clip(args.original))
-    elif args.type == "average":
-        attacked = attack_average(clip)
-    elif args.type == "swap":
-        attacked = attack_swap(clip)
-    elif args.type == "compress":
-        attacked = attack_compress(clip, args.quality)
-    else:
-        attacked = attack_noise(clip, args.sigma, args.seed)
-    _save_clip(attacked, args.output)
+        original = _load_clip(args.original)
+    param = getattr(args, attack.option) if attack.option else None
+    _save_clip(attack.apply(clip, original, param, args.seed), args.output)
     return EXIT_OK
 
 
@@ -185,21 +181,45 @@ def cmd_shots(args) -> int:
     return EXIT_OK
 
 
-_BENCH_ATTACKS = "drop,average,swap,compress:75,noise:2"
+class _Attack(NamedTuple):
+    apply: Callable  # (clip, original, param, seed) -> attacked clip
+    option: str | None = None  # `attack` option that holds the parameter
+    parse: Callable | None = None  # parser of a `bench --attacks` NAME:PARAM
+    default: float | None = None
+
+
+# The one attack table: `attack --type` choices, `bench --attacks` names
+# and both commands' dispatch come from it.
+_ATTACKS = {
+    "drop": _Attack(lambda clip, original, param, seed: attack_drop(clip, original)),
+    "average": _Attack(lambda clip, original, param, seed: attack_average(clip)),
+    "swap": _Attack(lambda clip, original, param, seed: attack_swap(clip)),
+    "compress": _Attack(
+        lambda clip, original, quality, seed: attack_compress(clip, quality),
+        "quality", int, 75,
+    ),
+    "noise": _Attack(
+        lambda clip, original, sigma, seed: attack_noise(clip, sigma, seed),
+        "sigma", float, 2.0,
+    ),
+}
+
+_BENCH_ATTACKS = ",".join(
+    name if a.parse is None else f"{name}:{a.default:g}" for name, a in _ATTACKS.items()
+)
 
 
 def _parse_attack_list(text: str):
     specs = []
     for part in text.split(","):
         name, _, param = part.partition(":")
-        if name not in ("drop", "average", "swap", "compress", "noise"):
+        attack = _ATTACKS.get(name)
+        if attack is None:
             raise FormatError(f"unknown attack {name!r}")
-        if name == "compress":
-            specs.append((name, int(param) if param else 75))
-        elif name == "noise":
-            specs.append((name, float(param) if param else 2.0))
-        else:
+        if attack.parse is None:
             specs.append((name, None))
+        else:
+            specs.append((name, attack.parse(param) if param else attack.default))
     return specs
 
 
@@ -224,16 +244,7 @@ def cmd_bench(args) -> int:
         psnr0 = psnr_clip(clip, marked).psnr_mean
         writer.writerow(["%g" % alpha, "none", "", _fmt(baseline.nc), _fmt(psnr0)])
         for name, param in specs:
-            if name == "drop":
-                attacked = attack_drop(marked, clip)
-            elif name == "average":
-                attacked = attack_average(marked)
-            elif name == "swap":
-                attacked = attack_swap(marked)
-            elif name == "compress":
-                attacked = attack_compress(marked, param)
-            else:
-                attacked = attack_noise(marked, param, args.seed)
+            attacked = _ATTACKS[name].apply(marked, clip, param, args.seed)
             result = extract_clip(attacked, bundle, watermark)
             quality = psnr_clip(clip, attacked).psnr_mean
             writer.writerow(
@@ -294,12 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="apply a frame-level attack")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--type", required=True,
-                   choices=["drop", "average", "swap", "compress", "noise"])
+    p.add_argument("--type", required=True, choices=list(_ATTACKS))
     p.add_argument("--original", help="original video (drop attack)")
-    p.add_argument("--quality", type=int, default=75,
+    p.add_argument("--quality", type=int, default=_ATTACKS["compress"].default,
                    help="compression quality 1..100 (default %(default)s)")
-    p.add_argument("--sigma", type=float, default=2.0,
+    p.add_argument("--sigma", type=float, default=_ATTACKS["noise"].default,
                    help="noise standard deviation (default %(default)s)")
     p.add_argument("--seed", type=int, default=1234,
                    help="noise seed (default %(default)s)")

@@ -25,8 +25,16 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def quantize_luma(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero and clamp to the 8-bit luma range."""
-    return np.clip(round_half_away(x), 0, 255).astype(np.uint8)
+    """Round half away from zero and clamp to the 8-bit luma range.
+
+    For x >= 0, floor(x + 0.5) is exactly round_half_away's
+    floor(|x| + 0.5); negative inputs clamp to 0 either way.
+    """
+    y = np.array(x, dtype=np.float64)
+    y += 0.5
+    np.floor(y, out=y)
+    np.clip(y, 0, 255, out=y)
+    return y.astype(np.uint8)
 
 
 @dataclass

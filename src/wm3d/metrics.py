@@ -38,7 +38,10 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    mse = float(np.mean((x - y) ** 2))
+    return _psnr_from_mse(float(np.mean((x - y) ** 2)))
+
+
+def _psnr_from_mse(mse: float) -> float:
     if mse == 0.0:
         return math.inf
     return 20.0 * math.log10(255.0 / math.sqrt(mse))
@@ -50,7 +53,14 @@ def psnr_clip(a: VideoClip, b: VideoClip) -> MetricsReport:
         raise ValueError(
             f"frame count mismatch: {a.frame_count} vs {b.frame_count}"
         )
-    values = [psnr(fa, fb) for fa, fb in zip(a.frames, b.frames)]
+    values = []
+    for fa, fb in zip(a.frames, b.frames):
+        if fa.shape != fb.shape:
+            raise ValueError(f"dimension mismatch: {fa.shape} vs {fb.shape}")
+        # uint8 frames: the squared differences are exact integers, and so
+        # is their float64 sum, so this equals psnr(fa, fb) bit for bit
+        d = fa.astype(np.int32) - fb
+        values.append(_psnr_from_mse(float(np.mean(d * d, dtype=np.float64))))
     finite = [v for v in values if math.isfinite(v)]
     mean = sum(finite) / len(finite) if finite else math.inf
     return MetricsReport(psnr_per_frame=values, psnr_mean=mean)

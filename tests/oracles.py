@@ -3,7 +3,9 @@
 Scalar versions of the neighborhood and sign rules, the whole-volume
 3D transform, and whole-frame embedding and extraction: every frame of
 a shot goes through the full temporal and spatial transforms, forward
-and inverse, as the crop-based path in wm3d.embed avoids doing.
+and inverse, as the crop-based path in wm3d.embed avoids doing. Also
+scipy's DCT round trip for the compression proxy; scipy is imported
+only when that oracle runs, since wm3d itself needs numpy only.
 """
 
 from dataclasses import replace
@@ -12,6 +14,7 @@ import numpy as np
 
 from wm3d.embed import _NEIGHBOR_OFFSETS, embed_plane
 from wm3d.extract import extract_plane
+from wm3d.media_io import round_half_away
 from wm3d.prng import stream
 from wm3d.wavelet3d import (
     spatial_forward3,
@@ -20,6 +23,7 @@ from wm3d.wavelet3d import (
     temporal_inverse,
 )
 from wm3d.wmprep import undisorder, unpermute
+
 
 def neighbor_max(frame: np.ndarray, rect, i: int, j: int) -> float:
     """Max coefficient among the in-subband neighbors of (i, j).
@@ -102,3 +106,19 @@ def gaussian_one_shot(seed: int, count: int) -> np.ndarray:
     theta = (2.0 * np.pi) * u2
     z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
     return z[:count]
+
+
+def compress_frame_scipy(frame: np.ndarray, table: np.ndarray) -> tuple:
+    """The compression proxy's 8x8 block DCT round trip through scipy.fft.
+
+    Returns (coeff / table per block, shape (H/8, W/8, 8, 8); the
+    reconstructed frame before the final rounding, shape (H, W)).
+    """
+    from scipy.fft import dctn, idctn
+
+    h, w = frame.shape
+    x = frame.astype(np.float64) - 128.0
+    blocks = x.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
+    ratio = dctn(blocks, axes=(-2, -1), norm="ortho") / table
+    back = idctn(round_half_away(ratio) * table, axes=(-2, -1), norm="ortho")
+    return ratio, back.transpose(0, 2, 1, 3).reshape(h, w) + 128.0

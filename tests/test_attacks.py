@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wm3d.attacks import (
+    _DCT,
     _QTABLE,
     attack_average,
     attack_compress,
@@ -10,9 +11,9 @@ from wm3d.attacks import (
     attack_swap,
     quantization_table,
 )
-from oracles import gaussian_one_shot
+from oracles import compress_frame_scipy, gaussian_one_shot
 from wm3d.errors import GeometryError
-from wm3d.media_io import VideoClip, quantize_luma
+from wm3d.media_io import VideoClip, quantize_luma, round_half_away
 from wm3d.metrics import psnr
 
 
@@ -122,6 +123,51 @@ def test_compress_deterministic():
     a = attack_compress(clip, 40)
     b = attack_compress(clip, 40)
     assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
+
+
+def test_dct_basis_orthonormal():
+    assert np.abs(_DCT @ _DCT.T - np.eye(8)).max() <= 1e-15
+
+
+def _near_tie(x):
+    return np.abs(np.abs(x) % 1.0 - 0.5) < 1e-9
+
+
+def _dc_tie_frame(table):
+    """128x128 frame whose top-left block has coeff/table exactly 0.5 at DC.
+
+    The orthonormal DC is sum(x - 128) / 8, so a block summing to
+    4 * table[0, 0] puts the DC exactly on a tie.
+    """
+    total = 4 * int(table[0, 0])
+    block = np.full(64, 128 + total // 64)
+    block[: total % 64] += 1
+    frame = _rand_clip(n=1, h=128, w=128, seed=8).frames[0]
+    frame[:8, :8] = block.reshape(8, 8)
+    return frame
+
+
+@pytest.mark.parametrize("quality", [10, 50, 75, 90, 100])
+def test_compress_matches_scipy_oracle(quality):
+    pytest.importorskip("scipy")
+    table = quantization_table(quality)
+    tie_frame = _dc_tie_frame(table)
+    clip = VideoClip(frames=_rand_clip(n=3, h=128, w=128, seed=7).frames + [tie_frame])
+    attacked = attack_compress(clip, quality)
+    for k, (frame, out) in enumerate(zip(clip.frames, attacked.frames)):
+        ratio, back = compress_frame_scipy(frame, table)
+        blocks = (frame.astype(np.float64) - 128.0).reshape(16, 8, 16, 8)
+        q = round_half_away(_DCT @ blocks.transpose(0, 2, 1, 3) @ _DCT.T / table)
+        tie = _near_tie(ratio)
+        assert np.array_equal(q[~tie], round_half_away(ratio)[~tie])
+        assert np.abs(q - round_half_away(ratio)).max() <= 1.0
+        # pixels of blocks with no coefficient tie match unless they are
+        # themselves within 1e-9 of a .5 tie
+        tie_block = np.repeat(np.repeat(tie.any(axis=(2, 3)), 8, 0), 8, 1)
+        same = ~tie_block & ~_near_tie(back)
+        assert np.array_equal(out[same], quantize_luma(back)[same])
+        if k == len(clip.frames) - 1:
+            assert tie[0, 0, 0, 0]
 
 
 def test_noise_sigma_zero_identity():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -229,3 +234,12 @@ def test_band_escape_hatch(workdir, capsys):
     out = capsys.readouterr().out
     line = [ln for ln in out.splitlines() if ln.startswith("aggregate:")][0]
     assert float(line.split("nc=")[1]) >= 0.95
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's import alone costs more than an extract; only the compress
+    # oracle in tests/ may use it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import wm3d, wm3d.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -33,6 +33,15 @@ def test_quantize_rounding_rules():
     assert round_half_away(np.array([-1.5, -0.5, 2.5])).tolist() == [-2.0, -1.0, 3.0]
 
 
+def test_quantize_equals_clamped_round_half_away():
+    rs = np.random.RandomState(9)
+    special = [-0.5, 0.5, -0.0, 254.5, 255.5, 127.49999999999999, 0.49999999999999994]
+    halves = rs.randint(-40, 300, 1000) + 0.5
+    x = np.concatenate([rs.uniform(-300.0, 600.0, 10000), halves, special])
+    expected = np.clip(round_half_away(x), 0, 255).astype(np.uint8)
+    assert np.array_equal(quantize_luma(x), expected)
+
+
 def test_read_y4m_minimal_420():
     luma = bytes(range(8))
     chroma = bytes([7, 8, 9, 10])  # 2x1 U plane + 2x1 V plane

@@ -103,3 +103,25 @@ def test_psnr_clip_count_mismatch():
     b = VideoClip(frames=[np.zeros((2, 2), np.uint8)] * 3)
     with pytest.raises(ValueError, match="count"):
         psnr_clip(a, b)
+
+
+def test_psnr_clip_dim_mismatch():
+    # (1, 4) against (3, 4) would broadcast if the shapes went unchecked
+    a = VideoClip(frames=[np.zeros((1, 4), np.uint8)])
+    b = VideoClip(frames=[np.zeros((3, 4), np.uint8)])
+    with pytest.raises(ValueError, match="mismatch"):
+        psnr_clip(a, b)
+
+
+def test_psnr_clip_equals_psnr_per_frame():
+    rs = np.random.RandomState(6)
+    a = VideoClip(frames=[rs.randint(0, 256, (48, 64)).astype(np.uint8) for _ in range(4)])
+    near = [
+        np.clip(f.astype(np.int32) + rs.randint(-3, 4, f.shape), 0, 255).astype(np.uint8)
+        for f in a.frames
+    ]
+    far = [rs.randint(0, 256, (48, 64)).astype(np.uint8) for _ in range(4)]
+    for frames in (near, far, [f.copy() for f in a.frames]):
+        b = VideoClip(frames=frames)
+        report = psnr_clip(a, b)
+        assert report.psnr_per_frame == [psnr(fa, fb) for fa, fb in zip(a.frames, b.frames)]

@@ -22,7 +22,7 @@ from .attacks import (
 from .embed import EmbedParams, embed_clip
 from .errors import FormatError, GeometryError
 from .extract import extract_clip
-from .keyfile import read_key, write_key
+from .keyfile import BANDS, read_key, write_key
 from .media_io import (
     read_pgm,
     read_pgm_sequence,
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", help="manual shot spans, e.g. 0:30,30:64")
     p.add_argument("--shot-threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="histogram cut threshold (default %(default)s)")
-    p.add_argument("--band", default="lh3", choices=["lh3", "hl3"],
+    p.add_argument("--band", default="lh3", choices=BANDS,
                    help="target subband (default %(default)s)")
     p.add_argument("--offset", type=_parse_offset, default=(0, 0),
                    metavar="ROW,COL", help="watermark offset inside the subband")

@@ -5,17 +5,17 @@ DC frame is never touched), inside one window of a level-3 subband, so
 the least significant plane rides on the coarsest temporal detail. A
 level-3 coefficient depends only on its own 8x8 pixel block, so each
 selected shot is worked on through one block-aligned crop: the window's
-blocks plus a 1-coefficient halo. The crop gets temporal Haar analysis
-and a 3-level spatial Haar on coefficient frames 1..8 only, then a
-multiplicative +-alpha update of the window. Only the coefficient
-change is synthesized back, added to the crop and rounded to 8-bit
-luma; pixels outside the crop are copied.
+blocks plus a 1-coefficient halo. Only what the update reads is
+computed: temporal coefficient frames 0..8 of the crop and the one
+subband of frames 1..8, whose window gets a multiplicative +-alpha
+update. Only the coefficient change is synthesized back, added to the
+crop and rounded to 8-bit luma; pixels outside the crop are copied.
 
 The coefficients, and so the realized signs and key bytes, are
 bit-identical to transforming whole frames. Pixels may differ from a
-whole-frame round trip only at rounding ties: where the exact value is
-k + 0.5, the whole-frame path computes it within 1e-9 of the tie (for
-example 252.4999999999997) and may round the other way.
+whole-frame round trip (a test oracle) only at rounding ties: where
+the exact value is k + 0.5, that path computes it within 1e-9 of the
+tie (for example 252.4999999999997) and may round the other way.
 
 The sign actually written at each position depends on whether the
 local neighborhood max lies above or below the coefficient; those
@@ -41,8 +41,8 @@ from .shots import (
 from .wavelet3d import (
     SPATIAL_LEVELS,
     SubbandRect,
-    spatial_forward3,
-    spatial_inverse3,
+    band_forward3,
+    band_inverse3,
     subband_rect,
     temporal_forward,
     temporal_inverse,
@@ -85,16 +85,16 @@ class EmbedParams:
         return subband_rect(height, width, self.band[:2], int(self.band[2]))
 
 
-def _wm_slices(rect: SubbandRect, params: EmbedParams, wm_h: int, wm_w: int):
-    """Relative slices of the watermark window inside the subband.
+def _wm_slices(rows: int, cols: int, params: EmbedParams, wm_h: int, wm_w: int):
+    """Relative slices of the watermark window inside a rows x cols subband.
 
     Raises a capacity error when the rectangle does not fit.
     """
     r0, c0 = params.region_row0, params.region_col0
-    if r0 + wm_h > rect.rows or c0 + wm_w > rect.cols:
+    if r0 + wm_h > rows or c0 + wm_w > cols:
         raise GeometryError(
             f"watermark {wm_w}x{wm_h} at offset ({r0},{c0}) does not fit "
-            f"subband {params.band} of {rect.cols}x{rect.rows} coefficients"
+            f"subband {params.band} of {cols}x{rows} coefficients"
         )
     return slice(r0, r0 + wm_h), slice(c0, c0 + wm_w)
 
@@ -111,34 +111,32 @@ def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
     return np.max(stack, axis=0)
 
 
-def _spread_sign_grid(t: np.ndarray, r: np.ndarray, wd: np.ndarray) -> np.ndarray:
+def _window_signs(sub, plane, params: EmbedParams, what: str) -> tuple:
+    """(float64 region, window slices, signs): +1 where the neighbor max
+    lies strictly on the side the +-1 plane names (above for +1), else -1."""
+    arr = np.asarray(sub, dtype=np.float64)
+    wd = np.asarray(plane)
+    if np.any((wd != 1) & (wd != -1)):
+        raise ValueError(f"{what} plane values must be +1 or -1")
+    win = _wm_slices(*arr.shape, params, *wd.shape)
+    t, r = _neighbor_max_grid(arr)[win], arr[win]
     hit = ((t > r) & (wd == 1)) | ((t < r) & (wd == -1))
-    return np.where(hit, 1, -1).astype(np.int8)
+    return arr, win, np.where(hit, 1, -1).astype(np.int8)
 
 
 def embed_plane(
-    frame: np.ndarray, sign_plane: np.ndarray, params: EmbedParams
+    sub: np.ndarray, sign_plane: np.ndarray, params: EmbedParams
 ) -> tuple:
-    """Embed one prepared sign plane into one coefficient frame.
+    """Embed one prepared sign plane into a frame's subband region `sub`.
 
-    Neighborhood maxima come from a snapshot of the unmodified frame,
-    then every watermark coefficient is scaled by (1 + alpha * sign).
-    Returns (modified frame, realized sign plane).
+    The window sits at (region_row0, region_col0) of the region named by
+    params.band. Neighborhood maxima come from a snapshot of the
+    unmodified region, then every watermark coefficient is scaled by
+    (1 + alpha * sign). Returns (modified region, realized sign plane).
     """
-    arr = np.asarray(frame, dtype=np.float64)
-    wd = np.asarray(sign_plane)
-    if np.any((wd != 1) & (wd != -1)):
-        raise ValueError("sign plane values must be +1 or -1")
-    rect = params.rect_for(*arr.shape)
-    win = _wm_slices(rect, params, *wd.shape)
-
-    sub = arr[rect.slices()]
-    t = _neighbor_max_grid(sub)
-    realized = _spread_sign_grid(t[win], sub[win], wd)
-
+    arr, win, realized = _window_signs(sub, sign_plane, params, "sign")
     out = arr.copy()
-    region = out[rect.slices()]
-    region[win] = region[win] * (1.0 + params.alpha * realized)
+    out[win] *= 1.0 + params.alpha * realized
     return out, realized
 
 
@@ -150,7 +148,7 @@ def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
     slices and params whose window offset addresses the crop's subband.
     """
     rect = params.rect_for(height, width)
-    _wm_slices(rect, params, wm_h, wm_w)
+    _wm_slices(rect.rows, rect.cols, params, wm_h, wm_w)
     r0, c0 = params.region_row0, params.region_col0
     top, left = max(r0 - 1, 0), max(c0 - 1, 0)
     bottom, right = min(r0 + wm_h + 1, rect.rows), min(c0 + wm_w + 1, rect.cols)
@@ -159,18 +157,19 @@ def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
     return crop, replace(params, region_row0=r0 - top, region_col0=c0 - left)
 
 
-def _crop_coeffs(frames, crop) -> tuple:
-    """(temporal volume, spatial coefficient frames 1..8) of a crop."""
-    volume = temporal_forward(np.stack([np.asarray(f)[crop] for f in frames]))
-    return volume, spatial_forward3(volume.frames[1 : PLANE_COUNT + 1])
+def _crop_coeffs(frames, crop, band: str) -> tuple:
+    """(partial temporal volume, `band` of coefficient frames 1..8) of a crop."""
+    volume = temporal_forward([np.asarray(f)[crop] for f in frames], PLANE_COUNT + 1)
+    return volume, band_forward3(volume.frames[1:], band[:2])
 
 
 def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     """Watermark one shot of 8-bit frames.
 
     Returns (quantized frames, realized planes). Only the window's crop
-    is transformed; the coefficient change is synthesized back through
-    the spatial inverse and an (n x 8) temporal synthesis matrix.
+    is transformed, and only as far as frames 1..8 of its subband; the
+    coefficient change is synthesized back through the band's spatial
+    inverse and an (n x 8) temporal synthesis matrix.
     """
     n = len(frames)
     if n < MIN_EMBED_SHOT_LEN:
@@ -183,7 +182,7 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
         raise ValueError(f"expected {PLANE_COUNT} sign planes")
 
     crop, local = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
-    volume, coeffs = _crop_coeffs(frames, crop)
+    volume, coeffs = _crop_coeffs(frames, crop, params.band)
     delta = np.empty_like(coeffs)
     realized = np.empty_like(planes, dtype=np.int8)
     for k in range(PLANE_COUNT):
@@ -194,7 +193,7 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     unit = np.zeros((volume.padded_length, PLANE_COUNT, 1))
     unit[1 : PLANE_COUNT + 1, :, 0] = np.eye(PLANE_COUNT)
     synthesis = temporal_inverse(replace(volume, frames=unit))[..., 0]
-    change = np.tensordot(synthesis, spatial_inverse3(delta), axes=1)
+    change = np.tensordot(synthesis, band_inverse3(delta, params.band[:2]), axes=1)
 
     out = [np.array(f, dtype=np.uint8) for f in frames]
     for frame, d in zip(out, change):
@@ -239,7 +238,7 @@ def embed_clip(
 
     # Fail fast on geometry before any transform work.
     rect = params.rect_for(clip.height, clip.width)
-    _wm_slices(rect, params, wm_h, wm_w)
+    _wm_slices(rect.rows, rect.cols, params, wm_h, wm_w)
 
     if boundaries is None:
         boundaries = detect_shots(clip, threshold)

@@ -3,8 +3,9 @@
 The received video plus the bundle (seeds, geometry, stored shot
 boundaries and the realized sign planes) reproduce the forward
 transforms and invert the preparation; the original video is never
-consulted. As in embedding, only the watermark window's crop and its
-coefficient frames 1..8 are transformed. Ties in the neighborhood
+consulted. As in embedding, only the watermark window's crop is
+transformed, and only as far as the one subband of its coefficient
+frames 1..8. Ties in the neighborhood
 comparison decode as -1, mirroring the embedding rule.
 """
 
@@ -15,9 +16,8 @@ import numpy as np
 from .embed import (
     EmbedParams,
     _crop_coeffs,
-    _neighbor_max_grid,
-    _spread_sign_grid,
     _window_crop,
+    _window_signs,
     _wm_slices,
 )
 from .errors import GeometryError
@@ -45,24 +45,16 @@ class ExtractionResult:
 
 
 def extract_plane(
-    frame: np.ndarray, key_plane: np.ndarray, params: EmbedParams
+    sub: np.ndarray, key_plane: np.ndarray, params: EmbedParams
 ) -> np.ndarray:
-    """Recover one prepared sign plane from a received coefficient frame.
+    """Recover one prepared sign plane from a received subband region.
 
-    Compares each coefficient with its in-subband neighborhood max and
-    combines the outcome with the stored realized sign: above-max
-    positions return the key sign, below-max its negation, ties -1.
+    `sub` is as in embed_plane. Compares each coefficient with its
+    in-subband neighborhood max and combines the outcome with the stored
+    realized sign: above-max positions return the key sign, below-max
+    its negation, ties -1.
     """
-    arr = np.asarray(frame, dtype=np.float64)
-    wk = np.asarray(key_plane)
-    if np.any((wk != 1) & (wk != -1)):
-        raise ValueError("key plane values must be +1 or -1")
-    rect = params.rect_for(*arr.shape)
-    win = _wm_slices(rect, params, *wk.shape)
-
-    sub = arr[rect.slices()]
-    t = _neighbor_max_grid(sub)
-    return _spread_sign_grid(t[win], sub[win], wk)
+    return _window_signs(sub, key_plane, params, "key")[2]
 
 
 def _repair_length(frames, expected: int):
@@ -90,7 +82,7 @@ def extract_shot(
     crop, local = _window_crop(
         params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
     )
-    _, coeffs = _crop_coeffs(frames, crop)
+    _, coeffs = _crop_coeffs(frames, crop, params.band)
 
     bits = []
     for k in range(PLANE_COUNT):
@@ -122,7 +114,7 @@ def extract_clip(
     )
     # Surface geometry mismatches (wrong clip for this key) up front.
     rect = params.rect_for(clip.height, clip.width)
-    _wm_slices(rect, params, bundle.wm_height, bundle.wm_width)
+    _wm_slices(rect.rows, rect.cols, params, bundle.wm_height, bundle.wm_width)
 
     spans = shot_spans(bundle.boundaries)
     results = []

@@ -172,10 +172,15 @@ def _parse_int_list(value: str) -> tuple:
 def read_key(source) -> KeyBundle:
     """Parse and validate a key file; exact inverse of write_key."""
     if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="ascii") as fh:
+        with open(source, "rb") as fh:
             text = fh.read()
     else:
         text = source.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"key file is not ASCII: {exc}") from exc
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

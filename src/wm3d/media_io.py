@@ -17,6 +17,8 @@ from .errors import FormatError
 # 4:2:0 chroma tokens we accept; payload is W/2 x H/2 per plane for all of them.
 _C420_TOKENS = {"420", "420jpeg", "420paldv", "420mpeg2"}
 
+_READ_PIECE = 1 << 24  # largest single read; payload sizes come from headers
+
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero."""
@@ -86,6 +88,21 @@ def _open(source, mode: str):
     if isinstance(source, (str, Path)):
         return open(source, mode), True
     return source, False
+
+
+def _read_exact(stream, size: int, what: str) -> bytes:
+    """Read exactly `size` bytes, in pieces of at most _READ_PIECE, so a
+    short input fails with FormatError having allocated only what it held."""
+    data = stream.read(min(size, _READ_PIECE))
+    if len(data) < size:
+        buf = bytearray(data)
+        while data and len(buf) < size:
+            data = stream.read(min(size - len(buf), _READ_PIECE))
+            buf += data
+        data = bytes(buf)
+    if len(data) != size:
+        raise FormatError(f"truncated {what}")
+    return data
 
 
 # --- YUV4MPEG2 ---------------------------------------------------------------
@@ -165,17 +182,12 @@ def read_y4m(source) -> VideoClip:
                 break
             if marker != b"FRAME" and not marker.startswith(b"FRAME "):
                 raise FormatError("malformed frame marker")
-            luma = stream.read(luma_size)
-            if len(luma) != luma_size:
-                raise FormatError("truncated frame payload")
+            luma = _read_exact(stream, luma_size, "frame payload")
             frames.append(
                 np.frombuffer(luma, dtype=np.uint8).reshape(height, width).copy()
             )
             if chroma_size:
-                payload = stream.read(chroma_size)
-                if len(payload) != chroma_size:
-                    raise FormatError("truncated frame payload")
-                chroma.append(payload)
+                chroma.append(_read_exact(stream, chroma_size, "frame payload"))
         if not frames:
             raise FormatError("truncated frame payload: no frames after header")
 
@@ -251,9 +263,7 @@ def read_pgm(source) -> np.ndarray:
             raise FormatError("invalid PGM dimensions")
         if maxval != 255:
             raise FormatError(f"unsupported PGM maxval {maxval} (must be 255)")
-        data = stream.read(width * height)
-        if len(data) != width * height:
-            raise FormatError("truncated PGM payload")
+        data = _read_exact(stream, width * height, "PGM payload")
         return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
     finally:
         if close:

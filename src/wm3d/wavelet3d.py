@@ -1,4 +1,4 @@
-"""Forward and inverse 3D Haar transforms with subband addressing.
+"""3D Haar transforms, computed only where embedding reads them.
 
 A shot is first decomposed along time: frames are padded to a power of
 two by repeating the last frame, then fully reduced with orthonormal
@@ -7,13 +7,12 @@ Coefficient frames are kept in lowest-to-highest temporal frequency
 order: index 0 is the DC frame, index 1 the coarsest detail frame, and
 the finest details sit at the end.
 
-Coefficient frames are decomposed spatially with 3 levels of separable
-orthonormal Haar in the nested layout (approximation at the top left).
-Both directions use the same 1/sqrt2 normalization, so all transforms
-preserve energy and round-trip exactly. A level-3 coefficient depends
-only on its own 8x8 pixel block, so the transforms of a block-aligned
-crop are bit-identical to the same coefficients of the whole frame;
-embedding and extraction rely on this to transform only the crop.
+Spatially, 3 levels of separable orthonormal Haar give the nested
+layout (approximation at the top left). Embedding touches one level-3
+subband of coefficient frames 1..8, so only those are computed, with
+the full transforms' operations in their order: values are
+bit-identical to them (the full transforms are the tests' oracles). A
+level-3 coefficient depends only on its own 8x8 pixel block.
 """
 
 import math
@@ -33,7 +32,8 @@ SPATIAL_LEVELS = 3
 class CoeffVolume:
     """Temporal wavelet coefficient frames of one shot.
 
-    frames: (padded_length, H, W) float64; frames[0] is the DC frame.
+    frames: (count, H, W) float64; frames[0] is the DC frame. A full
+        volume has count == padded_length.
     original_length: shot length before padding.
     temporal_levels: dyadic levels applied (log2 of padded length).
     """
@@ -44,7 +44,7 @@ class CoeffVolume:
 
     @property
     def padded_length(self) -> int:
-        return self.frames.shape[0]
+        return 1 << self.temporal_levels
 
 
 class SubbandRect(NamedTuple):
@@ -60,33 +60,47 @@ class SubbandRect(NamedTuple):
         )
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 0).bit_length() if n > 1 else 1
+def _haar(even, odd, high: bool, out=None) -> np.ndarray:
+    """(even - odd)/sqrt2 if high else (even + odd)/sqrt2; casts to float64 first."""
+    y = (np.subtract if high else np.add)(even, odd, out=out, dtype=np.float64)
+    y /= _SQRT2
+    return y
 
 
-def temporal_forward(frames) -> CoeffVolume:
+def temporal_forward(frames, count=None) -> CoeffVolume:
     """Dyadic temporal Haar analysis of a shot.
 
-    Pads to a power-of-two length by repeating the last frame, then
-    recurses on the approximation until a single DC frame remains.
+    `frames` is a sequence of equal-shape 2-D arrays, read as given.
+    With `count`, only coefficient frames 0..count-1 are computed (the
+    whole approximation chain runs, higher details are skipped),
+    bit-identical to the full volume's; temporal_inverse refuses such
+    a partial volume.
     """
-    x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] < 1:
+    seq = [np.asarray(f) for f in frames]
+    if not seq or any(f.ndim != 2 or f.shape != seq[0].shape for f in seq):
         raise ValueError("expected a nonempty (frames, H, W) stack")
-    n = x.shape[0]
-    n2 = _next_pow2(n)
-    if n2 > n:
-        x = np.concatenate([x, np.repeat(x[-1:], n2 - n, axis=0)], axis=0)
-    levels = n2.bit_length() - 1
+    n = len(seq)
+    levels = (n - 1).bit_length()
+    size = 1 << levels
+    count = size if count is None else min(count, size)
+    coeffs = np.empty((count,) + seq[0].shape)
 
-    details = []
-    a = x
-    for _ in range(levels):
-        even, odd = a[0::2], a[1::2]
-        details.append((even - odd) / _SQRT2)
-        a = (even + odd) / _SQRT2
-    # a is now the single DC frame; coarsest detail goes right after it
-    coeffs = np.concatenate([a, *reversed(details)], axis=0)
+    # A level's input is seq, then tail repeated up to size frames; a
+    # (tail, tail) pair has detail 0 and gives the next level's tail.
+    tail = seq[-1]
+    while size > 1:
+        half = size // 2
+        pairs = [(seq[i], seq[i + 1] if i + 1 < len(seq) else tail)
+                 for i in range(0, len(seq), 2)]
+        for j, (even, odd) in enumerate(pairs):
+            if half + j < count:
+                _haar(even, odd, True, out=coeffs[half + j])
+        coeffs[half + len(pairs) : min(size, count)] = 0.0
+        if len(pairs) < half:
+            tail = _haar(tail, tail, False)
+        seq = [_haar(even, odd, False) for even, odd in pairs]
+        size = half
+    coeffs[0] = seq[0]
     return CoeffVolume(frames=coeffs, original_length=n, temporal_levels=levels)
 
 
@@ -97,6 +111,8 @@ def temporal_inverse(volume: CoeffVolume) -> np.ndarray:
     (quantization back to 8 bits is the caller's business).
     """
     frames = volume.frames
+    if frames.shape[0] != volume.padded_length:
+        raise ValueError("cannot invert a partial coefficient volume")
     a = frames[:1]
     pos = 1
     for _ in range(volume.temporal_levels):
@@ -110,67 +126,52 @@ def temporal_inverse(volume: CoeffVolume) -> np.ndarray:
     return a[: volume.original_length]
 
 
-# --- 2-D spatial transform ----------------------------------------------------
+# --- one level-3 spatial subband ----------------------------------------------
 
 
-def _fwd_w(x):
-    a = (x[..., 0::2] + x[..., 1::2]) / _SQRT2
-    d = (x[..., 0::2] - x[..., 1::2]) / _SQRT2
-    return np.concatenate([a, d], axis=-1)
+def _band_filters(band: str) -> tuple:
+    """(highpass within rows, highpass within columns) of a band name."""
+    key = band.lower()
+    if key not in ("ll", "lh", "hl", "hh"):
+        raise ValueError(f"unknown band {band!r} (expected ll/lh/hl/hh)")
+    return key[0] == "h", key[1] == "h"
 
 
-def _fwd_h(x):
-    a = (x[..., 0::2, :] + x[..., 1::2, :]) / _SQRT2
-    d = (x[..., 0::2, :] - x[..., 1::2, :]) / _SQRT2
-    return np.concatenate([a, d], axis=-2)
+def band_forward3(x: np.ndarray, band: str) -> np.ndarray:
+    """One level-3 subband of the 3-level spatial Haar of (..., H, W) frames.
 
-
-def _inv_w(x):
-    half = x.shape[-1] // 2
-    a, d = x[..., :half], x[..., half:]
-    out = np.empty_like(x)
-    out[..., 0::2] = (a + d) / _SQRT2
-    out[..., 1::2] = (a - d) / _SQRT2
-    return out
-
-
-def _inv_h(x):
-    half = x.shape[-2] // 2
-    a, d = x[..., :half, :], x[..., half:, :]
-    out = np.empty_like(x)
-    out[..., 0::2, :] = (a + d) / _SQRT2
-    out[..., 1::2, :] = (a - d) / _SQRT2
-    return out
-
-
-def _require_div8(h: int, w: int) -> None:
-    if h % 8 or w % 8:
-        raise GeometryError(
-            f"frame dimensions {w}x{h} not divisible by 8 "
-            f"(required for a 3-level spatial transform)"
-        )
-
-
-def spatial_forward3(x: np.ndarray) -> np.ndarray:
-    """3-level separable orthonormal Haar analysis of (..., H, W) frames."""
-    h, w = np.shape(x)[-2:]
-    _require_div8(h, w)
-    x = np.array(x, dtype=np.float64)
+    Two levels of the approximation chain, then the band's filter pair,
+    in the full transform's order (within rows, then within columns).
+    Returns (..., H/8, W/8) float64.
+    """
+    subband_rect(*np.shape(x)[-2:], band, SPATIAL_LEVELS)  # checks dims, band
+    high_rows, high_cols = _band_filters(band)
+    x = np.asarray(x)
     for level in range(SPATIAL_LEVELS):
-        hh, ww = h >> level, w >> level
-        x[..., :hh, :ww] = _fwd_h(_fwd_w(x[..., :hh, :ww]))
+        last = level == SPATIAL_LEVELS - 1
+        x = _haar(x[..., 0::2], x[..., 1::2], last and high_rows)
+        x = _haar(x[..., 0::2, :], x[..., 1::2, :], last and high_cols)
     return x
 
 
-def spatial_inverse3(x: np.ndarray) -> np.ndarray:
-    """Exact inverse of spatial_forward3."""
-    h, w = np.shape(x)[-2:]
-    _require_div8(h, w)
-    x = np.array(x, dtype=np.float64)
-    for level in (2, 1, 0):
-        hh, ww = h >> level, w >> level
-        x[..., :hh, :ww] = _inv_w(_inv_h(x[..., :hh, :ww]))
-    return x
+def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
+    """3-level spatial Haar synthesis of (..., h, w) coefficients of one band.
+
+    Every add in the full inverse of the zero-padded frame has a zero
+    partner, so is exact: each coefficient is divided by sqrt2 six
+    times and copied to its 8x8 block, negated in the block's high half
+    along each highpass direction. Returns (..., 8h, 8w) pixels.
+    """
+    high_rows, high_cols = _band_filters(band)
+    v = np.array(c, dtype=np.float64)
+    for _ in range(2 * SPATIAL_LEVELS):
+        v /= _SQRT2
+    half = np.repeat([1.0, -1.0], 4)
+    ones = np.ones(8)
+    sign = np.outer(half if high_cols else ones, half if high_rows else ones)
+    *lead, h, w = v.shape
+    blocks = v[..., :, None, :, None] * sign[:, None, :]
+    return blocks.reshape(*lead, 8 * h, 8 * w)
 
 
 def subband_rect(height: int, width: int, band: str, level: int) -> SubbandRect:
@@ -189,15 +190,6 @@ def subband_rect(height: int, width: int, band: str, level: int) -> SubbandRect:
             f"dimensions {width}x{height} not divisible by {scale} "
             f"(level {level} subband)"
         )
+    high_rows, high_cols = _band_filters(band)
     rows, cols = height // scale, width // scale
-    origin = {
-        "ll": (0, 0),
-        "lh": (rows, 0),
-        "hl": (0, cols),
-        "hh": (rows, cols),
-    }
-    key = band.lower()
-    if key not in origin:
-        raise ValueError(f"unknown band {band!r} (expected ll/lh/hl/hh)")
-    r0, c0 = origin[key]
-    return SubbandRect(r0, c0, rows, cols)
+    return SubbandRect(rows if high_cols else 0, cols if high_rows else 0, rows, cols)

@@ -1,24 +1,27 @@
 """Reference implementations the fast paths in src/ are checked against.
 
-Scalar versions of the neighborhood and sign rules, the whole-volume
-3D transform, and whole-frame embedding and extraction: every frame of
-a shot goes through the full temporal and spatial transforms, forward
-and inverse, as the crop-based path in wm3d.embed avoids doing. Also
-scipy's DCT round trip for the compression proxy; scipy is imported
-only when that oracle runs, since wm3d itself needs numpy only.
+Scalar versions of the neighborhood and sign rules, the full 3-level
+spatial Haar transform and its inverse (src/ computes only the one
+subband embedding uses), the whole-volume 3D transform, and
+whole-frame embedding and extraction: every frame of a shot goes
+through the full temporal and spatial transforms, forward and inverse,
+as the crop-based path in wm3d.embed avoids doing. Also scipy's DCT
+round trip for the compression proxy; scipy is imported only when that
+oracle runs, since wm3d itself needs numpy only.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from wm3d.embed import _NEIGHBOR_OFFSETS, embed_plane
-from wm3d.extract import extract_plane
+from wm3d import embed, extract
+from wm3d.embed import _NEIGHBOR_OFFSETS
+from wm3d.errors import GeometryError
 from wm3d.media_io import round_half_away
 from wm3d.prng import stream
 from wm3d.wavelet3d import (
-    spatial_forward3,
-    spatial_inverse3,
+    _SQRT2,
+    SPATIAL_LEVELS,
     temporal_forward,
     temporal_inverse,
 )
@@ -59,6 +62,103 @@ def spread_sign(t: float, r: float, wd: int) -> int:
     if t < r and wd == -1:
         return 1
     return -1
+
+
+def temporal_forward_stacked(frames) -> np.ndarray:
+    """All temporal coefficient frames from one padded float64 stack.
+
+    The straightforward form of wm3d.wavelet3d.temporal_forward: pad by
+    repeating the last frame, then halve the whole stack per level.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[0]
+    n2 = 1 << (n - 1).bit_length()
+    x = np.concatenate([x, np.repeat(x[-1:], n2 - n, axis=0)], axis=0)
+    details = []
+    while x.shape[0] > 1:
+        even, odd = x[0::2], x[1::2]
+        details.append((even - odd) / _SQRT2)
+        x = (even + odd) / _SQRT2
+    return np.concatenate([x, *reversed(details)], axis=0)
+
+
+def _fwd_w(x):
+    a = (x[..., 0::2] + x[..., 1::2]) / _SQRT2
+    d = (x[..., 0::2] - x[..., 1::2]) / _SQRT2
+    return np.concatenate([a, d], axis=-1)
+
+
+def _fwd_h(x):
+    a = (x[..., 0::2, :] + x[..., 1::2, :]) / _SQRT2
+    d = (x[..., 0::2, :] - x[..., 1::2, :]) / _SQRT2
+    return np.concatenate([a, d], axis=-2)
+
+
+def _inv_w(x):
+    half = x.shape[-1] // 2
+    a, d = x[..., :half], x[..., half:]
+    out = np.empty_like(x)
+    out[..., 0::2] = (a + d) / _SQRT2
+    out[..., 1::2] = (a - d) / _SQRT2
+    return out
+
+
+def _inv_h(x):
+    half = x.shape[-2] // 2
+    a, d = x[..., :half, :], x[..., half:, :]
+    out = np.empty_like(x)
+    out[..., 0::2, :] = (a + d) / _SQRT2
+    out[..., 1::2, :] = (a - d) / _SQRT2
+    return out
+
+
+def _require_div8(h: int, w: int) -> None:
+    if h % 8 or w % 8:
+        raise GeometryError(
+            f"frame dimensions {w}x{h} not divisible by 8 "
+            f"(required for a 3-level spatial transform)"
+        )
+
+
+def spatial_forward3(x: np.ndarray) -> np.ndarray:
+    """3-level separable orthonormal Haar analysis of (..., H, W) frames."""
+    h, w = np.shape(x)[-2:]
+    _require_div8(h, w)
+    x = np.array(x, dtype=np.float64)
+    for level in range(SPATIAL_LEVELS):
+        hh, ww = h >> level, w >> level
+        x[..., :hh, :ww] = _fwd_h(_fwd_w(x[..., :hh, :ww]))
+    return x
+
+
+def spatial_inverse3(x: np.ndarray) -> np.ndarray:
+    """Exact inverse of spatial_forward3."""
+    h, w = np.shape(x)[-2:]
+    _require_div8(h, w)
+    x = np.array(x, dtype=np.float64)
+    for level in (2, 1, 0):
+        hh, ww = h >> level, w >> level
+        x[..., :hh, :ww] = _inv_w(_inv_h(x[..., :hh, :ww]))
+    return x
+
+
+def embed_plane(frame, sign_plane, params) -> tuple:
+    """wm3d.embed.embed_plane on a whole coefficient frame.
+
+    The subband named by params.band is cut out, marked and put back.
+    Returns (modified frame, realized sign plane).
+    """
+    out = np.array(frame, dtype=np.float64)
+    band = params.rect_for(*out.shape).slices()
+    out[band], realized = embed.embed_plane(out[band], sign_plane, params)
+    return out, realized
+
+
+def extract_plane(frame, key_plane, params) -> np.ndarray:
+    """wm3d.extract.extract_plane on a whole coefficient frame."""
+    arr = np.asarray(frame, dtype=np.float64)
+    band = params.rect_for(*arr.shape).slices()
+    return extract.extract_plane(arr[band], key_plane, params)
 
 
 def spatial_forward3_volume(volume):

@@ -10,7 +10,12 @@ import time
 import numpy as np
 
 from conftest import SEED1, SEED2, SEED3
-from oracles import spatial_forward3_volume, spatial_inverse3_volume, spread_sign
+from oracles import (
+    extract_plane,
+    spatial_forward3_volume,
+    spatial_inverse3_volume,
+    spread_sign,
+)
 from wm3d.attacks import (
     attack_average,
     attack_compress,
@@ -19,7 +24,7 @@ from wm3d.attacks import (
 )
 from wm3d.cli import main
 from wm3d.embed import EmbedParams, embed_clip
-from wm3d.extract import extract_clip, extract_plane
+from wm3d.extract import extract_clip
 from wm3d.media_io import read_pgm, write_pgm, write_y4m
 from wm3d.metrics import nc, psnr, psnr_clip
 from wm3d.wavelet3d import temporal_forward, temporal_inverse

@@ -236,6 +236,37 @@ def test_band_escape_hatch(workdir, capsys):
     assert float(line.split("nc=")[1]) >= 0.95
 
 
+def test_every_key_band_embeds_and_extracts(workdir, capsys):
+    # hh3 and ll3 are key-file bands too, so the CLI must offer them
+    for band in ("hh3", "ll3"):
+        assert _embed(workdir, "--band", band) == 0
+        assert f"band={band}" in (workdir / "k.key").read_text()
+        capsys.readouterr()
+        code = main(
+            [
+                "extract",
+                "--in", str(workdir / "marked.y4m"),
+                "--key", str(workdir / "k.key"),
+                "--out", str(workdir / "e.pgm"),
+                "--ref", str(workdir / "wm.pgm"),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        line = [ln for ln in out.splitlines() if ln.startswith("aggregate:")][0]
+        assert float(line.split("nc=")[1]) >= 0.95
+
+
+def test_huge_header_short_file_exits_2(tmp_path, capsys):
+    video = tmp_path / "huge.y4m"
+    video.write_bytes(b"YUV4MPEG2 W200000 H200000 F25:1 Cmono\nFRAME\nabc")
+    assert main(["shots", "--in", str(video)]) == 2
+    image = tmp_path / "huge.pgm"
+    image.write_bytes(b"P5\n200000 200000\n255\nabc")
+    assert main(["nc", str(image), str(image)]) == 2
+    assert capsys.readouterr().err.count("truncated") == 2
+
+
 def test_cli_import_loads_no_scipy():
     # scipy's import alone costs more than an extract; only the compress
     # oracle in tests/ may use it

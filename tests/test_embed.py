@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import SEED1, SEED2, SEED3, make_noise_clip
-from oracles import neighbor_max, spread_sign
+from oracles import embed_plane, neighbor_max, spread_sign
 from wm3d.embed import (
     EmbedParams,
     _neighbor_max_grid,
     embed_clip,
-    embed_plane,
     embed_shot,
     prepare_sign_planes,
 )

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
-from wm3d.embed import EmbedParams, embed_clip, embed_plane
+from oracles import embed_plane, extract_plane
+from wm3d.embed import EmbedParams, embed_clip
 from wm3d.errors import GeometryError
-from wm3d.extract import extract_clip, extract_plane, extract_shot
+from wm3d.extract import extract_clip, extract_shot
 from wm3d.keyfile import KeyBundle, ShotRecord
 from wm3d.media_io import VideoClip, quantize_luma
 from wm3d.metrics import nc

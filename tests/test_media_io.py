@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wm3d import media_io
 from wm3d.errors import FormatError
 from wm3d.media_io import (
     VideoClip,
@@ -141,6 +143,46 @@ def test_pgm_comments_and_errors():
         read_pgm(io.BytesIO(b"P2\n2 2\n255\n0 1 2 3"))
     with pytest.raises(FormatError, match="truncated"):
         read_pgm(io.BytesIO(b"P5\n4 4\n255\n" + bytes(3)))
+
+
+# Short inputs whose headers declare 20000x20000 (400 MB) payloads.
+HUGE_HEADERS = {
+    "y4m": (read_y4m, b"YUV4MPEG2 W20000 H20000 F25:1 Cmono\nFRAME\nabc"),
+    "pgm": (read_pgm, b"P5\n20000 20000\n255\nabc"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_HEADERS))
+def test_short_payload_allocates_only_what_it_holds(kind, tmp_path):
+    # a file, not BytesIO: a buffered file read allocates what it is asked for
+    reader, data = HUGE_HEADERS[kind]
+    path = tmp_path / f"short.{kind}"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"{kind}: peak {peak / 2**20:.1f} MB"
+
+
+def test_payloads_read_in_pieces(monkeypatch):
+    monkeypatch.setattr(media_io, "_READ_PIECE", 3)
+    rs = np.random.RandomState(9)
+    frames = [rs.randint(0, 256, (4, 6)) for _ in range(2)]
+    chroma = [rs.bytes(12) for _ in range(2)]
+    data = _y4m_bytes(_clip(frames, chroma_token="420jpeg", chroma=chroma))
+    clip = read_y4m(io.BytesIO(data))
+    assert all(np.array_equal(a, b) for a, b in zip(clip.frames, frames))
+    assert clip.chroma == chroma
+    with pytest.raises(FormatError, match="truncated"):
+        read_y4m(io.BytesIO(data[:-1]))
+    assert np.array_equal(read_pgm(io.BytesIO(b"P5\n6 4\n255\n" + bytes(range(24)))),
+                          np.arange(24, dtype=np.uint8).reshape(4, 6))
+    with pytest.raises(FormatError, match="truncated"):
+        read_pgm(io.BytesIO(b"P5\n6 4\n255\n" + bytes(23)))
 
 
 def test_pgm_sequence_roundtrip(tmp_path):

@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import spatial_forward3_volume, spatial_inverse3_volume
+from oracles import (
+    spatial_forward3,
+    spatial_forward3_volume,
+    spatial_inverse3,
+    spatial_inverse3_volume,
+    temporal_forward_stacked,
+)
 from wm3d.errors import GeometryError
 from wm3d.wavelet3d import (
-    spatial_forward3,
-    spatial_inverse3,
+    band_forward3,
+    band_inverse3,
     subband_rect,
     temporal_forward,
     temporal_inverse,
@@ -176,3 +182,58 @@ def test_subband_slices_address_frame():
     rect = subband_rect(32, 32, "lh", 3)
     frame[rect.slices()] = 1.0
     assert frame[4:8, 0:4].sum() == rect.rows * rect.cols == frame.sum()
+
+
+# --- the band-only paths against the full transforms, bit for bit -------------
+
+BANDS2 = ("ll", "lh", "hl", "hh")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+@pytest.mark.parametrize("band", BANDS2)
+def test_band_forward3_equals_full_transform_band(band, dtype):
+    x = (np.random.RandomState(11).rand(2, 3, 32, 48) * 255).astype(dtype)
+    rect = subband_rect(32, 48, band, 3)
+    got = band_forward3(x, band)
+    assert got.dtype == np.float64 and got.shape == (2, 3, 4, 6)
+    assert np.array_equal(got, spatial_forward3(x)[(..., *rect.slices())])
+
+
+@pytest.mark.parametrize("band", BANDS2)
+def test_band_inverse3_equals_full_inverse_of_padded_band(band):
+    c = np.random.RandomState(12).randn(2, 3, 4, 6) * 50
+    padded = np.zeros((2, 3, 32, 48))
+    padded[(..., *subband_rect(32, 48, band, 3).slices())] = c
+    got = band_inverse3(c, band)
+    assert got.shape == (2, 3, 32, 48)
+    assert np.array_equal(got, spatial_inverse3(padded))
+
+
+def test_band_forward3_rejects_bad_dims_and_band():
+    with pytest.raises(GeometryError, match="divisible by 8"):
+        band_forward3(np.zeros((12, 16)), "lh")
+    with pytest.raises(ValueError, match="band"):
+        band_forward3(np.zeros((16, 16)), "xy")
+    with pytest.raises(ValueError, match="band"):
+        band_inverse3(np.zeros((2, 2)), "xy")
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_temporal_forward_equals_stacked_oracle(n):
+    # uint8 frames, as embed passes crop views; 9 = DC + 8 plane frames
+    rs = np.random.RandomState(n)
+    frames = list(rs.randint(0, 256, (n, 8, 16)).astype(np.uint8))
+    full = temporal_forward_stacked(frames)
+    assert np.array_equal(temporal_forward(frames).frames, full)
+    part = temporal_forward(frames, 9)
+    assert np.array_equal(part.frames, full[:9])
+    assert part.padded_length == full.shape[0]
+    assert part.original_length == n
+
+
+def test_temporal_inverse_rejects_partial_volume():
+    vol = temporal_forward(np.random.RandomState(13).rand(16, 8, 8), 9)
+    with pytest.raises(ValueError, match="partial"):
+        temporal_inverse(vol)
+    with pytest.raises(ValueError, match="stack"):
+        temporal_forward([np.zeros((8, 8)), np.zeros((8, 16))])

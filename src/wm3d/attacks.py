@@ -118,8 +118,8 @@ def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
 
 def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     """Add keyed Gaussian noise of the given standard deviation."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     h, w = clip.frames[0].shape
     size = h * w
     count = clip.frame_count * size

@@ -22,7 +22,7 @@ from .attacks import (
 from .embed import EmbedParams, embed_clip
 from .errors import FormatError, GeometryError
 from .extract import extract_clip
-from .keyfile import BANDS, read_key, write_key
+from .keyfile import read_key, write_key
 from .media_io import (
     read_pgm,
     read_pgm_sequence,
@@ -34,6 +34,7 @@ from .media_io import (
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
 from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans
+from .wavelet3d import BANDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -7,8 +7,10 @@ level-3 coefficient depends only on its own 8x8 pixel block, so each
 selected shot is worked on through one block-aligned crop: the window's
 blocks plus a 1-coefficient halo. Only what the update reads is
 computed: temporal coefficient frames 0..8 of the crop and the one
-subband of frames 1..8, whose window gets a multiplicative +-alpha
-update. Only the coefficient change is synthesized back, added to the
+subband of frames 1..8, whose windows get a multiplicative +-alpha
+update, all 8 planes in one call. Only the coefficient change is
+synthesized back, through closed-form traces of the Haar inverse (the
+band's 8x8 sign pattern, the temporal synthesis matrix), added to the
 crop and rounded to 8-bit luma; pixels outside the crop are copied.
 
 The coefficients, and so the realized signs and key bytes, are
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GeometryError
-from .keyfile import BANDS, PLANE_COUNT, KeyBundle, ShotRecord
+from .keyfile import PLANE_COUNT, KeyBundle, ShotRecord
 from .media_io import VideoClip, quantize_luma
 from .prng import MASK64
 from .shots import (
@@ -39,13 +41,14 @@ from .shots import (
     validate_boundaries,
 )
 from .wavelet3d import (
+    BANDS,
     SPATIAL_LEVELS,
     SubbandRect,
     band_forward3,
     band_inverse3,
     subband_rect,
     temporal_forward,
-    temporal_inverse,
+    temporal_synthesis,
 )
 from .wmprep import decompose_bitplanes, disorder, permute
 
@@ -82,7 +85,7 @@ class EmbedParams:
             raise ValueError(f"unknown band {self.band!r}")
 
     def rect_for(self, height: int, width: int) -> SubbandRect:
-        return subband_rect(height, width, self.band[:2], int(self.band[2]))
+        return subband_rect(height, width, self.band)
 
 
 def _wm_slices(rows: int, cols: int, params: EmbedParams, wm_h: int, wm_w: int):
@@ -100,26 +103,29 @@ def _wm_slices(rows: int, cols: int, params: EmbedParams, wm_h: int, wm_w: int):
 
 
 def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
-    """Neighbor max at every position of a subband region at once."""
-    h, w = sub.shape
-    padded = np.full((h + 2, w + 2), -np.inf)
-    padded[1:-1, 1:-1] = sub
+    """Neighbor max at every position of (..., h, w) subband regions at once."""
+    *lead, h, w = sub.shape
+    padded = np.full((*lead, h + 2, w + 2), -np.inf)
+    padded[..., 1:-1, 1:-1] = sub
     stack = [
-        padded[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
+        padded[..., 1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
         for di, dj in _NEIGHBOR_OFFSETS
     ]
     return np.max(stack, axis=0)
 
 
 def _window_signs(sub, plane, params: EmbedParams, what: str) -> tuple:
-    """(float64 region, window slices, signs): +1 where the neighbor max
-    lies strictly on the side the +-1 plane names (above for +1), else -1."""
+    """(float64 regions, window index, signs) of (..., h, w) regions and
+    matching (..., wm_h, wm_w) planes: +1 where the neighbor max lies
+    strictly on the side the +-1 plane names (above for +1), else -1."""
     arr = np.asarray(sub, dtype=np.float64)
     wd = np.asarray(plane)
     if np.any((wd != 1) & (wd != -1)):
         raise ValueError(f"{what} plane values must be +1 or -1")
-    win = _wm_slices(*arr.shape, params, *wd.shape)
+    win = (..., *_wm_slices(*arr.shape[-2:], params, *wd.shape[-2:]))
     t, r = _neighbor_max_grid(arr)[win], arr[win]
+    if wd.shape != r.shape:
+        raise ValueError(f"{what} planes {wd.shape} do not match windows {r.shape}")
     hit = ((t > r) & (wd == 1)) | ((t < r) & (wd == -1))
     return arr, win, np.where(hit, 1, -1).astype(np.int8)
 
@@ -127,12 +133,14 @@ def _window_signs(sub, plane, params: EmbedParams, what: str) -> tuple:
 def embed_plane(
     sub: np.ndarray, sign_plane: np.ndarray, params: EmbedParams
 ) -> tuple:
-    """Embed one prepared sign plane into a frame's subband region `sub`.
+    """Embed prepared sign planes into subband regions `sub`.
 
-    The window sits at (region_row0, region_col0) of the region named by
-    params.band. Neighborhood maxima come from a snapshot of the
-    unmodified region, then every watermark coefficient is scaled by
-    (1 + alpha * sign). Returns (modified region, realized sign plane).
+    `sub` is (..., h, w), one region of the band named by params.band
+    per plane of the matching (..., wm_h, wm_w) `sign_plane`; the window
+    sits at (region_row0, region_col0) of each. Neighborhood maxima come
+    from a snapshot of the unmodified regions, then every watermark
+    coefficient is scaled by (1 + alpha * sign). Returns (modified
+    regions, realized sign planes).
     """
     arr, win, realized = _window_signs(sub, sign_plane, params, "sign")
     out = arr.copy()
@@ -157,10 +165,10 @@ def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
     return crop, replace(params, region_row0=r0 - top, region_col0=c0 - left)
 
 
-def _crop_coeffs(frames, crop, band: str) -> tuple:
-    """(partial temporal volume, `band` of coefficient frames 1..8) of a crop."""
-    volume = temporal_forward([np.asarray(f)[crop] for f in frames], PLANE_COUNT + 1)
-    return volume, band_forward3(volume.frames[1:], band[:2])
+def _crop_coeffs(frames, crop, band: str) -> np.ndarray:
+    """(8, h, w) `band` of a crop's temporal coefficient frames 1..8."""
+    coeffs = temporal_forward([np.asarray(f)[crop] for f in frames], PLANE_COUNT + 1)
+    return band_forward3(coeffs[1:], band)
 
 
 def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
@@ -169,7 +177,7 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     Returns (quantized frames, realized planes). Only the window's crop
     is transformed, and only as far as frames 1..8 of its subband; the
     coefficient change is synthesized back through the band's spatial
-    inverse and an (n x 8) temporal synthesis matrix.
+    inverse and the (n x 8) temporal synthesis matrix of frames 1..8.
     """
     n = len(frames)
     if n < MIN_EMBED_SHOT_LEN:
@@ -182,18 +190,10 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
         raise ValueError(f"expected {PLANE_COUNT} sign planes")
 
     crop, local = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
-    volume, coeffs = _crop_coeffs(frames, crop, params.band)
-    delta = np.empty_like(coeffs)
-    realized = np.empty_like(planes, dtype=np.int8)
-    for k in range(PLANE_COUNT):
-        marked, realized[k] = embed_plane(coeffs[k], planes[k], local)
-        delta[k] = marked - coeffs[k]
-
-    # Column k-1 is the pixel-domain trace of unit coefficient frame k.
-    unit = np.zeros((volume.padded_length, PLANE_COUNT, 1))
-    unit[1 : PLANE_COUNT + 1, :, 0] = np.eye(PLANE_COUNT)
-    synthesis = temporal_inverse(replace(volume, frames=unit))[..., 0]
-    change = np.tensordot(synthesis, band_inverse3(delta, params.band[:2]), axes=1)
+    coeffs = _crop_coeffs(frames, crop, params.band)
+    marked, realized = embed_plane(coeffs, planes, local)
+    synthesis = temporal_synthesis(n, PLANE_COUNT + 1)[:, 1:]
+    change = np.tensordot(synthesis, band_inverse3(marked - coeffs, params.band), axes=1)
 
     out = [np.array(f, dtype=np.uint8) for f in frames]
     for frame, d in zip(out, change):

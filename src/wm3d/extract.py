@@ -47,12 +47,12 @@ class ExtractionResult:
 def extract_plane(
     sub: np.ndarray, key_plane: np.ndarray, params: EmbedParams
 ) -> np.ndarray:
-    """Recover one prepared sign plane from a received subband region.
+    """Recover prepared sign planes from received subband regions.
 
-    `sub` is as in embed_plane. Compares each coefficient with its
-    in-subband neighborhood max and combines the outcome with the stored
-    realized sign: above-max positions return the key sign, below-max
-    its negation, ties -1.
+    `sub` and `key_plane` are as in embed_plane. Compares each
+    coefficient with its in-subband neighborhood max and combines the
+    outcome with the stored realized sign: above-max positions return
+    the key sign, below-max its negation, ties -1.
     """
     return _window_signs(sub, key_plane, params, "key")[2]
 
@@ -82,13 +82,10 @@ def extract_shot(
     crop, local = _window_crop(
         params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
     )
-    _, coeffs = _crop_coeffs(frames, crop, params.band)
-
-    bits = []
-    for k in range(PLANE_COUNT):
-        recovered = extract_plane(coeffs[k], key_planes[k], local)
-        bits.append(unpermute(undisorder(recovered, k, seed2), seed1))
-    bitplanes = np.stack(bits)
+    recovered = extract_plane(_crop_coeffs(frames, crop, params.band), key_planes, local)
+    bitplanes = np.stack(
+        [unpermute(undisorder(recovered[k], k, seed2), seed1) for k in range(PLANE_COUNT)]
+    )
     return ShotExtraction(
         shot_index=-1,
         watermark=compose_bitplanes(bitplanes),

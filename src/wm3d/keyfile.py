@@ -27,12 +27,12 @@ import numpy as np
 
 from .errors import FormatError
 from .prng import MASK64
+from .wavelet3d import BANDS
 
 MAGIC = "WM3DKEY"
 VERSION = 1
 
 PLANE_COUNT = 8
-BANDS = ("ll3", "lh3", "hl3", "hh3")
 
 _HEADER_FIELDS = (
     "seed1",

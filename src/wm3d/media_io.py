@@ -105,6 +105,14 @@ def _read_exact(stream, size: int, what: str) -> bytes:
     return data
 
 
+def _header_int(token, what: str) -> int:
+    """A header number (str or bytes token) as an int, else FormatError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"malformed {what} {token[:32]!r}") from None
+
+
 # --- YUV4MPEG2 ---------------------------------------------------------------
 
 
@@ -145,9 +153,9 @@ def read_y4m(source) -> VideoClip:
                 continue
             key, val = tok[0], tok[1:]
             if key == "W":
-                width = int(val)
+                width = _header_int(val, "y4m width")
             elif key == "H":
-                height = int(val)
+                height = _header_int(val, "y4m height")
             elif key == "F":
                 m = re.fullmatch(r"(\d+):(\d+)", val)
                 if not m:
@@ -256,9 +264,9 @@ def read_pgm(source) -> np.ndarray:
     try:
         if _pgm_next_token(stream) != b"P5":
             raise FormatError("not a binary PGM (P5) file")
-        width = int(_pgm_next_token(stream))
-        height = int(_pgm_next_token(stream))
-        maxval = int(_pgm_next_token(stream))
+        width = _header_int(_pgm_next_token(stream), "PGM width")
+        height = _header_int(_pgm_next_token(stream), "PGM height")
+        maxval = _header_int(_pgm_next_token(stream), "PGM maxval")
         if width <= 0 or height <= 0:
             raise FormatError("invalid PGM dimensions")
         if maxval != 255:

@@ -43,25 +43,6 @@ def hash64(seed: int, *words: int) -> int:
     return h
 
 
-class SplitMix64:
-    """Sequential splitmix64 stream."""
-
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        # Modulo reduction; the bias is irrelevant at the bounds used here
-        # and keeps the draw sequence trivially portable.
-        return self.next_u64() % bound
-
-
 def _words(seed: int, index: np.ndarray) -> np.ndarray:
     """Stream outputs at the given 0-based uint64 positions (counter form)."""
     return mix64_np(np.uint64(seed & MASK64) + index * np.uint64(_GOLDEN))
@@ -71,7 +52,8 @@ def stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the splitmix64 stream for `seed`.
 
     Uses the counter form (output i = finalize(seed + (i+1)*gamma)) so
-    the whole stream vectorizes; matches SplitMix64.next_u64 exactly.
+    the whole stream vectorizes; equals the sequential generator's
+    outputs exactly.
     """
     return _words(seed, np.arange(count, dtype=np.uint64))
 
@@ -79,15 +61,16 @@ def stream(seed: int, count: int) -> np.ndarray:
 def permutation(n: int, seed: int) -> np.ndarray:
     """Keyed Fisher-Yates permutation of range(n).
 
-    Swaps from the top index down; each step draws one splitmix64 value
-    reduced modulo the remaining prefix length.
+    Swaps from the top index down; step i (n-1 down to 1) takes the next
+    splitmix64 value reduced modulo the remaining prefix length i + 1.
+    The modulo bias is irrelevant at the sizes used here and keeps the
+    draws trivially portable.
     """
-    rng = SplitMix64(seed)
-    p = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
+    draws = stream(seed, max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+    p = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
         p[i], p[j] = p[j], p[i]
-    return p
+    return np.array(p, dtype=np.int64)
 
 
 def gaussian(

@@ -27,15 +27,9 @@ def _histogram(frame: np.ndarray) -> np.ndarray:
     return np.bincount((frame >> 2).ravel(), minlength=HIST_BINS)
 
 
-def histogram_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalized L1 distance between two frames' 64-bin luma histograms.
-
-    0 for identical histograms, 1 when no pixel mass shares a bin.
-    """
-    return _distance(_histogram(a), _histogram(b), a.size)
-
-
 def _distance(ha: np.ndarray, hb: np.ndarray, size: int) -> float:
+    """Normalized L1 distance between two 64-bin luma histograms of
+    `size`-pixel frames: 0 if identical, 1 when no mass shares a bin."""
     diff = ha.astype(np.int64) - hb.astype(np.int64)
     return float(np.sum(np.abs(diff))) / (2.0 * size)
 

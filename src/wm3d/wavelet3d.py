@@ -13,10 +13,14 @@ subband of coefficient frames 1..8, so only those are computed, with
 the full transforms' operations in their order: values are
 bit-identical to them (the full transforms are the tests' oracles). A
 level-3 coefficient depends only on its own 8x8 pixel block.
+
+Synthesis only ever carries a change of those coefficients back to the
+pixels, so both halves are closed-form traces of the Haar inverse:
+every add in the inverse of a lone coefficient (or coefficient frame)
+has a zero partner, so the traces are exact too.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,24 +31,8 @@ _SQRT2 = math.sqrt(2.0)
 
 SPATIAL_LEVELS = 3
 
-
-@dataclass
-class CoeffVolume:
-    """Temporal wavelet coefficient frames of one shot.
-
-    frames: (count, H, W) float64; frames[0] is the DC frame. A full
-        volume has count == padded_length.
-    original_length: shot length before padding.
-    temporal_levels: dyadic levels applied (log2 of padded length).
-    """
-
-    frames: np.ndarray
-    original_length: int
-    temporal_levels: int
-
-    @property
-    def padded_length(self) -> int:
-        return 1 << self.temporal_levels
+# The level-3 subbands; the first letter is the filter along rows.
+BANDS = ("ll3", "lh3", "hl3", "hh3")
 
 
 class SubbandRect(NamedTuple):
@@ -67,23 +55,25 @@ def _haar(even, odd, high: bool, out=None) -> np.ndarray:
     return y
 
 
-def temporal_forward(frames, count=None) -> CoeffVolume:
+def temporal_forward(frames, count=None) -> np.ndarray:
     """Dyadic temporal Haar analysis of a shot.
 
     `frames` is a sequence of equal-shape 2-D arrays, read as given.
-    With `count`, only coefficient frames 0..count-1 are computed (the
-    whole approximation chain runs, higher details are skipped),
-    bit-identical to the full volume's; temporal_inverse refuses such
-    a partial volume.
+    Returns the (count, H, W) float64 coefficient frames; without
+    `count`, all of them (the padded length). With it, only frames
+    0..count-1 are computed (the whole approximation chain runs, higher
+    details are skipped), bit-identical to the full volume's.
     """
     seq = [np.asarray(f) for f in frames]
     if not seq or any(f.ndim != 2 or f.shape != seq[0].shape for f in seq):
         raise ValueError("expected a nonempty (frames, H, W) stack")
-    n = len(seq)
-    levels = (n - 1).bit_length()
-    size = 1 << levels
+    size = 1 << (len(seq) - 1).bit_length()
     count = size if count is None else min(count, size)
     coeffs = np.empty((count,) + seq[0].shape)
+    # Every level's approximations go to one buffer, overwriting the
+    # previous level's in place: slot j is written after pair j (slots
+    # 2j, 2j+1) is read, and no later pair reads it.
+    approx = np.empty(((len(seq) + 1) // 2,) + seq[0].shape)
 
     # A level's input is seq, then tail repeated up to size frames; a
     # (tail, tail) pair has detail 0 and gives the next level's tail.
@@ -98,32 +88,43 @@ def temporal_forward(frames, count=None) -> CoeffVolume:
         coeffs[half + len(pairs) : min(size, count)] = 0.0
         if len(pairs) < half:
             tail = _haar(tail, tail, False)
-        seq = [_haar(even, odd, False) for even, odd in pairs]
+        for j, (even, odd) in enumerate(pairs):
+            _haar(even, odd, False, out=approx[j])
+        seq = list(approx[: len(pairs)])
         size = half
     coeffs[0] = seq[0]
-    return CoeffVolume(frames=coeffs, original_length=n, temporal_levels=levels)
+    return coeffs
 
 
-def temporal_inverse(volume: CoeffVolume) -> np.ndarray:
-    """Exact temporal synthesis; padding frames are discarded.
+def temporal_synthesis(length: int, count: int) -> np.ndarray:
+    """(length, count) temporal synthesis matrix of a `length`-frame shot.
 
-    Returns the first original_length frames as real-valued arrays
-    (quantization back to 8 bits is the caller's business).
+    Column k is the shot rebuilt from unit coefficient frame k alone,
+    so changes to coefficient frames 0..count-1 reach the frames as
+    this matrix times the changes. With `levels` temporal levels and
+    padded length P, column k >= 1 sits at level j = floor(log2 k): it
+    is +v over the first half of its P >> j frames and -v over the
+    second, starting at frame (k - 2**j) * (P >> j), where v is 1.0
+    divided by sqrt2 (levels - j) times. The DC column is 1.0 divided
+    by sqrt2 `levels` times on every frame. Rows past `length` (the
+    padding) are dropped.
     """
-    frames = volume.frames
-    if frames.shape[0] != volume.padded_length:
-        raise ValueError("cannot invert a partial coefficient volume")
-    a = frames[:1]
-    pos = 1
-    for _ in range(volume.temporal_levels):
-        m = a.shape[0]
-        d = frames[pos : pos + m]
-        pos += m
-        out = np.empty((2 * m,) + a.shape[1:], dtype=np.float64)
-        out[0::2] = (a + d) / _SQRT2
-        out[1::2] = (a - d) / _SQRT2
-        a = out
-    return a[: volume.original_length]
+    levels = (length - 1).bit_length()
+    size = 1 << levels
+    out = np.zeros((size, count))
+    for k in range(count):
+        j = max(k.bit_length() - 1, 0)
+        v = 1.0
+        for _ in range(levels - j):
+            v /= _SQRT2
+        if k == 0:
+            out[:, 0] = v
+            continue
+        span = size >> j
+        start = (k - (1 << j)) * span
+        out[start : start + span // 2, k] = v
+        out[start + span // 2 : start + span, k] = -v
+    return out[:length]
 
 
 # --- one level-3 spatial subband ----------------------------------------------
@@ -131,10 +132,9 @@ def temporal_inverse(volume: CoeffVolume) -> np.ndarray:
 
 def _band_filters(band: str) -> tuple:
     """(highpass within rows, highpass within columns) of a band name."""
-    key = band.lower()
-    if key not in ("ll", "lh", "hl", "hh"):
-        raise ValueError(f"unknown band {band!r} (expected ll/lh/hl/hh)")
-    return key[0] == "h", key[1] == "h"
+    if band not in BANDS:
+        raise ValueError(f"unknown band {band!r} (expected {'/'.join(BANDS)})")
+    return band[0] == "h", band[1] == "h"
 
 
 def band_forward3(x: np.ndarray, band: str) -> np.ndarray:
@@ -144,7 +144,7 @@ def band_forward3(x: np.ndarray, band: str) -> np.ndarray:
     in the full transform's order (within rows, then within columns).
     Returns (..., H/8, W/8) float64.
     """
-    subband_rect(*np.shape(x)[-2:], band, SPATIAL_LEVELS)  # checks dims, band
+    subband_rect(*np.shape(x)[-2:], band)  # checks dims, band
     high_rows, high_cols = _band_filters(band)
     x = np.asarray(x)
     for level in range(SPATIAL_LEVELS):
@@ -174,22 +174,20 @@ def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
     return blocks.reshape(*lead, 8 * h, 8 * w)
 
 
-def subband_rect(height: int, width: int, band: str, level: int) -> SubbandRect:
-    """Locate a named subband in the nested coefficient layout.
+def subband_rect(height: int, width: int, band: str) -> SubbandRect:
+    """Locate a level-3 subband in the nested coefficient layout.
 
     Convention: the first letter is the filter along rows (within a
-    row, i.e. horizontally), the second along columns. "lh" is lowpass
+    row, i.e. horizontally), the second along columns. "lh3" is lowpass
     along rows and highpass along columns (vertical detail), stored
-    below the approximation: rows [H/2^L, H/2^(L-1)), cols [0, W/2^L).
+    below the approximation: rows [H/8, H/4), cols [0, W/8).
     """
-    if level not in (1, 2, 3):
-        raise ValueError(f"unsupported level {level}")
-    scale = 1 << level
+    high_rows, high_cols = _band_filters(band)
+    scale = 1 << SPATIAL_LEVELS
     if height % scale or width % scale:
         raise GeometryError(
             f"dimensions {width}x{height} not divisible by {scale} "
-            f"(level {level} subband)"
+            f"(level-{SPATIAL_LEVELS} subband)"
         )
-    high_rows, high_cols = _band_filters(band)
     rows, cols = height // scale, width // scale
     return SubbandRect(rows if high_cols else 0, cols if high_rows else 0, rows, cols)

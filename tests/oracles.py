@@ -2,15 +2,16 @@
 
 Scalar versions of the neighborhood and sign rules, the full 3-level
 spatial Haar transform and its inverse (src/ computes only the one
-subband embedding uses), the whole-volume 3D transform, and
-whole-frame embedding and extraction: every frame of a shot goes
-through the full temporal and spatial transforms, forward and inverse,
-as the crop-based path in wm3d.embed avoids doing. Also scipy's DCT
-round trip for the compression proxy; scipy is imported only when that
-oracle runs, since wm3d itself needs numpy only.
+subband embedding uses), the full temporal inverse (src/ uses its
+closed-form trace), the whole-volume 3D transform, and whole-frame
+embedding and extraction: every frame of a shot goes through the full
+temporal and spatial transforms, forward and inverse, as the crop-based
+path in wm3d.embed avoids doing. Also the sequential splitmix64
+generator and Fisher-Yates shuffle, the pairwise histogram distance of
+shot detection, and scipy's DCT round trip for the compression proxy;
+scipy is imported only when that oracle runs, since wm3d itself needs
+numpy only.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -18,14 +19,47 @@ from wm3d import embed, extract
 from wm3d.embed import _NEIGHBOR_OFFSETS
 from wm3d.errors import GeometryError
 from wm3d.media_io import round_half_away
-from wm3d.prng import stream
-from wm3d.wavelet3d import (
-    _SQRT2,
-    SPATIAL_LEVELS,
-    temporal_forward,
-    temporal_inverse,
-)
+from wm3d.prng import MASK64, stream
+from wm3d.shots import HIST_BINS
+from wm3d.wavelet3d import _SQRT2, SPATIAL_LEVELS, temporal_forward
 from wm3d.wmprep import undisorder, unpermute
+
+
+class SplitMix64:
+    """Sequential splitmix64 stream."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        return self.next_u64() % bound
+
+
+def fisher_yates(n: int, seed: int) -> np.ndarray:
+    """wm3d.prng.permutation drawn one sequential splitmix64 value at a time."""
+    rng = SplitMix64(seed)
+    p = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        p[i], p[j] = p[j], p[i]
+    return p
+
+
+def histogram_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Normalized L1 distance between two frames' 64-bin luma histograms.
+
+    0 for identical histograms, 1 when no pixel mass shares a bin.
+    """
+    ha, _ = np.histogram(a, bins=HIST_BINS, range=(0, 256))
+    hb, _ = np.histogram(b, bins=HIST_BINS, range=(0, 256))
+    return float(np.sum(np.abs(ha - hb))) / (2.0 * a.size)
 
 
 def neighbor_max(frame: np.ndarray, rect, i: int, j: int) -> float:
@@ -62,6 +96,29 @@ def spread_sign(t: float, r: float, wd: int) -> int:
     if t < r and wd == -1:
         return 1
     return -1
+
+
+def temporal_inverse(coeffs, length: int) -> np.ndarray:
+    """Exact temporal synthesis of a full coefficient volume.
+
+    `coeffs` holds all padded-length coefficient frames (any trailing
+    shape); returns the first `length` rebuilt frames, padding dropped.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    levels = (length - 1).bit_length()
+    if coeffs.shape[0] != 1 << levels:
+        raise ValueError("cannot invert a partial coefficient volume")
+    a = coeffs[:1]
+    pos = 1
+    for _ in range(levels):
+        m = a.shape[0]
+        d = coeffs[pos : pos + m]
+        pos += m
+        out = np.empty((2 * m,) + a.shape[1:], dtype=np.float64)
+        out[0::2] = (a + d) / _SQRT2
+        out[1::2] = (a - d) / _SQRT2
+        a = out
+    return a[:length]
 
 
 def temporal_forward_stacked(frames) -> np.ndarray:
@@ -161,34 +218,21 @@ def extract_plane(frame, key_plane, params) -> np.ndarray:
     return extract.extract_plane(arr[band], key_plane, params)
 
 
-def spatial_forward3_volume(volume):
-    """Apply the 3-level spatial transform to every coefficient frame."""
-    return replace(volume, frames=spatial_forward3(volume.frames))
-
-
-def spatial_inverse3_volume(volume):
-    """Invert the per-frame spatial transform of a volume."""
-    return replace(volume, frames=spatial_inverse3(volume.frames))
-
-
 def embed_shot_full(frames, sign_planes, params) -> tuple:
     """Whole-frame embedding; returns (pre-rounding frames, realized planes)."""
-    volume = spatial_forward3_volume(temporal_forward(frames))
-    coeffs = volume.frames
+    coeffs = spatial_forward3(temporal_forward(frames))
     realized = np.empty_like(sign_planes, dtype=np.int8)
     for k in range(1, 9):
         coeffs[k], realized[k - 1] = embed_plane(
             coeffs[k], sign_planes[k - 1], params
         )
-    rebuilt = temporal_inverse(
-        spatial_inverse3_volume(replace(volume, frames=coeffs))
-    )
+    rebuilt = temporal_inverse(spatial_inverse3(coeffs), len(frames))
     return rebuilt, realized
 
 
 def extract_planes_full(frames, key_planes, seed1, seed2, params) -> np.ndarray:
     """Whole-frame extraction of the 8 bitplanes of one shot."""
-    coeffs = spatial_forward3_volume(temporal_forward(frames)).frames
+    coeffs = spatial_forward3(temporal_forward(frames))
     bits = []
     for k in range(1, 9):
         recovered = extract_plane(coeffs[k], key_planes[k - 1], params)

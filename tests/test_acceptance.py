@@ -12,9 +12,10 @@ import numpy as np
 from conftest import SEED1, SEED2, SEED3
 from oracles import (
     extract_plane,
-    spatial_forward3_volume,
-    spatial_inverse3_volume,
+    spatial_forward3,
+    spatial_inverse3,
     spread_sign,
+    temporal_inverse,
 )
 from wm3d.attacks import (
     attack_average,
@@ -27,7 +28,7 @@ from wm3d.embed import EmbedParams, embed_clip
 from wm3d.extract import extract_clip
 from wm3d.media_io import read_pgm, write_pgm, write_y4m
 from wm3d.metrics import nc, psnr, psnr_clip
-from wm3d.wavelet3d import temporal_forward, temporal_inverse
+from wm3d.wavelet3d import temporal_forward
 
 
 def _report(num, name, ok, detail=""):
@@ -45,8 +46,8 @@ def test_criterion_01_3d_reconstruction():
         h = int(rs.choice([8, 16, 32]))
         w = int(rs.choice([8, 16, 32]))
         x = rs.rand(n, h, w) * 255.0
-        vol = spatial_forward3_volume(temporal_forward(x))
-        back = temporal_inverse(spatial_inverse3_volume(vol))
+        vol = spatial_forward3(temporal_forward(x))
+        back = temporal_inverse(spatial_inverse3(vol), n)
         worst = max(worst, float(np.max(np.abs(back - x))))
     elapsed = time.perf_counter() - start
     _report(

@@ -187,6 +187,12 @@ def test_noise_deterministic_and_seeded():
         attack_noise(clip, -1.0, 42)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_noise_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        attack_noise(_rand_clip(seed=7), sigma, 42)
+
+
 def test_noise_matches_one_shot_draw():
     clip = _rand_clip(n=5, h=16, w=24, seed=9)
     out = attack_noise(clip, 2.5, 11)

@@ -135,6 +135,15 @@ def test_attack_subcommands(workdir, tmp_path):
         assert read_y4m(out).frame_count == 16
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_attack_noise_non_finite_sigma_exits_2(workdir, tmp_path, sigma):
+    out = tmp_path / "noisy.y4m"
+    code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(out),
+                 "--type", "noise", "--sigma", sigma])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_attack_drop_requires_original(workdir):
     assert _embed(workdir) == 0
     code = main(

@@ -24,12 +24,12 @@ def _frame16(values=None):
     return frame
 
 
-RECT16 = subband_rect(16, 16, "lh", 3)
+RECT16 = subband_rect(16, 16, "lh3")
 
 
 def test_neighbor_max_interior():
     frame = np.zeros((32, 32))
-    rect = subband_rect(32, 32, "lh", 3)  # rows [4,8) x cols [0,4)
+    rect = subband_rect(32, 32, "lh3")  # rows [4,8) x cols [0,4)
     frame[4:7, 0:3] = [[1, 2, 3], [4, 0, 5], [6, 7, 8]]
     assert neighbor_max(frame, rect, 5, 1) == 8.0
 
@@ -50,7 +50,7 @@ def test_neighbor_max_position_validation():
 def test_neighbor_max_exhaustive_oracle():
     rs = np.random.RandomState(10)
     frame = rs.randn(48, 48) * 10
-    rect = subband_rect(48, 48, "lh", 3)  # 6x6 region
+    rect = subband_rect(48, 48, "lh3")  # 6x6 region
     grid = _neighbor_max_grid(frame[rect.slices()])
     for i in range(rect.row0, rect.row0 + rect.rows):
         for j in range(rect.col0, rect.col0 + rect.cols):

@@ -13,7 +13,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from wm3d.errors import FormatError  # noqa: E402
-from wm3d.keyfile import BANDS, KeyBundle, ShotRecord, read_key, write_key  # noqa: E402
+from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key  # noqa: E402
+from wm3d.wavelet3d import BANDS  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 U64 = st.integers(0, 2**64 - 1)

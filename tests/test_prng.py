@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import gaussian_one_shot
+from oracles import SplitMix64, fisher_yates, gaussian_one_shot
 from wm3d.prng import (
     MASK64,
-    SplitMix64,
     gaussian,
     hash64,
     mix64,
@@ -75,6 +74,12 @@ def test_permutation_is_bijection():
     for n in (1, 2, 17, 256):
         p = permutation(n, 99)
         assert sorted(p.tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 1584, 4096])
+def test_permutation_equals_sequential_fisher_yates(n):
+    for seed in (0, 1, 0xDEADBEEF, MASK64):
+        assert np.array_equal(permutation(n, seed), fisher_yates(n, seed))
 
 
 def test_permutation_determinism_and_seed_sensitivity():

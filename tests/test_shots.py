@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import histogram_distance
 from wm3d.errors import GeometryError
 from wm3d.media_io import VideoClip
 from wm3d.shots import (
     DEFAULT_THRESHOLD,
     detect_shots,
-    histogram_distance,
     select_shots,
     shot_spans,
 )

@@ -5,18 +5,18 @@ import pytest
 
 from oracles import (
     spatial_forward3,
-    spatial_forward3_volume,
     spatial_inverse3,
-    spatial_inverse3_volume,
     temporal_forward_stacked,
+    temporal_inverse,
 )
 from wm3d.errors import GeometryError
 from wm3d.wavelet3d import (
+    BANDS,
     band_forward3,
     band_inverse3,
     subband_rect,
     temporal_forward,
-    temporal_inverse,
+    temporal_synthesis,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -28,44 +28,44 @@ def _const_frames(values, h=8, w=8):
 
 def test_temporal_two_frames():
     vol = temporal_forward(_const_frames([10.0, 4.0]))
-    assert vol.temporal_levels == 1 and vol.padded_length == 2
-    assert np.allclose(vol.frames[0], 14.0 / SQRT2)
-    assert np.allclose(vol.frames[1], 6.0 / SQRT2)
+    assert vol.shape == (2, 8, 8)
+    assert np.allclose(vol[0], 14.0 / SQRT2)
+    assert np.allclose(vol[1], 6.0 / SQRT2)
 
 
 def test_temporal_constant_four_frames():
     vol = temporal_forward(_const_frames([3.0] * 4))
-    assert np.allclose(vol.frames[0], 6.0)  # DC gain sqrt(2) per level
-    assert np.allclose(vol.frames[1:], 0.0)
+    assert np.allclose(vol[0], 6.0)  # DC gain sqrt(2) per level
+    assert np.allclose(vol[1:], 0.0)
 
 
 def test_temporal_single_frame_identity():
     x = np.random.RandomState(0).rand(1, 8, 8)
     vol = temporal_forward(x)
-    assert vol.temporal_levels == 0
-    assert np.array_equal(vol.frames, x)
-    assert np.array_equal(temporal_inverse(vol), x)
+    assert vol.shape == (1, 8, 8)
+    assert np.array_equal(vol, x)
+    assert np.array_equal(temporal_inverse(vol, 1), x)
 
 
 def test_temporal_padding_roundtrip():
     x = np.random.RandomState(1).rand(3, 8, 8) * 255
     vol = temporal_forward(x)
-    assert vol.padded_length == 4 and vol.original_length == 3
-    assert np.max(np.abs(temporal_inverse(vol) - x)) < 1e-9
+    assert vol.shape == (4, 8, 8)
+    assert np.max(np.abs(temporal_inverse(vol, 3) - x)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
 def test_temporal_roundtrip_lengths(n):
     x = np.random.RandomState(n).rand(n, 8, 16) * 255
-    assert np.max(np.abs(temporal_inverse(temporal_forward(x)) - x)) < 1e-9
+    assert np.max(np.abs(temporal_inverse(temporal_forward(x), n) - x)) < 1e-9
 
 
 def test_zero_details_reproduce_scaled_dc():
     x = np.random.RandomState(2).rand(8, 8, 8)
     vol = temporal_forward(x)
-    vol.frames[1:] = 0.0
-    rebuilt = temporal_inverse(vol)
-    expected = vol.frames[0] / SQRT2**3  # DC spread back over 8 frames
+    vol[1:] = 0.0
+    rebuilt = temporal_inverse(vol, 8)
+    expected = vol[0] / SQRT2**3  # DC spread back over 8 frames
     for frame in rebuilt:
         assert np.allclose(frame, expected)
 
@@ -74,7 +74,7 @@ def test_dc_frame_is_scaled_temporal_mean():
     frame = np.random.RandomState(3).rand(8, 8)
     x = np.stack([frame] * 8)
     vol = temporal_forward(x)
-    assert np.allclose(vol.frames[0], frame * math.sqrt(8))
+    assert np.allclose(vol[0], frame * math.sqrt(8))
 
 
 def test_spatial_constant_frame():
@@ -99,15 +99,15 @@ def test_spatial_parseval():
 def test_temporal_parseval():
     x = np.random.RandomState(6).rand(8, 8, 8) * 255
     vol = temporal_forward(x)
-    assert np.sum(vol.frames**2) == pytest.approx(np.sum(x * x), rel=1e-6)
+    assert np.sum(vol**2) == pytest.approx(np.sum(x * x), rel=1e-6)
 
 
 def test_linearity():
     rs = np.random.RandomState(7)
     x, y = rs.rand(4, 8, 8), rs.rand(4, 8, 8)
     a, b = 2.25, -0.75
-    lhs = temporal_forward(a * x + b * y).frames
-    rhs = a * temporal_forward(x).frames + b * temporal_forward(y).frames
+    lhs = temporal_forward(a * x + b * y)
+    rhs = a * temporal_forward(x) + b * temporal_forward(y)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
     lhs2 = spatial_forward3(a * x[0] + b * y[0])
     rhs2 = a * spatial_forward3(x[0]) + b * spatial_forward3(y[0])
@@ -134,32 +134,31 @@ def test_block_aligned_crop_level3_bit_identical():
     x = np.random.RandomState(10).rand(32, 48) * 255
     full = spatial_forward3(x)
     crop = spatial_forward3(x[8:24, 16:40])  # block rows 1..2, cols 2..4
-    for band in ("ll", "lh", "hl", "hh"):
-        whole = full[subband_rect(32, 48, band, 3).slices()]
-        part = crop[subband_rect(16, 24, band, 3).slices()]
+    for band in BANDS:
+        whole = full[subband_rect(32, 48, band).slices()]
+        part = crop[subband_rect(16, 24, band).slices()]
         assert np.array_equal(part, whole[1:3, 2:5])
 
 
 def test_full_3d_roundtrip():
     x = np.random.RandomState(9).rand(5, 16, 24) * 255
-    vol = spatial_forward3_volume(temporal_forward(x))
-    back = temporal_inverse(spatial_inverse3_volume(vol))
+    vol = spatial_forward3(temporal_forward(x))
+    back = temporal_inverse(spatial_inverse3(vol), 5)
     assert np.max(np.abs(back - x)) < 1e-9
 
 
 def test_subband_rect_cif_geometry():
     # 352 wide x 288 high frame, level-3 vertical detail band
-    rect = subband_rect(288, 352, "lh", 3)
+    rect = subband_rect(288, 352, "lh3")
     assert rect == (36, 0, 36, 44)
 
 
 def test_subband_rect_ll3():
-    assert subband_rect(128, 128, "ll", 3) == (0, 0, 16, 16)
+    assert subband_rect(128, 128, "ll3") == (0, 0, 16, 16)
 
 
 def test_subband_rects_disjoint():
-    names = ("ll", "lh", "hl", "hh")
-    rects = {n: subband_rect(64, 96, n, 3) for n in names}
+    rects = {n: subband_rect(64, 96, n) for n in BANDS}
     cells = set()
     for r in rects.values():
         for i in range(r.row0, r.row0 + r.rows):
@@ -169,41 +168,38 @@ def test_subband_rects_disjoint():
 
 
 def test_subband_rect_validation():
-    with pytest.raises(ValueError, match="level"):
-        subband_rect(64, 64, "lh", 4)
     with pytest.raises(ValueError, match="band"):
-        subband_rect(64, 64, "xy", 2)
+        subband_rect(64, 64, "xy")
+    with pytest.raises(ValueError, match="band"):
+        subband_rect(64, 64, "lh")  # the level is part of the name
     with pytest.raises(GeometryError):
-        subband_rect(60, 64, "lh", 3)
+        subband_rect(60, 64, "lh3")
 
 
 def test_subband_slices_address_frame():
     frame = np.zeros((32, 32))
-    rect = subband_rect(32, 32, "lh", 3)
+    rect = subband_rect(32, 32, "lh3")
     frame[rect.slices()] = 1.0
     assert frame[4:8, 0:4].sum() == rect.rows * rect.cols == frame.sum()
 
 
 # --- the band-only paths against the full transforms, bit for bit -------------
 
-BANDS2 = ("ll", "lh", "hl", "hh")
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
-@pytest.mark.parametrize("band", BANDS2)
+@pytest.mark.parametrize("band", BANDS, ids=[b[:2] for b in BANDS])
 def test_band_forward3_equals_full_transform_band(band, dtype):
     x = (np.random.RandomState(11).rand(2, 3, 32, 48) * 255).astype(dtype)
-    rect = subband_rect(32, 48, band, 3)
+    rect = subband_rect(32, 48, band)
     got = band_forward3(x, band)
     assert got.dtype == np.float64 and got.shape == (2, 3, 4, 6)
     assert np.array_equal(got, spatial_forward3(x)[(..., *rect.slices())])
 
 
-@pytest.mark.parametrize("band", BANDS2)
+@pytest.mark.parametrize("band", BANDS, ids=[b[:2] for b in BANDS])
 def test_band_inverse3_equals_full_inverse_of_padded_band(band):
     c = np.random.RandomState(12).randn(2, 3, 4, 6) * 50
     padded = np.zeros((2, 3, 32, 48))
-    padded[(..., *subband_rect(32, 48, band, 3).slices())] = c
+    padded[(..., *subband_rect(32, 48, band).slices())] = c
     got = band_inverse3(c, band)
     assert got.shape == (2, 3, 32, 48)
     assert np.array_equal(got, spatial_inverse3(padded))
@@ -211,7 +207,7 @@ def test_band_inverse3_equals_full_inverse_of_padded_band(band):
 
 def test_band_forward3_rejects_bad_dims_and_band():
     with pytest.raises(GeometryError, match="divisible by 8"):
-        band_forward3(np.zeros((12, 16)), "lh")
+        band_forward3(np.zeros((12, 16)), "lh3")
     with pytest.raises(ValueError, match="band"):
         band_forward3(np.zeros((16, 16)), "xy")
     with pytest.raises(ValueError, match="band"):
@@ -224,16 +220,32 @@ def test_temporal_forward_equals_stacked_oracle(n):
     rs = np.random.RandomState(n)
     frames = list(rs.randint(0, 256, (n, 8, 16)).astype(np.uint8))
     full = temporal_forward_stacked(frames)
-    assert np.array_equal(temporal_forward(frames).frames, full)
+    whole = temporal_forward(frames)
+    assert whole.shape == full.shape
+    assert np.array_equal(whole, full)
     part = temporal_forward(frames, 9)
-    assert np.array_equal(part.frames, full[:9])
-    assert part.padded_length == full.shape[0]
-    assert part.original_length == n
+    assert part.shape == (min(9, full.shape[0]), 8, 16)
+    assert np.array_equal(part, full[:9])
 
 
 def test_temporal_inverse_rejects_partial_volume():
     vol = temporal_forward(np.random.RandomState(13).rand(16, 8, 8), 9)
     with pytest.raises(ValueError, match="partial"):
-        temporal_inverse(vol)
+        temporal_inverse(vol, 16)
     with pytest.raises(ValueError, match="stack"):
         temporal_forward([np.zeros((8, 8)), np.zeros((8, 16))])
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_temporal_synthesis_equals_inverse_of_unit_frames(n):
+    size = 1 << (n - 1).bit_length()
+    got = temporal_synthesis(n, size)
+    assert got.shape == (n, size)
+    assert np.array_equal(got, temporal_inverse(np.eye(size), n))
+    assert np.array_equal(temporal_synthesis(n, min(9, size)), got[:, :9])
+
+
+def test_temporal_synthesis_rebuilds_the_shot():
+    x = np.random.RandomState(14).rand(21, 8, 16) * 255
+    back = np.tensordot(temporal_synthesis(21, 32), temporal_forward(x), axes=1)
+    assert np.max(np.abs(back - x)) < 1e-9

@@ -4,13 +4,14 @@ Every attack keeps the frame count and dimensions, so the stored shot
 boundaries in a key bundle stay aligned with the attacked video.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import VideoClip, quantize_luma, round_half_away
+from .media_io import VideoClip, _quantize_into, quantize_luma, round_half_away
 
 # JPEG Annex K luminance quantization table.
 _QTABLE = np.array(
@@ -116,16 +117,85 @@ def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
     return replace(clip, frames=[_compress_frame(f, table) for f in clip.frames])
 
 
+# Box-Muller pairs per noise chunk: enough to amortize numpy's per-call
+# overhead, few enough that a chunk's temporaries stay near 2 MB.
+_CHUNK_PAIRS = 1 << 15
+# Most threads the noise attack runs, however many CPUs it may use.
+_MAX_WORKERS = 4
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, capped at _MAX_WORKERS."""
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        n = os.cpu_count() or 1
+    return min(n, _MAX_WORKERS)
+
+
+def _pair_chunks(count: int, size: int) -> list:
+    """Pair ranges [a, b) that split `count` deviates in frames of `size`.
+
+    With pairs = ceil(count / 2), each range's cosines [a, b) and its
+    sines [pairs + a, pairs + b) each sit inside one frame, and no range
+    holds more than _CHUNK_PAIRS pairs.
+    """
+    if count == 0:
+        return []
+    pairs = (count + 1) // 2
+    cos_cuts = range(size, pairs, size)
+    sin_cuts = range(-pairs % size, pairs, size)  # pair p whose sine starts a frame
+    cuts = sorted({0, pairs, *cos_cuts, *sin_cuts})
+    chunks = []
+    for a, b in zip(cuts, cuts[1:]):
+        n = -(-(b - a) // _CHUNK_PAIRS)
+        chunks += [(a + (b - a) * i // n, a + (b - a) * (i + 1) // n) for i in range(n)]
+    return chunks
+
+
 def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
-    """Add keyed Gaussian noise of the given standard deviation."""
+    """Add keyed Gaussian noise of the given standard deviation.
+
+    Pixel i of frame k gets deviate k*H*W + i of one Box-Muller draw
+    over the clip. Each pair is drawn once, and its cosine and sine go
+    straight to their pixels. The chunks of pairs run on a thread per
+    usable CPU and write disjoint slices of one output, so the result
+    does not depend on the CPU count.
+    """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     h, w = clip.frames[0].shape
     size = h * w
     count = clip.frame_count * size
-    frames = []
-    for k, f in enumerate(clip.frames):
-        # one frame of deviates at a time, never the whole clip's
-        noise = prng.gaussian(seed, count, k * size, (k + 1) * size).reshape(h, w)
-        frames.append(quantize_luma(f.astype(np.float64) + sigma * noise))
-    return replace(clip, frames=frames)
+    pairs = (count + 1) // 2
+    src = [f.reshape(-1) for f in clip.frames]
+    out = np.empty((clip.frame_count, size), dtype=np.uint8)
+
+    # These run on worker threads and call only private helpers:
+    # perfbench's tracer wraps every public wm3d function around one span
+    # stack, which calls from several threads would interleave.
+    def add(z, start):
+        k, i = divmod(start, size)
+        z *= sigma
+        z += src[k][i : i + len(z)]
+        _quantize_into(out[k, i : i + len(z)], z)
+
+    def fill(chunk):
+        a, b = chunk
+        cos, sin = prng._gaussian_pairs(seed, count, a, b)
+        add(cos, a)
+        if len(sin):  # an odd count has no sine for its last pair
+            add(sin, pairs + a)
+
+    chunks = _pair_chunks(count, size)
+    workers = min(_usable_cpus(), len(chunks))
+    if workers > 1:
+        # imported here, not at module level, to keep it off every CLI start
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, chunks))
+    else:
+        for chunk in chunks:
+            fill(chunk)
+    return replace(clip, frames=list(out.reshape(clip.frame_count, h, w)))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import FormatError
 from .prng import MASK64
+from .shots import MIN_EMBED_SHOT_LEN
 from .wavelet3d import BANDS
 
 MAGIC = "WM3DKEY"
@@ -94,6 +95,12 @@ def _check_bundle(bundle: KeyBundle) -> None:
         raise FormatError("selected shot index outside boundary range")
     if list(bundle.selected) != sorted(set(bundle.selected)):
         raise FormatError("selected shot indices must be sorted and unique")
+    for i in bundle.selected:
+        if b[i + 1] - b[i] < MIN_EMBED_SHOT_LEN:
+            raise FormatError(
+                f"selected shot {i} has {b[i + 1] - b[i]} frames, "
+                f"fewer than the {MIN_EMBED_SHOT_LEN} a mark needs"
+            )
     if [r.shot_index for r in bundle.records] != list(bundle.selected):
         raise FormatError("shot records do not match selected shots")
     shape = (PLANE_COUNT, bundle.wm_height, bundle.wm_width)

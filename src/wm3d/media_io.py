@@ -18,6 +18,7 @@ from .errors import FormatError
 _C420_TOKENS = {"420", "420jpeg", "420paldv", "420mpeg2"}
 
 _READ_PIECE = 1 << 24  # largest single read; payload sizes come from headers
+_HEADER_MAX = 4096  # longest y4m header line, PGM header token or PGM comment
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -33,10 +34,17 @@ def quantize_luma(x: np.ndarray) -> np.ndarray:
     floor(|x| + 0.5); negative inputs clamp to 0 either way.
     """
     y = np.array(x, dtype=np.float64)
+    out = np.empty(y.shape, dtype=np.uint8)
+    _quantize_into(out, y)
+    return out
+
+
+def _quantize_into(out: np.ndarray, y: np.ndarray) -> None:
+    """quantize_luma of float64 `y` written into uint8 `out`; clobbers `y`."""
     y += 0.5
     np.floor(y, out=y)
     np.clip(y, 0, 255, out=y)
-    return y.astype(np.uint8)
+    out[...] = y
 
 
 @dataclass
@@ -127,7 +135,7 @@ def _read_line(stream, what: str) -> bytes:
         if ch == b"\n":
             return bytes(line)
         line += ch
-        if len(line) > 4096:
+        if len(line) > _HEADER_MAX:
             raise FormatError(f"{what} too long")
 
 
@@ -241,21 +249,26 @@ def write_y4m(clip: VideoClip, sink) -> None:
 
 
 def _pgm_next_token(stream) -> bytes:
-    """Next whitespace-delimited header token, skipping '#' comments."""
+    """Next whitespace-delimited header token, skipping '#' comments.
+
+    Tokens and comments are capped like y4m header lines, so a damaged
+    header is refused without reading on through the file.
+    """
     tok = bytearray()
     while True:
         ch = stream.read(1)
         if not ch:
             raise FormatError("truncated PGM header")
         if ch == b"#":
-            while ch and ch != b"\n":
-                ch = stream.read(1)
+            _read_line(stream, "PGM comment")
             continue
         if ch.isspace():
             if tok:
                 return bytes(tok)
             continue
         tok += ch
+        if len(tok) > _HEADER_MAX:
+            raise FormatError(f"malformed PGM header: token over {_HEADER_MAX} bytes")
 
 
 def read_pgm(source) -> np.ndarray:

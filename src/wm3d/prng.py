@@ -26,10 +26,17 @@ def mix64(x: int) -> int:
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over uint64 arrays (wrapping arithmetic)."""
-    x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    return _finalize(x + np.uint64(_GOLDEN))
+
+
+def _finalize(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function, in place on a uint64 array."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def hash64(seed: int, *words: int) -> int:
@@ -43,9 +50,12 @@ def hash64(seed: int, *words: int) -> int:
     return h
 
 
-def _words(seed: int, index: np.ndarray) -> np.ndarray:
-    """Stream outputs at the given 0-based uint64 positions (counter form)."""
-    return mix64_np(np.uint64(seed & MASK64) + index * np.uint64(_GOLDEN))
+def _states(seed: int, start: int, stop: int) -> np.ndarray:
+    """States seed + (i+1)*gamma whose finalized values are outputs [start, stop)."""
+    x = np.arange(start, stop, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64((seed + _GOLDEN) & MASK64)
+    return x
 
 
 def stream(seed: int, count: int) -> np.ndarray:
@@ -55,7 +65,7 @@ def stream(seed: int, count: int) -> np.ndarray:
     the whole stream vectorizes; equals the sequential generator's
     outputs exactly.
     """
-    return _words(seed, np.arange(count, dtype=np.uint64))
+    return _finalize(_states(seed, 0, count))
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
@@ -73,24 +83,29 @@ def permutation(n: int, seed: int) -> np.ndarray:
     return np.array(p, dtype=np.int64)
 
 
-def gaussian(
-    seed: int, count: int, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Deviates [start, stop) of `count` standard normals (Box-Muller).
+def _gaussian_pairs(seed: int, count: int, start: int, stop: int) -> tuple:
+    """Box-Muller pairs [start, stop) of `count` standard normals.
 
-    With pairs = ceil(count / 2), deviate i takes stream words p and
-    pairs + p, p = i mod pairs: a cosine for i < pairs, a sine after.
-    Any range is thus drawn without the rest, bit-identical to the same
-    slice of the whole draw.
+    With pairs = ceil(count / 2), pair p takes stream words p and
+    pairs + p and gives deviate p as its cosine and deviate pairs + p as
+    its sine; an odd count drops the last sine. Returns (cos, sin), the
+    deviates [start, stop) and [pairs + start, min(pairs + stop, count))
+    of the whole draw, bit-identical to drawing it in one piece.
     """
-    stop = count if stop is None else stop
     pairs = (count + 1) // 2
-    cos_at = np.arange(start, min(stop, pairs), dtype=np.uint64)
-    sin_at = np.arange(max(start, pairs), stop, dtype=np.uint64) - np.uint64(pairs)
-    p = np.concatenate([cos_at, sin_at])
-    u1 = (_words(seed, p).astype(np.float64) + 1.0) * 2.0**-64  # (0, 1], log-safe
-    u2 = _words(seed, p + np.uint64(pairs)).astype(np.float64) * 2.0**-64
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    n = len(cos_at)
-    return np.concatenate([r[:n] * np.cos(theta[:n]), r[n:] * np.sin(theta[n:])])
+    x1 = _states(seed, start, stop)
+    x2 = x1 + np.uint64((pairs * _GOLDEN) & MASK64)
+    r = _finalize(x1).astype(np.float64)
+    r += 1.0
+    r *= 2.0**-64  # (0, 1], log-safe
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = _finalize(x2).astype(np.float64)
+    theta *= 2.0**-64
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta)
+    cos *= r
+    sin = np.sin(theta, out=theta)
+    sin *= r
+    return cos, sin[: max(min(stop, count - pairs) - start, 0)]

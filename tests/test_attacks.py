@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from wm3d import attacks
 from wm3d.attacks import (
+    _CHUNK_PAIRS,
     _DCT,
+    _MAX_WORKERS,
     _QTABLE,
+    _pair_chunks,
+    _usable_cpus,
     attack_average,
     attack_compress,
     attack_drop,
@@ -193,12 +198,74 @@ def test_noise_rejects_non_finite_sigma(sigma):
         attack_noise(_rand_clip(seed=7), sigma, 42)
 
 
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(attacks.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _assert_noise_matches_oracle(clip, sigma, seed):
+    out = attack_noise(clip, sigma, seed)
+    h, w = clip.frames[0].shape
+    noise = gaussian_one_shot(seed, clip.frame_count * h * w).reshape(-1, h, w)
+    assert out.frame_count == clip.frame_count
+    for frame, noisy, z in zip(clip.frames, out.frames, noise):
+        assert np.array_equal(noisy, quantize_luma(frame + sigma * z))
+    return out
+
+
 def test_noise_matches_one_shot_draw():
-    clip = _rand_clip(n=5, h=16, w=24, seed=9)
-    out = attack_noise(clip, 2.5, 11)
-    noise = gaussian_one_shot(11, 5 * 16 * 24).reshape(5, 16, 24)
-    for frame, marked, z in zip(clip.frames, out.frames, noise):
-        assert np.array_equal(marked, quantize_luma(frame + 2.5 * z))
+    _assert_noise_matches_oracle(_rand_clip(n=5, h=16, w=24, seed=9), 2.5, 11)
+
+
+# (frames, height, width): the 7x9 and 5x3 clips have odd deviate counts
+# and a sine half that starts mid-frame; the 1x1 clip drops its last sine
+@pytest.mark.parametrize("n, h, w", [(5, 9, 7), (3, 1, 1), (7, 3, 5), (4, 5, 5)])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_noise_matches_one_shot_draw_on_small_clips(monkeypatch, n, h, w, cpus):
+    _set_cpus(monkeypatch, cpus)
+    _assert_noise_matches_oracle(_rand_clip(n=n, h=h, w=w, seed=n), 4.0, 21)
+
+
+@pytest.mark.parametrize("n, h, w", [(2, 240, 320), (3, 1, 99999)])
+def test_noise_matches_one_shot_draw_across_chunks(monkeypatch, n, h, w):
+    assert h * w > _CHUNK_PAIRS  # a frame spans several chunks
+    clip = _rand_clip(n=n, h=h, w=w, seed=10)
+    outs = []
+    for cpus in (1, 3):
+        _set_cpus(monkeypatch, cpus)
+        outs.append(_assert_noise_matches_oracle(clip, 3.0, 12))
+    assert all(np.array_equal(a, b) for a, b in zip(outs[0].frames, outs[1].frames))
+
+
+@pytest.mark.parametrize(
+    "count, size",
+    [(315, 63), (3, 1), (105, 15), (100, 25), (153600, 76800), (299997, 99999),
+     (64 * 230400, 230400)],
+)
+def test_pair_chunks_stay_inside_frames(count, size):
+    pairs = (count + 1) // 2
+    chunks = _pair_chunks(count, size)
+    assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+    assert chunks[-1][1] == pairs
+    for a, b in chunks:
+        assert 0 < b - a <= _CHUNK_PAIRS
+        assert a // size == (b - 1) // size
+        sin_stop = min(b + pairs, count)
+        if sin_stop > a + pairs:
+            assert (a + pairs) // size == (sin_stop - 1) // size
+    assert _pair_chunks(0, 5) == []
+
+
+def test_usable_cpus_follows_affinity_then_cpu_count(monkeypatch):
+    _set_cpus(monkeypatch, 1)
+    assert _usable_cpus() == 1
+    _set_cpus(monkeypatch, 64)
+    assert _usable_cpus() == _MAX_WORKERS
+    monkeypatch.delattr(attacks.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(attacks.os, "cpu_count", lambda: 3)
+    assert _usable_cpus() == min(3, _MAX_WORKERS)
+    monkeypatch.setattr(attacks.os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
 
 
 @pytest.mark.parametrize(

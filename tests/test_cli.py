@@ -85,6 +85,23 @@ def test_extract_huge_key_dims_exits_2(workdir, capsys):
     assert "payload" in capsys.readouterr().err
 
 
+def test_extract_key_with_short_shot_exits_2(workdir, capsys):
+    assert _embed(workdir) == 0
+    key = workdir / "k.key"
+    key.write_text(key.read_text().replace("boundaries=0,16", "boundaries=0,3,16"))
+    capsys.readouterr()
+    code = main(
+        [
+            "extract",
+            "--in", str(workdir / "marked.y4m"),
+            "--key", str(key),
+            "--out", str(workdir / "x.pgm"),
+        ]
+    )
+    assert code == 2
+    assert "selected shot 0 has 3 frames" in capsys.readouterr().err
+
+
 def test_capacity_error_exits_3(tmp_path):
     clip = VideoClip(frames=[np.full((288, 352), 99, np.uint8)] * 9)
     write_y4m(clip, tmp_path / "cif.y4m")

@@ -14,7 +14,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from wm3d.errors import FormatError  # noqa: E402
-from wm3d.media_io import VideoClip, read_pgm, read_y4m, write_pgm, write_y4m  # noqa: E402
+from wm3d.media_io import (  # noqa: E402
+    _HEADER_MAX,
+    VideoClip,
+    read_pgm,
+    read_y4m,
+    write_pgm,
+    write_y4m,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -89,6 +96,35 @@ def test_truncated_file_parses_or_raises_format_error(kind, data):
     files, read = READERS[kind]
     raw, _ = data.draw(files)
     _parses_or_format_error(read, raw[: data.draw(st.integers(0, len(raw) - 1))])
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@PROPERTY
+@given(data=st.data())
+def test_long_header_run_raises_format_error_early(kind, data):
+    # a run of non-space bytes longer than any header line, token or
+    # comment may hold is refused within the cap, not read to its end
+    files, read = READERS[kind]
+    raw, header = data.draw(files)
+    pos = data.draw(st.integers(0, header - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: not bytes([b]).isspace()))
+    run = bytes([byte]) * data.draw(st.integers(_HEADER_MAX + 1, 3 * _HEADER_MAX))
+    stream = io.BytesIO(raw[:pos] + run + raw[pos:])
+    with pytest.raises(FormatError):
+        read(stream)
+    assert stream.tell() <= pos + _HEADER_MAX + 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P5\n" + b"9" * 10**6 + b" 2\n255\n", b"P5\n#" + b"x" * 10**6 + b"\n4 2\n255\n"],
+    ids=["width-1mb", "comment-1mb"],
+)
+def test_pgm_long_token_or_comment_stops_at_cap(data):
+    stream = io.BytesIO(data)
+    with pytest.raises(FormatError, match="4096 bytes|too long"):
+        read_pgm(stream)
+    assert stream.tell() <= 4096 + 8
 
 
 @pytest.mark.parametrize(

@@ -148,3 +148,16 @@ def test_selected_records_mismatch_on_read():
     start = lines.index("shot=1")
     with pytest.raises(FormatError, match="records"):
         read_key(io.StringIO("\n".join(lines[:start]) + "\n"))
+
+
+def test_selected_shot_shorter_than_minimum_rejected():
+    with pytest.raises(FormatError, match="selected shot 0 has 3 frames"):
+        write_key(_bundle(boundaries=(0, 3, 20)), io.StringIO())
+    _, text = _roundtrip(_bundle())
+    with pytest.raises(FormatError, match="selected shot 1 has 8 frames"):
+        read_key(io.StringIO(text.replace("boundaries=0,30,64", "boundaries=0,30,38")))
+    # an unselected short shot is fine
+    again, _ = _roundtrip(_bundle(boundaries=(0, 30, 33, 64), selected=(0, 2),
+                                  records=[ShotRecord(0, _planes(1)),
+                                           ShotRecord(2, _planes(2))]))
+    assert again.boundaries == (0, 30, 33, 64)

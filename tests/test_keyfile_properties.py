@@ -14,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from wm3d.errors import FormatError  # noqa: E402
 from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key  # noqa: E402
+from wm3d.shots import MIN_EMBED_SHOT_LEN  # noqa: E402
 from wm3d.wavelet3d import BANDS  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -24,7 +25,9 @@ U64 = st.integers(0, 2**64 - 1)
 def bundles(draw):
     steps = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
     boundaries = tuple(np.cumsum([0] + steps).tolist())
-    selected = tuple(sorted(draw(st.sets(st.integers(0, len(steps) - 1)))))
+    # only shots long enough to carry a mark can be selected
+    long_enough = [i for i, n in enumerate(steps) if n >= MIN_EMBED_SHOT_LEN]
+    selected = tuple(sorted(draw(st.sets(st.sampled_from(long_enough))))) if long_enough else ()
     wm_h, wm_w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     records = []
     for index in selected:
@@ -65,6 +68,22 @@ def test_any_valid_bundle_roundtrips(bundle):
     for a, b in zip(again.records, bundle.records):
         assert np.array_equal(a.planes, b.planes)
     assert _key_bytes(again) == data
+
+
+@PROPERTY
+@given(bundles(), st.data())
+def test_short_selected_shot_raises_format_error(bundle, data):
+    hypothesis.assume(bundle.selected)
+    shot = data.draw(st.sampled_from(bundle.selected))
+    length = data.draw(st.integers(1, MIN_EMBED_SHOT_LEN - 1))
+    b = bundle.boundaries
+    steps = [y - x for x, y in zip(b, b[1:])]
+    steps[shot] = length
+    short = ",".join(str(v) for v in np.cumsum([0] + steps).tolist())
+    old = "boundaries=" + ",".join(str(v) for v in b) + "\n"
+    key = _key_bytes(bundle).replace(old.encode(), f"boundaries={short}\n".encode())
+    with pytest.raises(FormatError, match=f"selected shot {shot} has {length} frames"):
+        read_key(io.BytesIO(key))
 
 
 def _parses_or_format_error(data: bytes) -> None:

@@ -4,7 +4,7 @@ import pytest
 from oracles import SplitMix64, fisher_yates, gaussian_one_shot
 from wm3d.prng import (
     MASK64,
-    gaussian,
+    _gaussian_pairs,
     hash64,
     mix64,
     mix64_np,
@@ -61,6 +61,7 @@ def test_mix64_np_matches_scalar():
     out = mix64_np(xs)
     for x, y in zip(xs.tolist(), out.tolist()):
         assert mix64(x) == y
+    assert xs.tolist() == [0, 1, 7, 2**40, MASK64]  # finalized in its own copy
 
 
 def test_hash64_order_and_determinism():
@@ -88,17 +89,26 @@ def test_permutation_determinism_and_seed_sensitivity():
 
 
 def test_gaussian_deterministic_and_sane():
-    a = gaussian(123, 5000)
-    b = gaussian(123, 5000)
+    a = np.concatenate(_gaussian_pairs(123, 5000, 0, 2500))
+    b = np.concatenate(_gaussian_pairs(123, 5000, 0, 2500))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, gaussian(124, 5000))
+    assert not np.array_equal(a, np.concatenate(_gaussian_pairs(124, 5000, 0, 2500)))
     assert abs(float(a.mean())) < 0.05
     assert abs(float(a.std()) - 1.0) < 0.05
     assert np.all(np.isfinite(a))
 
 
 def test_gaussian_odd_count():
-    assert gaussian(9, 7).shape == (7,)
+    cos, sin = _gaussian_pairs(9, 7, 0, 4)
+    assert cos.shape == (4,) and sin.shape == (3,)  # the last sine is dropped
+
+
+def _check_pair_range(whole, count, a, b):
+    # pair p gives deviate p (cosine) and deviate pairs + p (sine)
+    pairs = (count + 1) // 2
+    cos, sin = _gaussian_pairs(5, count, a, b)
+    assert np.array_equal(cos, whole[a:b])
+    assert np.array_equal(sin, whole[a + pairs : min(b + pairs, count)])
 
 
 @pytest.mark.parametrize(
@@ -106,10 +116,18 @@ def test_gaussian_odd_count():
     [(7, 3), (1001, 100), (230401, 230400), (64 * 230400, 230400)],
 )
 def test_gaussian_ranges_match_one_shot_draw(count, chunk):
-    # chunks of 3 and 100 straddle the cosine/sine split at ceil(count/2)
     whole = gaussian_one_shot(5, count)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        assert np.array_equal(gaussian(5, count, start, stop), whole[start:stop])
-    if count < 10**6:
-        assert np.array_equal(gaussian(5, count), whole)
+    pairs = (count + 1) // 2
+    for a in range(0, pairs, chunk):
+        _check_pair_range(whole, count, a, min(a + chunk, pairs))
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 1001, 1002])
+def test_gaussian_any_pair_range_matches_one_shot_draw(count):
+    whole = gaussian_one_shot(5, count)
+    pairs = (count + 1) // 2
+    rs = np.random.RandomState(count)
+    ranges = [(0, pairs), (0, 0), (pairs - 1, pairs), (pairs, pairs)]
+    ranges += [tuple(sorted(rs.randint(0, pairs + 1, 2))) for _ in range(20)]
+    for a, b in ranges:
+        _check_pair_range(whole, count, int(a), int(b))

@@ -21,9 +21,10 @@ from .attacks import (
 )
 from .embed import EmbedParams, embed_clip
 from .errors import FormatError, GeometryError
-from .extract import extract_clip
+from .extract import extract_clip, extract_frames
 from .keyfile import read_key, write_key
 from .media_io import (
+    iter_y4m,
     read_pgm,
     read_pgm_sequence,
     read_y4m,
@@ -136,10 +137,16 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    clip = _load_clip(args.input)
     bundle = read_key(args.key)
     reference = read_pgm(args.ref) if args.ref else None
-    result = extract_clip(clip, bundle, reference)
+    if Path(args.input).is_dir():
+        result = extract_clip(read_pgm_sequence(args.input), bundle, reference)
+    else:
+        spans = shot_spans(bundle.boundaries)
+        keep = {k for rec in bundle.records for k in range(*spans[rec.shot_index])}
+        with open(args.input, "rb") as stream:
+            head, frames = iter_y4m(stream, keep)
+            result = extract_frames(frames, head.height, head.width, bundle, reference)
     write_pgm(result.watermark, args.output)
     for shot in result.shots:
         note = " (length mismatch)" if shot.length_mismatch else ""

@@ -54,6 +54,9 @@ from .wmprep import decompose_bitplanes, disorder, permute
 
 DEFAULT_ALPHA = 0.1
 
+# Rows of the crop transformed at a time: two rows of 8x8 blocks.
+_STRIP = 2 << SPATIAL_LEVELS
+
 _NEIGHBOR_OFFSETS = [
     (-1, -1), (-1, 0), (-1, 1),
     (0, -1), (0, 1),
@@ -166,9 +169,18 @@ def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
 
 
 def _crop_coeffs(frames, crop, band: str) -> np.ndarray:
-    """(8, h, w) `band` of a crop's temporal coefficient frames 1..8."""
-    coeffs = temporal_forward([np.asarray(f)[crop] for f in frames], PLANE_COUNT + 1)
-    return band_forward3(coeffs[1:], band)
+    """(8, h, w) `band` of a crop's temporal coefficient frames 1..8.
+
+    A level-3 coefficient depends only on its own 8x8 block, so the crop
+    is transformed in strips of _STRIP rows: the same values, through
+    temporaries of a few hundred KB that the allocator reuses.
+    """
+    views = [np.asarray(f)[crop] for f in frames]
+    strips = (
+        temporal_forward([v[r : r + _STRIP] for v in views], PLANE_COUNT + 1)[1:]
+        for r in range(0, views[0].shape[0], _STRIP)
+    )
+    return np.concatenate([band_forward3(c, band) for c in strips], axis=1)
 
 
 def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
@@ -237,6 +249,8 @@ def embed_clip(
     wm_h, wm_w = wm.shape
 
     # Fail fast on geometry before any transform work.
+    if not clip.frames:
+        raise ValueError("empty clip")
     rect = params.rect_for(clip.height, clip.width)
     _wm_slices(rect.rows, rect.cols, params, wm_h, wm_w)
 

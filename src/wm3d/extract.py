@@ -6,20 +6,17 @@ transforms and invert the preparation; the original video is never
 consulted. As in embedding, only the watermark window's crop is
 transformed, and only as far as the one subband of its coefficient
 frames 1..8. Ties in the neighborhood
-comparison decode as -1, mirroring the embedding rule.
+comparison decode as -1, mirroring the embedding rule. Frames are
+taken in order and only the selected shot being filled is held, so a
+reader may skip every frame outside the key's shots.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .embed import (
-    EmbedParams,
-    _crop_coeffs,
-    _window_crop,
-    _window_signs,
-    _wm_slices,
-)
+from .embed import EmbedParams, _crop_coeffs, _window_crop, _window_signs
 from .errors import GeometryError
 from .keyfile import PLANE_COUNT, KeyBundle
 from .media_io import VideoClip
@@ -94,14 +91,18 @@ def extract_shot(
     )
 
 
-def extract_clip(
-    clip: VideoClip, bundle: KeyBundle, reference: np.ndarray | None = None
+def extract_frames(
+    frames, height: int, width: int, bundle: KeyBundle,
+    reference: np.ndarray | None = None,
 ) -> ExtractionResult:
-    """Blind extraction over all shots recorded in the key bundle.
+    """Blind extraction over the received frames, taken in order.
 
-    The aggregate watermark takes each bit by majority vote across
-    shots; a tied vote keeps the bit from the lowest-indexed shot. NC
-    values are filled in when a reference watermark is given.
+    `frames` yields each HxW frame, or None where no selected shot
+    reads it. A shot is extracted once its last frame arrives, or when
+    the input ends (length repair). Records must name distinct shots in
+    ascending order. The aggregate takes each bit by majority vote across
+    shots; a tie keeps the lowest-indexed shot's bit. NC values are
+    filled in when a reference watermark is given.
     """
     params = EmbedParams(
         alpha=bundle.alpha,
@@ -110,27 +111,32 @@ def extract_clip(
         band=bundle.band,
     )
     # Surface geometry mismatches (wrong clip for this key) up front.
-    rect = params.rect_for(clip.height, clip.width)
-    _wm_slices(rect.rows, rect.cols, params, bundle.wm_height, bundle.wm_width)
+    _window_crop(params, height, width, bundle.wm_height, bundle.wm_width)
 
     spans = shot_spans(bundle.boundaries)
-    results = []
+    frames, received, results = iter(frames), 0, []
     for rec in bundle.records:
         start, end = spans[rec.shot_index]
-        if start >= clip.frame_count:
+        if start < received:
+            raise ValueError("key records must name distinct shots in ascending order")
+        before = received
+        chunk = list(islice(frames, end - before))  # up to the shot's last frame
+        received = before + len(chunk)
+        if start >= received:
             raise GeometryError(
-                f"clip has {clip.frame_count} frames but shot "
+                f"clip has {received} frames but shot "
                 f"{rec.shot_index} starts at {start}"
             )
-        shot_frames = clip.frames[start : min(end, clip.frame_count)]
         res = extract_shot(
-            shot_frames, rec.planes, bundle.seed1, bundle.seed2,
+            chunk[start - before :], rec.planes, bundle.seed1, bundle.seed2,
             end - start, params,
         )
         res.shot_index = rec.shot_index
         if reference is not None:
             res.nc = nc_metric(reference, res.watermark)
         results.append(res)
+    for _ in frames:  # read on to the end: a damaged tail fails as in read_y4m
+        pass
 
     if not results:
         raise GeometryError("key bundle selects no shots")
@@ -146,3 +152,13 @@ def extract_clip(
     if reference is not None:
         result.nc = nc_metric(reference, aggregate)
     return result
+
+
+def extract_clip(
+    clip: VideoClip, bundle: KeyBundle, reference: np.ndarray | None = None
+) -> ExtractionResult:
+    """Blind extraction from an in-memory clip: extract_frames over its
+    frames."""
+    if not clip.frames:
+        raise ValueError("empty clip")
+    return extract_frames(clip.frames, clip.height, clip.width, bundle, reference)

@@ -6,9 +6,11 @@ never rewrites bytes it did not watermark. Parsing never rescales
 sample values.
 """
 
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,19 +100,33 @@ def _open(source, mode: str):
     return source, False
 
 
-def _read_exact(stream, size: int, what: str) -> bytes:
-    """Read exactly `size` bytes, in pieces of at most _READ_PIECE, so a
-    short input fails with FormatError having allocated only what it held."""
-    data = stream.read(min(size, _READ_PIECE))
-    if len(data) < size:
-        buf = bytearray(data)
-        while data and len(buf) < size:
-            data = stream.read(min(size - len(buf), _READ_PIECE))
-            buf += data
-        data = bytes(buf)
-    if len(data) != size:
-        raise FormatError(f"truncated {what}")
-    return data
+def _read_array(stream, size: int, what: str) -> np.ndarray:
+    """Read exactly `size` bytes into a fresh uint8 array with readinto.
+
+    The array starts at most _READ_PIECE long and at most doubles while
+    data arrives, so short input fails having allocated little."""
+    out = np.empty(min(size, _READ_PIECE), np.uint8)
+    filled = 0
+    while filled < size:
+        if filled == out.size:
+            out = np.resize(out, min(size, 2 * filled))
+        got = stream.readinto(memoryview(out)[filled:])
+        if not got:
+            raise FormatError(f"truncated {what}")
+        filled += got
+    return out
+
+
+def _skip(stream, size: int, what: str) -> None:
+    """Consume `size` bytes unread, seeking to the last one if the stream can."""
+    if stream.seekable():
+        stream.seek(size - 1, io.SEEK_CUR)
+        size = 1
+    while size:
+        got = len(stream.read(min(size, _READ_PIECE)))
+        if not got:
+            raise FormatError(f"truncated {what}")
+        size -= got
 
 
 def _header_int(token, what: str) -> int:
@@ -139,80 +155,107 @@ def _read_line(stream, what: str) -> bytes:
             raise FormatError(f"{what} too long")
 
 
+class Y4mHeader(NamedTuple):
+    width: int
+    height: int
+    rate: tuple  # (numerator, denominator)
+    chroma_token: str | None  # None for mono
+    extras: tuple  # other header tokens, kept for re-emission
+
+
+def iter_y4m(stream, keep=None, chroma=None) -> tuple:
+    """Read a YUV4MPEG2 stream (binary file object) frame by frame.
+
+    Parses the header at once and returns (Y4mHeader, frames). `frames`
+    yields each frame's HxW uint8 luma in order, or None for a frame
+    whose index is not in `keep` (None keeps every frame), whose
+    payload is skipped unread. Each kept frame's chroma payload is
+    appended to the list `chroma` if one is given, else skipped.
+    """
+    header = _read_line(stream, "header")
+    tokens = header.decode("ascii", "replace").split(" ")
+    if not tokens or tokens[0] != "YUV4MPEG2":
+        raise FormatError("malformed header: missing YUV4MPEG2 magic")
+
+    width = height = None
+    rate = None
+    ctoken = None
+    extras = []
+    for tok in tokens[1:]:
+        if not tok:
+            continue
+        key, val = tok[0], tok[1:]
+        if key == "W":
+            width = _header_int(val, "y4m width")
+        elif key == "H":
+            height = _header_int(val, "y4m height")
+        elif key == "F":
+            m = re.fullmatch(r"(\d+):(\d+)", val)
+            if not m:
+                raise FormatError(f"malformed frame rate {tok!r}")
+            rate = (int(m.group(1)), int(m.group(2)))
+        elif key == "C":
+            ctoken = val
+        else:
+            extras.append(tok)
+    if not width or not height or width <= 0 or height <= 0:
+        raise FormatError("malformed header: missing or invalid W/H")
+    if rate is None:
+        raise FormatError("malformed header: missing F token")
+
+    if ctoken is None:
+        ctoken = "420jpeg"  # y4m default when C is absent
+    if ctoken == "mono":
+        ctoken = None
+    elif ctoken in _C420_TOKENS:
+        if width % 2 or height % 2:
+            raise FormatError("4:2:0 stream requires even dimensions")
+    else:
+        raise FormatError(f"unsupported chroma subsampling C{ctoken}")
+    header = Y4mHeader(width, height, rate, ctoken, tuple(extras))
+    return header, _y4m_frames(stream, header, keep, chroma)
+
+
+def _y4m_frames(stream, header: Y4mHeader, keep, chroma):
+    h, w = header.height, header.width
+    chroma_size = 0 if header.chroma_token is None else (w // 2) * (h // 2) * 2
+    count = 0
+    while marker := _read_line(stream, "frame marker"):
+        if marker != b"FRAME" and not marker.startswith(b"FRAME "):
+            raise FormatError("malformed frame marker")
+        luma = None
+        if keep is None or count in keep:
+            luma = _read_array(stream, h * w, "frame payload").reshape(h, w)
+            if chroma is not None and chroma_size:
+                payload = _read_array(stream, chroma_size, "frame payload")
+                chroma.append(payload.tobytes())
+            elif chroma_size:
+                _skip(stream, chroma_size, "frame payload")
+        else:
+            _skip(stream, h * w + chroma_size, "frame payload")
+        count += 1
+        yield luma
+    if not count:
+        raise FormatError("truncated frame payload: no frames after header")
+
+
 def read_y4m(source) -> VideoClip:
     """Parse a YUV4MPEG2 stream (path or binary file object).
 
     Accepts 4:2:0 and mono (4:0:0) streams; chroma planes are stored
-    verbatim for lossless re-emission.
+    verbatim for lossless re-emission: iter_y4m keeping every frame.
     """
     stream, close = _open(source, "rb")
     try:
-        header = _read_line(stream, "header")
-        tokens = header.decode("ascii", "replace").split(" ")
-        if not tokens or tokens[0] != "YUV4MPEG2":
-            raise FormatError("malformed header: missing YUV4MPEG2 magic")
-
-        width = height = None
-        rate = None
-        ctoken = None
-        extras = []
-        for tok in tokens[1:]:
-            if not tok:
-                continue
-            key, val = tok[0], tok[1:]
-            if key == "W":
-                width = _header_int(val, "y4m width")
-            elif key == "H":
-                height = _header_int(val, "y4m height")
-            elif key == "F":
-                m = re.fullmatch(r"(\d+):(\d+)", val)
-                if not m:
-                    raise FormatError(f"malformed frame rate {tok!r}")
-                rate = (int(m.group(1)), int(m.group(2)))
-            elif key == "C":
-                ctoken = val
-            else:
-                extras.append(tok)
-        if not width or not height or width <= 0 or height <= 0:
-            raise FormatError("malformed header: missing or invalid W/H")
-        if rate is None:
-            raise FormatError("malformed header: missing F token")
-
-        if ctoken is None:
-            ctoken = "420jpeg"  # y4m default when C is absent
-        if ctoken == "mono":
-            chroma_size = 0
-        elif ctoken in _C420_TOKENS:
-            if width % 2 or height % 2:
-                raise FormatError("4:2:0 stream requires even dimensions")
-            chroma_size = (width // 2) * (height // 2) * 2
-        else:
-            raise FormatError(f"unsupported chroma subsampling C{ctoken}")
-
-        luma_size = width * height
-        frames = []
-        chroma = [] if chroma_size else None
-        while True:
-            marker = _read_line(stream, "frame marker")
-            if marker == b"":
-                break
-            if marker != b"FRAME" and not marker.startswith(b"FRAME "):
-                raise FormatError("malformed frame marker")
-            luma = _read_exact(stream, luma_size, "frame payload")
-            frames.append(
-                np.frombuffer(luma, dtype=np.uint8).reshape(height, width).copy()
-            )
-            if chroma_size:
-                chroma.append(_read_exact(stream, chroma_size, "frame payload"))
-        if not frames:
-            raise FormatError("truncated frame payload: no frames after header")
-
+        chroma = []
+        header, frames = iter_y4m(stream, chroma=chroma)
+        frames = list(frames)
         return VideoClip(
             frames=frames,
-            rate=rate,
-            chroma_token=None if ctoken == "mono" else ctoken,
-            chroma=chroma,
-            extras=tuple(extras),
+            rate=header.rate,
+            chroma_token=header.chroma_token,
+            chroma=None if header.chroma_token is None else chroma,
+            extras=header.extras,
         )
     finally:
         if close:
@@ -284,8 +327,7 @@ def read_pgm(source) -> np.ndarray:
             raise FormatError("invalid PGM dimensions")
         if maxval != 255:
             raise FormatError(f"unsupported PGM maxval {maxval} (must be 255)")
-        data = _read_exact(stream, width * height, "PGM payload")
-        return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
+        return _read_array(stream, width * height, "PGM payload").reshape(height, width)
     finally:
         if close:
             stream.close()

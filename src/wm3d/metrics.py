@@ -12,7 +12,6 @@ from .media_io import VideoClip
 class MetricsReport:
     psnr_per_frame: list = field(default_factory=list)  # math.inf for identical frames
     psnr_mean: float = math.inf  # mean over finite entries
-    nc: float | None = None
 
 
 def nc(reference: np.ndarray, extracted: np.ndarray) -> float:
@@ -53,6 +52,8 @@ def psnr_clip(a: VideoClip, b: VideoClip) -> MetricsReport:
         raise ValueError(
             f"frame count mismatch: {a.frame_count} vs {b.frame_count}"
         )
+    if not a.frames:
+        raise ValueError("empty clip")
     values = []
     for fa, fb in zip(a.frames, b.frames):
         if fa.shape != fb.shape:

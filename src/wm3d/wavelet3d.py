@@ -49,8 +49,15 @@ class SubbandRect(NamedTuple):
 
 
 def _haar(even, odd, high: bool, out=None) -> np.ndarray:
-    """(even - odd)/sqrt2 if high else (even + odd)/sqrt2; casts to float64 first."""
-    y = (np.subtract if high else np.add)(even, odd, out=out, dtype=np.float64)
+    """(even - odd)/sqrt2 if high else (even + odd)/sqrt2, in float64.
+
+    Two uint8 inputs are added or subtracted exactly in int16, which is
+    cheaper than casting both to float64 and gives the same values."""
+    op = np.subtract if high else np.add
+    if even.dtype == odd.dtype == np.uint8:
+        exact = op(even, odd, dtype=np.int16)
+        return np.divide(exact, _SQRT2, out=out, dtype=np.float64)
+    y = op(even, odd, out=out, dtype=np.float64)
     y /= _SQRT2
     return y
 

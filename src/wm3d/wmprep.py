@@ -45,8 +45,10 @@ def compose_bitplanes(planes: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _perm_cached(n: int, seed1: int) -> np.ndarray:
     # All 8 planes share one permutation, and embed/extract reuse it;
-    # cached arrays are only ever read.
-    return prng.permutation(n, seed1)
+    # every caller shares the cached array, so it is read-only.
+    p = prng.permutation(n, seed1)
+    p.setflags(write=False)
+    return p
 
 
 def _perm(shape, seed1: int) -> np.ndarray:
@@ -74,13 +76,18 @@ def unpermute(plane: np.ndarray, seed1: int) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
+@lru_cache(maxsize=64)
 def _mask(shape, plane_index: int, seed2: int) -> np.ndarray:
-    """Keyed binary mask: bit of hash(seed2, plane_index, i, j) per cell."""
+    """Keyed binary mask: bit of hash(seed2, plane_index, i, j) per cell.
+
+    Every shot reuses the same 8 masks; cached, so shared and read-only."""
     h, w = shape
     base = np.uint64(prng.hash64(seed2, plane_index))
     rows = prng.mix64_np(base ^ np.arange(h, dtype=np.uint64))
     cells = prng.mix64_np(rows[:, None] ^ np.arange(w, dtype=np.uint64)[None, :])
-    return (cells & np.uint64(1)).astype(np.uint8)
+    m = (cells & np.uint64(1)).astype(np.uint8)
+    m.setflags(write=False)
+    return m
 
 
 def disorder(plane: np.ndarray, plane_index: int, seed2: int) -> np.ndarray:

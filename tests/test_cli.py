@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -6,9 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import corpus_watermark, make_noise_clip
+from conftest import (
+    SEED1,
+    SEED2,
+    corpus_watermark,
+    make_flat_noise_clip,
+    make_noise_clip,
+)
+from wm3d import media_io
 from wm3d.cli import main
-from wm3d.media_io import VideoClip, read_y4m, write_pgm, write_y4m
+from wm3d.embed import embed_clip
+from wm3d.errors import FormatError, GeometryError
+from wm3d.extract import extract_clip
+from wm3d.keyfile import read_key, write_key
+from wm3d.media_io import VideoClip, read_pgm, read_y4m, write_pgm, write_y4m
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -296,7 +310,124 @@ def test_huge_header_short_file_exits_2(tmp_path, capsys):
 def test_cli_import_loads_no_scipy():
     # scipy's import alone costs more than an extract; only the compress
     # oracle in tests/ may use it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     code = "import wm3d, wm3d.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+# --- extract streams the key's shots -----------------------------------------
+
+# Four shots; under seed3 = 2 half of them carry the mark: shots 1 and 3,
+# so the key's first shot is unselected. Frames 9..20 and 31..41 are read.
+STREAM_BOUNDARIES = [0, 9, 21, 31, 42]
+STREAM_KEPT = [*range(9, 21), *range(31, 42)]
+# received clip -> frames it holds (whole or cut short)
+STREAM_CASES = {
+    "mono": 42,
+    "420": 42,
+    "short": 39,  # shot 3 cut short: repaired
+    "long": 47,  # 5 frames past the key's end
+    "past-end": 25,  # shot 3 starts past the end: exit 3
+    "truncated-skipped": 47,  # "long" with its last, skipped, frame cut: exit 2
+}
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("stream")
+    clip = make_flat_noise_clip(42, 128.0, h=64, w=64)
+    wm = np.random.RandomState(8).randint(0, 256, (6, 6)).astype(np.uint8)
+    marked, bundle = embed_clip(
+        clip, wm, SEED1, SEED2, 2, boundaries=STREAM_BOUNDARIES, fraction=0.5
+    )
+    assert bundle.selected == (1, 3)
+    write_key(bundle, d / "k.key")
+    write_pgm(wm, d / "wm.pgm")
+    rs = np.random.RandomState(9)
+    frames = marked.frames + [
+        rs.randint(0, 256, (64, 64)).astype(np.uint8) for _ in range(5)
+    ]
+    for name, count in STREAM_CASES.items():
+        mono = name == "mono"
+        write_y4m(
+            VideoClip(
+                frames=frames[:count],
+                chroma_token=None if mono else "420jpeg",
+                chroma=None if mono else [rs.bytes(2048) for _ in range(count)],
+            ),
+            d / f"{name}.y4m",
+        )
+    cut = d / "truncated-skipped.y4m"
+    cut.write_bytes(cut.read_bytes()[:-100])
+    return d
+
+
+def _extract_argv(d, video, name):
+    return ["extract", "--in", video, "--key", str(d / "k.key"),
+            "--out", str(d / f"{name}.pgm"), "--ref", str(d / "wm.pgm")]
+
+
+def _in_memory(d, name):
+    """(exit code, stdout or error, PGM bytes) of the in-memory path."""
+    try:
+        clip = read_y4m(d / f"{name}.y4m")
+        result = extract_clip(clip, read_key(d / "k.key"), read_pgm(d / "wm.pgm"))
+    except GeometryError as exc:
+        return 3, str(exc), None
+    except FormatError as exc:
+        return 2, str(exc), None
+    lines = [
+        f"shot {s.shot_index}: nc={s.nc:.4f}"
+        + (" (length mismatch)" if s.length_mismatch else "")
+        for s in result.shots
+    ]
+    lines.append(f"aggregate: nc={result.nc:.4f}")
+    buf = io.BytesIO()
+    write_pgm(result.watermark, buf)
+    return 0, "\n".join(lines) + "\n", buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_extract_from_file_decodes_only_key_shots(
+    stream_dir, name, capsys, monkeypatch
+):
+    reads = []
+    read_array = media_io._read_array
+
+    def counting(stream, size, what):
+        reads.append(what)
+        return read_array(stream, size, what)
+
+    monkeypatch.setattr(media_io, "_read_array", counting)
+    code = main(_extract_argv(stream_dir, str(stream_dir / f"{name}.y4m"), name))
+    decoded = reads.count("frame payload")
+    want_code, want_out, want_pgm = _in_memory(stream_dir, name)
+    out, err = capsys.readouterr()
+    assert code == want_code
+    if want_pgm is None:
+        assert want_out in err
+    else:
+        assert out == want_out
+        assert (stream_dir / f"{name}.pgm").read_bytes() == want_pgm
+    # one luma read per kept frame that arrived; no chroma read at all
+    kept = sum(k < STREAM_CASES[name] for k in STREAM_KEPT)
+    assert decoded == kept
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_extract_from_pipe_equals_in_memory(stream_dir, name):
+    # a pipe cannot seek: skipped payloads are read and dropped
+    cli = "import sys; from wm3d.cli import main; sys.exit(main())"
+    argv = _extract_argv(stream_dir, "/dev/stdin", f"{name}-pipe")
+    proc = subprocess.run(
+        [sys.executable, "-c", cli, *argv],
+        input=(stream_dir / f"{name}.y4m").read_bytes(),
+        capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    want_code, want_out, want_pgm = _in_memory(stream_dir, name)
+    assert proc.returncode == want_code, proc.stderr
+    if want_pgm is None:
+        assert want_out in proc.stderr.decode()
+    else:
+        assert proc.stdout.decode() == want_out
+        assert (stream_dir / f"{name}-pipe.pgm").read_bytes() == want_pgm

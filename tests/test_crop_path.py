@@ -11,11 +11,24 @@ import numpy as np
 import pytest
 
 from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
-from oracles import embed_shot_full, extract_planes_full
-from wm3d.embed import EmbedParams, embed_clip, embed_shot, prepare_sign_planes
+from oracles import (
+    embed_shot_full,
+    extract_planes_full,
+    spatial_forward3,
+    temporal_forward_stacked,
+)
+from wm3d.embed import (
+    EmbedParams,
+    _crop_coeffs,
+    _window_crop,
+    embed_clip,
+    embed_shot,
+    prepare_sign_planes,
+)
 from wm3d.extract import extract_shot
 from wm3d.keyfile import write_key
 from wm3d.media_io import quantize_luma
+from wm3d.wavelet3d import BANDS, subband_rect
 
 TIE_TOLERANCE = 1e-9
 HEIGHT, WIDTH = 64, 48  # level-3 subbands of 8 rows x 6 columns
@@ -63,6 +76,33 @@ def test_crop_path_matches_whole_frame(band, window, n):
     got = extract_shot(marked, realized, SEED1, SEED2, n, params).bitplanes
     want = extract_planes_full(marked, realized, SEED1, SEED2, params)
     assert np.array_equal(got, want)
+
+
+# (row0, col0, wm_h, wm_w) in the 9x6 subband of a 72x48 frame; the crops
+# are 24, 40 and 72 rows high, none a multiple of the 16-row strips
+STRIP_WINDOWS = {
+    "origin": (0, 0, 2, 2),
+    "middle": (3, 1, 3, 3),
+    "far-edge": (7, 4, 2, 2),
+    "whole-band": (0, 0, 9, 6),
+}
+
+
+@pytest.mark.parametrize("n", [9, 16, 33])
+@pytest.mark.parametrize("window", sorted(STRIP_WINDOWS))
+@pytest.mark.parametrize("band", BANDS)
+def test_strip_crop_coeffs_match_whole_crop(band, window, n):
+    r0, c0, wm_h, wm_w = STRIP_WINDOWS[window]
+    params = EmbedParams(region_row0=r0, region_col0=c0, band=band)
+    rs = np.random.RandomState(100 + n)
+    frames = list(rs.randint(0, 256, (n, 72, 48)).astype(np.uint8))
+    crop, _ = _window_crop(params, 72, 48, wm_h, wm_w)
+
+    whole = spatial_forward3(temporal_forward_stacked([f[crop] for f in frames]))[1:9]
+    want = whole[(slice(None), *subband_rect(*whole.shape[1:], band).slices())]
+    got = _crop_coeffs(frames, crop, band)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_crop_path_tie_rule_at_exact_ties():

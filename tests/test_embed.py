@@ -212,6 +212,11 @@ def test_embed_clip_rejects_bad_frame_dims():
         embed_clip(clip, np.zeros((2, 2), np.uint8), SEED1, SEED2, SEED3)
 
 
+def test_embed_clip_empty_clip_rejected(watermark):
+    with pytest.raises(ValueError, match="empty clip"):
+        embed_clip(VideoClip(frames=[]), watermark, SEED1, SEED2, SEED3)
+
+
 def test_embed_clip_deterministic(watermark):
     clip = make_noise_clip(n=16)
     a, _ = embed_clip(clip, watermark, SEED1, SEED2, SEED3)

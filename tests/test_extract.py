@@ -149,6 +149,14 @@ def test_identical_shots_agree_with_aggregate(watermark):
     assert result.nc >= min(s.nc for s in result.shots) - 1e-9
 
 
+def test_extract_clip_rejects_records_out_of_shot_order(watermark):
+    # frames are taken in order, so the records must be too
+    marked, bundle = _three_shot_run(watermark)
+    bundle.records.reverse()
+    with pytest.raises(ValueError, match="ascending order"):
+        extract_clip(marked, bundle, watermark)
+
+
 def test_length_mismatch_repair(embedded, watermark):
     run = embedded["noise"]
     shortened = VideoClip(frames=run.marked.frames[:-3])
@@ -160,6 +168,11 @@ def test_length_mismatch_repair(embedded, watermark):
 def test_extract_shot_empty_rejected():
     with pytest.raises(GeometryError):
         extract_shot([], np.ones((8, 2, 2), np.int8), 1, 2, 16, EmbedParams())
+
+
+def test_extract_clip_empty_clip_rejected():
+    with pytest.raises(ValueError, match="empty clip"):
+        extract_clip(VideoClip(frames=[]), _synthetic_bundle(1, 2))
 
 
 def test_extract_geometry_mismatch(embedded, watermark):

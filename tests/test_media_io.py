@@ -8,6 +8,7 @@ from wm3d import media_io
 from wm3d.errors import FormatError
 from wm3d.media_io import (
     VideoClip,
+    iter_y4m,
     quantize_luma,
     read_pgm,
     read_pgm_sequence,
@@ -183,6 +184,74 @@ def test_payloads_read_in_pieces(monkeypatch):
                           np.arange(24, dtype=np.uint8).reshape(4, 6))
     with pytest.raises(FormatError, match="truncated"):
         read_pgm(io.BytesIO(b"P5\n6 4\n255\n" + bytes(23)))
+
+
+class _Pipe(io.RawIOBase):
+    """A byte source that cannot seek, like a pipe."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._data.readinto(b)
+
+
+def _source(kind, data):
+    return io.BytesIO(data) if kind == "seekable" else io.BufferedReader(_Pipe(data))
+
+
+@pytest.mark.parametrize("kind", ["seekable", "pipe"])
+@pytest.mark.parametrize("token", [None, "420jpeg"])
+def test_iter_y4m_decodes_only_kept_frames(kind, token):
+    rs = np.random.RandomState(12)
+    frames = [rs.randint(0, 256, (4, 6)) for _ in range(5)]
+    chroma = None if token is None else [rs.bytes(12) for _ in range(5)]
+    data = _y4m_bytes(_clip(frames, chroma_token=token, chroma=chroma, rate=(30, 1)))
+    for want_chroma in (True, False):
+        kept_chroma = [] if want_chroma else None
+        header, frames_in = iter_y4m(_source(kind, data), {1, 3}, kept_chroma)
+        assert header == (6, 4, (30, 1), token, ())
+        got = list(frames_in)
+        assert [g is None for g in got] == [True, False, True, False, True]
+        for k in (1, 3):
+            assert np.array_equal(got[k], frames[k]) and got[k].flags.writeable
+        assert not np.shares_memory(got[1], got[3])
+        if want_chroma:
+            assert kept_chroma == ([] if token is None else [chroma[1], chroma[3]])
+
+
+@pytest.mark.parametrize("kind", ["seekable", "pipe"])
+@pytest.mark.parametrize("cut", [1, 12, 24])
+def test_iter_y4m_truncated_skipped_frame(kind, cut):
+    # the last frame's luma (24 bytes) and chroma (12) are skipped, not read
+    rs = np.random.RandomState(13)
+    clip = _clip([rs.randint(0, 256, (4, 6)) for _ in range(3)],
+                 chroma_token="420jpeg", chroma=[rs.bytes(12) for _ in range(3)])
+    _, frames = iter_y4m(_source(kind, _y4m_bytes(clip)[:-cut]), {0})
+    with pytest.raises(FormatError, match="truncated frame payload"):
+        list(frames)
+
+
+@pytest.mark.parametrize("kind", ["seekable", "pipe"])
+def test_skipped_short_payload_allocates_little(kind, tmp_path):
+    # a 400 MB payload declared, 3 bytes held, no frame kept
+    data = HUGE_HEADERS["y4m"][1]
+    path = tmp_path / "short.y4m"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            stream = fh if kind == "seekable" else io.BufferedReader(_Pipe(data))
+            _, frames = iter_y4m(stream, keep=())
+            with pytest.raises(FormatError, match="truncated frame payload"):
+                list(frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"{kind}: peak {peak / 2**20:.1f} MB"
 
 
 def test_pgm_sequence_roundtrip(tmp_path):

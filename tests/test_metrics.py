@@ -105,6 +105,11 @@ def test_psnr_clip_count_mismatch():
         psnr_clip(a, b)
 
 
+def test_psnr_clip_empty_clips_rejected():
+    with pytest.raises(ValueError, match="empty clip"):
+        psnr_clip(VideoClip(frames=[]), VideoClip(frames=[]))
+
+
 def test_psnr_clip_dim_mismatch():
     # (1, 4) against (3, 4) would broadcast if the shapes went unchecked
     a = VideoClip(frames=[np.zeros((1, 4), np.uint8)])

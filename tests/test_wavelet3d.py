@@ -12,6 +12,7 @@ from oracles import (
 from wm3d.errors import GeometryError
 from wm3d.wavelet3d import (
     BANDS,
+    _haar,
     band_forward3,
     band_inverse3,
     subband_rect,
@@ -212,6 +213,18 @@ def test_band_forward3_rejects_bad_dims_and_band():
         band_forward3(np.zeros((16, 16)), "xy")
     with pytest.raises(ValueError, match="band"):
         band_inverse3(np.zeros((2, 2)), "xy")
+
+
+@pytest.mark.parametrize("high", [False, True], ids=["add", "subtract"])
+def test_haar_uint8_pairs_equal_float64_path(high):
+    # every uint8 pair: the int16 sum or difference, divided in float64,
+    # is the float64 path's value bit for bit
+    even, odd = (a.ravel() for a in np.indices((256, 256), dtype=np.uint8))
+    op = np.subtract if high else np.add
+    want = op(even.astype(np.float64), odd.astype(np.float64)) / SQRT2
+    for got in (_haar(even, odd, high), _haar(even, odd, high, out=np.empty(65536))):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", range(1, 41))

@@ -3,6 +3,7 @@ import pytest
 
 from wm3d.wmprep import (
     _mask,
+    _perm,
     compose_bitplanes,
     decompose_bitplanes,
     disorder,
@@ -105,6 +106,13 @@ def test_disorder_near_balanced():
 
 def test_mask_deterministic():
     assert np.array_equal(_mask((16, 16), 3, 9), _mask((16, 16), 3, 9))
+
+
+def test_cached_permutation_and_masks_are_read_only():
+    # every caller shares the cached arrays, so none may write to them
+    for shared in (_perm((4, 4), 9), _mask((4, 4), 3, 9)):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1
 
 
 def test_full_prep_roundtrip():

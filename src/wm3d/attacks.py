@@ -164,6 +164,8 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    if not 0 <= seed <= prng.MASK64:
+        raise ValueError(f"noise seed must be an unsigned 64-bit integer, got {seed}")
     h, w = clip.frames[0].shape
     size = h * w
     count = clip.frame_count * size

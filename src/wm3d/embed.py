@@ -5,23 +5,23 @@ DC frame is never touched), inside one window of a level-3 subband, so
 the least significant plane rides on the coarsest temporal detail. A
 level-3 coefficient depends only on its own 8x8 pixel block, so each
 selected shot is worked on through one block-aligned crop: the window's
-blocks plus a 1-coefficient halo. Only what the update reads is
-computed: temporal coefficient frames 0..8 of the crop and the one
-subband of frames 1..8, whose windows get a multiplicative +-alpha
-update, all 8 planes in one call. Only the coefficient change is
-synthesized back, through closed-form traces of the Haar inverse (the
-band's 8x8 sign pattern, the temporal synthesis matrix), added to the
-crop and rounded to 8-bit luma; pixels outside the crop are copied.
-
-The coefficients, and so the realized signs and key bytes, are
-bit-identical to transforming whole frames. Pixels may differ from a
-whole-frame round trip (a test oracle) only at rounding ties: where
-the exact value is k + 0.5, that path computes it within 1e-9 of the
-tie (for example 252.4999999999997) and may round the other way.
+blocks plus a 1-coefficient halo. Only the one subband of its temporal
+coefficient frames 1..8 is computed, exactly, from integer 8x8 block
+sums; its windows get a multiplicative +-alpha update, all 8 planes in
+one call. Only the change is synthesized back, through closed-form
+traces of the Haar inverse, added to the crop and rounded to 8-bit
+luma; pixels outside the crop are copied.
 
 The sign actually written at each position depends on whether the
 local neighborhood max lies above or below the coefficient; those
 realized signs are returned because extraction needs them as a key.
+Tie rule: a neighbor max equal to the coefficient is neither, so the
+realized sign is -1. The coefficients are integers times one positive
+scale per frame, so a tie is exact; a whole-frame float transform (a
+test oracle) lets rounding noise of about 1e-14 decide it instead.
+Pixels may differ from a whole-frame round trip only in such ties'
+blocks, or at rounding ties: where the exact value is k + 0.5, a float
+path lands within 1e-9 of it and may round the other way.
 """
 
 from dataclasses import dataclass, replace
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .keyfile import PLANE_COUNT, KeyBundle, ShotRecord
-from .media_io import VideoClip, quantize_luma
+from .media_io import VideoClip, _quantize_into
 from .prng import MASK64
 from .shots import (
     DEFAULT_THRESHOLD,
@@ -44,18 +44,16 @@ from .wavelet3d import (
     BANDS,
     SPATIAL_LEVELS,
     SubbandRect,
-    band_forward3,
-    band_inverse3,
+    band_pattern,
+    band_sums,
+    band_unscale,
     subband_rect,
-    temporal_forward,
+    temporal_analysis,
     temporal_synthesis,
 )
 from .wmprep import decompose_bitplanes, disorder, permute
 
 DEFAULT_ALPHA = 0.1
-
-# Rows of the crop transformed at a time: two rows of 8x8 blocks.
-_STRIP = 2 << SPATIAL_LEVELS
 
 _NEIGHBOR_OFFSETS = [
     (-1, -1), (-1, 0), (-1, 1),
@@ -171,25 +169,23 @@ def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
 def _crop_coeffs(frames, crop, band: str) -> np.ndarray:
     """(8, h, w) `band` of a crop's temporal coefficient frames 1..8.
 
-    A level-3 coefficient depends only on its own 8x8 block, so the crop
-    is transformed in strips of _STRIP rows: the same values, through
-    temporaries of a few hundred KB that the allocator reuses.
+    Each uint8 frame's int16 band sums go through rows 1..8 of the
+    integer temporal analysis matrix, then one scale per coefficient
+    frame. Frames of another dtype raise ValueError.
     """
-    views = [np.asarray(f)[crop] for f in frames]
-    strips = (
-        temporal_forward([v[r : r + _STRIP] for v in views], PLANE_COUNT + 1)[1:]
-        for r in range(0, views[0].shape[0], _STRIP)
-    )
-    return np.concatenate([band_forward3(c, band) for c in strips], axis=1)
+    sums = np.stack([band_sums(np.asarray(f)[crop], band) for f in frames])
+    matrix, scale = temporal_analysis(len(frames), PLANE_COUNT + 1)
+    exact = np.tensordot(matrix[1:], sums, axes=1)
+    return exact * (scale[1:, None, None] / 8)
 
 
 def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     """Watermark one shot of 8-bit frames.
 
-    Returns (quantized frames, realized planes). Only the window's crop
-    is transformed, and only as far as frames 1..8 of its subband; the
-    coefficient change is synthesized back through the band's spatial
-    inverse and the (n x 8) temporal synthesis matrix of frames 1..8.
+    Returns (quantized frames, realized planes). The coefficient change
+    is synthesized on the band grid (scaled as in band_inverse3, then
+    spread over the shot by the temporal synthesis matrix); each frame's
+    change then goes to its 8x8 blocks under the band's sign pattern.
     """
     n = len(frames)
     if n < MIN_EMBED_SHOT_LEN:
@@ -205,11 +201,17 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     coeffs = _crop_coeffs(frames, crop, params.band)
     marked, realized = embed_plane(coeffs, planes, local)
     synthesis = temporal_synthesis(n, PLANE_COUNT + 1)[:, 1:]
-    change = np.tensordot(synthesis, band_inverse3(marked - coeffs, params.band), axes=1)
+    change = np.tensordot(synthesis, band_unscale(marked - coeffs), axes=1)
 
+    h, w = coeffs.shape[1:]
+    pattern = band_pattern(params.band)[:, None, :]
+    spread = np.empty((h, 8, w, 8))
     out = [np.array(f, dtype=np.uint8) for f in frames]
     for frame, d in zip(out, change):
-        frame[crop] = quantize_luma(frame[crop] + d)
+        pixels = frame[crop].reshape(h, 8, w, 8)  # a view of the crop
+        np.multiply(d[:, None, :, None], pattern, out=spread)
+        spread += pixels
+        _quantize_into(pixels, spread)
     return out, realized
 
 

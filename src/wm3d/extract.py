@@ -5,8 +5,9 @@ boundaries and the realized sign planes) reproduce the forward
 transforms and invert the preparation; the original video is never
 consulted. As in embedding, only the watermark window's crop is
 transformed, and only as far as the one subband of its coefficient
-frames 1..8. Ties in the neighborhood
-comparison decode as -1, mirroring the embedding rule. Frames are
+frames 1..8, exactly (see wm3d.embed). Ties in the neighborhood
+comparison are exact ties and decode as -1, mirroring the embedding
+rule. Frames are
 taken in order and only the selected shot being filled is held, so a
 reader may skip every frame outside the key's shots.
 """

@@ -23,8 +23,15 @@ MIN_EMBED_SHOT_LEN = 9
 
 
 def _histogram(frame: np.ndarray) -> np.ndarray:
-    # 64 bins of width 4 over the 8-bit range
-    return np.bincount((frame >> 2).ravel(), minlength=HIST_BINS)
+    """64 bins of width 4 over the 8-bit range. An even-sized uint8 frame
+    is counted two pixels at a time: each uint16 of the shifted frame
+    indexes a 64 x 256 table of pixel pairs, folded by rows and columns."""
+    bins = (frame >> 2).ravel()
+    if bins.dtype != np.uint8 or bins.size % 2:
+        return np.bincount(bins, minlength=HIST_BINS)
+    pairs = np.bincount(bins.view(np.uint16), minlength=HIST_BINS * 256)
+    c = pairs.reshape(HIST_BINS, 256)[:, :HIST_BINS]
+    return c.sum(0) + c.sum(1)
 
 
 def _distance(ha: np.ndarray, hb: np.ndarray, size: int) -> float:

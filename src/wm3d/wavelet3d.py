@@ -9,15 +9,17 @@ the finest details sit at the end.
 
 Spatially, 3 levels of separable orthonormal Haar give the nested
 layout (approximation at the top left). Embedding touches one level-3
-subband of coefficient frames 1..8, so only those are computed, with
-the full transforms' operations in their order: values are
-bit-identical to them (the full transforms are the tests' oracles). A
-level-3 coefficient depends only on its own 8x8 pixel block.
+subband of coefficient frames 1..8, so only those are computed, in
+closed form and exactly: a level-3 coefficient is its 8x8 pixel
+block's signed sum divided by 8 (band_sums), and a temporal coefficient
+frame is an integer +-1 combination of frames times one scale
+(temporal_analysis). So two coefficients of a frame tie exactly when
+their integer sums do; float Haar chains (the full transforms, kept as
+the tests' oracles) let rounding noise of about 1e-14 decide.
 
-Synthesis only ever carries a change of those coefficients back to the
-pixels, so both halves are closed-form traces of the Haar inverse:
-every add in the inverse of a lone coefficient (or coefficient frame)
-has a zero partner, so the traces are exact too.
+Synthesis carries a change of those coefficients back to the pixels
+through the same sign patterns: every add in the Haar inverse of a lone
+coefficient (or coefficient frame) has a zero partner, so it is exact.
 """
 
 import math
@@ -48,90 +50,56 @@ class SubbandRect(NamedTuple):
         )
 
 
-def _haar(even, odd, high: bool, out=None) -> np.ndarray:
-    """(even - odd)/sqrt2 if high else (even + odd)/sqrt2, in float64.
+def _haar_rows(length: int, count: int) -> tuple:
+    """(count, P) int64 temporal Haar basis rows of a `length`-frame shot
+    (P its padded length) and the (count,) scales that normalize them.
 
-    Two uint8 inputs are added or subtracted exactly in int16, which is
-    cheaper than casting both to float64 and gives the same values."""
-    op = np.subtract if high else np.add
-    if even.dtype == odd.dtype == np.uint8:
-        exact = op(even, odd, dtype=np.int16)
-        return np.divide(exact, _SQRT2, out=out, dtype=np.float64)
-    y = op(even, odd, out=out, dtype=np.float64)
-    y /= _SQRT2
-    return y
-
-
-def temporal_forward(frames, count=None) -> np.ndarray:
-    """Dyadic temporal Haar analysis of a shot.
-
-    `frames` is a sequence of equal-shape 2-D arrays, read as given.
-    Returns the (count, H, W) float64 coefficient frames; without
-    `count`, all of them (the padded length). With it, only frames
-    0..count-1 are computed (the whole approximation chain runs, higher
-    details are skipped), bit-identical to the full volume's.
+    Row 0 (DC) is +1 on all P frames. Row k >= 1, at level
+    j = floor(log2 k), is +1 over the first half of its span = P >> j
+    frames and -1 over the second, from frame (k - 2**j) * span. A
+    row's scale is 1.0 divided by sqrt2 log2(span) times.
     """
-    seq = [np.asarray(f) for f in frames]
-    if not seq or any(f.ndim != 2 or f.shape != seq[0].shape for f in seq):
-        raise ValueError("expected a nonempty (frames, H, W) stack")
-    size = 1 << (len(seq) - 1).bit_length()
-    count = size if count is None else min(count, size)
-    coeffs = np.empty((count,) + seq[0].shape)
-    # Every level's approximations go to one buffer, overwriting the
-    # previous level's in place: slot j is written after pair j (slots
-    # 2j, 2j+1) is read, and no later pair reads it.
-    approx = np.empty(((len(seq) + 1) // 2,) + seq[0].shape)
+    size = 1 << (length - 1).bit_length()
+    rows = np.zeros((count, size), dtype=np.int64)
+    scale = np.empty(count)
+    for k in range(count):
+        j = max(k.bit_length() - 1, 0)
+        span = size >> j
+        start = (k - (1 << j)) * span if k else 0
+        rows[k, start : start + span] = 1
+        if k:
+            rows[k, start + span // 2 : start + span] = -1
+        v = 1.0
+        for _ in range(span.bit_length() - 1):
+            v /= _SQRT2
+        scale[k] = v
+    return rows, scale
 
-    # A level's input is seq, then tail repeated up to size frames; a
-    # (tail, tail) pair has detail 0 and gives the next level's tail.
-    tail = seq[-1]
-    while size > 1:
-        half = size // 2
-        pairs = [(seq[i], seq[i + 1] if i + 1 < len(seq) else tail)
-                 for i in range(0, len(seq), 2)]
-        for j, (even, odd) in enumerate(pairs):
-            if half + j < count:
-                _haar(even, odd, True, out=coeffs[half + j])
-        coeffs[half + len(pairs) : min(size, count)] = 0.0
-        if len(pairs) < half:
-            tail = _haar(tail, tail, False)
-        for j, (even, odd) in enumerate(pairs):
-            _haar(even, odd, False, out=approx[j])
-        seq = list(approx[: len(pairs)])
-        size = half
-    coeffs[0] = seq[0]
-    return coeffs
+
+def temporal_analysis(length: int, count: int) -> tuple:
+    """Closed-form temporal Haar analysis of a `length`-frame shot.
+
+    Returns ((count, length) int64 matrix, (count,) float64 scales):
+    coefficient frame k of frames x is scale[k] * (matrix[k] @ x). The
+    padding repeats the last frame, so its entries are folded onto
+    column length-1. On integer frames the product is exact.
+    """
+    rows, scale = _haar_rows(length, count)
+    matrix = rows[:, :length].copy()
+    matrix[:, -1] += rows[:, length:].sum(axis=1)
+    return matrix, scale
 
 
 def temporal_synthesis(length: int, count: int) -> np.ndarray:
     """(length, count) temporal synthesis matrix of a `length`-frame shot.
 
-    Column k is the shot rebuilt from unit coefficient frame k alone,
-    so changes to coefficient frames 0..count-1 reach the frames as
-    this matrix times the changes. With `levels` temporal levels and
-    padded length P, column k >= 1 sits at level j = floor(log2 k): it
-    is +v over the first half of its P >> j frames and -v over the
-    second, starting at frame (k - 2**j) * (P >> j), where v is 1.0
-    divided by sqrt2 (levels - j) times. The DC column is 1.0 divided
-    by sqrt2 `levels` times on every frame. Rows past `length` (the
-    padding) are dropped.
+    Column k is the shot rebuilt from unit coefficient frame k alone:
+    row k of the analysis basis times its scale, padding rows dropped.
+    Changes to coefficient frames 0..count-1 reach the frames as this
+    matrix times the changes.
     """
-    levels = (length - 1).bit_length()
-    size = 1 << levels
-    out = np.zeros((size, count))
-    for k in range(count):
-        j = max(k.bit_length() - 1, 0)
-        v = 1.0
-        for _ in range(levels - j):
-            v /= _SQRT2
-        if k == 0:
-            out[:, 0] = v
-            continue
-        span = size >> j
-        start = (k - (1 << j)) * span
-        out[start : start + span // 2, k] = v
-        out[start + span // 2 : start + span, k] = -v
-    return out[:length]
+    rows, scale = _haar_rows(length, count)
+    return (rows[:, :length] * scale[:, None]).T
 
 
 # --- one level-3 spatial subband ----------------------------------------------
@@ -144,40 +112,58 @@ def _band_filters(band: str) -> tuple:
     return band[0] == "h", band[1] == "h"
 
 
-def band_forward3(x: np.ndarray, band: str) -> np.ndarray:
-    """One level-3 subband of the 3-level spatial Haar of (..., H, W) frames.
-
-    Two levels of the approximation chain, then the band's filter pair,
-    in the full transform's order (within rows, then within columns).
-    Returns (..., H/8, W/8) float64.
-    """
-    subband_rect(*np.shape(x)[-2:], band)  # checks dims, band
+def band_pattern(band: str) -> np.ndarray:
+    """(8, 8) +-1 float64 sign pattern of a band's level-3 basis block:
+    -1 in the block's high half along each highpass direction."""
     high_rows, high_cols = _band_filters(band)
-    x = np.asarray(x)
+    half = np.repeat([1.0, -1.0], 4)
+    ones = np.ones(8)
+    return np.outer(half if high_cols else ones, half if high_rows else ones)
+
+
+def band_sums(frames: np.ndarray, band: str) -> np.ndarray:
+    """8 times one level-3 subband of (..., H, W) uint8 frames, exactly.
+
+    Each is an 8x8 block's pixel sum under the band's sign pattern,
+    from three levels of strided pair adds (a subtract at the last
+    level along a highpass direction) in int16, which holds them:
+    |sum| <= 64 * 255. Returns (..., H/8, W/8) int16.
+    """
+    x = np.asarray(frames)
+    if x.dtype != np.uint8:
+        raise ValueError(f"band sums need uint8 frames, got {x.dtype}")
+    subband_rect(*x.shape[-2:], band)  # checks dims, band
+    high_rows, high_cols = _band_filters(band)
     for level in range(SPATIAL_LEVELS):
         last = level == SPATIAL_LEVELS - 1
-        x = _haar(x[..., 0::2], x[..., 1::2], last and high_rows)
-        x = _haar(x[..., 0::2, :], x[..., 1::2, :], last and high_cols)
+        op = np.subtract if last and high_rows else np.add
+        x = op(x[..., 0::2], x[..., 1::2], dtype=np.int16)
+        op = np.subtract if last and high_cols else np.add
+        x = op(x[..., 0::2, :], x[..., 1::2, :], dtype=np.int16)
     return x
+
+
+def band_unscale(c: np.ndarray) -> np.ndarray:
+    """Float64 copy of level-3 coefficients divided by sqrt2 six times:
+    what each puts, up to the band's sign, on every pixel of its block
+    in the full inverse."""
+    v = np.array(c, dtype=np.float64)
+    for _ in range(2 * SPATIAL_LEVELS):
+        v /= _SQRT2
+    return v
 
 
 def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
     """3-level spatial Haar synthesis of (..., h, w) coefficients of one band.
 
     Every add in the full inverse of the zero-padded frame has a zero
-    partner, so is exact: each coefficient is divided by sqrt2 six
-    times and copied to its 8x8 block, negated in the block's high half
-    along each highpass direction. Returns (..., 8h, 8w) pixels.
+    partner, so is exact: each coefficient goes through band_unscale
+    and is copied to its 8x8 block under band_pattern. Returns
+    (..., 8h, 8w) pixels.
     """
-    high_rows, high_cols = _band_filters(band)
-    v = np.array(c, dtype=np.float64)
-    for _ in range(2 * SPATIAL_LEVELS):
-        v /= _SQRT2
-    half = np.repeat([1.0, -1.0], 4)
-    ones = np.ones(8)
-    sign = np.outer(half if high_cols else ones, half if high_rows else ones)
+    v = band_unscale(c)
     *lead, h, w = v.shape
-    blocks = v[..., :, None, :, None] * sign[:, None, :]
+    blocks = v[..., :, None, :, None] * band_pattern(band)[:, None, :]
     return blocks.reshape(*lead, 8 * h, 8 * w)
 
 

@@ -21,7 +21,7 @@ from wm3d.errors import GeometryError
 from wm3d.media_io import round_half_away
 from wm3d.prng import MASK64, stream
 from wm3d.shots import HIST_BINS
-from wm3d.wavelet3d import _SQRT2, SPATIAL_LEVELS, temporal_forward
+from wm3d.wavelet3d import _SQRT2, SPATIAL_LEVELS
 from wm3d.wmprep import undisorder, unpermute
 
 
@@ -124,7 +124,7 @@ def temporal_inverse(coeffs, length: int) -> np.ndarray:
 def temporal_forward_stacked(frames) -> np.ndarray:
     """All temporal coefficient frames from one padded float64 stack.
 
-    The straightforward form of wm3d.wavelet3d.temporal_forward: pad by
+    The straightforward float form of the temporal Haar analysis: pad by
     repeating the last frame, then halve the whole stack per level.
     """
     x = np.asarray(frames, dtype=np.float64)
@@ -220,7 +220,7 @@ def extract_plane(frame, key_plane, params) -> np.ndarray:
 
 def embed_shot_full(frames, sign_planes, params) -> tuple:
     """Whole-frame embedding; returns (pre-rounding frames, realized planes)."""
-    coeffs = spatial_forward3(temporal_forward(frames))
+    coeffs = spatial_forward3(temporal_forward_stacked(frames))
     realized = np.empty_like(sign_planes, dtype=np.int8)
     for k in range(1, 9):
         coeffs[k], realized[k - 1] = embed_plane(
@@ -232,7 +232,7 @@ def embed_shot_full(frames, sign_planes, params) -> tuple:
 
 def extract_planes_full(frames, key_planes, seed1, seed2, params) -> np.ndarray:
     """Whole-frame extraction of the 8 bitplanes of one shot."""
-    coeffs = spatial_forward3(temporal_forward(frames))
+    coeffs = spatial_forward3(temporal_forward_stacked(frames))
     bits = []
     for k in range(1, 9):
         recovered = extract_plane(coeffs[k], key_planes[k - 1], params)

@@ -198,6 +198,19 @@ def test_noise_rejects_non_finite_sigma(sigma):
         attack_noise(_rand_clip(seed=7), sigma, 42)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_noise_rejects_seed_outside_64_bits(seed):
+    # such seeds used to wrap modulo 2**64 onto a valid one
+    with pytest.raises(ValueError, match="seed"):
+        attack_noise(_rand_clip(seed=7), 1.0, seed)
+
+
+def test_noise_accepts_the_64_bit_seed_range():
+    clip = _rand_clip(seed=7)
+    for seed in (0, 2**64 - 1):
+        assert attack_noise(clip, 1.0, seed).frame_count == clip.frame_count
+
+
 def _set_cpus(monkeypatch, n):
     monkeypatch.setattr(attacks.os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)

@@ -175,6 +175,21 @@ def test_attack_noise_non_finite_sigma_exits_2(workdir, tmp_path, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64 + 5)])
+def test_attack_noise_seed_outside_64_bits_exits_2(workdir, tmp_path, seed):
+    out = tmp_path / "noisy.y4m"
+    code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(out),
+                 "--type", "noise", "--seed", seed])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_bench_noise_seed_outside_64_bits_exits_2(workdir):
+    code = main(["bench", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),
+                 "--alphas", "0.1", "--attacks", "noise:2", "--seed", "-1"])
+    assert code == 2
+
+
 def test_attack_drop_requires_original(workdir):
     assert _embed(workdir) == 0
     code = main(

@@ -1,8 +1,11 @@
 """The crop-based embed and extract paths against the whole-frame oracle.
 
-Coefficients and realized signs must be bit-identical. Pixels may
-differ only at rounding ties: where the whole-frame value before
-rounding lies within 1e-9 of k + 0.5, and then by one level.
+The crop path's coefficients are exact (integer sums times one scale
+per frame); the float oracle's are within 1e-12 of them. Realized
+signs must be equal except at exact ties, which the random shots here
+do not hold, and where the exact path realizes -1. Pixels may differ
+only at rounding ties: where the whole-frame value before rounding
+lies within 1e-9 of k + 0.5, and then by one level.
 """
 
 import io
@@ -22,13 +25,21 @@ from wm3d.embed import (
     _crop_coeffs,
     _window_crop,
     embed_clip,
+    embed_plane,
     embed_shot,
     prepare_sign_planes,
 )
-from wm3d.extract import extract_shot
+from wm3d.extract import extract_plane, extract_shot
 from wm3d.keyfile import write_key
 from wm3d.media_io import quantize_luma
-from wm3d.wavelet3d import BANDS, subband_rect
+from wm3d.wavelet3d import (
+    BANDS,
+    band_inverse3,
+    band_sums,
+    subband_rect,
+    temporal_analysis,
+    temporal_synthesis,
+)
 
 TIE_TOLERANCE = 1e-9
 HEIGHT, WIDTH = 64, 48  # level-3 subbands of 8 rows x 6 columns
@@ -79,7 +90,7 @@ def test_crop_path_matches_whole_frame(band, window, n):
 
 
 # (row0, col0, wm_h, wm_w) in the 9x6 subband of a 72x48 frame; the crops
-# are 24, 40 and 72 rows high, none a multiple of the 16-row strips
+# are 24, 40 and 72 rows high
 STRIP_WINDOWS = {
     "origin": (0, 0, 2, 2),
     "middle": (3, 1, 3, 3),
@@ -92,6 +103,7 @@ STRIP_WINDOWS = {
 @pytest.mark.parametrize("window", sorted(STRIP_WINDOWS))
 @pytest.mark.parametrize("band", BANDS)
 def test_strip_crop_coeffs_match_whole_crop(band, window, n):
+    # the integer path is the float oracle scaled to integers, exactly
     r0, c0, wm_h, wm_w = STRIP_WINDOWS[window]
     params = EmbedParams(region_row0=r0, region_col0=c0, band=band)
     rs = np.random.RandomState(100 + n)
@@ -100,9 +112,47 @@ def test_strip_crop_coeffs_match_whole_crop(band, window, n):
 
     whole = spatial_forward3(temporal_forward_stacked([f[crop] for f in frames]))[1:9]
     want = whole[(slice(None), *subband_rect(*whole.shape[1:], band).slices())]
+    size = 1 << (n - 1).bit_length()
+    spans = np.array([size >> (k.bit_length() - 1) for k in range(1, 9)])
+    matrix, _ = temporal_analysis(n, 9)
+    sums = np.stack([band_sums(f[crop], band) for f in frames])
+    exact = np.tensordot(matrix[1:], sums, axes=1)
+    assert np.array_equal(exact, np.rint(want * 8 * np.sqrt(spans)[:, None, None]))
+
     got = _crop_coeffs(frames, crop, band)
     assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("band", BANDS)
+def test_band_grid_synthesis_matches_full_resolution(band):
+    # the same coefficient change, synthesized through band_inverse3 at
+    # full resolution and then the temporal matrix, as embed once did
+    params = EmbedParams(alpha=0.3, region_row0=1, region_col0=1, band=band)
+    frames = _shot(21, seed=5)
+    planes = prepare_sign_planes(np.arange(12, dtype=np.uint8).reshape(3, 4), SEED1, SEED2)
+    crop, local = _window_crop(params, HEIGHT, WIDTH, 3, 4)
+    coeffs = _crop_coeffs(frames, crop, band)
+    marked, _ = embed_plane(coeffs, planes, local)
+    synthesis = temporal_synthesis(21, 9)[:, 1:]
+    change = np.tensordot(synthesis, band_inverse3(marked - coeffs, band), axes=1)
+    full_pre = [f[crop] + d for f, d in zip(frames, change)]
+    got = [f[crop] for f in embed_shot(frames, planes, params)[0]]
+    _assert_tie_rule(got, np.stack(full_pre))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint16])
+def test_crop_path_refuses_frames_that_are_not_uint8(dtype):
+    params = EmbedParams(band="lh3")
+    frames = [np.full((16, 16), 100, dtype)] * 9
+    crop, _ = _window_crop(params, 16, 16, 1, 1)
+    planes = np.ones((8, 1, 1), np.int8)
+    with pytest.raises(ValueError, match="uint8"):
+        _crop_coeffs(frames, crop, "lh3")
+    with pytest.raises(ValueError, match="uint8"):
+        embed_shot(frames, planes, params)
+    with pytest.raises(ValueError, match="uint8"):
+        extract_shot(frames, planes, SEED1, SEED2, 9, params)
 
 
 def test_crop_path_tie_rule_at_exact_ties():
@@ -122,6 +172,33 @@ def test_crop_path_tie_rule_at_exact_ties():
     frac = full_pre - np.floor(full_pre)
     assert np.any(np.abs(frac - 0.5) < TIE_TOLERANCE)
     _assert_tie_rule(marked, full_pre)
+
+
+def _tied_shot():
+    """A 9-frame 16x16 shot in which the lh3 coefficients (0, 1) and
+    (1, 1) of coefficient frame 4 both have the integer sum 1700 (so
+    are 1700 / 8 / 2), while the float oracle puts (0, 1) below (1, 1)
+    by about 4e-14."""
+    rs = np.random.RandomState(2)
+    return list(rs.randint(0, 4, (9, 16, 16)).astype(np.uint8) * 85)
+
+
+def test_exact_tie_realizes_and_decodes_as_minus_one():
+    frames, plane, tied = _tied_shot(), 3, ([0, 1], [1, 1])
+    params = EmbedParams(band="lh3")
+    crop, local = _window_crop(params, 16, 16, 2, 2)
+    coeffs = _crop_coeffs(frames, crop, "lh3")
+    tie = coeffs[plane][tied]
+    assert tie[0] == tie[1] and np.isclose(tie[0], 1700 / 16, rtol=1e-15)
+    oracle = spatial_forward3(temporal_forward_stacked(frames))[1:9, 2:4, 0:2]
+    assert oracle[plane][tied][0] < oracle[plane][tied][1]  # the float path separates them
+
+    for sign in (1, -1):
+        planes = np.full((8, 2, 2), sign, np.int8)
+        _, realized = embed_shot(frames, planes, params)
+        assert np.all(realized[plane][tied] == -1)
+        decoded = extract_plane(coeffs, planes, local)
+        assert np.all(decoded[plane][tied] == -1)
 
 
 def test_key_bytes_match_whole_frame():

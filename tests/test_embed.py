@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,8 @@ from wm3d.embed import (
     prepare_sign_planes,
 )
 from wm3d.errors import GeometryError
-from wm3d.media_io import VideoClip
+from wm3d.keyfile import write_key
+from wm3d.media_io import VideoClip, quantize_luma
 from wm3d.metrics import psnr
 from wm3d.wavelet3d import subband_rect
 
@@ -252,3 +256,23 @@ def test_embed_clip_seed_validation(watermark):
     clip = make_noise_clip(n=16)
     with pytest.raises(ValueError, match="seed1"):
         embed_clip(clip, watermark, -1, SEED2, SEED3)
+
+
+# sha256 of the key file of the embed below. Realized signs come from
+# exact comparisons, so the key does not depend on float order or BLAS:
+# a change that moves this pin changes the scheme on purpose.
+GOLDEN_KEY_SHA256 = "44ed2ebc0ca693aa7e4efb92d78e4f784d8e7abc080c12a8ac004eaac811998e"
+
+
+def test_golden_key_bytes():
+    rs = np.random.RandomState(2718)
+    frames = [quantize_luma(128.0 + 50.0 * rs.randn(64, 64)) for _ in range(46)]
+    wm = rs.randint(0, 256, (6, 7)).astype(np.uint8)
+    params = EmbedParams(alpha=0.1, region_row0=1, region_col0=0, band="lh3")
+    _, bundle = embed_clip(
+        VideoClip(frames=frames), wm, 11, 22, 33, params=params,
+        boundaries=[0, 9, 25, 46],  # shots of 9, 16 and 21 frames
+    )
+    key = io.StringIO()
+    write_key(bundle, key)
+    assert hashlib.sha256(key.getvalue().encode("ascii")).hexdigest() == GOLDEN_KEY_SHA256

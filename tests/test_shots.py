@@ -6,6 +6,8 @@ from wm3d.errors import GeometryError
 from wm3d.media_io import VideoClip
 from wm3d.shots import (
     DEFAULT_THRESHOLD,
+    HIST_BINS,
+    _histogram,
     detect_shots,
     select_shots,
     shot_spans,
@@ -14,6 +16,29 @@ from wm3d.shots import (
 
 def _flat(value, n, h=8, w=8):
     return [np.full((h, w), value, np.uint8) for _ in range(n)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 7), (2, 3), (8, 8), (288, 352)])
+def test_pair_histogram_equals_plain_bincount(shape):
+    # odd sizes take the plain path, even ones count two pixels a time
+    frame = np.random.RandomState(shape[1]).randint(0, 256, shape).astype(np.uint8)
+    want = np.bincount((frame >> 2).ravel(), minlength=HIST_BINS)
+    got = _histogram(frame)
+    assert got.shape == (HIST_BINS,) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [256, 257])
+def test_pair_histogram_counts_all_256_values(size):
+    # every value next to every position parity, and each alone
+    values = np.arange(size, dtype=np.uint16) % 256
+    for frame in (values, values[::-1], np.repeat(values, 2)[:size]):
+        frame = frame.astype(np.uint8).reshape(1, -1)
+        assert np.array_equal(
+            _histogram(frame), np.bincount((frame >> 2).ravel(), minlength=HIST_BINS)
+        )
+    for v in range(256):
+        frame = np.full((2, 2), v, np.uint8)
+        assert _histogram(frame)[v >> 2] == 4 and _histogram(frame).sum() == 4
 
 
 def test_identical_frames_single_shot():

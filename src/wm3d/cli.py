@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .attacks import (
     attack_average,
     attack_compress,
@@ -24,6 +26,7 @@ from .errors import FormatError, GeometryError
 from .extract import extract_clip, extract_frames
 from .keyfile import read_key, write_key
 from .media_io import (
+    VideoClip,
     iter_y4m,
     read_pgm,
     read_pgm_sequence,
@@ -212,58 +215,58 @@ _ATTACKS = {
     ),
 }
 
+# Three 0x0 frames: an attack applied to them checks its parameter and
+# seed but has no pixel to work on.
+_NO_PIXELS = VideoClip([np.zeros((0, 0), np.uint8)] * 3)
+
 _BENCH_ATTACKS = ",".join(
     name if a.parse is None else f"{name}:{a.default:g}" for name, a in _ATTACKS.items()
 )
 
 
-def _parse_attack_list(text: str):
+def _parse_attack_list(text: str, seed: int):
     specs = []
     for part in text.split(","):
         name, _, param = part.partition(":")
         attack = _ATTACKS.get(name)
         if attack is None:
             raise FormatError(f"unknown attack {name!r}")
-        if attack.parse is None:
-            specs.append((name, None))
-        else:
-            specs.append((name, attack.parse(param) if param else attack.default))
+        value = None
+        if attack.parse is not None:
+            value = attack.parse(param) if param else attack.default
+        attack.apply(_NO_PIXELS, _NO_PIXELS, value, seed)  # its own checks only
+        specs.append((name, value))
     return specs
 
 
 def cmd_bench(args) -> int:
+    # Arguments are checked before any output: here, then by the first embed.
+    strengths = [EmbedParams(alpha=float(a)) for a in args.alphas.split(",")]
+    specs = _parse_attack_list(args.attacks, args.seed)
     clip = _load_clip(args.input)
     watermark = read_pgm(args.wm)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    specs = _parse_attack_list(args.attacks)
 
     writer = csv.writer(sys.stdout)
-    writer.writerow(["alpha", "attack", "parameter", "nc", "psnr_db"])
-    for alpha in alphas:
+    for params in strengths:
         marked, bundle = embed_clip(
             clip,
             watermark,
             seed1=args.seed1,
             seed2=args.seed2,
             seed3=args.seed3,
-            params=EmbedParams(alpha=alpha),
+            params=params,
         )
+        if params is strengths[0]:
+            writer.writerow(["alpha", "attack", "parameter", "nc", "psnr_db"])
         baseline = extract_clip(marked, bundle, watermark)
         psnr0 = psnr_clip(clip, marked).psnr_mean
-        writer.writerow(["%g" % alpha, "none", "", _fmt(baseline.nc), _fmt(psnr0)])
+        writer.writerow(["%g" % params.alpha, "none", "", _fmt(baseline.nc), _fmt(psnr0)])
         for name, param in specs:
             attacked = _ATTACKS[name].apply(marked, clip, param, args.seed)
             result = extract_clip(attacked, bundle, watermark)
             quality = psnr_clip(clip, attacked).psnr_mean
-            writer.writerow(
-                [
-                    "%g" % alpha,
-                    name,
-                    "" if param is None else "%g" % param,
-                    _fmt(result.nc),
-                    _fmt(quality),
-                ]
-            )
+            cells = ["%g" % params.alpha, name, "" if param is None else "%g" % param]
+            writer.writerow([*cells, _fmt(result.nc), _fmt(quality)])
     return EXIT_OK
 
 

@@ -9,8 +9,8 @@ blocks plus a 1-coefficient halo. Only the one subband of its temporal
 coefficient frames 1..8 is computed, exactly, from integer 8x8 block
 sums; its windows get a multiplicative +-alpha update, all 8 planes in
 one call. Only the change is synthesized back, through closed-form
-traces of the Haar inverse, added to the crop and rounded to 8-bit
-luma; pixels outside the crop are copied.
+traces of the Haar inverse, and added to the crop in int16 steps;
+pixels outside the crop are copied.
 
 The sign actually written at each position depends on whether the
 local neighborhood max lies above or below the coefficient; those
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .keyfile import PLANE_COUNT, KeyBundle, ShotRecord
-from .media_io import VideoClip, _quantize_into
+from .media_io import VideoClip
 from .prng import MASK64
 from .shots import (
     DEFAULT_THRESHOLD,
@@ -183,9 +183,10 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     """Watermark one shot of 8-bit frames.
 
     Returns (quantized frames, realized planes). The coefficient change
-    is synthesized on the band grid (scaled as in band_inverse3, then
-    spread over the shot by the temporal synthesis matrix); each frame's
-    change then goes to its 8x8 blocks under the band's sign pattern.
+    is synthesized on the band grid (band_unscale, then the temporal
+    synthesis matrix) to a change d per frame and 8x8 block, under the
+    band's sign pattern s. A crop pixel p becomes floor(p + s*d + 0.5),
+    that is p + round-half-up(s*d), clipped to [0, 255] in int16.
     """
     n = len(frames)
     if n < MIN_EMBED_SHOT_LEN:
@@ -203,15 +204,21 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     synthesis = temporal_synthesis(n, PLANE_COUNT + 1)[:, 1:]
     change = np.tensordot(synthesis, band_unscale(marked - coeffs), axes=1)
 
+    # Each of the 8 coefficient frames moves a pixel by at most
+    # alpha * 255, so |step| <= 8 * 255 and p + step fit int16.
+    steps = np.floor(np.stack([change, -change], axis=1) + 0.5).astype(np.int16)
+    # s is constant on each (row half, column) of a block: 0 steps +d, 1 -d
+    side = (band_pattern(params.band)[::4] < 0).astype(np.intp)
     h, w = coeffs.shape[1:]
-    pattern = band_pattern(params.band)[:, None, :]
-    spread = np.empty((h, 8, w, 8))
+    total = np.empty((h, 2, 4, 8 * w), dtype=np.int16)
     out = [np.array(f, dtype=np.uint8) for f in frames]
-    for frame, d in zip(out, change):
-        pixels = frame[crop].reshape(h, 8, w, 8)  # a view of the crop
-        np.multiply(d[:, None, :, None], pattern, out=spread)
-        spread += pixels
-        _quantize_into(pixels, spread)
+    for frame, step in zip(out, steps):
+        # one step per block row, row half and crop column
+        rows = step[side].transpose(2, 0, 3, 1).reshape(h, 2, 1, 8 * w)
+        pixels = frame[crop].reshape(h, 2, 4, 8 * w)  # a view of the crop
+        np.add(pixels, rows, out=total)
+        np.clip(total, 0, 255, out=total)
+        pixels[...] = total
     return out, realized
 
 

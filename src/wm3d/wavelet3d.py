@@ -125,9 +125,10 @@ def band_sums(frames: np.ndarray, band: str) -> np.ndarray:
     """8 times one level-3 subband of (..., H, W) uint8 frames, exactly.
 
     Each is an 8x8 block's pixel sum under the band's sign pattern,
-    from three levels of strided pair adds (a subtract at the last
-    level along a highpass direction) in int16, which holds them:
-    |sum| <= 64 * 255. Returns (..., H/8, W/8) int16.
+    from three levels of pair adds of whole rows, then three of
+    strided column pairs (a subtract at the last level along a highpass
+    direction), in int16, which holds them: |sum| <= 8 * 255 after the
+    rows and 64 * 255 at the end. Returns (..., H/8, W/8) int16.
     """
     x = np.asarray(frames)
     if x.dtype != np.uint8:
@@ -135,11 +136,11 @@ def band_sums(frames: np.ndarray, band: str) -> np.ndarray:
     subband_rect(*x.shape[-2:], band)  # checks dims, band
     high_rows, high_cols = _band_filters(band)
     for level in range(SPATIAL_LEVELS):
-        last = level == SPATIAL_LEVELS - 1
-        op = np.subtract if last and high_rows else np.add
-        x = op(x[..., 0::2], x[..., 1::2], dtype=np.int16)
-        op = np.subtract if last and high_cols else np.add
+        op = np.subtract if level == SPATIAL_LEVELS - 1 and high_cols else np.add
         x = op(x[..., 0::2, :], x[..., 1::2, :], dtype=np.int16)
+    for level in range(SPATIAL_LEVELS):
+        op = np.subtract if level == SPATIAL_LEVELS - 1 and high_rows else np.add
+        x = op(x[..., 0::2], x[..., 1::2], dtype=np.int16)
     return x
 
 
@@ -151,20 +152,6 @@ def band_unscale(c: np.ndarray) -> np.ndarray:
     for _ in range(2 * SPATIAL_LEVELS):
         v /= _SQRT2
     return v
-
-
-def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
-    """3-level spatial Haar synthesis of (..., h, w) coefficients of one band.
-
-    Every add in the full inverse of the zero-padded frame has a zero
-    partner, so is exact: each coefficient goes through band_unscale
-    and is copied to its 8x8 block under band_pattern. Returns
-    (..., 8h, 8w) pixels.
-    """
-    v = band_unscale(c)
-    *lead, h, w = v.shape
-    blocks = v[..., :, None, :, None] * band_pattern(band)[:, None, :]
-    return blocks.reshape(*lead, 8 * h, 8 * w)
 
 
 def subband_rect(height: int, width: int, band: str) -> SubbandRect:

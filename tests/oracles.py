@@ -2,15 +2,16 @@
 
 Scalar versions of the neighborhood and sign rules, the full 3-level
 spatial Haar transform and its inverse (src/ computes only the one
-subband embedding uses), the full temporal inverse (src/ uses its
-closed-form trace), the whole-volume 3D transform, and whole-frame
-embedding and extraction: every frame of a shot goes through the full
-temporal and spatial transforms, forward and inverse, as the crop-based
-path in wm3d.embed avoids doing. Also the sequential splitmix64
-generator and Fisher-Yates shuffle, the pairwise histogram distance of
-shot detection, and scipy's DCT round trip for the compression proxy;
-scipy is imported only when that oracle runs, since wm3d itself needs
-numpy only.
+subband embedding uses), the inverse of one subband at full resolution
+(src/ synthesizes on the band grid), the full temporal inverse (src/
+uses its closed-form trace), the whole-volume 3D transform, and
+whole-frame embedding and extraction: every frame of a shot goes
+through the full temporal and spatial transforms, forward and inverse,
+as the crop-based path in wm3d.embed avoids doing. Also the sequential
+splitmix64 generator and Fisher-Yates shuffle, the pairwise histogram
+distance of shot detection, and scipy's DCT round trip for the
+compression proxy; scipy is imported only when that oracle runs, since
+wm3d itself needs numpy only.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from wm3d.errors import GeometryError
 from wm3d.media_io import round_half_away
 from wm3d.prng import MASK64, stream
 from wm3d.shots import HIST_BINS
-from wm3d.wavelet3d import _SQRT2, SPATIAL_LEVELS
+from wm3d.wavelet3d import _SQRT2, SPATIAL_LEVELS, band_pattern, band_unscale
 from wm3d.wmprep import undisorder, unpermute
 
 
@@ -197,6 +198,20 @@ def spatial_inverse3(x: np.ndarray) -> np.ndarray:
         hh, ww = h >> level, w >> level
         x[..., :hh, :ww] = _inv_w(_inv_h(x[..., :hh, :ww]))
     return x
+
+
+def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
+    """3-level spatial Haar synthesis of (..., h, w) coefficients of one band.
+
+    Every add in the full inverse of the zero-padded frame has a zero
+    partner, so is exact: each coefficient goes through band_unscale
+    and is copied to its 8x8 block under band_pattern. Returns
+    (..., 8h, 8w) pixels.
+    """
+    v = band_unscale(c)
+    *lead, h, w = v.shape
+    blocks = v[..., :, None, :, None] * band_pattern(band)[:, None, :]
+    return blocks.reshape(*lead, 8 * h, 8 * w)
 
 
 def embed_plane(frame, sign_plane, params) -> tuple:

@@ -190,6 +190,24 @@ def test_bench_noise_seed_outside_64_bits_exits_2(workdir):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--attacks", "swap,noise:2", "--seed", "-1"],
+        ["--alphas", "0.1,1.5"],
+        ["--attacks", "swap,compress:0"],
+        ["--attacks", "swap,noise:nan"],
+        ["--attacks", "swap", "--seed1", "-1"],
+    ],
+    ids=["noise-seed", "alpha", "quality", "sigma", "key-seed"],
+)
+def test_bench_checks_arguments_before_any_output(workdir, capsys, extra):
+    code = main(["bench", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),
+                 *extra])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_attack_drop_requires_original(workdir):
     assert _embed(workdir) == 0
     code = main(

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
 from oracles import (
+    band_inverse3,
     embed_shot_full,
     extract_planes_full,
     spatial_forward3,
@@ -34,7 +35,6 @@ from wm3d.keyfile import write_key
 from wm3d.media_io import quantize_luma
 from wm3d.wavelet3d import (
     BANDS,
-    band_inverse3,
     band_sums,
     subband_rect,
     temporal_analysis,
@@ -124,21 +124,59 @@ def test_strip_crop_coeffs_match_whole_crop(band, window, n):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _assert_synthesis_matches_full_resolution(frames, params, wm_h, wm_w):
+    # the crop path's coefficient change, synthesized through
+    # band_inverse3 at full resolution and then the temporal matrix, as
+    # embed once did; pixels outside the crop stay as they were
+    n, (height, width) = len(frames), frames[0].shape
+    wm = np.arange(wm_h * wm_w, dtype=np.uint8).reshape(wm_h, wm_w)
+    planes = prepare_sign_planes(wm, SEED1, SEED2)
+    crop, local = _window_crop(params, height, width, wm_h, wm_w)
+    coeffs = _crop_coeffs(frames, crop, params.band)
+    marked, _ = embed_plane(coeffs, planes, local)
+    synthesis = temporal_synthesis(n, 9)[:, 1:]
+    change = np.tensordot(synthesis, band_inverse3(marked - coeffs, params.band), axes=1)
+    full_pre = np.stack([f[crop] + d for f, d in zip(frames, change)])
+    got = embed_shot(frames, planes, params)[0]
+    _assert_tie_rule([f[crop] for f in got], full_pre)
+    outside = np.ones((height, width), bool)
+    outside[crop] = False
+    assert all(np.array_equal(g[outside], f[outside]) for g, f in zip(got, frames))
+    return full_pre
+
+
 @pytest.mark.parametrize("band", BANDS)
 def test_band_grid_synthesis_matches_full_resolution(band):
-    # the same coefficient change, synthesized through band_inverse3 at
-    # full resolution and then the temporal matrix, as embed once did
     params = EmbedParams(alpha=0.3, region_row0=1, region_col0=1, band=band)
-    frames = _shot(21, seed=5)
-    planes = prepare_sign_planes(np.arange(12, dtype=np.uint8).reshape(3, 4), SEED1, SEED2)
-    crop, local = _window_crop(params, HEIGHT, WIDTH, 3, 4)
-    coeffs = _crop_coeffs(frames, crop, band)
-    marked, _ = embed_plane(coeffs, planes, local)
-    synthesis = temporal_synthesis(21, 9)[:, 1:]
-    change = np.tensordot(synthesis, band_inverse3(marked - coeffs, band), axes=1)
-    full_pre = [f[crop] + d for f, d in zip(frames, change)]
-    got = [f[crop] for f in embed_shot(frames, planes, params)[0]]
-    _assert_tie_rule(got, np.stack(full_pre))
+    _assert_synthesis_matches_full_resolution(_shot(21, seed=5), params, 3, 4)
+
+
+def _extreme_shot(content, n, seed):
+    """An all-0, all-255 or 0/255 pixel checkerboard shot in which one
+    pixel in 8, drawn per frame, takes the other extreme, so that the
+    temporal detail frames are not 0."""
+    rs = np.random.RandomState(seed)
+    flip = rs.rand(n, HEIGHT, WIDTH) < 1 / 8
+    base = {
+        "all-0": np.zeros((HEIGHT, WIDTH), bool),
+        "all-255": np.ones((HEIGHT, WIDTH), bool),
+        "checkerboard": np.add.outer(np.arange(HEIGHT), np.arange(WIDTH)) % 2 == 1,
+    }[content]
+    return list(((base ^ flip) * 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("window", ["origin", "far-edge", "whole-band"])
+@pytest.mark.parametrize("content", ["all-0", "all-255", "checkerboard"])
+@pytest.mark.parametrize("band", BANDS)
+def test_band_grid_synthesis_clips_extreme_content(band, content, window):
+    # alpha 0.9 on 0/255 pixels: the int16 steps clip at both ends, and
+    # the narrower crops are views with the frame's row stride
+    r0, c0, wm_h, wm_w = WINDOWS[window]
+    params = EmbedParams(alpha=0.9, region_row0=r0, region_col0=c0, band=band)
+    full_pre = _assert_synthesis_matches_full_resolution(
+        _extreme_shot(content, 16, seed=3), params, wm_h, wm_w
+    )
+    assert np.any(full_pre < -0.5) and np.any(full_pre > 255.5)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint16])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    band_inverse3,
     spatial_forward3,
     spatial_inverse3,
     temporal_forward_stacked,
@@ -12,7 +13,6 @@ from oracles import (
 from wm3d.errors import GeometryError
 from wm3d.wavelet3d import (
     BANDS,
-    band_inverse3,
     band_pattern,
     band_sums,
     subband_rect,

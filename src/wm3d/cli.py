@@ -6,6 +6,7 @@ PGM frames; watermarks are single PGM images. Exit codes: 0 success,
 """
 
 import argparse
+import bisect
 import csv
 import math
 import sys
@@ -139,6 +140,18 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+class _SpanFrames:
+    """Frame indices inside disjoint [start, end) spans, as a container
+    whose size is the span count, not the frame count."""
+
+    def __init__(self, spans):
+        self.spans = sorted(spans)
+
+    def __contains__(self, k) -> bool:
+        i = bisect.bisect_right(self.spans, (k, math.inf)) - 1
+        return i >= 0 and k < self.spans[i][1]
+
+
 def cmd_extract(args) -> int:
     bundle = read_key(args.key)
     reference = read_pgm(args.ref) if args.ref else None
@@ -146,7 +159,7 @@ def cmd_extract(args) -> int:
         result = extract_clip(read_pgm_sequence(args.input), bundle, reference)
     else:
         spans = shot_spans(bundle.boundaries)
-        keep = {k for rec in bundle.records for k in range(*spans[rec.shot_index])}
+        keep = _SpanFrames(spans[rec.shot_index] for rec in bundle.records)
         with open(args.input, "rb") as stream:
             head, frames = iter_y4m(stream, keep)
             result = extract_frames(frames, head.height, head.width, bundle, reference)

@@ -5,23 +5,22 @@ DC frame is never touched), inside one window of a level-3 subband, so
 the least significant plane rides on the coarsest temporal detail. A
 level-3 coefficient depends only on its own 8x8 pixel block, so each
 selected shot is worked on through one block-aligned crop: the window's
-blocks plus a 1-coefficient halo. Only the one subband of its temporal
-coefficient frames 1..8 is computed, exactly, from integer 8x8 block
-sums; its windows get a multiplicative +-alpha update, all 8 planes in
-one call. Only the change is synthesized back, through closed-form
-traces of the Haar inverse, and added to the crop in int16 steps;
-pixels outside the crop are copied.
+blocks plus a 1-coefficient halo. Other pixels are copied.
 
-The sign actually written at each position depends on whether the
-local neighborhood max lies above or below the coefficient; those
-realized signs are returned because extraction needs them as a key.
-Tie rule: a neighbor max equal to the coefficient is neither, so the
-realized sign is -1. The coefficients are integers times one positive
-scale per frame, so a tie is exact; a whole-frame float transform (a
-test oracle) lets rounding noise of about 1e-14 decide it instead.
-Pixels may differ from a whole-frame round trip only in such ties'
-blocks, or at rounding ties: where the exact value is k + 0.5, a float
-path lands within 1e-9 of it and may round the other way.
+The realized sign r of a position is +1 where its neighborhood max lies
+strictly on the side its prepared sign names, else -1, ties included;
+the realized signs are the key extraction needs. The paper's update
+scales each window coefficient by (1 + alpha * r). It is relative, so
+it runs on the integer sums E of wm3d.wavelet3d, a positive multiple of
+the orthonormal coefficients per frame, and ties are exact. Frame f's
+change under the band's +-1 sign pattern on each 8x8 block is
+d[f] = sum_k S[f, k] * r_k * E_k * alpha / 64, S the temporal synthesis
+matrix (entries 0 or +-1 over a power of two): exact in float64 in any
+summation order but for the one multiply by alpha. A crop pixel p
+becomes p + floor(+-d + 0.5), clipped to [0, 255]. A whole-frame float
+round trip (a test oracle) may differ in blocks of exact neighbor ties,
+which its rounding noise decides, and where d is exactly k + 0.5, which
+it misses by up to 1e-9.
 """
 
 from dataclasses import dataclass, replace
@@ -46,7 +45,6 @@ from .wavelet3d import (
     SubbandRect,
     band_pattern,
     band_sums,
-    band_unscale,
     subband_rect,
     temporal_analysis,
     temporal_synthesis,
@@ -106,7 +104,8 @@ def _wm_slices(rows: int, cols: int, params: EmbedParams, wm_h: int, wm_w: int):
 def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
     """Neighbor max at every position of (..., h, w) subband regions at once."""
     *lead, h, w = sub.shape
-    padded = np.full((*lead, h + 2, w + 2), -np.inf)
+    low = -np.inf if sub.dtype.kind == "f" else np.iinfo(sub.dtype).min
+    padded = np.full((*lead, h + 2, w + 2), low, dtype=sub.dtype)
     padded[..., 1:-1, 1:-1] = sub
     stack = [
         padded[..., 1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
@@ -116,10 +115,10 @@ def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
 
 
 def _window_signs(sub, plane, params: EmbedParams, what: str) -> tuple:
-    """(float64 regions, window index, signs) of (..., h, w) regions and
-    matching (..., wm_h, wm_w) planes: +1 where the neighbor max lies
-    strictly on the side the +-1 plane names (above for +1), else -1."""
-    arr = np.asarray(sub, dtype=np.float64)
+    """(window index, signs) of (..., h, w) regions and matching
+    (..., wm_h, wm_w) planes: +1 where the neighbor max lies strictly on
+    the side the +-1 plane names (above for +1), else -1."""
+    arr = np.asarray(sub)
     wd = np.asarray(plane)
     if np.any((wd != 1) & (wd != -1)):
         raise ValueError(f"{what} plane values must be +1 or -1")
@@ -128,25 +127,7 @@ def _window_signs(sub, plane, params: EmbedParams, what: str) -> tuple:
     if wd.shape != r.shape:
         raise ValueError(f"{what} planes {wd.shape} do not match windows {r.shape}")
     hit = ((t > r) & (wd == 1)) | ((t < r) & (wd == -1))
-    return arr, win, np.where(hit, 1, -1).astype(np.int8)
-
-
-def embed_plane(
-    sub: np.ndarray, sign_plane: np.ndarray, params: EmbedParams
-) -> tuple:
-    """Embed prepared sign planes into subband regions `sub`.
-
-    `sub` is (..., h, w), one region of the band named by params.band
-    per plane of the matching (..., wm_h, wm_w) `sign_plane`; the window
-    sits at (region_row0, region_col0) of each. Neighborhood maxima come
-    from a snapshot of the unmodified regions, then every watermark
-    coefficient is scaled by (1 + alpha * sign). Returns (modified
-    regions, realized sign planes).
-    """
-    arr, win, realized = _window_signs(sub, sign_plane, params, "sign")
-    out = arr.copy()
-    out[win] *= 1.0 + params.alpha * realized
-    return out, realized
+    return win, np.where(hit, 1, -1).astype(np.int8)
 
 
 def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
@@ -166,28 +147,20 @@ def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
     return crop, replace(params, region_row0=r0 - top, region_col0=c0 - left)
 
 
-def _crop_coeffs(frames, crop, band: str) -> np.ndarray:
-    """(8, h, w) `band` of a crop's temporal coefficient frames 1..8.
-
-    Each uint8 frame's int16 band sums go through rows 1..8 of the
-    integer temporal analysis matrix, then one scale per coefficient
-    frame. Frames of another dtype raise ValueError.
-    """
+def _crop_coeffs(frames, crop, band: str, length: int | None = None) -> np.ndarray:
+    """(8, h, w) int64 sums E of `band` in a crop's temporal coefficient
+    frames 1..8, from the uint8 frames' band sums (other dtypes raise
+    ValueError). `frames` begin a `length`-frame shot (default all of
+    it) whose other frames repeat the last one given."""
     sums = np.stack([band_sums(np.asarray(f)[crop], band) for f in frames])
-    matrix, scale = temporal_analysis(len(frames), PLANE_COUNT + 1)
-    exact = np.tensordot(matrix[1:], sums, axes=1)
-    return exact * (scale[1:, None, None] / 8)
+    matrix = temporal_analysis(length or len(frames), PLANE_COUNT + 1, len(frames))
+    return np.tensordot(matrix[1:], sums, axes=1)
 
 
 def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
-    """Watermark one shot of 8-bit frames.
-
-    Returns (quantized frames, realized planes). The coefficient change
-    is synthesized on the band grid (band_unscale, then the temporal
-    synthesis matrix) to a change d per frame and 8x8 block, under the
-    band's sign pattern s. A crop pixel p becomes floor(p + s*d + 0.5),
-    that is p + round-half-up(s*d), clipped to [0, 255] in int16.
-    """
+    """Watermark one shot of 8-bit frames; returns (quantized frames,
+    realized planes). A crop pixel p under the band's sign s becomes
+    p + round-half-up(s*d), clipped to [0, 255] in int16."""
     n = len(frames)
     if n < MIN_EMBED_SHOT_LEN:
         raise GeometryError(
@@ -199,17 +172,21 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
         raise ValueError(f"expected {PLANE_COUNT} sign planes")
 
     crop, local = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
-    coeffs = _crop_coeffs(frames, crop, params.band)
-    marked, realized = embed_plane(coeffs, planes, local)
+    sums = _crop_coeffs(frames, crop, params.band)
+    win, realized = _window_signs(sums, planes, local, "sign")
+    spread = np.zeros_like(sums)
+    spread[win] = realized * sums[win]
+    # terms E_k / span_k are below 64 * 255 and multiples of 1 / P, so
+    # their 8-term sums are exact in float64 for P up to 2**36 frames
     synthesis = temporal_synthesis(n, PLANE_COUNT + 1)[:, 1:]
-    change = np.tensordot(synthesis, band_unscale(marked - coeffs), axes=1)
+    change = np.tensordot(synthesis, spread, axes=1) * (params.alpha / 64)
 
     # Each of the 8 coefficient frames moves a pixel by at most
     # alpha * 255, so |step| <= 8 * 255 and p + step fit int16.
     steps = np.floor(np.stack([change, -change], axis=1) + 0.5).astype(np.int16)
     # s is constant on each (row half, column) of a block: 0 steps +d, 1 -d
     side = (band_pattern(params.band)[::4] < 0).astype(np.intp)
-    h, w = coeffs.shape[1:]
+    h, w = sums.shape[1:]
     total = np.empty((h, 2, 4, 8 * w), dtype=np.int16)
     out = [np.array(f, dtype=np.uint8) for f in frames]
     for frame, step in zip(out, steps):

@@ -4,12 +4,15 @@ The received video plus the bundle (seeds, geometry, stored shot
 boundaries and the realized sign planes) reproduce the forward
 transforms and invert the preparation; the original video is never
 consulted. As in embedding, only the watermark window's crop is
-transformed, and only as far as the one subband of its coefficient
-frames 1..8, exactly (see wm3d.embed). Ties in the neighborhood
-comparison are exact ties and decode as -1, mirroring the embedding
-rule. Frames are
-taken in order and only the selected shot being filled is held, so a
-reader may skip every frame outside the key's shots.
+transformed, and only as far as the integer sums of one subband of its
+coefficient frames 1..8 (see wm3d.embed), so the neighborhood
+comparison is exact and a tie decodes as -1, mirroring the embedding
+rule. Frames are taken in order and only the selected shot being filled
+is held, so a reader may skip every frame outside the key's shots. A
+shot shorter than the key's record is repaired in closed form: the
+missing frames repeat the last one received, so their columns of the
+analysis matrix fold onto its column, and memory follows the frames
+received, not the length the key claims.
 """
 
 from dataclasses import dataclass
@@ -47,24 +50,14 @@ def extract_plane(
 ) -> np.ndarray:
     """Recover prepared sign planes from received subband regions.
 
-    `sub` and `key_plane` are as in embed_plane. Compares each
+    `sub` is (..., h, w), one region of the band named by params.band
+    per plane of the matching (..., wm_h, wm_w) `key_plane`; the window
+    sits at (region_row0, region_col0) of each. Compares each
     coefficient with its in-subband neighborhood max and combines the
     outcome with the stored realized sign: above-max positions return
     the key sign, below-max its negation, ties -1.
     """
-    return _window_signs(sub, key_plane, params, "key")[2]
-
-
-def _repair_length(frames, expected: int):
-    """Pad (by repeating the last frame) or trim to the recorded length."""
-    n = len(frames)
-    if n == expected:
-        return list(frames), False
-    if n == 0:
-        raise GeometryError("shot has no frames left to extract from")
-    if n < expected:
-        return list(frames) + [frames[-1]] * (expected - n), True
-    return list(frames[:expected]), True
+    return _window_signs(sub, key_plane, params, "key")[1]
 
 
 def extract_shot(
@@ -75,12 +68,20 @@ def extract_shot(
     expected_length: int,
     params: EmbedParams,
 ) -> ShotExtraction:
-    """Recover the watermark carried by one shot."""
-    frames, mismatch = _repair_length(frames, expected_length)
+    """Recover the watermark carried by one shot.
+
+    A shot of another length than `expected_length` is repaired: extra
+    frames are dropped, and missing ones repeat the last frame given.
+    """
+    if not len(frames):
+        raise GeometryError("shot has no frames left to extract from")
+    mismatch = len(frames) != expected_length
+    frames = frames[:expected_length]
     crop, local = _window_crop(
         params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
     )
-    recovered = extract_plane(_crop_coeffs(frames, crop, params.band), key_planes, local)
+    sums = _crop_coeffs(frames, crop, params.band, expected_length)
+    recovered = extract_plane(sums, key_planes, local)
     bitplanes = np.stack(
         [unpermute(undisorder(recovered[k], k, seed2), seed1) for k in range(PLANE_COUNT)]
     )

@@ -1,35 +1,34 @@
-"""3D Haar transforms, computed only where embedding reads them.
+"""3D Haar transforms, computed only where embedding reads them, in integers.
 
-A shot is first decomposed along time: frames are padded to a power of
-two by repeating the last frame, then fully reduced with orthonormal
-Haar pairs ((a+b)/sqrt2, (a-b)/sqrt2) so exactly one DC frame remains.
+A shot is decomposed along time as the Haar transform does: frames are
+padded to a power of two by repeating the last frame, then fully
+reduced by pair sums and differences, so exactly one DC frame remains.
 Coefficient frames are kept in lowest-to-highest temporal frequency
 order: index 0 is the DC frame, index 1 the coarsest detail frame, and
-the finest details sit at the end.
+the finest details sit at the end. Spatially, 3 levels of separable
+Haar give the nested layout (approximation at the top left).
 
-Spatially, 3 levels of separable orthonormal Haar give the nested
-layout (approximation at the top left). Embedding touches one level-3
-subband of coefficient frames 1..8, so only those are computed, in
-closed form and exactly: a level-3 coefficient is its 8x8 pixel
-block's signed sum divided by 8 (band_sums), and a temporal coefficient
-frame is an integer +-1 combination of frames times one scale
-(temporal_analysis). So two coefficients of a frame tie exactly when
-their integer sums do; float Haar chains (the full transforms, kept as
-the tests' oracles) let rounding noise of about 1e-14 decide.
+Embedding touches one level-3 subband of coefficient frames 1..8, so
+only that is computed, in closed form and unnormalized: band_sums gives
+each 8x8 pixel block's sum under the band's +-1 sign pattern (int16),
+and temporal_analysis the +-1 combination of frames that makes each
+coefficient frame (int64). An orthonormal coefficient is such an
+integer divided by 8 and by the square root of the frames its temporal
+row spans: one positive factor per coefficient frame, so comparisons
+within a frame, ties included, are decided exactly on the integers.
+Float Haar chains (the full transforms, kept as the tests' oracles) let
+rounding noise of about 1e-14 decide ties.
 
-Synthesis carries a change of those coefficients back to the pixels
-through the same sign patterns: every add in the Haar inverse of a lone
-coefficient (or coefficient frame) has a zero partner, so it is exact.
+temporal_synthesis is the exact inverse of the integer analysis, each
+row divided by its span, a power of two; with the band's sign pattern
+it carries an integer change back to the pixels (see wm3d.embed).
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GeometryError
-
-_SQRT2 = math.sqrt(2.0)
 
 SPATIAL_LEVELS = 3
 
@@ -50,56 +49,50 @@ class SubbandRect(NamedTuple):
         )
 
 
-def _haar_rows(length: int, count: int) -> tuple:
-    """(count, P) int64 temporal Haar basis rows of a `length`-frame shot
-    (P its padded length) and the (count,) scales that normalize them.
+def _haar_rows(length: int, count: int, frames: int) -> np.ndarray:
+    """(count, frames) int64 rows 0..count-1 of the temporal Haar basis
+    of a `length`-frame shot, over the first `frames` of its P frames.
 
     Row 0 (DC) is +1 on all P frames. Row k >= 1, at level
     j = floor(log2 k), is +1 over the first half of its span = P >> j
-    frames and -1 over the second, from frame (k - 2**j) * span. A
-    row's scale is 1.0 divided by sqrt2 log2(span) times.
+    frames and -1 over the second, from frame (k - 2**j) * span.
     """
     size = 1 << (length - 1).bit_length()
-    rows = np.zeros((count, size), dtype=np.int64)
-    scale = np.empty(count)
-    for k in range(count):
-        j = max(k.bit_length() - 1, 0)
+    rows = np.zeros((count, frames), dtype=np.int64)
+    rows[0] = 1
+    for k in range(1, count):
+        j = k.bit_length() - 1
         span = size >> j
-        start = (k - (1 << j)) * span if k else 0
-        rows[k, start : start + span] = 1
-        if k:
-            rows[k, start + span // 2 : start + span] = -1
-        v = 1.0
-        for _ in range(span.bit_length() - 1):
-            v /= _SQRT2
-        scale[k] = v
-    return rows, scale
+        start = (k - (1 << j)) * span
+        rows[k, start : start + span // 2] = 1
+        rows[k, start + span // 2 : start + span] = -1
+    return rows
 
 
-def temporal_analysis(length: int, count: int) -> tuple:
+def temporal_analysis(length: int, count: int, received: int | None = None) -> np.ndarray:
     """Closed-form temporal Haar analysis of a `length`-frame shot.
 
-    Returns ((count, length) int64 matrix, (count,) float64 scales):
-    coefficient frame k of frames x is scale[k] * (matrix[k] @ x). The
-    padding repeats the last frame, so its entries are folded onto
-    column length-1. On integer frames the product is exact.
+    Returns a (count, received) int64 matrix, received defaulting to
+    length: matrix[k] @ x is coefficient frame k of frames x times the
+    square root of the frames row k spans. The padding to P frames
+    repeats the last frame, as do the frames from `received` on, so
+    their entries fold onto the last column; memory follows `received`.
     """
-    rows, scale = _haar_rows(length, count)
-    matrix = rows[:, :length].copy()
-    matrix[:, -1] += rows[:, length:].sum(axis=1)
-    return matrix, scale
+    last = (length if received is None else received) - 1
+    matrix = _haar_rows(length, count, last + 1)
+    # a detail row sums to 0 over the P frames, the DC row to P
+    matrix[:, last] = 0
+    matrix[:, last] = -matrix.sum(axis=1)
+    matrix[0, last] = (1 << (length - 1).bit_length()) - last
+    return matrix
 
 
 def temporal_synthesis(length: int, count: int) -> np.ndarray:
-    """(length, count) temporal synthesis matrix of a `length`-frame shot.
-
-    Column k is the shot rebuilt from unit coefficient frame k alone:
-    row k of the analysis basis times its scale, padding rows dropped.
-    Changes to coefficient frames 0..count-1 reach the frames as this
-    matrix times the changes.
-    """
-    rows, scale = _haar_rows(length, count)
-    return (rows[:, :length] * scale[:, None]).T
+    """(length, count) exact inverse of the integer temporal analysis:
+    row k of its basis divided by its span, a power of two, padding
+    frames dropped."""
+    rows = _haar_rows(length, count, 1 << (length - 1).bit_length())
+    return (rows / np.abs(rows).sum(axis=1, keepdims=True))[:, :length].T
 
 
 # --- one level-3 spatial subband ----------------------------------------------
@@ -142,16 +135,6 @@ def band_sums(frames: np.ndarray, band: str) -> np.ndarray:
         op = np.subtract if level == SPATIAL_LEVELS - 1 and high_rows else np.add
         x = op(x[..., 0::2], x[..., 1::2], dtype=np.int16)
     return x
-
-
-def band_unscale(c: np.ndarray) -> np.ndarray:
-    """Float64 copy of level-3 coefficients divided by sqrt2 six times:
-    what each puts, up to the band's sign, on every pixel of its block
-    in the full inverse."""
-    v = np.array(c, dtype=np.float64)
-    for _ in range(2 * SPATIAL_LEVELS):
-        v /= _SQRT2
-    return v
 
 
 def subband_rect(height: int, width: int, band: str) -> SubbandRect:

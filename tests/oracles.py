@@ -1,29 +1,35 @@
 """Reference implementations the fast paths in src/ are checked against.
 
 Scalar versions of the neighborhood and sign rules, the full 3-level
-spatial Haar transform and its inverse (src/ computes only the one
-subband embedding uses), the inverse of one subband at full resolution
-(src/ synthesizes on the band grid), the full temporal inverse (src/
-uses its closed-form trace), the whole-volume 3D transform, and
-whole-frame embedding and extraction: every frame of a shot goes
-through the full temporal and spatial transforms, forward and inverse,
-as the crop-based path in wm3d.embed avoids doing. Also the sequential
-splitmix64 generator and Fisher-Yates shuffle, the pairwise histogram
-distance of shot detection, and scipy's DCT round trip for the
-compression proxy; scipy is imported only when that oracle runs, since
-wm3d itself needs numpy only.
+orthonormal spatial Haar transform and its inverse (src/ computes only
+the integer sums of the one subband embedding uses), the inverse of one
+subband at full resolution (src/ synthesizes on the band grid), the
+full orthonormal temporal inverse (src/ uses the exact inverse of its
+integer analysis), the whole-volume 3D transform, the paper's float
+update of orthonormal coefficients (src/ applies it to the integer
+sums), and whole-frame embedding and extraction: every frame of a shot
+goes through the full temporal and spatial transforms, forward and
+inverse, as the crop-based path in wm3d.embed avoids doing. Also the
+sequential splitmix64 generator and Fisher-Yates shuffle, the pairwise
+histogram distance of shot detection, and scipy's DCT round trip for
+the compression proxy; scipy is imported only when that oracle runs,
+since wm3d itself needs numpy only.
 """
+
+import math
 
 import numpy as np
 
-from wm3d import embed, extract
-from wm3d.embed import _NEIGHBOR_OFFSETS
+from wm3d import extract
+from wm3d.embed import _NEIGHBOR_OFFSETS, _window_signs
 from wm3d.errors import GeometryError
 from wm3d.media_io import round_half_away
 from wm3d.prng import MASK64, stream
 from wm3d.shots import HIST_BINS
-from wm3d.wavelet3d import _SQRT2, SPATIAL_LEVELS, band_pattern, band_unscale
+from wm3d.wavelet3d import SPATIAL_LEVELS, band_pattern
 from wm3d.wmprep import undisorder, unpermute
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class SplitMix64:
@@ -122,6 +128,14 @@ def temporal_inverse(coeffs, length: int) -> np.ndarray:
     return a[:length]
 
 
+def coefficient_spans(length: int, count: int) -> np.ndarray:
+    """Frames that each of temporal coefficient frames 0..count-1 of a
+    `length`-frame shot spans in the padded shot: the integer analysis
+    of wm3d.wavelet3d is the orthonormal one times their square roots."""
+    size = 1 << (length - 1).bit_length()
+    return np.array([size >> max(k.bit_length() - 1, 0) for k in range(count)])
+
+
 def temporal_forward_stacked(frames) -> np.ndarray:
     """All temporal coefficient frames from one padded float64 stack.
 
@@ -200,6 +214,16 @@ def spatial_inverse3(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def band_unscale(c: np.ndarray) -> np.ndarray:
+    """Float64 copy of level-3 coefficients divided by sqrt2 six times:
+    what each puts, up to the band's sign, on every pixel of its block
+    in the full inverse."""
+    v = np.array(c, dtype=np.float64)
+    for _ in range(2 * SPATIAL_LEVELS):
+        v /= _SQRT2
+    return v
+
+
 def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
     """3-level spatial Haar synthesis of (..., h, w) coefficients of one band.
 
@@ -214,15 +238,30 @@ def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
     return blocks.reshape(*lead, 8 * h, 8 * w)
 
 
+def embed_window(sub, sign_plane, params) -> tuple:
+    """The paper's update of subband regions, in float64.
+
+    `sub` is (..., h, w), one region of the band named by params.band
+    per plane of the matching (..., wm_h, wm_w) `sign_plane`; the window
+    sits at (region_row0, region_col0) of each. Realized signs come from
+    the unmodified regions, then every window coefficient is scaled by
+    (1 + alpha * sign). Returns (modified regions, realized planes).
+    """
+    out = np.array(sub, dtype=np.float64)
+    win, realized = _window_signs(out, sign_plane, params, "sign")
+    out[win] *= 1.0 + params.alpha * realized
+    return out, realized
+
+
 def embed_plane(frame, sign_plane, params) -> tuple:
-    """wm3d.embed.embed_plane on a whole coefficient frame.
+    """embed_window on a whole coefficient frame.
 
     The subband named by params.band is cut out, marked and put back.
     Returns (modified frame, realized sign plane).
     """
     out = np.array(frame, dtype=np.float64)
     band = params.rect_for(*out.shape).slices()
-    out[band], realized = embed.embed_plane(out[band], sign_plane, params)
+    out[band], realized = embed_window(out[band], sign_plane, params)
     return out, realized
 
 

@@ -46,8 +46,7 @@ def test_criterion_01_3d_reconstruction():
         w = int(rs.choice([8, 16, 32]))
         x = rs.rand(n, h, w) * 255.0
         size = 1 << (n - 1).bit_length()
-        matrix, scale = temporal_analysis(n, size)
-        frames = np.tensordot(matrix, x, axes=1) * scale[:, None, None]
+        frames = np.tensordot(temporal_analysis(n, size), x, axes=1)
         vol = spatial_forward3(frames)
         back = np.tensordot(temporal_synthesis(n, size), spatial_inverse3(vol), axes=1)
         worst = max(worst, float(np.max(np.abs(back - x))))

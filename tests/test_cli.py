@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,14 @@ from wm3d.embed import embed_clip
 from wm3d.errors import FormatError, GeometryError
 from wm3d.extract import extract_clip
 from wm3d.keyfile import read_key, write_key
-from wm3d.media_io import VideoClip, read_pgm, read_y4m, write_pgm, write_y4m
+from wm3d.media_io import (
+    VideoClip,
+    read_pgm,
+    read_y4m,
+    write_pgm,
+    write_pgm_sequence,
+    write_y4m,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -114,6 +122,32 @@ def test_extract_key_with_short_shot_exits_2(workdir, capsys):
     )
     assert code == 2
     assert "selected shot 0 has 3 frames" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["y4m", "pgm-dir"])
+def test_extract_key_claiming_a_million_frames_allocates_little(
+    workdir, capsys, source
+):
+    # the kept frames and the length repair follow the 16 frames received,
+    # not the one shot of 10**6 frames the key claims
+    assert _embed(workdir) == 0
+    key = workdir / "k.key"
+    key.write_text(key.read_text().replace("boundaries=0,16", "boundaries=0,1000000"))
+    video = workdir / "marked.y4m"
+    if source == "pgm-dir":
+        write_pgm_sequence(read_y4m(video), workdir / "frames")
+        video = workdir / "frames"
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["extract", "--in", str(video), "--key", str(key),
+                     "--out", str(workdir / "x.pgm")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == "shot 0: extracted (length mismatch)\n"
+    assert peak < 8 * 2**20
 
 
 def test_capacity_error_exits_3(tmp_path):

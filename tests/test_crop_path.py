@@ -1,7 +1,7 @@
 """The crop-based embed and extract paths against the whole-frame oracle.
 
-The crop path's coefficients are exact (integer sums times one scale
-per frame); the float oracle's are within 1e-12 of them. Realized
+The crop path works on exact integer sums, the float oracle's
+orthonormal coefficients times one positive factor per frame. Realized
 signs must be equal except at exact ties, which the random shots here
 do not hold, and where the exact path realizes -1. Pixels may differ
 only at rounding ties: where the whole-frame value before rounding
@@ -16,30 +16,26 @@ import pytest
 from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
 from oracles import (
     band_inverse3,
+    coefficient_spans,
     embed_shot_full,
+    embed_window,
     extract_planes_full,
     spatial_forward3,
     temporal_forward_stacked,
+    temporal_inverse,
 )
 from wm3d.embed import (
     EmbedParams,
     _crop_coeffs,
     _window_crop,
     embed_clip,
-    embed_plane,
     embed_shot,
     prepare_sign_planes,
 )
 from wm3d.extract import extract_plane, extract_shot
 from wm3d.keyfile import write_key
 from wm3d.media_io import quantize_luma
-from wm3d.wavelet3d import (
-    BANDS,
-    band_sums,
-    subband_rect,
-    temporal_analysis,
-    temporal_synthesis,
-)
+from wm3d.wavelet3d import BANDS, band_sums, subband_rect, temporal_analysis
 
 TIE_TOLERANCE = 1e-9
 HEIGHT, WIDTH = 64, 48  # level-3 subbands of 8 rows x 6 columns
@@ -112,32 +108,33 @@ def test_strip_crop_coeffs_match_whole_crop(band, window, n):
 
     whole = spatial_forward3(temporal_forward_stacked([f[crop] for f in frames]))[1:9]
     want = whole[(slice(None), *subband_rect(*whole.shape[1:], band).slices())]
-    size = 1 << (n - 1).bit_length()
-    spans = np.array([size >> (k.bit_length() - 1) for k in range(1, 9)])
-    matrix, _ = temporal_analysis(n, 9)
+    spans = coefficient_spans(n, 9)[1:]
     sums = np.stack([band_sums(f[crop], band) for f in frames])
-    exact = np.tensordot(matrix[1:], sums, axes=1)
+    exact = np.tensordot(temporal_analysis(n, 9)[1:], sums, axes=1)
     assert np.array_equal(exact, np.rint(want * 8 * np.sqrt(spans)[:, None, None]))
 
     got = _crop_coeffs(frames, crop, band)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got.dtype == np.int64 and np.array_equal(got, exact)
 
 
 def _assert_synthesis_matches_full_resolution(frames, params, wm_h, wm_w):
-    # the crop path's coefficient change, synthesized through
-    # band_inverse3 at full resolution and then the temporal matrix, as
-    # embed once did; pixels outside the crop stay as they were
+    # the crop path's integer sums, scaled to orthonormal coefficients,
+    # marked by the float update and synthesized through band_inverse3
+    # at full resolution and the float temporal inverse, as embed once
+    # did; pixels outside the crop stay as they were
     n, (height, width) = len(frames), frames[0].shape
     wm = np.arange(wm_h * wm_w, dtype=np.uint8).reshape(wm_h, wm_w)
     planes = prepare_sign_planes(wm, SEED1, SEED2)
     crop, local = _window_crop(params, height, width, wm_h, wm_w)
-    coeffs = _crop_coeffs(frames, crop, params.band)
-    marked, _ = embed_plane(coeffs, planes, local)
-    synthesis = temporal_synthesis(n, 9)[:, 1:]
-    change = np.tensordot(synthesis, band_inverse3(marked - coeffs, params.band), axes=1)
+    sums = _crop_coeffs(frames, crop, params.band)
+    coeffs = sums / (8 * np.sqrt(coefficient_spans(n, 9)[1:]))[:, None, None]
+    marked, want_realized = embed_window(coeffs, planes, local)
+    volume = np.zeros((1 << (n - 1).bit_length(), *coeffs.shape[1:]))
+    volume[1:9] = marked - coeffs
+    change = temporal_inverse(band_inverse3(volume, params.band), n)
     full_pre = np.stack([f[crop] + d for f, d in zip(frames, change)])
-    got = embed_shot(frames, planes, params)[0]
+    got, realized = embed_shot(frames, planes, params)
+    assert np.array_equal(realized, want_realized)
     _assert_tie_rule([f[crop] for f in got], full_pre)
     outside = np.ones((height, width), bool)
     outside[crop] = False
@@ -226,8 +223,7 @@ def test_exact_tie_realizes_and_decodes_as_minus_one():
     params = EmbedParams(band="lh3")
     crop, local = _window_crop(params, 16, 16, 2, 2)
     coeffs = _crop_coeffs(frames, crop, "lh3")
-    tie = coeffs[plane][tied]
-    assert tie[0] == tie[1] and np.isclose(tie[0], 1700 / 16, rtol=1e-15)
+    assert np.all(coeffs[plane][tied] == 1700)
     oracle = spatial_forward3(temporal_forward_stacked(frames))[1:9, 2:4, 0:2]
     assert oracle[plane][tied][0] < oracle[plane][tied][1]  # the float path separates them
 

@@ -258,10 +258,13 @@ def test_embed_clip_seed_validation(watermark):
         embed_clip(clip, watermark, -1, SEED2, SEED3)
 
 
-# sha256 of the key file of the embed below. Realized signs come from
-# exact comparisons, so the key does not depend on float order or BLAS:
-# a change that moves this pin changes the scheme on purpose.
+# sha256 of the key file and of the marked luma of the embed below.
+# Realized signs come from exact comparisons, and each pixel change from
+# exact integer sums times alpha / 64, one rounding, so neither depends
+# on float order or BLAS: a change that moves a pin changes the scheme
+# on purpose.
 GOLDEN_KEY_SHA256 = "44ed2ebc0ca693aa7e4efb92d78e4f784d8e7abc080c12a8ac004eaac811998e"
+GOLDEN_LUMA_SHA256 = "f6370e81ee989f57b7c6db59813674f743803d993db961d08171dca28cbd6ea7"
 
 
 def test_golden_key_bytes():
@@ -269,10 +272,13 @@ def test_golden_key_bytes():
     frames = [quantize_luma(128.0 + 50.0 * rs.randn(64, 64)) for _ in range(46)]
     wm = rs.randint(0, 256, (6, 7)).astype(np.uint8)
     params = EmbedParams(alpha=0.1, region_row0=1, region_col0=0, band="lh3")
-    _, bundle = embed_clip(
+    marked, bundle = embed_clip(
         VideoClip(frames=frames), wm, 11, 22, 33, params=params,
         boundaries=[0, 9, 25, 46],  # shots of 9, 16 and 21 frames
     )
     key = io.StringIO()
     write_key(bundle, key)
     assert hashlib.sha256(key.getvalue().encode("ascii")).hexdigest() == GOLDEN_KEY_SHA256
+    luma = np.stack(marked.frames)
+    assert luma.dtype == np.uint8
+    assert hashlib.sha256(luma.tobytes()).hexdigest() == GOLDEN_LUMA_SHA256

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
 from oracles import embed_plane, extract_plane
 from wm3d.embed import EmbedParams, embed_clip
 from wm3d.errors import GeometryError
-from wm3d.extract import extract_clip, extract_shot
+from wm3d.extract import extract_clip, extract_frames, extract_shot
 from wm3d.keyfile import KeyBundle, ShotRecord
 from wm3d.media_io import VideoClip, quantize_luma
 from wm3d.metrics import nc
@@ -163,6 +164,39 @@ def test_length_mismatch_repair(embedded, watermark):
     result = extract_clip(shortened, run.bundle, watermark)
     assert result.shots[0].length_mismatch
     assert result.nc > 0.5  # watermark still largely recoverable
+
+
+@pytest.mark.parametrize("n", [9, 16, 21, 33])
+def test_length_repair_equals_explicit_padding(n):
+    # missing frames are folded onto the last one received, in closed
+    # form: bit-identical to extracting the shot padded by repetition
+    rs = np.random.RandomState(n)
+    frames = list(rs.randint(0, 256, (n, 64, 64)).astype(np.uint8))
+    planes = np.where(rs.rand(8, 4, 5) < 0.5, 1, -1).astype(np.int8)
+    params = EmbedParams(region_row0=1, region_col0=2, band="hl3")
+    for received in range(1, n):
+        short = frames[:received]
+        padded = short + [short[-1]] * (n - received)
+        got = extract_shot(short, planes, SEED1, SEED2, n, params)
+        want = extract_shot(padded, planes, SEED1, SEED2, n, params)
+        assert got.length_mismatch and not want.length_mismatch
+        assert np.array_equal(got.bitplanes, want.bitplanes)
+
+
+def test_length_repair_memory_follows_the_received_frames():
+    # 16 frames against a key claiming one shot of 2**20 + 1 frames
+    rs = np.random.RandomState(5)
+    frames = list(rs.randint(0, 256, (16, 128, 128)).astype(np.uint8))
+    bundle = _synthetic_bundle(SEED1, SEED2)
+    bundle = dataclasses.replace(bundle, boundaries=(0, 2**20 + 1))
+    tracemalloc.start()
+    try:
+        result = extract_frames(iter(frames), 128, 128, bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.shots[0].length_mismatch
+    assert peak < 4 * 2**20
 
 
 def test_extract_shot_empty_rejected():

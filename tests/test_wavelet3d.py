@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     band_inverse3,
+    coefficient_spans,
     spatial_forward3,
     spatial_inverse3,
     temporal_forward_stacked,
@@ -24,11 +25,13 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _analysis(x, count=None):
-    """Coefficient frames 0..count-1 of (n, ...) frames through
-    temporal_analysis; all padded-length frames without `count`."""
+    """Orthonormal coefficient frames 0..count-1 of (n, ...) frames
+    through temporal_analysis; all padded-length frames without `count`."""
     x = np.asarray(x)
     size = 1 << (len(x) - 1).bit_length()
-    matrix, scale = temporal_analysis(len(x), size if count is None else count)
+    count = size if count is None else count
+    scale = 1 / np.sqrt(coefficient_spans(len(x), count))
+    matrix = temporal_analysis(len(x), count)
     return np.tensordot(matrix, x, axes=1) * scale.reshape(-1, *[1] * (x.ndim - 1))
 
 
@@ -274,16 +277,37 @@ def test_temporal_forward_equals_stacked_oracle(n):
     frames = rs.randint(0, 256, (n, 8, 16)).astype(np.uint8)
     full = temporal_forward_stacked(frames)
     size = len(full)
-    matrix, scale = temporal_analysis(n, size)
+    matrix = temporal_analysis(n, size)
     assert matrix.shape == (size, n) and matrix.dtype == np.int64
-    spans = np.array([size] + [size >> (k.bit_length() - 1) for k in range(1, size)])
+    spans = coefficient_spans(n, size)
     exact = np.tensordot(matrix, frames, axes=1)
     assert np.array_equal(exact, np.rint(full * np.sqrt(spans)[:, None, None]))
-    assert np.allclose(scale, 1 / np.sqrt(spans), rtol=1e-15, atol=0)
-    got = exact * scale[:, None, None]
-    assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
-    part, part_scale = temporal_analysis(n, min(9, size))
-    assert np.array_equal(part, matrix[:9]) and np.array_equal(part_scale, scale[:9])
+    assert np.array_equal(temporal_analysis(n, min(9, size)), matrix[:9])
+
+
+@pytest.mark.parametrize("n", [9, 16, 21, 33, 40])
+def test_temporal_analysis_folds_missing_frames(n):
+    # the first m frames of an n-frame shot, the rest repeating frame
+    # m-1: the folded matrix times them equals the full matrix times
+    # the padded shot
+    frames = np.random.RandomState(n).randint(0, 256, (n, 8, 8))
+    for m in range(1, n + 1):
+        repeats = np.repeat(frames[m - 1 : m], n - m, axis=0)
+        padded = np.concatenate([frames[:m], repeats])
+        folded = temporal_analysis(n, 9, m)
+        assert folded.shape == (9, m)
+        assert np.array_equal(
+            np.tensordot(folded, frames[:m], axes=1),
+            np.tensordot(temporal_analysis(n, 9), padded, axes=1),
+        )
+
+
+def test_temporal_analysis_memory_follows_the_received_frames():
+    matrix = temporal_analysis(10**12, 9, 16)
+    assert matrix.shape == (9, 16)
+    assert matrix[0, -1] == 2**40 - 15  # frames 15..2**40 - 1 of the DC row
+    # a detail row sums to 0 over the padded shot, so over the 16 frames
+    assert np.all(matrix[1:].sum(axis=1) == 0)
 
 
 def test_temporal_inverse_rejects_partial_volume():
@@ -294,14 +318,26 @@ def test_temporal_inverse_rejects_partial_volume():
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_temporal_synthesis_equals_inverse_of_unit_frames(n):
+    # column k is the orthonormal inverse of unit frame k over sqrt(span)
     size = 1 << (n - 1).bit_length()
     got = temporal_synthesis(n, size)
     assert got.shape == (n, size)
-    assert np.array_equal(got, temporal_inverse(np.eye(size), n))
+    spans = coefficient_spans(n, size)
+    unit = temporal_inverse(np.eye(size), n)
+    assert np.array_equal(got * spans, np.rint(unit * np.sqrt(spans)))
     assert np.array_equal(temporal_synthesis(n, min(9, size)), got[:, :9])
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_temporal_synthesis_inverts_the_integer_analysis_exactly(n):
+    size = 1 << (n - 1).bit_length()
+    x = np.random.RandomState(n).randint(0, 256, (n, 8, 16))
+    coeffs = np.tensordot(temporal_analysis(n, size), x, axes=1)
+    assert np.array_equal(np.tensordot(temporal_synthesis(n, size), coeffs, axes=1), x)
 
 
 def test_temporal_synthesis_rebuilds_the_shot():
     x = np.random.RandomState(14).rand(21, 8, 16) * 255
-    back = np.tensordot(temporal_synthesis(21, 32), _analysis(x), axes=1)
+    coeffs = np.tensordot(temporal_analysis(21, 32), x, axes=1)
+    back = np.tensordot(temporal_synthesis(21, 32), coeffs, axes=1)
     assert np.max(np.abs(back - x)) < 1e-9

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import VideoClip, _quantize_into, quantize_luma, round_half_away
+from .media_io import VideoClip, _quantize_into, _require_uint8
+from .media_io import _round_half_away, round_half_away
 
 # JPEG Annex K luminance quantization table.
 _QTABLE = np.array(
@@ -59,14 +60,15 @@ def attack_average(clip: VideoClip) -> VideoClip:
     two neighbors; the first and last frames stay unchanged."""
     if clip.frame_count < 3:
         raise ValueError("averaging attack needs at least 3 frames")
+    _require_uint8(clip.frames, "averaging attack")
+    total = np.empty(clip.frames[0].shape, np.uint16)
     frames = [clip.frames[0].copy()]
     for k in range(1, clip.frame_count - 1):
-        mean = (
-            clip.frames[k - 1].astype(np.float64)
-            + clip.frames[k]
-            + clip.frames[k + 1]
-        ) / 3.0
-        frames.append(quantize_luma(mean))
+        np.add(clip.frames[k - 1], clip.frames[k], out=total, dtype=np.uint16)
+        total += clip.frames[k + 1]
+        total += 1
+        total //= 3  # round(s / 3), exactly: s / 3 is never a .5 tie
+        frames.append(total.astype(np.uint8))
     frames.append(clip.frames[-1].copy())
     return replace(clip, frames=frames)
 
@@ -88,39 +90,57 @@ def quantization_table(quality: int) -> np.ndarray:
     return np.maximum(1.0, round_half_away(_QTABLE * scale / 100.0))
 
 
-def _compress_frame(frame: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _compress_frame(table, frame, out) -> None:
+    """8x8 DCT quantization round trip of `frame` into `out`, through two
+    float64 frame buffers. _DCT @ block @ _DCT.T runs as _DCT @ each 8-row
+    strip, then each 8-pixel row piece @ _DCT.T: the same 8-term sums, in
+    small stacked products that OpenBLAS keeps on the calling thread (one
+    tall product would wake its own threads and contend with the pool)."""
     h, w = frame.shape
-    x = frame.astype(np.float64) - 128.0
-    blocks = x.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
-    coeffs = round_half_away(_DCT @ blocks @ _DCT.T / table) * table
-    back = _DCT.T @ coeffs @ _DCT
-    return quantize_luma(back.transpose(0, 2, 1, 3).reshape(h, w) + 128.0)
+    strips, pieces, grid = (h // 8, 8, w), (h, w // 8, 8), (h // 8, 8, w // 8, 8)
+    step = table[:, None, :]  # table[u, v] at row u, column v of each block
+    a, b = np.empty((2, h, w))
+    np.subtract(frame, 128.0, out=a, dtype=np.float64)
+    np.matmul(_DCT, a.reshape(strips), out=b.reshape(strips))
+    np.matmul(b.reshape(pieces), _DCT.T, out=a.reshape(pieces))
+    np.divide(a.reshape(grid), step, out=a.reshape(grid))
+    _round_half_away(a, b)
+    np.multiply(b.reshape(grid), step, out=b.reshape(grid))
+    np.matmul(_DCT.T, b.reshape(strips), out=a.reshape(strips))
+    np.matmul(a.reshape(pieces), _DCT, out=b.reshape(pieces))
+    b += 128.0
+    _quantize_into(out, b)
 
 
 def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
     """Intra-only lossy proxy: per-frame 8x8 DCT quantization round trip.
 
-    Coefficients are divided by the scaled table and rounded half away
-    from zero. Tie rule: the DC, (0,4), (4,0) and (4,4) coefficients of
-    an 8-bit block are multiples of 1/8, so `coeff/table` can be an
-    exact .5 tie. The float64 basis-matrix DCT's rounding error (about
-    1e-14) decides which way such a tie rounds; another DCT, such as
-    scipy's, may round it the other way, which moves every pixel of the
-    block by table/8 before the final rounding.
+    Frames share the noise attack's worker threads; the output does not
+    depend on the CPU count. Coefficients are divided by the scaled
+    table and rounded half away from zero. Tie rule: the DC, (0,4),
+    (4,0) and (4,4) coefficients of an 8-bit block are multiples of 1/8,
+    so `coeff/table` can be an exact .5 tie. The float64 basis-matrix
+    DCT's rounding error (about 1e-14) decides which way such a tie
+    rounds; another DCT, such as scipy's, may round it the other way,
+    which moves every pixel of the block by table/8 before the final
+    rounding.
     """
     if clip.height % 8 or clip.width % 8:
         raise GeometryError(
             f"compression proxy needs dimensions divisible by 8, "
             f"got {clip.width}x{clip.height}"
         )
+    _require_uint8(clip.frames, "compression proxy")
     table = quantization_table(quality)
-    return replace(clip, frames=[_compress_frame(f, table) for f in clip.frames])
+    out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)
+    _on_workers(lambda pair: _compress_frame(table, *pair), list(zip(clip.frames, out)))
+    return replace(clip, frames=list(out))
 
 
 # Box-Muller pairs per noise chunk: enough to amortize numpy's per-call
 # overhead, few enough that a chunk's temporaries stay near 2 MB.
 _CHUNK_PAIRS = 1 << 15
-# Most threads the noise attack runs, however many CPUs it may use.
+# Most threads the noise and compress attacks run, however many CPUs they may use.
 _MAX_WORKERS = 4
 
 
@@ -131,6 +151,22 @@ def _usable_cpus() -> int:
     except AttributeError:  # no affinity call on this platform
         n = os.cpu_count() or 1
     return min(n, _MAX_WORKERS)
+
+
+def _on_workers(task, items) -> None:
+    """Run task(item) for each item, on a thread per usable CPU. Tasks call
+    only private helpers: perfbench's tracer wraps every public wm3d
+    function around one span stack, which threads would interleave."""
+    workers = min(_usable_cpus(), len(items))
+    if workers > 1:
+        # imported here, not at module level, to keep it off every CLI start
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(task, items))
+    else:
+        for item in items:
+            task(item)
 
 
 def _pair_chunks(count: int, size: int) -> list:
@@ -173,9 +209,6 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     src = [f.reshape(-1) for f in clip.frames]
     out = np.empty((clip.frame_count, size), dtype=np.uint8)
 
-    # These run on worker threads and call only private helpers:
-    # perfbench's tracer wraps every public wm3d function around one span
-    # stack, which calls from several threads would interleave.
     def add(z, start):
         k, i = divmod(start, size)
         z *= sigma
@@ -189,15 +222,5 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
         if len(sin):  # an odd count has no sine for its last pair
             add(sin, pairs + a)
 
-    chunks = _pair_chunks(count, size)
-    workers = min(_usable_cpus(), len(chunks))
-    if workers > 1:
-        # imported here, not at module level, to keep it off every CLI start
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        for chunk in chunks:
-            fill(chunk)
+    _on_workers(fill, _pair_chunks(count, size))
     return replace(clip, frames=list(out.reshape(clip.frame_count, h, w)))

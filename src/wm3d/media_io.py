@@ -26,23 +26,22 @@ _HEADER_MAX = 4096  # longest y4m header line, PGM header token or PGM comment
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero."""
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-def quantize_luma(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero and clamp to the 8-bit luma range.
-
-    For x >= 0, floor(x + 0.5) is exactly round_half_away's
-    floor(|x| + 0.5); negative inputs clamp to 0 either way.
-    """
-    y = np.array(x, dtype=np.float64)
-    out = np.empty(y.shape, dtype=np.uint8)
-    _quantize_into(out, y)
+    out = np.empty_like(x)
+    _round_half_away(x, out)
     return out
 
 
+def _round_half_away(x: np.ndarray, out: np.ndarray) -> None:
+    """round_half_away of float64 `x` written into `out`, another array."""
+    np.abs(x, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, x, out=out)
+
+
 def _quantize_into(out: np.ndarray, y: np.ndarray) -> None:
-    """quantize_luma of float64 `y` written into uint8 `out`; clobbers `y`."""
+    """round_half_away of float64 `y`, clamped to [0, 255], into uint8 `out`;
+    clobbers `y`. Negative inputs clamp to 0, so floor(y + 0.5) will do."""
     y += 0.5
     np.floor(y, out=y)
     np.clip(y, 0, 255, out=y)
@@ -79,6 +78,13 @@ class VideoClip:
     @property
     def width(self) -> int:
         return self.frames[0].shape[1]
+
+
+def _require_uint8(frames, what: str) -> None:
+    """ValueError unless every frame is uint8, as integer kernels need."""
+    for f in frames:
+        if f.dtype != np.uint8:
+            raise ValueError(f"{what} needs uint8 frames, got {f.dtype}")
 
 
 def _validate_clip(clip: VideoClip) -> None:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .media_io import VideoClip
+from .media_io import VideoClip, _require_uint8
 
 
 @dataclass
@@ -46,22 +46,32 @@ def _psnr_from_mse(mse: float) -> float:
     return 20.0 * math.log10(255.0 / math.sqrt(mse))
 
 
+def _squared_error(x: np.ndarray, y: np.ndarray) -> int:
+    """Sum of squared differences of two uint8 frames, exactly."""
+    d = np.maximum(x, y)
+    d -= np.minimum(x, y)
+    sq = d.astype(np.uint16)
+    sq *= sq  # at most 255**2, so a uint32 row sum is exact to 66051 columns
+    acc = np.uint32 if sq.shape[-1] <= (2**32 - 1) // 255**2 else np.uint64
+    return int(sq.sum(axis=-1, dtype=acc).sum(dtype=np.uint64))
+
+
 def psnr_clip(a: VideoClip, b: VideoClip) -> MetricsReport:
-    """Per-frame PSNR between two clips plus the mean over finite entries."""
+    """Per-frame PSNR between two uint8 clips plus the mean over finite
+    entries. Each frame's squared error is an exact integer sum, so
+    sum / size is the mean squared error psnr computes, bit for bit."""
     if a.frame_count != b.frame_count:
         raise ValueError(
             f"frame count mismatch: {a.frame_count} vs {b.frame_count}"
         )
-    if not a.frames:
+    if not a.frames or not a.frames[0].size:
         raise ValueError("empty clip")
+    _require_uint8([*a.frames, *b.frames], "PSNR")
     values = []
     for fa, fb in zip(a.frames, b.frames):
         if fa.shape != fb.shape:
             raise ValueError(f"dimension mismatch: {fa.shape} vs {fb.shape}")
-        # uint8 frames: the squared differences are exact integers, and so
-        # is their float64 sum, so this equals psnr(fa, fb) bit for bit
-        d = fa.astype(np.int32) - fb
-        values.append(_psnr_from_mse(float(np.mean(d * d, dtype=np.float64))))
+        values.append(_psnr_from_mse(_squared_error(fa, fb) / fa.size))
     finite = [v for v in values if math.isfinite(v)]
     mean = sum(finite) / len(finite) if finite else math.inf
     return MetricsReport(psnr_per_frame=values, psnr_mean=mean)

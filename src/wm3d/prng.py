@@ -83,25 +83,35 @@ def permutation(n: int, seed: int) -> np.ndarray:
     return np.array(p, dtype=np.int64)
 
 
+def _as_float(x: np.ndarray) -> np.ndarray:
+    """x.astype(np.float64) of uint64 `x`, bit for bit but faster; clobbers x."""
+    out = (x >> np.uint64(32)).view(np.int64).astype(np.float64)
+    out *= 2.0**32  # exact, as are both int64 casts; the sum rounds once, as astype
+    x &= np.uint64(0xFFFFFFFF)
+    out += x.view(np.int64)
+    return out
+
+
 def _gaussian_pairs(seed: int, count: int, start: int, stop: int) -> tuple:
     """Box-Muller pairs [start, stop) of `count` standard normals.
 
     With pairs = ceil(count / 2), pair p takes stream words p and
-    pairs + p and gives deviate p as its cosine and deviate pairs + p as
-    its sine; an odd count drops the last sine. Returns (cos, sin), the
-    deviates [start, stop) and [pairs + start, min(pairs + stop, count))
-    of the whole draw, bit-identical to drawing it in one piece.
+    pairs + p (as floats, by _as_float) and gives deviate p as its
+    cosine and deviate pairs + p as its sine; an odd count drops the
+    last sine. Returns (cos, sin), the deviates [start, stop) and
+    [pairs + start, min(pairs + stop, count)) of the whole draw,
+    bit-identical to drawing it in one piece.
     """
     pairs = (count + 1) // 2
     x1 = _states(seed, start, stop)
     x2 = x1 + np.uint64((pairs * _GOLDEN) & MASK64)
-    r = _finalize(x1).astype(np.float64)
+    r = _as_float(_finalize(x1))
     r += 1.0
     r *= 2.0**-64  # (0, 1], log-safe
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    theta = _finalize(x2).astype(np.float64)
+    theta = _as_float(_finalize(x2))
     theta *= 2.0**-64
     theta *= 2.0 * np.pi
     cos = np.cos(theta)

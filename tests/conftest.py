@@ -11,7 +11,8 @@ import pytest
 
 from wm3d.embed import embed_clip
 from wm3d.extract import extract_clip
-from wm3d.media_io import VideoClip, quantize_luma
+from oracles import quantize_luma
+from wm3d.media_io import VideoClip
 
 # Keys used by every end-to-end test.
 SEED1, SEED2, SEED3 = 1, 2, 3

@@ -11,7 +11,9 @@ sums), and whole-frame embedding and extraction: every frame of a shot
 goes through the full temporal and spatial transforms, forward and
 inverse, as the crop-based path in wm3d.embed avoids doing. Also the
 sequential splitmix64 generator and Fisher-Yates shuffle, the pairwise
-histogram distance of shot detection, and scipy's DCT round trip for
+histogram distance of shot detection, the float64 luma rounding,
+averaging and PSNR, the per-block DCT round trip the compression proxy
+used before its separable products, and scipy's DCT round trip for
 the compression proxy; scipy is imported only when that oracle runs,
 since wm3d itself needs numpy only.
 """
@@ -21,9 +23,11 @@ import math
 import numpy as np
 
 from wm3d import extract
+from wm3d.attacks import _DCT
 from wm3d.embed import _NEIGHBOR_OFFSETS, _window_signs
 from wm3d.errors import GeometryError
-from wm3d.media_io import round_half_away
+from wm3d.media_io import _quantize_into, round_half_away
+from wm3d.metrics import _psnr_from_mse
 from wm3d.prng import MASK64, stream
 from wm3d.shots import HIST_BINS
 from wm3d.wavelet3d import SPATIAL_LEVELS, band_pattern
@@ -320,3 +324,43 @@ def compress_frame_scipy(frame: np.ndarray, table: np.ndarray) -> tuple:
     ratio = dctn(blocks, axes=(-2, -1), norm="ortho") / table
     back = idctn(round_half_away(ratio) * table, axes=(-2, -1), norm="ortho")
     return ratio, back.transpose(0, 2, 1, 3).reshape(h, w) + 128.0
+
+
+def quantize_luma(x: np.ndarray) -> np.ndarray:
+    """Round half away from zero and clamp to the 8-bit luma range.
+
+    For x >= 0, floor(x + 0.5) is exactly round_half_away's
+    floor(|x| + 0.5); negative inputs clamp to 0 either way.
+    """
+    y = np.array(x, dtype=np.float64)
+    out = np.empty(y.shape, dtype=np.uint8)
+    _quantize_into(out, y)
+    return out
+
+
+def compress_frame_blocks(frame: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The compression proxy's round trip as one 8x8 product per block."""
+    h, w = frame.shape
+    x = frame.astype(np.float64) - 128.0
+    blocks = x.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
+    coeffs = round_half_away(_DCT @ blocks @ _DCT.T / table) * table
+    back = _DCT.T @ coeffs @ _DCT
+    return quantize_luma(back.transpose(0, 2, 1, 3).reshape(h, w) + 128.0)
+
+
+def average_frames_float(frames) -> list:
+    """The averaging attack's frames through a float64 mean of three."""
+    out = [frames[0].copy()]
+    for k in range(1, len(frames) - 1):
+        mean = (frames[k - 1].astype(np.float64) + frames[k] + frames[k + 1]) / 3.0
+        out.append(quantize_luma(mean))
+    return out + [frames[-1].copy()]
+
+
+def psnr_frames_float(a, b) -> list:
+    """Per-frame PSNR from the float64 mean of int32 squared differences."""
+    values = []
+    for fa, fb in zip(a, b):
+        d = fa.astype(np.int32) - fb
+        values.append(_psnr_from_mse(float(np.mean(d * d, dtype=np.float64))))
+    return values

@@ -16,9 +16,15 @@ from wm3d.attacks import (
     attack_swap,
     quantization_table,
 )
-from oracles import compress_frame_scipy, gaussian_one_shot
+from oracles import (
+    average_frames_float,
+    compress_frame_blocks,
+    compress_frame_scipy,
+    gaussian_one_shot,
+    quantize_luma,
+)
 from wm3d.errors import GeometryError
-from wm3d.media_io import VideoClip, quantize_luma, round_half_away
+from wm3d.media_io import VideoClip, round_half_away
 from wm3d.metrics import psnr
 
 
@@ -75,6 +81,45 @@ def test_average_interior_mean():
 def test_average_needs_three_frames():
     with pytest.raises(ValueError, match="3 frames"):
         attack_average(_clip([1, 2]))
+
+
+def test_average_rounds_every_sum_as_the_float_mean():
+    # pixel s of the middle frame sees the three-pixel sum s, 0..765
+    sums = np.arange(766)
+    low, high = np.minimum(sums, 255), np.clip(sums - 510, 0, 255)
+    frames = [low, sums - low - high, high]
+    out = attack_average(VideoClip(frames=[f.astype(np.uint8)[None] for f in frames]))
+    assert np.array_equal(out.frames[1][0], quantize_luma(sums / 3.0))
+
+
+def _extreme_frames(h, w):
+    checker = np.indices((h, w)).sum(axis=0) % 2 * 255
+    return [np.zeros((h, w)), np.full((h, w), 255), checker, 255 - checker]
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        _rand_clip(n=6, h=24, w=40, seed=11).frames,
+        _extreme_frames(16, 16),
+        _extreme_frames(64, 8),
+        [np.zeros((0, 0))] * 3,
+    ],
+    ids=["seeded", "extremes", "8-wide", "0x0"],
+)
+def test_average_equals_float_oracle(frames):
+    clip = VideoClip(frames=[np.asarray(f, np.uint8) for f in frames])
+    got = attack_average(clip).frames
+    want = average_frames_float(clip.frames)
+    assert all(a.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_non_uint8_frames_rejected():
+    clip = VideoClip(frames=[np.full((8, 8), 10.9)] * 3)
+    with pytest.raises(ValueError, match="uint8"):
+        attack_average(clip)
+    with pytest.raises(ValueError, match="uint8"):
+        attack_compress(clip, 75)
 
 
 def test_swap_copies_predecessor():
@@ -150,6 +195,37 @@ def _dc_tie_frame(table):
     frame = _rand_clip(n=1, h=128, w=128, seed=8).frames[0]
     frame[:8, :8] = block.reshape(8, 8)
     return frame
+
+
+def _compress_cases(table):
+    return {
+        "seeded": _rand_clip(n=3, h=48, w=64, seed=12).frames,
+        "dc-tie": [_dc_tie_frame(table)],
+        "extremes": [f.astype(np.uint8) for f in _extreme_frames(32, 24)],
+        "8-wide": _rand_clip(n=2, h=64, w=8, seed=13).frames,
+        "0x0": [np.zeros((0, 0), np.uint8)] * 3,
+    }
+
+
+@pytest.mark.parametrize("case", ["seeded", "dc-tie", "extremes", "8-wide", "0x0"])
+@pytest.mark.parametrize("quality", [1, 10, 50, 75, 90, 100])
+def test_compress_equals_per_block_oracle(case, quality):
+    table = quantization_table(quality)
+    frames = _compress_cases(table)[case]
+    got = attack_compress(VideoClip(frames=frames), quality).frames
+    assert len(got) == len(frames)
+    for frame, out in zip(frames, got):
+        assert np.array_equal(out, compress_frame_blocks(frame, table))
+
+
+def test_compress_does_not_depend_on_the_worker_count(monkeypatch):
+    clip = VideoClip(frames=_rand_clip(n=7, h=40, w=48, seed=14).frames)
+    outs = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(attacks, "_usable_cpus", lambda: cpus)
+        outs.append(attack_compress(clip, 60).frames)
+    for frames in outs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(outs[0], frames))
 
 
 @pytest.mark.parametrize("quality", [10, 50, 75, 90, 100])

@@ -20,6 +20,7 @@ from oracles import (
     embed_shot_full,
     embed_window,
     extract_planes_full,
+    quantize_luma,
     spatial_forward3,
     temporal_forward_stacked,
     temporal_inverse,
@@ -34,7 +35,6 @@ from wm3d.embed import (
 )
 from wm3d.extract import extract_plane, extract_shot
 from wm3d.keyfile import write_key
-from wm3d.media_io import quantize_luma
 from wm3d.wavelet3d import BANDS, band_sums, subband_rect, temporal_analysis
 
 TIE_TOLERANCE = 1e-9

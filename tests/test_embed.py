@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED1, SEED2, SEED3, make_noise_clip
-from oracles import embed_plane, neighbor_max, spread_sign
+from oracles import embed_plane, neighbor_max, quantize_luma, spread_sign
 from wm3d.embed import (
     EmbedParams,
     _neighbor_max_grid,
@@ -15,7 +15,7 @@ from wm3d.embed import (
 )
 from wm3d.errors import GeometryError
 from wm3d.keyfile import write_key
-from wm3d.media_io import VideoClip, quantize_luma
+from wm3d.media_io import VideoClip
 from wm3d.metrics import psnr
 from wm3d.wavelet3d import subband_rect
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
-from oracles import embed_plane, extract_plane
+from oracles import embed_plane, extract_plane, quantize_luma
 from wm3d.embed import EmbedParams, embed_clip
 from wm3d.errors import GeometryError
 from wm3d.extract import extract_clip, extract_frames, extract_shot
 from wm3d.keyfile import KeyBundle, ShotRecord
-from wm3d.media_io import VideoClip, quantize_luma
+from wm3d.media_io import VideoClip
 from wm3d.metrics import nc
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from wm3d import media_io
+from oracles import quantize_luma
 from wm3d.errors import FormatError
 from wm3d.media_io import (
     VideoClip,
     iter_y4m,
-    quantize_luma,
     read_pgm,
     read_pgm_sequence,
     read_y4m,

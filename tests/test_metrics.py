@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import psnr_frames_float
 from wm3d.media_io import VideoClip
-from wm3d.metrics import nc, psnr, psnr_clip
+from wm3d.metrics import _squared_error, nc, psnr, psnr_clip
 
 
 def test_nc_identical_is_unity():
@@ -108,6 +109,52 @@ def test_psnr_clip_count_mismatch():
 def test_psnr_clip_empty_clips_rejected():
     with pytest.raises(ValueError, match="empty clip"):
         psnr_clip(VideoClip(frames=[]), VideoClip(frames=[]))
+    no_pixels = VideoClip(frames=[np.zeros((0, 0), np.uint8)] * 3)
+    with pytest.raises(ValueError, match="empty clip"):
+        psnr_clip(no_pixels, no_pixels)
+
+
+def test_psnr_clip_rejects_non_uint8_frames():
+    # 49 dB apart; an int cast of one side only would make them equal
+    a = VideoClip(frames=[np.full((4, 4), 10.9)])
+    b = VideoClip(frames=[np.full((4, 4), 10.0)])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="uint8"):
+            psnr_clip(x, y)
+
+
+def _checker(h, w):
+    return (np.indices((h, w)).sum(axis=0) % 2 * 255).astype(np.uint8)
+
+
+def _psnr_cases():
+    rs = np.random.RandomState(7)
+    zero, full = np.zeros((16, 16), np.uint8), np.full((16, 16), 255, np.uint8)
+    checker = _checker(16, 16)
+    return {
+        "seeded": [tuple(rs.randint(0, 256, (2, 36, 52)).astype(np.uint8)) for _ in range(4)],
+        "extremes": [(zero, full), (checker, 255 - checker), (checker, zero), (full, full)],
+        "8-wide": [(_checker(64, 8), np.full((64, 8), 3, np.uint8))],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_psnr_cases()))
+def test_psnr_clip_equals_float_oracle(case):
+    pairs = _psnr_cases()[case]
+    a = VideoClip(frames=[x for x, _ in pairs])
+    b = VideoClip(frames=[y for _, y in pairs])
+    want = psnr_frames_float(a.frames, b.frames)
+    assert psnr_clip(a, b).psnr_per_frame == want
+    assert psnr_clip(b, a).psnr_per_frame == want
+
+
+@pytest.mark.parametrize("width", [66051, 66052, 200003])
+def test_squared_error_is_exact_at_any_width(width):
+    # 0 against 255 everywhere: a uint32 row sum overflows past 66051 columns
+    a = np.zeros((2, width), np.uint8)
+    b = np.full((2, width), 255, np.uint8)
+    assert _squared_error(a, b) == 2 * width * 255**2
+    assert psnr_clip(VideoClip(frames=[a]), VideoClip(frames=[b])).psnr_per_frame == [0.0]
 
 
 def test_psnr_clip_dim_mismatch():

@@ -4,6 +4,7 @@ import pytest
 from oracles import SplitMix64, fisher_yates, gaussian_one_shot
 from wm3d.prng import (
     MASK64,
+    _as_float,
     _gaussian_pairs,
     hash64,
     mix64,
@@ -131,3 +132,26 @@ def test_gaussian_any_pair_range_matches_one_shot_draw(count):
     ranges += [tuple(sorted(rs.randint(0, pairs + 1, 2))) for _ in range(20)]
     for a, b in ranges:
         _check_pair_range(whole, count, int(a), int(b))
+
+
+def _assert_as_float_equals_cast(words):
+    words = np.asarray(words, dtype=np.uint64)
+    got = _as_float(words.copy())
+    assert np.array_equal(got, words.astype(np.float64))
+    assert got.tolist() == [float(w) for w in words.tolist()]  # Python rounds exactly
+
+
+def test_as_float_edge_words():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63,
+             2**63 + 1, 2**64 - 2, 2**64 - 1]
+    _assert_as_float_equals_cast(edges)
+
+
+def test_as_float_random_and_tie_words():
+    words = np.random.RandomState(3).randint(0, 2**63, 200000, dtype=np.uint64)
+    words[::2] |= np.uint64(1 << 63)  # half with 64 significant bits
+    _assert_as_float_equals_cast(words)
+    # low 11 bits exactly halfway: a tie that rounds to even in the kept bits
+    ties = (words & np.uint64(~0x7FF & MASK64)) | np.uint64(0x400)
+    _assert_as_float_equals_cast(ties)
+    _assert_as_float_equals_cast(ties >> np.uint64(1))  # 63 bits: low 10 bits tie

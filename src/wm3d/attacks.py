@@ -169,32 +169,13 @@ def _on_workers(task, items) -> None:
             task(item)
 
 
-def _pair_chunks(count: int, size: int) -> list:
-    """Pair ranges [a, b) that split `count` deviates in frames of `size`.
-
-    With pairs = ceil(count / 2), each range's cosines [a, b) and its
-    sines [pairs + a, pairs + b) each sit inside one frame, and no range
-    holds more than _CHUNK_PAIRS pairs.
-    """
-    if count == 0:
-        return []
-    pairs = (count + 1) // 2
-    cos_cuts = range(size, pairs, size)
-    sin_cuts = range(-pairs % size, pairs, size)  # pair p whose sine starts a frame
-    cuts = sorted({0, pairs, *cos_cuts, *sin_cuts})
-    chunks = []
-    for a, b in zip(cuts, cuts[1:]):
-        n = -(-(b - a) // _CHUNK_PAIRS)
-        chunks += [(a + (b - a) * i // n, a + (b - a) * (i + 1) // n) for i in range(n)]
-    return chunks
-
-
 def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     """Add keyed Gaussian noise of the given standard deviation.
 
     Pixel i of frame k gets deviate k*H*W + i of one Box-Muller draw
     over the clip. Each pair is drawn once, and its cosine and sine go
-    straight to their pixels. The chunks of pairs run on a thread per
+    straight to their pixels, a run of deviates split where it crosses
+    a frame edge. Chunks of _CHUNK_PAIRS pairs run on a thread per
     usable CPU and write disjoint slices of one output, so the result
     does not depend on the CPU count.
     """
@@ -210,17 +191,18 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     out = np.empty((clip.frame_count, size), dtype=np.uint8)
 
     def add(z, start):
-        k, i = divmod(start, size)
         z *= sigma
-        z += src[k][i : i + len(z)]
-        _quantize_into(out[k, i : i + len(z)], z)
+        while len(z):
+            k, i = divmod(start, size)
+            part, z = z[: size - i], z[size - i :]
+            part += src[k][i : i + len(part)]
+            _quantize_into(out[k, i : i + len(part)], part)
+            start += len(part)
 
-    def fill(chunk):
-        a, b = chunk
-        cos, sin = prng._gaussian_pairs(seed, count, a, b)
+    def fill(a):
+        cos, sin = prng._gaussian_pairs(seed, count, a, min(a + _CHUNK_PAIRS, pairs))
         add(cos, a)
-        if len(sin):  # an odd count has no sine for its last pair
-            add(sin, pairs + a)
+        add(sin, pairs + a)  # an odd count has no sine for its last pair
 
-    _on_workers(fill, _pair_chunks(count, size))
+    _on_workers(fill, range(0, pairs, _CHUNK_PAIRS))
     return replace(clip, frames=list(out.reshape(clip.frame_count, h, w)))

@@ -22,7 +22,7 @@ from .attacks import (
     attack_noise,
     attack_swap,
 )
-from .embed import EmbedParams, embed_clip
+from .embed import DEFAULT_ALPHA, EmbedParams, embed_clip
 from .errors import FormatError, GeometryError
 from .extract import extract_clip, extract_frames
 from .keyfile import read_key, write_key
@@ -49,6 +49,7 @@ EXIT_GEOMETRY = 3
 DEFAULT_SEED1 = 1
 DEFAULT_SEED2 = 2
 DEFAULT_SEED3 = 3
+_NOISE_SEED = 1234
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +86,9 @@ def _parse_offset(text: str):
         raise FormatError(f"bad offset {text!r}, expected ROW,COL") from None
 
 
-def _parse_shot_list(text: str, frame_count: int):
-    """Manual segmentation 'a:b,c:d' -> boundary list; must tile the clip."""
+def _parse_shot_list(text: str):
+    """Manual segmentation 'a:b,c:d' -> boundary list; the spans must
+    follow on from 0 without gaps (embed_clip checks where they end)."""
     boundaries = []
     prev_end = 0
     for part in text.split(","):
@@ -101,10 +103,6 @@ def _parse_shot_list(text: str, frame_count: int):
         boundaries.append(a)
         prev_end = b
     boundaries.append(prev_end)
-    if prev_end != frame_count:
-        raise GeometryError(
-            f"shot spans end at {prev_end} but the clip has {frame_count} frames"
-        )
     return boundaries
 
 
@@ -117,9 +115,7 @@ def cmd_embed(args) -> int:
         region_col0=args.offset[1],
         band=args.band,
     )
-    boundaries = (
-        _parse_shot_list(args.shots, clip.frame_count) if args.shots else None
-    )
+    boundaries = _parse_shot_list(args.shots) if args.shots else None
     marked, bundle = embed_clip(
         clip,
         watermark,
@@ -240,10 +236,12 @@ _BENCH_ATTACKS = ",".join(
 def _parse_attack_list(text: str, seed: int):
     specs = []
     for part in text.split(","):
-        name, _, param = part.partition(":")
+        name, colon, param = part.partition(":")
         attack = _ATTACKS.get(name)
         if attack is None:
             raise FormatError(f"unknown attack {name!r}")
+        if colon and attack.parse is None:
+            raise FormatError(f"attack {name!r} takes no parameter, got {part!r}")
         value = None
         if attack.parse is not None:
             value = attack.parse(param) if param else attack.default
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wm", required=True, help="watermark PGM image")
     p.add_argument("--key-out", required=True, help="key file to write")
     p.add_argument("--out", dest="output", required=True, help="output video")
-    p.add_argument("--alpha", type=float, default=0.1,
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                    help="embedding intensity (default %(default)s)")
     _add_seed_options(p)
     p.add_argument("--select-fraction", type=float, default=1.0,
@@ -312,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", help="manual shot spans, e.g. 0:30,30:64")
     p.add_argument("--shot-threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="histogram cut threshold (default %(default)s)")
-    p.add_argument("--band", default="lh3", choices=BANDS,
+    p.add_argument("--band", default=EmbedParams.band, choices=BANDS,
                    help="target subband (default %(default)s)")
     p.add_argument("--offset", type=_parse_offset, default=(0, 0),
                    metavar="ROW,COL", help="watermark offset inside the subband")
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compression quality 1..100 (default %(default)s)")
     p.add_argument("--sigma", type=float, default=_ATTACKS["noise"].default,
                    help="noise standard deviation (default %(default)s)")
-    p.add_argument("--seed", type=int, default=1234,
+    p.add_argument("--seed", type=int, default=_NOISE_SEED,
                    help="noise seed (default %(default)s)")
     p.set_defaults(func=cmd_attack)
 
@@ -357,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="embed/attack/extract sweep as CSV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--wm", required=True)
-    p.add_argument("--alphas", default="0.1", help="comma list of alphas")
+    p.add_argument("--alphas", default=str(DEFAULT_ALPHA), help="comma list of alphas")
     p.add_argument("--attacks", default=_BENCH_ATTACKS,
                    help=f"comma list, e.g. {_BENCH_ATTACKS}")
-    p.add_argument("--seed", type=int, default=1234, help="noise attack seed")
+    p.add_argument("--seed", type=int, default=_NOISE_SEED, help="noise attack seed")
     _add_seed_options(p)
     p.set_defaults(func=cmd_bench)
 

@@ -28,12 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GeometryError
-from .keyfile import PLANE_COUNT, KeyBundle, ShotRecord
+from .keyfile import KeyBundle, ShotRecord
 from .media_io import VideoClip
 from .prng import MASK64
 from .shots import (
     DEFAULT_THRESHOLD,
     MIN_EMBED_SHOT_LEN,
+    PLANE_COUNT,
     detect_shots,
     select_shots,
     shot_spans,
@@ -237,8 +238,7 @@ def embed_clip(
     # Fail fast on geometry before any transform work.
     if not clip.frames:
         raise ValueError("empty clip")
-    rect = params.rect_for(clip.height, clip.width)
-    _wm_slices(rect.rows, rect.cols, params, wm_h, wm_w)
+    _window_crop(params, clip.height, clip.width, wm_h, wm_w)
 
     if boundaries is None:
         boundaries = detect_shots(clip, threshold)

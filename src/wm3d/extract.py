@@ -22,10 +22,10 @@ import numpy as np
 
 from .embed import EmbedParams, _crop_coeffs, _window_crop, _window_signs
 from .errors import GeometryError
-from .keyfile import PLANE_COUNT, KeyBundle
+from .keyfile import KeyBundle
 from .media_io import VideoClip
 from .metrics import nc as nc_metric
-from .shots import shot_spans
+from .shots import PLANE_COUNT, shot_spans
 from .wmprep import compose_bitplanes, undisorder, unpermute
 
 
@@ -112,7 +112,10 @@ def extract_frames(
         region_col0=bundle.region_col0,
         band=bundle.band,
     )
-    # Surface geometry mismatches (wrong clip for this key) up front.
+    # Surface a bundle without shots and geometry mismatches (wrong clip
+    # for this key) before any frame is read.
+    if not bundle.records:
+        raise GeometryError("key bundle selects no shots")
     _window_crop(params, height, width, bundle.wm_height, bundle.wm_width)
 
     spans = shot_spans(bundle.boundaries)
@@ -139,9 +142,6 @@ def extract_frames(
         results.append(res)
     for _ in frames:  # read on to the end: a damaged tail fails as in read_y4m
         pass
-
-    if not results:
-        raise GeometryError("key bundle selects no shots")
 
     votes = np.sum([r.bitplanes.astype(np.int32) for r in results], axis=0)
     count = len(results)

@@ -27,27 +27,11 @@ import numpy as np
 
 from .errors import FormatError
 from .prng import MASK64
-from .shots import MIN_EMBED_SHOT_LEN
+from .shots import MIN_EMBED_SHOT_LEN, PLANE_COUNT
 from .wavelet3d import BANDS
 
 MAGIC = "WM3DKEY"
 VERSION = 1
-
-PLANE_COUNT = 8
-
-_HEADER_FIELDS = (
-    "seed1",
-    "seed2",
-    "seed3",
-    "alpha",
-    "wm_w",
-    "wm_h",
-    "band",
-    "row0",
-    "col0",
-    "boundaries",
-    "selected",
-)
 
 
 @dataclass(eq=False)
@@ -91,6 +75,8 @@ def _check_bundle(bundle: KeyBundle) -> None:
     if len(b) < 2 or b[0] != 0 or any(y <= x for x, y in zip(b, b[1:])):
         raise FormatError(f"bad shot boundaries {list(b)}")
     shot_count = len(bundle.boundaries) - 1
+    if not bundle.selected:
+        raise FormatError("key bundle selects no shots")
     if any(not 0 <= i < shot_count for i in bundle.selected):
         raise FormatError("selected shot index outside boundary range")
     if list(bundle.selected) != sorted(set(bundle.selected)):
@@ -136,24 +122,37 @@ def _unpack_plane(text: str, height: int, width: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).reshape(height, width)
 
 
+def _parse_int_list(value: str) -> tuple:
+    return tuple(int(v) for v in value.split(",")) if value else ()
+
+
+def _format_int_list(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# The header, in file order: (name in the file, KeyBundle attribute,
+# parser, formatter). Alpha is written as the repr of a float, so an
+# integer alpha 0 still reads back as 0.0.
+_HEADER = (
+    ("seed1", "seed1", int, str),
+    ("seed2", "seed2", int, str),
+    ("seed3", "seed3", int, str),
+    ("alpha", "alpha", float, lambda v: repr(float(v))),
+    ("wm_w", "wm_width", int, str),
+    ("wm_h", "wm_height", int, str),
+    ("band", "band", str, str),
+    ("row0", "region_row0", int, str),
+    ("col0", "region_col0", int, str),
+    ("boundaries", "boundaries", _parse_int_list, _format_int_list),
+    ("selected", "selected", _parse_int_list, _format_int_list),
+)
+
+
 def write_key(bundle: KeyBundle, sink) -> None:
     """Serialize a key bundle; fails on an inconsistent bundle."""
     _check_bundle(bundle)
     lines = [f"{MAGIC} {VERSION}"]
-    values = {
-        "seed1": bundle.seed1,
-        "seed2": bundle.seed2,
-        "seed3": bundle.seed3,
-        "alpha": repr(float(bundle.alpha)),
-        "wm_w": bundle.wm_width,
-        "wm_h": bundle.wm_height,
-        "band": bundle.band,
-        "row0": bundle.region_row0,
-        "col0": bundle.region_col0,
-        "boundaries": ",".join(str(b) for b in bundle.boundaries),
-        "selected": ",".join(str(i) for i in bundle.selected),
-    }
-    lines += [f"{name}={values[name]}" for name in _HEADER_FIELDS]
+    lines += [f"{name}={fmt(getattr(bundle, attr))}" for name, attr, _, fmt in _HEADER]
     for rec in bundle.records:
         lines.append(f"shot={rec.shot_index}")
         for k in range(PLANE_COUNT):
@@ -165,15 +164,6 @@ def write_key(bundle: KeyBundle, sink) -> None:
             fh.write(text)
     else:
         sink.write(text)
-
-
-def _parse_int_list(value: str) -> tuple:
-    if value == "":
-        return ()
-    try:
-        return tuple(int(v) for v in value.split(","))
-    except ValueError as exc:
-        raise FormatError(f"bad integer list {value!r}") from exc
 
 
 def read_key(source) -> KeyBundle:
@@ -198,32 +188,17 @@ def read_key(source) -> KeyBundle:
     if magic[1] != str(VERSION):
         raise FormatError(f"unknown key file version {magic[1]!r}")
 
-    fields = {}
-    pos = 1
-    for name in _HEADER_FIELDS:
+    values = {}
+    for pos, (name, attr, parse, _) in enumerate(_HEADER, start=1):
         if pos >= len(lines) or not lines[pos].startswith(f"{name}="):
             raise FormatError(f"missing or misplaced header field {name!r}")
-        fields[name] = lines[pos].split("=", 1)[1]
-        pos += 1
-
-    try:
-        bundle = KeyBundle(
-            seed1=int(fields["seed1"]),
-            seed2=int(fields["seed2"]),
-            seed3=int(fields["seed3"]),
-            alpha=float(fields["alpha"]),
-            wm_width=int(fields["wm_w"]),
-            wm_height=int(fields["wm_h"]),
-            band=fields["band"],
-            region_row0=int(fields["row0"]),
-            region_col0=int(fields["col0"]),
-            boundaries=_parse_int_list(fields["boundaries"]),
-            selected=_parse_int_list(fields["selected"]),
-        )
-    except ValueError as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"bad header value: {exc}") from exc
+        text = lines[pos].split("=", 1)[1]
+        try:
+            values[attr] = parse(text)
+        except ValueError as exc:
+            raise FormatError(f"bad {name} value {text!r}") from exc
+    bundle = KeyBundle(**values)
+    pos = len(_HEADER) + 1
 
     while pos < len(lines):
         if not lines[pos].startswith("shot="):

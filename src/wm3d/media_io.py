@@ -354,17 +354,10 @@ def write_pgm(image: np.ndarray, sink) -> None:
             stream.close()
 
 
-def read_pgm_sequence(source) -> VideoClip:
-    """Read an ordered PGM frame sequence as a luma-only clip.
-
-    `source` is a directory (its *.pgm files are taken in lexicographic
-    name order) or an iterable of file paths taken as given.
-    """
-    if isinstance(source, (str, Path)):
-        directory = Path(source)
-        paths = sorted(directory.glob("*.pgm"), key=lambda p: p.name)
-    else:
-        paths = [Path(p) for p in source]
+def read_pgm_sequence(directory) -> VideoClip:
+    """Read a directory's *.pgm files, in lexicographic name order, as a
+    luma-only clip."""
+    paths = sorted(Path(directory).glob("*.pgm"), key=lambda p: p.name)
     if not paths:
         raise FormatError("no PGM frames found")
     frames = [read_pgm(p) for p in paths]
@@ -375,10 +368,9 @@ def read_pgm_sequence(source) -> VideoClip:
     return VideoClip(frames=frames)
 
 
-def write_pgm_sequence(
-    clip: VideoClip, directory, pattern: str = "frame_{:06d}.pgm"
-) -> None:
-    """Write clip frames as zero-padded PGM files (frame_000001.pgm, ...).
+def write_pgm_sequence(clip: VideoClip, directory) -> None:
+    """Write clip frames as frame_000001.pgm, frame_000002.pgm, ... in
+    `directory`, which is made if missing.
 
     Chroma and frame rate have no PGM representation and are dropped.
     """
@@ -386,4 +378,4 @@ def write_pgm_sequence(
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     for k, frame in enumerate(clip.frames, start=1):
-        write_pgm(frame, out / pattern.format(k))
+        write_pgm(frame, out / f"frame_{k:06d}.pgm")

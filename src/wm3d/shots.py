@@ -17,9 +17,11 @@ from .media_io import VideoClip
 HIST_BINS = 64
 DEFAULT_THRESHOLD = 0.35
 
-# Shortest shot that still yields 8 temporal detail frames after
-# padding to a power of two (9 frames pad to 16).
-MIN_EMBED_SHOT_LEN = 9
+# The watermark's 8 bitplanes ride on temporal coefficient frames 1..8,
+# so the shortest shot to embed into has one frame more: 9 frames pad to
+# 16 and yield 8 temporal detail frames.
+PLANE_COUNT = 8
+MIN_EMBED_SHOT_LEN = PLANE_COUNT + 1
 
 
 def _histogram(frame: np.ndarray) -> np.ndarray:
@@ -78,25 +80,21 @@ def validate_boundaries(boundaries, frame_count: int) -> None:
         raise GeometryError(f"boundaries must be strictly increasing, got {b}")
 
 
-def select_shots(
-    boundaries,
-    seed3: int,
-    fraction: float = 1.0,
-    min_length: int = MIN_EMBED_SHOT_LEN,
-) -> list:
+def select_shots(boundaries, seed3: int, fraction: float = 1.0) -> list:
     """Keyed choice of which shots carry the watermark.
 
-    Shots long enough to embed are ranked by a splitmix64 hash of
-    (seed3, shot index) and the first ceil(fraction * eligible) are
-    taken. Returns sorted shot indices; deterministic in all inputs.
+    Shots of at least MIN_EMBED_SHOT_LEN frames are ranked by a
+    splitmix64 hash of (seed3, shot index) and the first
+    ceil(fraction * eligible) are taken. Returns sorted shot indices;
+    deterministic in all inputs.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     spans = shot_spans(boundaries)
-    eligible = [i for i, (a, b) in enumerate(spans) if b - a >= min_length]
+    eligible = [i for i, (a, b) in enumerate(spans) if b - a >= MIN_EMBED_SHOT_LEN]
     if not eligible:
         raise GeometryError(
-            f"no shot of at least {min_length} frames to embed into "
+            f"no shot of at least {MIN_EMBED_SHOT_LEN} frames to embed into "
             f"(shot lengths: {[b - a for a, b in spans]})"
         )
     eligible.sort(key=lambda i: prng.hash64(seed3, i))

@@ -7,7 +7,6 @@ from wm3d.attacks import (
     _DCT,
     _MAX_WORKERS,
     _QTABLE,
-    _pair_chunks,
     _usable_cpus,
     attack_average,
     attack_compress,
@@ -324,25 +323,6 @@ def test_noise_matches_one_shot_draw_across_chunks(monkeypatch, n, h, w):
         _set_cpus(monkeypatch, cpus)
         outs.append(_assert_noise_matches_oracle(clip, 3.0, 12))
     assert all(np.array_equal(a, b) for a, b in zip(outs[0].frames, outs[1].frames))
-
-
-@pytest.mark.parametrize(
-    "count, size",
-    [(315, 63), (3, 1), (105, 15), (100, 25), (153600, 76800), (299997, 99999),
-     (64 * 230400, 230400)],
-)
-def test_pair_chunks_stay_inside_frames(count, size):
-    pairs = (count + 1) // 2
-    chunks = _pair_chunks(count, size)
-    assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
-    assert chunks[-1][1] == pairs
-    for a, b in chunks:
-        assert 0 < b - a <= _CHUNK_PAIRS
-        assert a // size == (b - 1) // size
-        sin_stop = min(b + pairs, count)
-        if sin_stop > a + pairs:
-            assert (a + pairs) // size == (sin_stop - 1) // size
-    assert _pair_chunks(0, 5) == []
 
 
 def test_usable_cpus_follows_affinity_then_cpu_count(monkeypatch):

@@ -124,6 +124,24 @@ def test_extract_key_with_short_shot_exits_2(workdir, capsys):
     assert "selected shot 0 has 3 frames" in capsys.readouterr().err
 
 
+def test_extract_key_selecting_no_shots_exits_2(workdir, capsys):
+    assert _embed(workdir) == 0
+    key = workdir / "k.key"
+    header = key.read_text().split("shot=")[0]
+    key.write_text(header.replace("selected=0\n", "selected=\n"))
+    capsys.readouterr()
+    code = main(
+        [
+            "extract",
+            "--in", str(workdir / "marked.y4m"),
+            "--key", str(key),
+            "--out", str(workdir / "x.pgm"),
+        ]
+    )
+    assert code == 2
+    assert "selects no shots" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["y4m", "pgm-dir"])
 def test_extract_key_claiming_a_million_frames_allocates_little(
     workdir, capsys, source
@@ -232,8 +250,9 @@ def test_bench_noise_seed_outside_64_bits_exits_2(workdir):
         ["--attacks", "swap,compress:0"],
         ["--attacks", "swap,noise:nan"],
         ["--attacks", "swap", "--seed1", "-1"],
+        ["--attacks", "drop:5,swap"],
     ],
-    ids=["noise-seed", "alpha", "quality", "sigma", "key-seed"],
+    ids=["noise-seed", "alpha", "quality", "sigma", "key-seed", "drop-param"],
 )
 def test_bench_checks_arguments_before_any_output(workdir, capsys, extra):
     code = main(["bench", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),

@@ -209,6 +209,20 @@ def test_extract_clip_empty_clip_rejected():
         extract_clip(VideoClip(frames=[]), _synthetic_bundle(1, 2))
 
 
+def test_extract_frames_rejects_no_records_before_reading(watermark):
+    bundle = _synthetic_bundle(1, 2)
+    bundle.selected, bundle.records = (), []
+    read = []
+
+    def frames():
+        read.append(1)
+        yield np.zeros((64, 64), np.uint8)
+
+    with pytest.raises(GeometryError, match="selects no shots"):
+        extract_frames(frames(), 64, 64, bundle, watermark)
+    assert read == []
+
+
 def test_extract_geometry_mismatch(embedded, watermark):
     run = embedded["noise"]
     small = VideoClip(frames=[np.zeros((64, 64), np.uint8)] * 64)

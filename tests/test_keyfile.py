@@ -56,6 +56,10 @@ def test_alpha_repr_roundtrips_exactly():
     for alpha in (0.1, 1.0 / 3.0, 0.07500000000000001, 0.0):
         again, _ = _roundtrip(_bundle(alpha=alpha))
         assert again.alpha == alpha
+    # an integer alpha is written as a float, as EmbedParams(alpha=0) gives it
+    again, text = _roundtrip(_bundle(alpha=0))
+    assert "\nalpha=0.0\n" in text
+    assert again.alpha == 0.0 and isinstance(again.alpha, float)
 
 
 def test_plane_lines_are_44_base64_chars():
@@ -117,6 +121,29 @@ def test_missing_plane_rejected():
     lines = [ln for ln in text.splitlines() if not ln.startswith("plane8=")]
     with pytest.raises(FormatError, match="plane 8"):
         read_key(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("seed1", "x"), ("seed2", "-"), ("seed3", "1.5"), ("alpha", "x"),
+     ("wm_w", "1.5"), ("wm_h", ""), ("band", "lh9"), ("row0", "x"), ("col0", "0x1"),
+     ("boundaries", "0,a"), ("selected", "a")],
+)
+def test_bad_header_value_names_its_field(name, value):
+    _, text = _roundtrip(_bundle())
+    lines = [f"{name}={value}" if ln.startswith(f"{name}=") else ln
+             for ln in text.splitlines()]
+    with pytest.raises(FormatError, match=name):
+        read_key(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_empty_selection_rejected():
+    with pytest.raises(FormatError, match="selects no shots"):
+        write_key(_bundle(selected=(), records=[]), io.StringIO())
+    _, text = _roundtrip(_bundle())
+    header = text.split("shot=")[0].replace("selected=0,1", "selected=")
+    with pytest.raises(FormatError, match="selects no shots"):
+        read_key(io.StringIO(header))
 
 
 def test_missing_header_field_rejected():

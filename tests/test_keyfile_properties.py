@@ -25,9 +25,11 @@ U64 = st.integers(0, 2**64 - 1)
 def bundles(draw):
     steps = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
     boundaries = tuple(np.cumsum([0] + steps).tolist())
-    # only shots long enough to carry a mark can be selected
+    # only shots long enough to carry a mark can be selected, and a key
+    # selects at least one
     long_enough = [i for i, n in enumerate(steps) if n >= MIN_EMBED_SHOT_LEN]
-    selected = tuple(sorted(draw(st.sets(st.sampled_from(long_enough))))) if long_enough else ()
+    hypothesis.assume(long_enough)
+    selected = tuple(sorted(draw(st.sets(st.sampled_from(long_enough), min_size=1))))
     wm_h, wm_w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     records = []
     for index in selected:
@@ -73,7 +75,6 @@ def test_any_valid_bundle_roundtrips(bundle):
 @PROPERTY
 @given(bundles(), st.data())
 def test_short_selected_shot_raises_format_error(bundle, data):
-    hypothesis.assume(bundle.selected)
     shot = data.draw(st.sampled_from(bundle.selected))
     length = data.draw(st.integers(1, MIN_EMBED_SHOT_LEN - 1))
     b = bundle.boundaries
@@ -111,7 +112,9 @@ def test_truncated_key_parses_or_raises_format_error(bundle, data):
 
 
 def test_non_ascii_key_raises_format_error(tmp_path):
-    key = _key_bytes(KeyBundle(1, 2, 3, 0.1, 1, 1, boundaries=(0, 9)))
+    record = ShotRecord(shot_index=0, planes=np.ones((8, 1, 1), np.int8))
+    key = _key_bytes(KeyBundle(1, 2, 3, 0.1, 1, 1, boundaries=(0, 9), selected=(0,),
+                               records=[record]))
     path = tmp_path / "k.key"
     path.write_bytes(key.replace(b"alpha=0.1", b"alpha=0.\xe91"))
     with pytest.raises(FormatError, match="ASCII"):

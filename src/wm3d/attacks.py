@@ -115,15 +115,14 @@ def _compress_frame(table, frame, out) -> None:
 def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
     """Intra-only lossy proxy: per-frame 8x8 DCT quantization round trip.
 
-    Frames share the noise attack's worker threads; the output does not
-    depend on the CPU count. Coefficients are divided by the scaled
-    table and rounded half away from zero. Tie rule: the DC, (0,4),
-    (4,0) and (4,4) coefficients of an 8-bit block are multiples of 1/8,
-    so `coeff/table` can be an exact .5 tie. The float64 basis-matrix
-    DCT's rounding error (about 1e-14) decides which way such a tie
-    rounds; another DCT, such as scipy's, may round it the other way,
-    which moves every pixel of the block by table/8 before the final
-    rounding.
+    Frames run on a thread per usable CPU; the output does not depend on
+    the CPU count. Coefficients are divided by the scaled table and
+    rounded half away from zero. Tie rule: the DC, (0,4), (4,0) and (4,4)
+    coefficients of an 8-bit block are multiples of 1/8, so `coeff/table`
+    can be an exact .5 tie. The float64 basis-matrix DCT's rounding error
+    (about 1e-14) decides which way such a tie rounds; another DCT, such
+    as scipy's, may round it the other way, which moves every pixel of
+    the block by table/8 before the final rounding.
     """
     if clip.height % 8 or clip.width % 8:
         raise GeometryError(
@@ -131,16 +130,22 @@ def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
             f"got {clip.width}x{clip.height}"
         )
     _require_uint8(clip.frames, "compression proxy")
-    table = quantization_table(quality)
+    tables = [quantization_table(quality)] * clip.frame_count
     out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)
-    _on_workers(lambda pair: _compress_frame(table, *pair), list(zip(clip.frames, out)))
+    workers = min(_usable_cpus(), clip.frame_count)
+    if workers > 1:
+        # imported here to keep it off every CLI start; tasks call only private
+        # helpers, as perfbench's tracer keeps one span stack that threads would mix
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(_compress_frame, tables, clip.frames, out))
+    else:
+        list(map(_compress_frame, tables, clip.frames, out))
     return replace(clip, frames=list(out))
 
 
-# Box-Muller pairs per noise chunk: enough to amortize numpy's per-call
-# overhead, few enough that a chunk's temporaries stay near 2 MB.
-_CHUNK_PAIRS = 1 << 15
-# Most threads the noise and compress attacks run, however many CPUs they may use.
+# Most threads the compression proxy runs, however many CPUs it may use.
 _MAX_WORKERS = 4
 
 
@@ -153,56 +158,32 @@ def _usable_cpus() -> int:
     return min(n, _MAX_WORKERS)
 
 
-def _on_workers(task, items) -> None:
-    """Run task(item) for each item, on a thread per usable CPU. Tasks call
-    only private helpers: perfbench's tracer wraps every public wm3d
-    function around one span stack, which threads would interleave."""
-    workers = min(_usable_cpus(), len(items))
-    if workers > 1:
-        # imported here, not at module level, to keep it off every CLI start
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(task, items))
-    else:
-        for item in items:
-            task(item)
+def _noise_steps(sigma: float) -> np.ndarray:
+    """step[u] = clip(floor(sigma * z[u] + 0.5), -255, 255) in int16, for z
+    from prng._normal_quantiles. Each step saturates from sigma 2**24 on (the
+    smallest |z| is about 1.9e-5), so capping sigma there keeps sigma*z finite."""
+    z = prng._normal_quantiles() * min(sigma, 2.0**24)
+    return np.clip(np.floor(z + 0.5), -255, 255).astype(np.int16)
 
 
 def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     """Add keyed Gaussian noise of the given standard deviation.
 
-    Pixel i of frame k gets deviate k*H*W + i of one Box-Muller draw
-    over the clip. Each pair is drawn once, and its cosine and sine go
-    straight to their pixels, a run of deviates split where it crosses
-    a frame edge. Chunks of _CHUNK_PAIRS pairs run on a thread per
-    usable CPU and write disjoint slices of one output, so the result
-    does not depend on the CPU count.
+    Pixel i of frame k, of value p, becomes clip(p + step[u], 0, 255) for u
+    = prng._uniform16 number k*H*W + i and step = _noise_steps(sigma): given
+    z, integer arithmetic, frame by frame on the calling thread.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if not 0 <= seed <= prng.MASK64:
         raise ValueError(f"noise seed must be an unsigned 64-bit integer, got {seed}")
-    h, w = clip.frames[0].shape
-    size = h * w
-    count = clip.frame_count * size
-    pairs = (count + 1) // 2
-    src = [f.reshape(-1) for f in clip.frames]
-    out = np.empty((clip.frame_count, size), dtype=np.uint8)
-
-    def add(z, start):
-        z *= sigma
-        while len(z):
-            k, i = divmod(start, size)
-            part, z = z[: size - i], z[size - i :]
-            part += src[k][i : i + len(part)]
-            _quantize_into(out[k, i : i + len(part)], part)
-            start += len(part)
-
-    def fill(a):
-        cos, sin = prng._gaussian_pairs(seed, count, a, min(a + _CHUNK_PAIRS, pairs))
-        add(cos, a)
-        add(sin, pairs + a)  # an odd count has no sine for its last pair
-
-    _on_workers(fill, range(0, pairs, _CHUNK_PAIRS))
-    return replace(clip, frames=list(out.reshape(clip.frame_count, h, w)))
+    _require_uint8(clip.frames, "noise attack")
+    step = _noise_steps(sigma)
+    out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)
+    total = np.empty(out.shape[1:], np.int16)
+    for k, frame in enumerate(clip.frames):
+        u = prng._uniform16(seed, k * frame.size, (k + 1) * frame.size)
+        np.take(step, u.reshape(frame.shape), out=total, mode="clip")  # u < 65536 always
+        total += frame
+        np.clip(total, 0, 255, out=out[k], casting="unsafe")
+    return replace(clip, frames=list(out))

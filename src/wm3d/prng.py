@@ -7,6 +7,8 @@ platform. splitmix64 was picked because it is tiny, fast and trivial
 to port.
 """
 
+import functools
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -83,39 +85,21 @@ def permutation(n: int, seed: int) -> np.ndarray:
     return np.array(p, dtype=np.int64)
 
 
-def _as_float(x: np.ndarray) -> np.ndarray:
-    """x.astype(np.float64) of uint64 `x`, bit for bit but faster; clobbers x."""
-    out = (x >> np.uint64(32)).view(np.int64).astype(np.float64)
-    out *= 2.0**32  # exact, as are both int64 casts; the sum rounds once, as astype
-    x &= np.uint64(0xFFFFFFFF)
-    out += x.view(np.int64)
-    return out
+def _uniform16(seed: int, start: int, stop: int) -> np.ndarray:
+    """16-bit uniforms [start, stop): uniform i is bits 16*(i % 4) and up of
+    output i // 4 of stream(seed, ...); '<u8' puts the low bits first."""
+    first = start // 4
+    words = _finalize(_states(seed, first, -(-stop // 4))).astype("<u8", copy=False)
+    return words.view("<u2")[start - 4 * first : stop - 4 * first]
 
 
-def _gaussian_pairs(seed: int, count: int, start: int, stop: int) -> tuple:
-    """Box-Muller pairs [start, stop) of `count` standard normals.
+@functools.cache
+def _normal_quantiles() -> np.ndarray:
+    """z[u], the standard normal quantile at (u + 0.5) / 65536, for every
+    16-bit u; read-only, built on first use (about 20 ms)."""
+    from statistics import NormalDist  # kept off every CLI start
 
-    With pairs = ceil(count / 2), pair p takes stream words p and
-    pairs + p (as floats, by _as_float) and gives deviate p as its
-    cosine and deviate pairs + p as its sine; an odd count drops the
-    last sine. Returns (cos, sin), the deviates [start, stop) and
-    [pairs + start, min(pairs + stop, count)) of the whole draw,
-    bit-identical to drawing it in one piece.
-    """
-    pairs = (count + 1) // 2
-    x1 = _states(seed, start, stop)
-    x2 = x1 + np.uint64((pairs * _GOLDEN) & MASK64)
-    r = _as_float(_finalize(x1))
-    r += 1.0
-    r *= 2.0**-64  # (0, 1], log-safe
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = _as_float(_finalize(x2))
-    theta *= 2.0**-64
-    theta *= 2.0 * np.pi
-    cos = np.cos(theta)
-    cos *= r
-    sin = np.sin(theta, out=theta)
-    sin *= r
-    return cos, sin[: max(min(stop, count - pairs) - start, 0)]
+    centers = np.arange(0.5, 65536) / 65536  # (u + 0.5) / 65536, exactly
+    z = np.fromiter(map(NormalDist().inv_cdf, centers), np.float64, 65536)
+    z.flags.writeable = False
+    return z

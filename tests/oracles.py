@@ -10,15 +10,17 @@ update of orthonormal coefficients (src/ applies it to the integer
 sums), and whole-frame embedding and extraction: every frame of a shot
 goes through the full temporal and spatial transforms, forward and
 inverse, as the crop-based path in wm3d.embed avoids doing. Also the
-sequential splitmix64 generator and Fisher-Yates shuffle, the pairwise
-histogram distance of shot detection, the float64 luma rounding,
-averaging and PSNR, the per-block DCT round trip the compression proxy
-used before its separable products, and scipy's DCT round trip for
-the compression proxy; scipy is imported only when that oracle runs,
-since wm3d itself needs numpy only.
+sequential splitmix64 generator and Fisher-Yates shuffle, the noise
+attack drawn one pixel at a time, the pairwise histogram distance of
+shot detection, the float64 luma rounding, averaging and PSNR, the
+per-block DCT round trip the compression proxy used before its
+separable products, and scipy's DCT round trip for the compression
+proxy; scipy is imported only when that oracle runs, since wm3d itself
+needs numpy only.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -28,12 +30,12 @@ from wm3d.embed import _NEIGHBOR_OFFSETS, _window_signs
 from wm3d.errors import GeometryError
 from wm3d.media_io import _quantize_into, round_half_away
 from wm3d.metrics import _psnr_from_mse
-from wm3d.prng import MASK64, stream
 from wm3d.shots import HIST_BINS
 from wm3d.wavelet3d import SPATIAL_LEVELS, band_pattern
 from wm3d.wmprep import undisorder, unpermute
 
 _SQRT2 = math.sqrt(2.0)
+MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
@@ -298,16 +300,30 @@ def extract_planes_full(frames, key_planes, seed1, seed2, params) -> np.ndarray:
     return np.stack(bits)
 
 
-def gaussian_one_shot(seed: int, count: int) -> np.ndarray:
-    """All `count` Box-Muller deviates drawn in one piece."""
-    pairs = (count + 1) // 2
-    raw = stream(seed, 2 * pairs)
-    u1 = (raw[:pairs].astype(np.float64) + 1.0) * 2.0**-64
-    u2 = raw[pairs:].astype(np.float64) * 2.0**-64
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-    return z[:count]
+def noise_pixels(frames, sigma: float, seed: int) -> list:
+    """The noise attack one pixel at a time, from its definition alone.
+
+    Pixel i of the clip (frames in order, each row-major) takes the 16-bit
+    piece i % 4 of sequential splitmix64 output i // 4, lowest bits first,
+    as u; its value p becomes p + floor(sigma * z + 0.5), z the normal
+    quantile at (u + 0.5) / 65536, with the step clipped to [-255, 255]
+    and the sum to [0, 255]. sigma * z must be finite.
+    """
+    inv_cdf = NormalDist().inv_cdf
+    rng = SplitMix64(seed)
+    i = 0
+    out = []
+    for frame in frames:
+        noisy = np.empty_like(frame)
+        for index, p in np.ndenumerate(frame):
+            if i % 4 == 0:
+                word = rng.next_u64()
+            u = (word >> (16 * (i % 4))) & 0xFFFF
+            step = math.floor(sigma * inv_cdf((u + 0.5) / 65536) + 0.5)
+            noisy[index] = min(max(int(p) + min(max(step, -255), 255), 0), 255)
+            i += 1
+        out.append(noisy)
+    return out
 
 
 def compress_frame_scipy(frame: np.ndarray, table: np.ndarray) -> tuple:

@@ -1,12 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from wm3d import attacks
 from wm3d.attacks import (
-    _CHUNK_PAIRS,
     _DCT,
     _MAX_WORKERS,
     _QTABLE,
+    _noise_steps,
     _usable_cpus,
     attack_average,
     attack_compress,
@@ -19,7 +21,7 @@ from oracles import (
     average_frames_float,
     compress_frame_blocks,
     compress_frame_scipy,
-    gaussian_one_shot,
+    noise_pixels,
     quantize_luma,
 )
 from wm3d.errors import GeometryError
@@ -119,6 +121,8 @@ def test_non_uint8_frames_rejected():
         attack_average(clip)
     with pytest.raises(ValueError, match="uint8"):
         attack_compress(clip, 75)
+    with pytest.raises(ValueError, match="uint8"):
+        attack_noise(clip, 1.0, 1)
 
 
 def test_swap_copies_predecessor():
@@ -293,11 +297,10 @@ def _set_cpus(monkeypatch, n):
 
 def _assert_noise_matches_oracle(clip, sigma, seed):
     out = attack_noise(clip, sigma, seed)
-    h, w = clip.frames[0].shape
-    noise = gaussian_one_shot(seed, clip.frame_count * h * w).reshape(-1, h, w)
     assert out.frame_count == clip.frame_count
-    for frame, noisy, z in zip(clip.frames, out.frames, noise):
-        assert np.array_equal(noisy, quantize_luma(frame + sigma * z))
+    for noisy, want in zip(out.frames, noise_pixels(clip.frames, sigma, seed)):
+        assert noisy.dtype == np.uint8
+        assert np.array_equal(noisy, want)
     return out
 
 
@@ -305,8 +308,8 @@ def test_noise_matches_one_shot_draw():
     _assert_noise_matches_oracle(_rand_clip(n=5, h=16, w=24, seed=9), 2.5, 11)
 
 
-# (frames, height, width): the 7x9 and 5x3 clips have odd deviate counts
-# and a sine half that starts mid-frame; the 1x1 clip drops its last sine
+# (frames, height, width): frames of 63, 1, 15 and 25 pixels start mid-word;
+# the draw runs on the calling thread whatever CPUs the process may use
 @pytest.mark.parametrize("n, h, w", [(5, 9, 7), (3, 1, 1), (7, 3, 5), (4, 5, 5)])
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_noise_matches_one_shot_draw_on_small_clips(monkeypatch, n, h, w, cpus):
@@ -314,15 +317,43 @@ def test_noise_matches_one_shot_draw_on_small_clips(monkeypatch, n, h, w, cpus):
     _assert_noise_matches_oracle(_rand_clip(n=n, h=h, w=w, seed=n), 4.0, 21)
 
 
-@pytest.mark.parametrize("n, h, w", [(2, 240, 320), (3, 1, 99999)])
-def test_noise_matches_one_shot_draw_across_chunks(monkeypatch, n, h, w):
-    assert h * w > _CHUNK_PAIRS  # a frame spans several chunks
-    clip = _rand_clip(n=n, h=h, w=w, seed=10)
-    outs = []
-    for cpus in (1, 3):
-        _set_cpus(monkeypatch, cpus)
-        outs.append(_assert_noise_matches_oracle(clip, 3.0, 12))
-    assert all(np.array_equal(a, b) for a, b in zip(outs[0].frames, outs[1].frames))
+def _extreme_clip(n, h, w, seed):
+    """Random pixels with a 0 and a 255 in each frame, so the clip to
+    [0, 255] binds at both ends."""
+    frames = _rand_clip(n=n, h=h, w=w, seed=seed).frames
+    for f in frames:
+        f.reshape(-1)[:2] = (0, 255)[: f.size]
+    return VideoClip(frames=frames)
+
+
+# h*w % 4 of 1, 2, 3 and 0, 1x1 frames and three 0x0 frames; 1e30 clips every
+# step to +-255 through the 2**24 cap
+@pytest.mark.parametrize("n, h, w", [(3, 3, 3), (4, 2, 5), (3, 5, 3), (2, 4, 6), (6, 1, 1),
+                                     (3, 0, 0)])
+@pytest.mark.parametrize("sigma", [0.0, 2.0, 6.0, 1e30])
+def test_noise_equals_pixel_oracle(n, h, w, sigma):
+    _assert_noise_matches_oracle(_extreme_clip(n, h, w, seed=h * w + n), sigma, 2**64 - 5)
+
+
+def test_noise_huge_sigma_saturates_without_overflow():
+    # sigma * z used to overflow (a RuntimeWarning, an error under tier-1)
+    clip = _rand_clip(n=3, h=8, w=10, seed=15)
+    out = np.stack(attack_noise(clip, 1e308, 7).frames)
+    assert np.isin(out, (0, 255)).all()
+    assert np.array_equal(out, np.stack(attack_noise(clip, 2.0**24, 7).frames))
+
+
+# sha256 of each step table as little-endian int16. A libm or inv_cdf that
+# moves a step shows here; z itself is not pinned, since its last ulp may
+# move (say, under FMA contraction) without moving any step.
+@pytest.mark.parametrize("sigma, digest", [
+    (2.0, "50f2cf8fc6d177539771538c7e3af3e074bff7b4a454c68e73f5638458d5601e"),
+    (6.0, "5e4723cb4937feea56896a54b42ef0638e3ccf9211c97958a7688790b2974294"),
+])
+def test_noise_step_tables_pinned(sigma, digest):
+    step = _noise_steps(sigma)
+    assert step.dtype == np.int16
+    assert hashlib.sha256(step.astype("<i2").tobytes()).hexdigest() == digest
 
 
 def test_usable_cpus_follows_affinity_then_cpu_count(monkeypatch):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import SplitMix64, fisher_yates, gaussian_one_shot
+from oracles import SplitMix64, fisher_yates
 from wm3d.prng import (
     MASK64,
-    _as_float,
-    _gaussian_pairs,
+    _normal_quantiles,
+    _uniform16,
     hash64,
     mix64,
     mix64_np,
@@ -89,27 +89,29 @@ def test_permutation_determinism_and_seed_sensitivity():
     assert permutation(64, 5).tolist() != permutation(64, 6).tolist()
 
 
+def _uniform16_one_shot(seed, count):
+    """All `count` 16-bit uniforms, cut from whole stream words by shifts."""
+    words = stream(seed, -(-count // 4))
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    pieces = (words[:, None] >> shifts) & np.uint64(0xFFFF)
+    return pieces.reshape(-1)[:count].astype(np.uint16)
+
+
+def test_uniform16_takes_low_bits_first():
+    word = int(stream(5, 1)[0])
+    assert _uniform16(5, 0, 4).tolist() == [(word >> s) & 0xFFFF for s in (0, 16, 32, 48)]
+    assert _uniform16(5, 1, 3).tolist() == [(word >> s) & 0xFFFF for s in (16, 32)]
+
+
 def test_gaussian_deterministic_and_sane():
-    a = np.concatenate(_gaussian_pairs(123, 5000, 0, 2500))
-    b = np.concatenate(_gaussian_pairs(123, 5000, 0, 2500))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, np.concatenate(_gaussian_pairs(124, 5000, 0, 2500)))
+    # the noise attack's standard deviates: z at 16-bit uniforms
+    z = _normal_quantiles()
+    a = z[_uniform16(123, 0, 20000)]
+    assert np.array_equal(a, z[_uniform16(123, 0, 20000)])
+    assert not np.array_equal(a, z[_uniform16(124, 0, 20000)])
     assert abs(float(a.mean())) < 0.05
     assert abs(float(a.std()) - 1.0) < 0.05
     assert np.all(np.isfinite(a))
-
-
-def test_gaussian_odd_count():
-    cos, sin = _gaussian_pairs(9, 7, 0, 4)
-    assert cos.shape == (4,) and sin.shape == (3,)  # the last sine is dropped
-
-
-def _check_pair_range(whole, count, a, b):
-    # pair p gives deviate p (cosine) and deviate pairs + p (sine)
-    pairs = (count + 1) // 2
-    cos, sin = _gaussian_pairs(5, count, a, b)
-    assert np.array_equal(cos, whole[a:b])
-    assert np.array_equal(sin, whole[a + pairs : min(b + pairs, count)])
 
 
 @pytest.mark.parametrize(
@@ -117,41 +119,27 @@ def _check_pair_range(whole, count, a, b):
     [(7, 3), (1001, 100), (230401, 230400), (64 * 230400, 230400)],
 )
 def test_gaussian_ranges_match_one_shot_draw(count, chunk):
-    whole = gaussian_one_shot(5, count)
-    pairs = (count + 1) // 2
-    for a in range(0, pairs, chunk):
-        _check_pair_range(whole, count, a, min(a + chunk, pairs))
+    # frame-sized ranges, as the noise attack draws them, give the whole draw
+    whole = _uniform16_one_shot(5, count)
+    for a in range(0, count, chunk):
+        b = min(a + chunk, count)
+        assert np.array_equal(_uniform16(5, a, b), whole[a:b])
 
 
 @pytest.mark.parametrize("count", [1, 2, 63, 64, 1001, 1002])
 def test_gaussian_any_pair_range_matches_one_shot_draw(count):
-    whole = gaussian_one_shot(5, count)
-    pairs = (count + 1) // 2
+    # any (start, stop) pair, whatever word its ends fall in
+    whole = _uniform16_one_shot(5, count)
     rs = np.random.RandomState(count)
-    ranges = [(0, pairs), (0, 0), (pairs - 1, pairs), (pairs, pairs)]
-    ranges += [tuple(sorted(rs.randint(0, pairs + 1, 2))) for _ in range(20)]
+    ranges = [(0, count), (0, 0), (count - 1, count), (count, count)]
+    ranges += [tuple(sorted(rs.randint(0, count + 1, 2))) for _ in range(20)]
     for a, b in ranges:
-        _check_pair_range(whole, count, int(a), int(b))
+        assert np.array_equal(_uniform16(5, int(a), int(b)), whole[a:b])
 
 
-def _assert_as_float_equals_cast(words):
-    words = np.asarray(words, dtype=np.uint64)
-    got = _as_float(words.copy())
-    assert np.array_equal(got, words.astype(np.float64))
-    assert got.tolist() == [float(w) for w in words.tolist()]  # Python rounds exactly
-
-
-def test_as_float_edge_words():
-    edges = [0, 1, 2**32 - 1, 2**32, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63,
-             2**63 + 1, 2**64 - 2, 2**64 - 1]
-    _assert_as_float_equals_cast(edges)
-
-
-def test_as_float_random_and_tie_words():
-    words = np.random.RandomState(3).randint(0, 2**63, 200000, dtype=np.uint64)
-    words[::2] |= np.uint64(1 << 63)  # half with 64 significant bits
-    _assert_as_float_equals_cast(words)
-    # low 11 bits exactly halfway: a tie that rounds to even in the kept bits
-    ties = (words & np.uint64(~0x7FF & MASK64)) | np.uint64(0x400)
-    _assert_as_float_equals_cast(ties)
-    _assert_as_float_equals_cast(ties >> np.uint64(1))  # 63 bits: low 10 bits tie
+def test_normal_quantiles_symmetric_and_increasing():
+    z = _normal_quantiles()
+    assert z.shape == (65536,) and z.dtype == np.float64
+    assert np.array_equal(z, -z[::-1])  # z[u] == -z[65535 - u], exactly
+    assert (np.diff(z) > 0).all()
+    assert not z.flags.writeable and _normal_quantiles() is z  # built once

@@ -11,8 +11,7 @@ import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import VideoClip, _quantize_into, _require_uint8
-from .media_io import _round_half_away, round_half_away
+from .media_io import VideoClip, _require_uint8
 
 # JPEG Annex K luminance quantization table.
 _QTABLE = np.array(
@@ -83,11 +82,29 @@ def attack_swap(clip: VideoClip) -> VideoClip:
 
 
 def quantization_table(quality: int) -> np.ndarray:
-    """Luminance table scaled by the JPEG quality rule, entries >= 1."""
+    """Luminance table scaled by the JPEG quality rule, rounded half up
+    (no entry is negative, so that is half away from zero), entries >= 1."""
     if not 1 <= quality <= 100:
         raise ValueError(f"quality {quality} outside [1, 100]")
     scale = 5000.0 / quality if quality < 50 else 200.0 - 2.0 * quality
-    return np.maximum(1.0, round_half_away(_QTABLE * scale / 100.0))
+    return np.maximum(1.0, np.floor(_QTABLE * scale / 100.0 + 0.5))
+
+
+def _round_half_away(x: np.ndarray, out: np.ndarray) -> None:
+    """Round float64 `x` to integers, halves away from zero, into `out`."""
+    np.abs(x, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, x, out=out)
+
+
+def _quantize_into(out: np.ndarray, y: np.ndarray) -> None:
+    """_round_half_away of float64 `y`, clamped to [0, 255], into uint8 `out`;
+    clobbers `y`. Negative inputs clamp to 0, so floor(y + 0.5) will do."""
+    y += 0.5
+    np.floor(y, out=y)
+    np.clip(y, 0, 255, out=y)
+    out[...] = y
 
 
 def _compress_frame(table, frame, out) -> None:

@@ -79,11 +79,12 @@ def _fmt(value: float) -> str:
 
 
 def _parse_offset(text: str):
+    # argparse shows only an ArgumentTypeError's own message to the user
     try:
         r, c = text.split(",")
         return int(r), int(c)
     except ValueError:
-        raise FormatError(f"bad offset {text!r}, expected ROW,COL") from None
+        raise argparse.ArgumentTypeError(f"expected ROW,COL, got {text!r}") from None
 
 
 def _parse_shot_list(text: str):
@@ -376,10 +377,7 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"wm3d: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except (FormatError, OSError) as exc:
-        print(f"wm3d: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"wm3d: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
+from .media_io import _open
 from .prng import MASK64
 from .shots import MIN_EMBED_SHOT_LEN, PLANE_COUNT
 from .wavelet3d import BANDS
@@ -157,22 +158,14 @@ def write_key(bundle: KeyBundle, sink) -> None:
         lines.append(f"shot={rec.shot_index}")
         for k in range(PLANE_COUNT):
             lines.append(f"plane{k + 1}={_pack_plane(rec.planes[k])}")
-    text = "\n".join(lines) + "\n"
-
-    if isinstance(sink, (str,)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
+    with _open(sink, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_key(source) -> KeyBundle:
     """Parse and validate a key file; exact inverse of write_key."""
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        with open(source, "rb") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    with _open(source, "rb") as fh:
+        text = fh.read()
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")

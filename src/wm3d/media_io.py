@@ -1,13 +1,16 @@
 """Video and image I/O: YUV4MPEG2 streams and binary PGM files.
 
-Only the luma plane is ever processed. Chroma payloads read from 4:2:0
-sources are kept verbatim and re-emitted untouched, so a pipeline run
-never rewrites bytes it did not watermark. Parsing never rescales
-sample values.
+Readers and writers take a path (str or any os.PathLike) or an open
+binary stream; a stream is left open. Only the luma plane is ever
+processed. Chroma payloads read from 4:2:0 sources are kept verbatim
+and re-emitted untouched, so a pipeline run never rewrites bytes it did
+not watermark. Parsing never rescales sample values.
 """
 
 import io
+import os
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -21,31 +24,6 @@ _C420_TOKENS = {"420", "420jpeg", "420paldv", "420mpeg2"}
 
 _READ_PIECE = 1 << 24  # largest single read; payload sizes come from headers
 _HEADER_MAX = 4096  # longest y4m header line, PGM header token or PGM comment
-
-
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, halves away from zero."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    _round_half_away(x, out)
-    return out
-
-
-def _round_half_away(x: np.ndarray, out: np.ndarray) -> None:
-    """round_half_away of float64 `x` written into `out`, another array."""
-    np.abs(x, out=out)
-    out += 0.5
-    np.floor(out, out=out)
-    np.copysign(out, x, out=out)
-
-
-def _quantize_into(out: np.ndarray, y: np.ndarray) -> None:
-    """round_half_away of float64 `y`, clamped to [0, 255], into uint8 `out`;
-    clobbers `y`. Negative inputs clamp to 0, so floor(y + 0.5) will do."""
-    y += 0.5
-    np.floor(y, out=y)
-    np.clip(y, 0, 255, out=y)
-    out[...] = y
 
 
 @dataclass
@@ -100,10 +78,11 @@ def _validate_clip(clip: VideoClip) -> None:
 
 
 def _open(source, mode: str):
-    """Return (stream, should_close) for a path or an open binary stream."""
-    if isinstance(source, (str, Path)):
-        return open(source, mode), True
-    return source, False
+    """Context manager over `source`: a path (str or os.PathLike) is opened
+    in `mode` and closed on exit; an open stream is used as is, left open."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, mode)
+    return nullcontext(source)
 
 
 def _read_array(stream, size: int, what: str) -> np.ndarray:
@@ -251,21 +230,17 @@ def read_y4m(source) -> VideoClip:
     Accepts 4:2:0 and mono (4:0:0) streams; chroma planes are stored
     verbatim for lossless re-emission: iter_y4m keeping every frame.
     """
-    stream, close = _open(source, "rb")
-    try:
-        chroma = []
+    chroma = []
+    with _open(source, "rb") as stream:
         header, frames = iter_y4m(stream, chroma=chroma)
         frames = list(frames)
-        return VideoClip(
-            frames=frames,
-            rate=header.rate,
-            chroma_token=header.chroma_token,
-            chroma=None if header.chroma_token is None else chroma,
-            extras=header.extras,
-        )
-    finally:
-        if close:
-            stream.close()
+    return VideoClip(
+        frames=frames,
+        rate=header.rate,
+        chroma_token=header.chroma_token,
+        chroma=None if header.chroma_token is None else chroma,
+        extras=header.extras,
+    )
 
 
 def write_y4m(clip: VideoClip, sink) -> None:
@@ -281,17 +256,13 @@ def write_y4m(clip: VideoClip, sink) -> None:
         *clip.extras,
         f"C{ctoken}",
     ]
-    stream, close = _open(sink, "wb")
-    try:
+    with _open(sink, "wb") as stream:
         stream.write((" ".join(tokens) + "\n").encode("ascii"))
         for k, frame in enumerate(clip.frames):
             stream.write(b"FRAME\n")
             stream.write(np.ascontiguousarray(frame, dtype=np.uint8).tobytes())
             if clip.chroma_token is not None:
                 stream.write(clip.chroma[k])
-    finally:
-        if close:
-            stream.close()
 
 
 # --- PGM ---------------------------------------------------------------------
@@ -322,8 +293,7 @@ def _pgm_next_token(stream) -> bytes:
 
 def read_pgm(source) -> np.ndarray:
     """Read a binary (P5) PGM image with maxval 255 as an HxW uint8 array."""
-    stream, close = _open(source, "rb")
-    try:
+    with _open(source, "rb") as stream:
         if _pgm_next_token(stream) != b"P5":
             raise FormatError("not a binary PGM (P5) file")
         width = _header_int(_pgm_next_token(stream), "PGM width")
@@ -334,9 +304,6 @@ def read_pgm(source) -> np.ndarray:
         if maxval != 255:
             raise FormatError(f"unsupported PGM maxval {maxval} (must be 255)")
         return _read_array(stream, width * height, "PGM payload").reshape(height, width)
-    finally:
-        if close:
-            stream.close()
 
 
 def write_pgm(image: np.ndarray, sink) -> None:
@@ -345,13 +312,9 @@ def write_pgm(image: np.ndarray, sink) -> None:
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("image must be a nonempty 2-D array")
     h, w = arr.shape
-    stream, close = _open(sink, "wb")
-    try:
+    with _open(sink, "wb") as stream:
         stream.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         stream.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
-    finally:
-        if close:
-            stream.close()
 
 
 def read_pgm_sequence(directory) -> VideoClip:

@@ -4,7 +4,9 @@ Every key-driven choice in the toolkit (shot selection, bitplane
 permutation, disorder masks, the noise attack) goes through these
 primitives, so the same 64-bit keys reproduce the same bits on any
 platform. splitmix64 was picked because it is tiny, fast and trivial
-to port.
+to port. It is implemented once, on uint64 arrays with wrapping
+arithmetic; the sequential scalar form lives in the tests as the
+reference.
 """
 
 import functools
@@ -18,16 +20,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(x: int) -> int:
-    """One splitmix64 step: advance by the golden gamma, then finalize."""
-    x = (x + _GOLDEN) & MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-    return x ^ (x >> 31)
-
-
 def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over uint64 arrays (wrapping arithmetic)."""
+    """One splitmix64 step per element of a uint64 array: advance by the
+    golden gamma, then finalize (wrapping arithmetic, in a new array)."""
     return _finalize(x + np.uint64(_GOLDEN))
 
 
@@ -39,17 +34,6 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
     return x
-
-
-def hash64(seed: int, *words: int) -> int:
-    """Hash a seed plus integer words into one 64-bit value.
-
-    Chains mix64 over the words; order matters.
-    """
-    h = seed & MASK64
-    for w in words:
-        h = mix64(h ^ (w & MASK64))
-    return h
 
 
 def _states(seed: int, start: int, stop: int) -> np.ndarray:
@@ -96,7 +80,7 @@ def _uniform16(seed: int, start: int, stop: int) -> np.ndarray:
 @functools.cache
 def _normal_quantiles() -> np.ndarray:
     """z[u], the standard normal quantile at (u + 0.5) / 65536, for every
-    16-bit u; read-only, built on first use (about 20 ms)."""
+    16-bit u; read-only, built on first use."""
     from statistics import NormalDist  # kept off every CLI start
 
     centers = np.arange(0.5, 65536) / 65536  # (u + 0.5) / 65536, exactly

@@ -83,8 +83,8 @@ def validate_boundaries(boundaries, frame_count: int) -> None:
 def select_shots(boundaries, seed3: int, fraction: float = 1.0) -> list:
     """Keyed choice of which shots carry the watermark.
 
-    Shots of at least MIN_EMBED_SHOT_LEN frames are ranked by a
-    splitmix64 hash of (seed3, shot index) and the first
+    Shots of at least MIN_EMBED_SHOT_LEN frames are ranked by the
+    splitmix64 step of (seed3 mod 2**64) XOR shot index and the first
     ceil(fraction * eligible) are taken. Returns sorted shot indices;
     deterministic in all inputs.
     """
@@ -97,6 +97,6 @@ def select_shots(boundaries, seed3: int, fraction: float = 1.0) -> list:
             f"no shot of at least {MIN_EMBED_SHOT_LEN} frames to embed into "
             f"(shot lengths: {[b - a for a, b in spans]})"
         )
-    eligible.sort(key=lambda i: prng.hash64(seed3, i))
+    ranks = prng.mix64_np(np.uint64(seed3 & prng.MASK64) ^ np.array(eligible, np.uint64))
     count = math.ceil(fraction * len(eligible))
-    return sorted(eligible[:count])
+    return sorted(eligible[k] for k in np.argsort(ranks, kind="stable")[:count])

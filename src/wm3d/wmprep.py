@@ -43,16 +43,12 @@ def compose_bitplanes(planes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _perm_cached(n: int, seed1: int) -> np.ndarray:
+def _perm(size: int, seed1: int) -> np.ndarray:
     # All 8 planes share one permutation, and embed/extract reuse it;
     # every caller shares the cached array, so it is read-only.
-    p = prng.permutation(n, seed1)
+    p = prng.permutation(size, seed1)
     p.setflags(write=False)
     return p
-
-
-def _perm(shape, seed1: int) -> np.ndarray:
-    return _perm_cached(shape[0] * shape[1], seed1)
 
 
 def permute(plane: np.ndarray, seed1: int) -> np.ndarray:
@@ -63,14 +59,14 @@ def permute(plane: np.ndarray, seed1: int) -> np.ndarray:
     row-major flattening.
     """
     arr = np.asarray(plane)
-    p = _perm(arr.shape, seed1)
+    p = _perm(arr.size, seed1)
     return arr.ravel()[p].reshape(arr.shape)
 
 
 def unpermute(plane: np.ndarray, seed1: int) -> np.ndarray:
     """Exact inverse of permute for the same seed."""
     arr = np.asarray(plane)
-    p = _perm(arr.shape, seed1)
+    p = _perm(arr.size, seed1)
     out = np.empty(arr.size, dtype=arr.dtype)
     out[p] = arr.ravel()
     return out.reshape(arr.shape)
@@ -78,11 +74,12 @@ def unpermute(plane: np.ndarray, seed1: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _mask(shape, plane_index: int, seed2: int) -> np.ndarray:
-    """Keyed binary mask: bit of hash(seed2, plane_index, i, j) per cell.
+    """Keyed binary mask: cell (i, j) is the low bit of mix(mix(mix(seed2
+    XOR plane_index) XOR i) XOR j), mix the splitmix64 step mod 2**64.
 
     Every shot reuses the same 8 masks; cached, so shared and read-only."""
     h, w = shape
-    base = np.uint64(prng.hash64(seed2, plane_index))
+    base = prng.mix64_np(np.array([(seed2 ^ plane_index) & prng.MASK64], np.uint64))
     rows = prng.mix64_np(base ^ np.arange(h, dtype=np.uint64))
     cells = prng.mix64_np(rows[:, None] ^ np.arange(w, dtype=np.uint64)[None, :])
     m = (cells & np.uint64(1)).astype(np.uint8)

@@ -4,6 +4,7 @@ Everything here is seeded and deterministic; the empirical floors in
 the acceptance suite are calibrated against exactly these clips.
 """
 
+from pathlib import PurePosixPath
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,20 @@ from wm3d.media_io import VideoClip
 
 # Keys used by every end-to-end test.
 SEED1, SEED2, SEED3 = 1, 2, 3
+
+
+class FsPath:
+    """The least os.PathLike: nothing but __fspath__."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
+# The path forms every reader and writer takes, each made from a pathlib.Path.
+PATH_KINDS = {"str": str, "pure-posix": PurePosixPath, "fspath": FsPath}
 
 
 def make_gradient_clip(n=64, h=128, w=128, seed=2024) -> VideoClip:

@@ -12,7 +12,8 @@ goes through the full temporal and spatial transforms, forward and
 inverse, as the crop-based path in wm3d.embed avoids doing. Also the
 sequential splitmix64 generator and Fisher-Yates shuffle, the noise
 attack drawn one pixel at a time, the pairwise histogram distance of
-shot detection, the float64 luma rounding, averaging and PSNR, the
+shot detection, rounding half away from zero, the float64 luma
+rounding, averaging and PSNR, the
 per-block DCT round trip the compression proxy used before its
 separable products, and scipy's DCT round trip for the compression
 proxy; scipy is imported only when that oracle runs, since wm3d itself
@@ -25,10 +26,9 @@ from statistics import NormalDist
 import numpy as np
 
 from wm3d import extract
-from wm3d.attacks import _DCT
+from wm3d.attacks import _DCT, _quantize_into
 from wm3d.embed import _NEIGHBOR_OFFSETS, _window_signs
 from wm3d.errors import GeometryError
-from wm3d.media_io import _quantize_into, round_half_away
 from wm3d.metrics import _psnr_from_mse
 from wm3d.shots import HIST_BINS
 from wm3d.wavelet3d import SPATIAL_LEVELS, band_pattern
@@ -324,6 +324,12 @@ def noise_pixels(frames, sigma: float, seed: int) -> list:
             i += 1
         out.append(noisy)
     return out
+
+
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round to the nearest integer, halves away from zero, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
 def compress_frame_scipy(frame: np.ndarray, table: np.ndarray) -> tuple:

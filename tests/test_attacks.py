@@ -23,9 +23,10 @@ from oracles import (
     compress_frame_scipy,
     noise_pixels,
     quantize_luma,
+    round_half_away,
 )
 from wm3d.errors import GeometryError
-from wm3d.media_io import VideoClip, round_half_away
+from wm3d.media_io import VideoClip
 from wm3d.metrics import psnr
 
 

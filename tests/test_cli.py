@@ -20,7 +20,7 @@ from wm3d.cli import main
 from wm3d.embed import embed_clip
 from wm3d.errors import FormatError, GeometryError
 from wm3d.extract import extract_clip
-from wm3d.keyfile import read_key, write_key
+from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key
 from wm3d.media_io import (
     VideoClip,
     read_pgm,
@@ -201,6 +201,66 @@ def test_malformed_video_exits_2(tmp_path):
     (tmp_path / "junk.y4m").write_bytes(b"not a video")
     code = main(["shots", "--in", str(tmp_path / "junk.y4m")])
     assert code == 2
+
+
+def test_bad_offset_says_what_it_expects(workdir, capsys):
+    assert _embed(workdir, "--offset", "1,2,3") == 1
+    err = capsys.readouterr().err
+    assert "expected ROW,COL, got '1,2,3'" in err
+    assert "_parse_offset" not in err
+
+
+def _two_shot_key() -> str:
+    records = [ShotRecord(i, np.ones((8, 4, 4), np.int8)) for i in (0, 1)]
+    bundle = KeyBundle(1, 2, 3, 0.1, 4, 4, boundaries=(0, 9, 18), selected=(0, 1),
+                       records=records)
+    sink = io.StringIO()
+    write_key(bundle, sink)
+    return sink.getvalue()
+
+
+_KEY = _two_shot_key()
+_EMBED = ["embed", "--in", "in.y4m", "--wm", "wm.pgm", "--key-out", "k.key",
+          "--out", "out.y4m"]
+
+
+def _bad_key(old: str, new: str) -> tuple:
+    assert old in _KEY
+    argv = ["extract", "--in", "in.y4m", "--key", "bad.key", "--out", "x.pgm"]
+    return argv, {"bad.key": _KEY.replace(old, new).encode()}
+
+
+# name: (argv, files written first, exit code, a fragment of stderr);
+# paths are relative to the working directory, which holds in.y4m and wm.pgm
+_REJECTED = {
+    "shots-gap": (_EMBED + ["--shots", "0:8,9:16"], {}, 3, "expected start 8, got 9"),
+    "shots-dash": (_EMBED + ["--shots", "0-8"], {}, 2, "bad shot span '0-8'"),
+    "shots-trailing-comma": (_EMBED + ["--shots", "0:16,"], {}, 2, "bad shot span ''"),
+    "bench-attack": (["bench", "--in", "in.y4m", "--wm", "wm.pgm", "--attacks", "bogus"],
+                     {}, 2, "unknown attack 'bogus'"),
+    "key-seed1": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "seed1 out of 64-bit range"),
+    "key-wm-w": (*_bad_key("wm_w=4\n", "wm_w=0\n"), 2, "dimensions must be positive"),
+    "key-row0": (*_bad_key("row0=0\n", "row0=-1\n"), 2, "offset must be non-negative"),
+    "key-unsorted": (*_bad_key("selected=0,1", "selected=1,0"), 2, "sorted and unique"),
+    "key-repeated": (*_bad_key("selected=0,1", "selected=0,0"), 2, "sorted and unique"),
+    "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot block, got 'junk'"),
+    "y4m-odd-width": (["shots", "--in", "odd.y4m"],
+                      {"odd.y4m": b"YUV4MPEG2 W5 H2 F25:1 C420\nFRAME\n" + bytes(14)},
+                      2, "4:2:0 stream requires even dimensions"),
+    "pgm-zero-width": (["nc", "zero.pgm", "wm.pgm"], {"zero.pgm": b"P5\n0 4\n255\n"},
+                       2, "invalid PGM dimensions"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_rejected_input_exits_with_its_code(workdir, capsys, monkeypatch, name):
+    argv, files, code, fragment = _REJECTED[name]
+    for file_name, data in files.items():
+        (workdir / file_name).write_bytes(data)
+    monkeypatch.chdir(workdir)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
 
 
 def test_attack_subcommands(workdir, tmp_path):

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import PATH_KINDS
 from wm3d.errors import FormatError
 from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key
 
@@ -79,6 +80,22 @@ def test_file_layout(tmp_path):
     assert lines[11].startswith("selected=")
     again = read_key(path)
     assert again.boundaries == (0, 30, 64)
+
+
+@pytest.mark.parametrize("kind", sorted(PATH_KINDS))
+def test_key_io_takes_any_path(tmp_path, kind):
+    path = PATH_KINDS[kind](tmp_path / "k.key")
+    write_key(_bundle(), path)
+    _, text = _roundtrip(read_key(path))
+    assert text == (tmp_path / "k.key").read_text()
+
+
+def test_key_io_leaves_streams_open():
+    sink = io.StringIO()
+    write_key(_bundle(), sink)
+    assert not sink.closed
+    for source in (io.StringIO(sink.getvalue()), io.BytesIO(sink.getvalue().encode())):
+        assert read_key(source).selected == (0, 1) and not source.closed
 
 
 def test_bad_magic_and_version():

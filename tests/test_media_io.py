@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import PATH_KINDS
 from wm3d import media_io
-from oracles import quantize_luma
+from oracles import quantize_luma, round_half_away
+from wm3d.attacks import _round_half_away
 from wm3d.errors import FormatError
 from wm3d.media_io import (
     VideoClip,
@@ -13,7 +15,6 @@ from wm3d.media_io import (
     read_pgm,
     read_pgm_sequence,
     read_y4m,
-    round_half_away,
     write_pgm,
     write_pgm_sequence,
     write_y4m,
@@ -33,7 +34,10 @@ def _clip(frames, **kw):
 def test_quantize_rounding_rules():
     x = np.array([0.4, 0.5, 1.5, -0.4, -3.0, 254.5, 300.0])
     assert quantize_luma(x).tolist() == [0, 1, 2, 0, 0, 255, 255]
-    assert round_half_away(np.array([-1.5, -0.5, 2.5])).tolist() == [-2.0, -1.0, 3.0]
+    x = np.array([-1.5, -0.5, -0.4, 0.4, 2.5])
+    out = np.empty_like(x)
+    _round_half_away(x, out)
+    assert out.tolist() == round_half_away(x).tolist() == [-2.0, -1.0, 0.0, 0.0, 3.0]
 
 
 def test_quantize_equals_clamped_round_half_away():
@@ -133,6 +137,31 @@ def test_pgm_roundtrip(tmp_path):
     path = tmp_path / "x.pgm"
     write_pgm(img, path)
     assert np.array_equal(read_pgm(path), img)
+
+
+@pytest.mark.parametrize("kind", sorted(PATH_KINDS))
+def test_readers_and_writers_take_any_path(tmp_path, kind):
+    to_path = PATH_KINDS[kind]
+    img = np.arange(35, dtype=np.uint8).reshape(5, 7)
+    write_pgm(img, to_path(tmp_path / "x.pgm"))
+    assert np.array_equal(read_pgm(to_path(tmp_path / "x.pgm")), img)
+    clip = _clip([img[:4, :6], img[1:, 1:]], chroma_token="420", chroma=[b"ab" * 6, b"cd" * 6])
+    write_y4m(clip, to_path(tmp_path / "x.y4m"))
+    again = read_y4m(to_path(tmp_path / "x.y4m"))
+    assert (tmp_path / "x.y4m").read_bytes() == _y4m_bytes(again)
+    assert again.chroma == clip.chroma
+
+
+def test_streams_are_left_open():
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    buf = io.BytesIO()
+    write_pgm(img, buf)
+    buf.seek(0)
+    assert np.array_equal(read_pgm(buf), img) and not buf.closed
+    buf = io.BytesIO()
+    write_y4m(_clip([img]), buf)
+    buf.seek(0)
+    assert np.array_equal(read_y4m(buf).frames[0], img) and not buf.closed
 
 
 def test_pgm_comments_and_errors():

@@ -6,8 +6,6 @@ from wm3d.prng import (
     MASK64,
     _normal_quantiles,
     _uniform16,
-    hash64,
-    mix64,
     mix64_np,
     permutation,
     stream,
@@ -54,22 +52,14 @@ def test_stream_matches_sequential():
 
 def test_mix64_is_first_output():
     for seed in (0, 5, 123456789):
-        assert mix64(seed) == SplitMix64(seed).next_u64()
+        assert mix64_np(np.array([seed], np.uint64)).tolist() == [SplitMix64(seed).next_u64()]
 
 
 def test_mix64_np_matches_scalar():
-    xs = np.array([0, 1, 7, 2**40, MASK64], dtype=np.uint64)
-    out = mix64_np(xs)
-    for x, y in zip(xs.tolist(), out.tolist()):
-        assert mix64(x) == y
-    assert xs.tolist() == [0, 1, 7, 2**40, MASK64]  # finalized in its own copy
-
-
-def test_hash64_order_and_determinism():
-    assert hash64(1, 2, 3) == hash64(1, 2, 3)
-    assert hash64(1, 2, 3) != hash64(1, 3, 2)
-    assert hash64(7) == 7 & MASK64  # no words absorbed
-    assert 0 <= hash64(3, 1, 4, 1, 5) <= MASK64
+    words = [0, 1, 7, 2**40, 2**63, MASK64 - 0x9E3779B97F4A7C15, MASK64]
+    xs = np.array(words, np.uint64)
+    assert mix64_np(xs).tolist() == [SplitMix64(x).next_u64() for x in words]
+    assert xs.tolist() == words  # finalized in its own copy
 
 
 def test_permutation_is_bijection():

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import histogram_distance
+from oracles import MASK64, SplitMix64, histogram_distance
 from wm3d.errors import GeometryError
 from wm3d.media_io import VideoClip
 from wm3d.shots import (
@@ -135,3 +137,16 @@ def test_select_no_eligible_shot():
 def test_select_fraction_validation():
     with pytest.raises(ValueError):
         select_shots([0, 16], seed3=1, fraction=0.0)
+
+
+@pytest.mark.parametrize("seed3", [0, 1, 2**63, 2**64 - 1, -1])
+def test_select_ranks_by_sequential_splitmix64(seed3):
+    # shot i ranks by the first output of the sequential generator seeded
+    # (seed3 XOR i) mod 2**64, so seed3 -1 ranks as 2**64 - 1 does
+    lengths = [(3 + 5 * i) % 17 + 1 for i in range(30)]  # 1..17, half of them eligible
+    boundaries = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    eligible = [i for i, n in enumerate(lengths) if n >= 9]
+    ranked = sorted(eligible, key=lambda i: SplitMix64((seed3 ^ i) & MASK64).next_u64())
+    for fraction in (1.0, 0.5, 0.2):
+        count = math.ceil(fraction * len(eligible))
+        assert select_shots(boundaries, seed3, fraction) == sorted(ranked[:count])

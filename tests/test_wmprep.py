@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import MASK64, SplitMix64
 from wm3d.wmprep import (
     _mask,
     _perm,
@@ -108,9 +109,20 @@ def test_mask_deterministic():
     assert np.array_equal(_mask((16, 16), 3, 9), _mask((16, 16), 3, 9))
 
 
+@pytest.mark.parametrize("seed2", [0, 2**64 - 1])
+def test_mask_equals_sequential_splitmix64(seed2):
+    def mix(x):
+        return SplitMix64(x).next_u64()
+
+    for plane_index in (0, 7):
+        base = mix((seed2 ^ plane_index) & MASK64)
+        want = [[mix(mix(base ^ i) ^ j) & 1 for j in range(6)] for i in range(5)]
+        assert _mask((5, 6), plane_index, seed2).tolist() == want
+
+
 def test_cached_permutation_and_masks_are_read_only():
     # every caller shares the cached arrays, so none may write to them
-    for shared in (_perm((4, 4), 9), _mask((4, 4), 3, 9)):
+    for shared in (_perm(16, 9), _mask((4, 4), 3, 9)):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 1
 

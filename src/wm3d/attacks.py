@@ -91,7 +91,9 @@ def quantization_table(quality: int) -> np.ndarray:
 
 
 def _round_half_away(x: np.ndarray, out: np.ndarray) -> None:
-    """Round float64 `x` to integers, halves away from zero, into `out`."""
+    """floor(|x| + 0.5) with the sign of float64 `x`, into `out`: halves
+    round away from zero, and so does 0.49999999999999994, as its + 0.5
+    rounds up to 1.0."""
     np.abs(x, out=out)
     out += 0.5
     np.floor(out, out=out)
@@ -99,8 +101,8 @@ def _round_half_away(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _quantize_into(out: np.ndarray, y: np.ndarray) -> None:
-    """_round_half_away of float64 `y`, clamped to [0, 255], into uint8 `out`;
-    clobbers `y`. Negative inputs clamp to 0, so floor(y + 0.5) will do."""
+    """floor(y + 0.5) of float64 `y`, clamped to [0, 255], into uint8 `out`;
+    clobbers `y`. Negative inputs clamp to 0: _round_half_away's rule."""
     y += 0.5
     np.floor(y, out=y)
     np.clip(y, 0, 255, out=y)
@@ -132,14 +134,15 @@ def _compress_frame(table, frame, out) -> None:
 def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
     """Intra-only lossy proxy: per-frame 8x8 DCT quantization round trip.
 
-    Frames run on a thread per usable CPU; the output does not depend on
-    the CPU count. Coefficients are divided by the scaled table and
-    rounded half away from zero. Tie rule: the DC, (0,4), (4,0) and (4,4)
-    coefficients of an 8-bit block are multiples of 1/8, so `coeff/table`
-    can be an exact .5 tie. The float64 basis-matrix DCT's rounding error
-    (about 1e-14) decides which way such a tie rounds; another DCT, such
-    as scipy's, may round it the other way, which moves every pixel of
-    the block by table/8 before the final rounding.
+    Frames run on a pool of one thread per usable CPU; the output does not
+    depend on the CPU count. Coefficients are divided by the scaled table
+    and rounded to floor(|x| + 0.5) with the sign of x (_round_half_away).
+    Tie rule: the DC, (0,4), (4,0) and (4,4) coefficients of an 8-bit block
+    are multiples of 1/8, so `coeff/table` can be an exact .5 tie. The
+    float64 basis-matrix DCT's rounding error (about 1e-14) decides which
+    way such a tie rounds; another DCT, such as scipy's, may round it the
+    other way, which moves every pixel of the block by table/8 before the
+    final rounding.
     """
     if clip.height % 8 or clip.width % 8:
         raise GeometryError(
@@ -149,16 +152,12 @@ def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
     _require_uint8(clip.frames, "compression proxy")
     tables = [quantization_table(quality)] * clip.frame_count
     out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)
-    workers = min(_usable_cpus(), clip.frame_count)
-    if workers > 1:
-        # imported here to keep it off every CLI start; tasks call only private
-        # helpers, as perfbench's tracer keeps one span stack that threads would mix
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here to keep it off every CLI start; tasks call only private
+    # helpers, as perfbench's tracer keeps one span stack that threads would mix
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(_compress_frame, tables, clip.frames, out))
-    else:
-        list(map(_compress_frame, tables, clip.frames, out))
+    with ThreadPoolExecutor(min(_usable_cpus(), clip.frame_count)) as pool:
+        list(pool.map(_compress_frame, tables, clip.frames, out))
     return replace(clip, frames=list(out))
 
 

@@ -74,10 +74,6 @@ def _save_clip(clip, path: str) -> None:
         write_pgm_sequence(clip, p)
 
 
-def _fmt(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.4f}"
-
-
 def _parse_offset(text: str):
     # argparse shows only an ArgumentTypeError's own message to the user
     try:
@@ -164,11 +160,11 @@ def cmd_extract(args) -> int:
     for shot in result.shots:
         note = " (length mismatch)" if shot.length_mismatch else ""
         if shot.nc is not None:
-            print(f"shot {shot.shot_index}: nc={_fmt(shot.nc)}{note}")
+            print(f"shot {shot.shot_index}: nc={shot.nc:.4f}{note}")
         else:
             print(f"shot {shot.shot_index}: extracted{note}")
     if result.nc is not None:
-        print(f"aggregate: nc={_fmt(result.nc)}")
+        print(f"aggregate: nc={result.nc:.4f}")
     return EXIT_OK
 
 
@@ -187,12 +183,12 @@ def cmd_attack(args) -> int:
 
 def cmd_psnr(args) -> int:
     report = psnr_clip(_load_clip(args.a), _load_clip(args.b))
-    print(_fmt(report.psnr_mean))
+    print(f"{report.psnr_mean:.4f}")
     return EXIT_OK
 
 
 def cmd_nc(args) -> int:
-    print(_fmt(nc_metric(read_pgm(args.a), read_pgm(args.b))))
+    print(f"{nc_metric(read_pgm(args.a), read_pgm(args.b)):.4f}")
     return EXIT_OK
 
 
@@ -272,13 +268,13 @@ def cmd_bench(args) -> int:
             writer.writerow(["alpha", "attack", "parameter", "nc", "psnr_db"])
         baseline = extract_clip(marked, bundle, watermark)
         psnr0 = psnr_clip(clip, marked).psnr_mean
-        writer.writerow(["%g" % params.alpha, "none", "", _fmt(baseline.nc), _fmt(psnr0)])
+        writer.writerow(["%g" % params.alpha, "none", "", "%.4f" % baseline.nc, "%.4f" % psnr0])
         for name, param in specs:
             attacked = _ATTACKS[name].apply(marked, clip, param, args.seed)
             result = extract_clip(attacked, bundle, watermark)
             quality = psnr_clip(clip, attacked).psnr_mean
             cells = ["%g" % params.alpha, name, "" if param is None else "%g" % param]
-            writer.writerow([*cells, _fmt(result.nc), _fmt(quality)])
+            writer.writerow([*cells, "%.4f" % result.nc, "%.4f" % quality])
     return EXIT_OK
 
 

@@ -115,18 +115,21 @@ def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
     return np.max(stack, axis=0)
 
 
-def _window_signs(sub, plane, params: EmbedParams, what: str) -> tuple:
+def _window_signs(sub, plane, params: EmbedParams) -> tuple:
     """(window index, signs) of (..., h, w) regions and matching
-    (..., wm_h, wm_w) planes: +1 where the neighbor max lies strictly on
-    the side the +-1 plane names (above for +1), else -1."""
+    (..., wm_h, wm_w) +-1 planes: +1 where the neighbor max lies strictly
+    on the side the plane names (above for +1), else -1. Embed keeps these
+    as the realized signs; given those, extraction decodes the key sign
+    where the neighbor max lies above the coefficient, its negation where
+    it lies below, and -1 at a tie."""
     arr = np.asarray(sub)
     wd = np.asarray(plane)
     if np.any((wd != 1) & (wd != -1)):
-        raise ValueError(f"{what} plane values must be +1 or -1")
+        raise ValueError("plane values must be +1 or -1")
     win = (..., *_wm_slices(*arr.shape[-2:], params, *wd.shape[-2:]))
     t, r = _neighbor_max_grid(arr)[win], arr[win]
     if wd.shape != r.shape:
-        raise ValueError(f"{what} planes {wd.shape} do not match windows {r.shape}")
+        raise ValueError(f"planes {wd.shape} do not match windows {r.shape}")
     hit = ((t > r) & (wd == 1)) | ((t < r) & (wd == -1))
     return win, np.where(hit, 1, -1).astype(np.int8)
 
@@ -174,7 +177,7 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
 
     crop, local = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
     sums = _crop_coeffs(frames, crop, params.band)
-    win, realized = _window_signs(sums, planes, local, "sign")
+    win, realized = _window_signs(sums, planes, local)
     spread = np.zeros_like(sums)
     spread[win] = realized * sums[win]
     # terms E_k / span_k are below 64 * 255 and multiples of 1 / P, so
@@ -230,10 +233,8 @@ def embed_clip(
     for name, seed in (("seed1", seed1), ("seed2", seed2), ("seed3", seed3)):
         if not 0 <= seed <= MASK64:
             raise ValueError(f"{name} must be an unsigned 64-bit integer")
-    wm = np.asarray(watermark)
-    if wm.ndim != 2 or wm.size == 0:
-        raise ValueError("watermark must be a nonempty 2-D image")
-    wm_h, wm_w = wm.shape
+    sign_planes = prepare_sign_planes(watermark, seed1, seed2)
+    wm_h, wm_w = sign_planes.shape[1:]
 
     # Fail fast on geometry before any transform work.
     if not clip.frames:
@@ -246,8 +247,6 @@ def embed_clip(
         boundaries = list(boundaries)
         validate_boundaries(boundaries, clip.frame_count)
     selected = select_shots(boundaries, seed3, fraction)
-
-    sign_planes = prepare_sign_planes(wm, seed1, seed2)
 
     out_frames = list(clip.frames)
     records = []

@@ -3,16 +3,17 @@
 The received video plus the bundle (seeds, geometry, stored shot
 boundaries and the realized sign planes) reproduce the forward
 transforms and invert the preparation; the original video is never
-consulted. As in embedding, only the watermark window's crop is
-transformed, and only as far as the integer sums of one subband of its
-coefficient frames 1..8 (see wm3d.embed), so the neighborhood
-comparison is exact and a tie decodes as -1, mirroring the embedding
-rule. Frames are taken in order and only the selected shot being filled
-is held, so a reader may skip every frame outside the key's shots. A
-shot shorter than the key's record is repaired in closed form: the
-missing frames repeat the last one received, so their columns of the
-analysis matrix fold onto its column, and memory follows the frames
-received, not the length the key claims.
+consulted. A bundle built in memory is held to the key file's rules, as
+one read from a file is. As in embedding, only the watermark window's
+crop is transformed, and only as far as the integer sums of one subband
+of its coefficient frames 1..8 (see wm3d.embed), so the neighborhood
+comparison is exact, and embed's sign rule (embed._window_signs) decodes
+each bit, a tie as -1. Frames are taken in order and only the selected
+shot being filled is held, so a reader may skip every frame outside the
+key's shots. A shot shorter than the key's record is repaired in closed
+form: the missing frames repeat the last one received, so their columns
+of the analysis matrix fold onto its column, and memory follows the
+frames received, not the length the key claims.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from .embed import EmbedParams, _crop_coeffs, _window_crop, _window_signs
 from .errors import GeometryError
-from .keyfile import KeyBundle
+from .keyfile import KeyBundle, _check_bundle
 from .media_io import VideoClip
 from .metrics import nc as nc_metric
 from .shots import PLANE_COUNT, shot_spans
@@ -43,21 +44,6 @@ class ExtractionResult:
     shots: list
     watermark: np.ndarray  # aggregate across shots
     nc: float | None = None
-
-
-def extract_plane(
-    sub: np.ndarray, key_plane: np.ndarray, params: EmbedParams
-) -> np.ndarray:
-    """Recover prepared sign planes from received subband regions.
-
-    `sub` is (..., h, w), one region of the band named by params.band
-    per plane of the matching (..., wm_h, wm_w) `key_plane`; the window
-    sits at (region_row0, region_col0) of each. Compares each
-    coefficient with its in-subband neighborhood max and combines the
-    outcome with the stored realized sign: above-max positions return
-    the key sign, below-max its negation, ties -1.
-    """
-    return _window_signs(sub, key_plane, params, "key")[1]
 
 
 def extract_shot(
@@ -81,7 +67,7 @@ def extract_shot(
         params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
     )
     sums = _crop_coeffs(frames, crop, params.band, expected_length)
-    recovered = extract_plane(sums, key_planes, local)
+    recovered = _window_signs(sums, key_planes, local)[1]
     bitplanes = np.stack(
         [unpermute(undisorder(recovered[k], k, seed2), seed1) for k in range(PLANE_COUNT)]
     )
@@ -101,29 +87,25 @@ def extract_frames(
 
     `frames` yields each HxW frame, or None where no selected shot
     reads it. A shot is extracted once its last frame arrives, or when
-    the input ends (length repair). Records must name distinct shots in
-    ascending order. The aggregate takes each bit by majority vote across
-    shots; a tie keeps the lowest-indexed shot's bit. NC values are
-    filled in when a reference watermark is given.
+    the input ends (length repair). Before any frame is read, the bundle
+    is checked by the key file's rules (FormatError) and against the
+    frame size (GeometryError). The aggregate takes each bit by majority
+    vote across shots; a tie keeps the lowest-indexed shot's bit. NC
+    values are filled in when a reference watermark is given.
     """
+    _check_bundle(bundle)
     params = EmbedParams(
         alpha=bundle.alpha,
         region_row0=bundle.region_row0,
         region_col0=bundle.region_col0,
         band=bundle.band,
     )
-    # Surface a bundle without shots and geometry mismatches (wrong clip
-    # for this key) before any frame is read.
-    if not bundle.records:
-        raise GeometryError("key bundle selects no shots")
     _window_crop(params, height, width, bundle.wm_height, bundle.wm_width)
 
     spans = shot_spans(bundle.boundaries)
     frames, received, results = iter(frames), 0, []
     for rec in bundle.records:
         start, end = spans[rec.shot_index]
-        if start < received:
-            raise ValueError("key records must name distinct shots in ascending order")
         before = received
         chunk = list(islice(frames, end - before))  # up to the shot's last frame
         received = before + len(chunk)

@@ -1,10 +1,11 @@
 """Video and image I/O: YUV4MPEG2 streams and binary PGM files.
 
 Readers and writers take a path (str or any os.PathLike) or an open
-binary stream; a stream is left open. Only the luma plane is ever
-processed. Chroma payloads read from 4:2:0 sources are kept verbatim
-and re-emitted untouched, so a pipeline run never rewrites bytes it did
-not watermark. Parsing never rescales sample values.
+binary io stream (readers call its readline); a stream is left open.
+Only the luma plane is ever processed. Chroma payloads read from 4:2:0
+sources are kept verbatim and re-emitted untouched, so a pipeline run
+never rewrites bytes it did not watermark. Parsing never rescales sample
+values.
 """
 
 import io
@@ -126,18 +127,13 @@ def _header_int(token, what: str) -> int:
 
 
 def _read_line(stream, what: str) -> bytes:
-    line = bytearray()
-    while True:
-        ch = stream.read(1)
-        if not ch:
-            if line:
-                raise FormatError(f"unterminated {what}")
-            return b""
-        if ch == b"\n":
-            return bytes(line)
-        line += ch
-        if len(line) > _HEADER_MAX:
-            raise FormatError(f"{what} too long")
+    """Next line without its newline, b"" at end of input."""
+    line = stream.readline(_HEADER_MAX + 1)
+    if line.endswith(b"\n") or not line:
+        return line[:-1]
+    if len(line) > _HEADER_MAX:
+        raise FormatError(f"{what} too long")
+    raise FormatError(f"unterminated {what}")
 
 
 class Y4mHeader(NamedTuple):

@@ -17,16 +17,16 @@ def decompose_bitplanes(image: np.ndarray) -> np.ndarray:
     """Split an 8-bit grayscale image into an (8, H, W) bit stack.
 
     Plane b holds bit b of each pixel; index 0 is the least significant
-    bit.
+    bit. An image of another real dtype must hold integers in [0, 255].
     """
     img = np.asarray(image)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("watermark must be a nonempty 2-D image")
     if img.dtype != np.uint8:
-        if np.any(img < 0) or np.any(img > 255):
-            raise ValueError("watermark values must lie in [0, 255]")
+        if not np.all((img >= 0) & (img <= 255) & (np.floor(img) == img)):
+            raise ValueError("watermark values must be integers in [0, 255]")
         img = img.astype(np.uint8)
-    return np.stack([(img >> b) & 1 for b in range(8)]).astype(np.uint8)
+    return np.unpackbits(img[None], axis=0, bitorder="little")
 
 
 def compose_bitplanes(planes: np.ndarray) -> np.ndarray:
@@ -36,10 +36,7 @@ def compose_bitplanes(planes: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 8 stacked bitplanes, got shape {arr.shape}")
     if np.any((arr != 0) & (arr != 1)):
         raise ValueError("bitplanes must be binary")
-    out = np.zeros(arr.shape[1:], dtype=np.uint16)
-    for b in range(8):
-        out |= arr[b].astype(np.uint16) << b
-    return out.astype(np.uint8)
+    return np.packbits(arr, axis=0, bitorder="little")[0]
 
 
 @lru_cache(maxsize=64)

@@ -12,7 +12,7 @@ goes through the full temporal and spatial transforms, forward and
 inverse, as the crop-based path in wm3d.embed avoids doing. Also the
 sequential splitmix64 generator and Fisher-Yates shuffle, the noise
 attack drawn one pixel at a time, the pairwise histogram distance of
-shot detection, rounding half away from zero, the float64 luma
+shot detection, the compression proxy's rounding, the float64 luma
 rounding, averaging and PSNR, the
 per-block DCT round trip the compression proxy used before its
 separable products, and scipy's DCT round trip for the compression
@@ -25,7 +25,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from wm3d import extract
 from wm3d.attacks import _DCT, _quantize_into
 from wm3d.embed import _NEIGHBOR_OFFSETS, _window_signs
 from wm3d.errors import GeometryError
@@ -254,7 +253,7 @@ def embed_window(sub, sign_plane, params) -> tuple:
     (1 + alpha * sign). Returns (modified regions, realized planes).
     """
     out = np.array(sub, dtype=np.float64)
-    win, realized = _window_signs(out, sign_plane, params, "sign")
+    win, realized = _window_signs(out, sign_plane, params)
     out[win] *= 1.0 + params.alpha * realized
     return out, realized
 
@@ -272,10 +271,11 @@ def embed_plane(frame, sign_plane, params) -> tuple:
 
 
 def extract_plane(frame, key_plane, params) -> np.ndarray:
-    """wm3d.extract.extract_plane on a whole coefficient frame."""
+    """Extraction's sign rule (wm3d.embed._window_signs) on a whole
+    coefficient frame."""
     arr = np.asarray(frame, dtype=np.float64)
     band = params.rect_for(*arr.shape).slices()
-    return extract.extract_plane(arr[band], key_plane, params)
+    return _window_signs(arr[band], key_plane, params)[1]
 
 
 def embed_shot_full(frames, sign_planes, params) -> tuple:
@@ -327,7 +327,9 @@ def noise_pixels(frames, sigma: float, seed: int) -> list:
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer, halves away from zero, in float64."""
+    """floor(|x| + 0.5) with the sign of x, in float64: halves round away
+    from zero, and so does 0.49999999999999994 (see
+    wm3d.attacks._round_half_away)."""
     x = np.asarray(x, dtype=np.float64)
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
@@ -349,7 +351,7 @@ def compress_frame_scipy(frame: np.ndarray, table: np.ndarray) -> tuple:
 
 
 def quantize_luma(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero and clamp to the 8-bit luma range.
+    """round_half_away, clamped to the 8-bit luma range.
 
     For x >= 0, floor(x + 0.5) is exactly round_half_away's
     floor(|x| + 0.5); negative inputs clamp to 0 either way.

@@ -236,6 +236,9 @@ _REJECTED = {
     "shots-gap": (_EMBED + ["--shots", "0:8,9:16"], {}, 3, "expected start 8, got 9"),
     "shots-dash": (_EMBED + ["--shots", "0-8"], {}, 2, "bad shot span '0-8'"),
     "shots-trailing-comma": (_EMBED + ["--shots", "0:16,"], {}, 2, "bad shot span ''"),
+    # a bare "-1,0" would be read as an option; only the = form reaches the check
+    "offset-negative": (_EMBED + ["--offset=-1,0"], {}, 2,
+                        "region offset must be non-negative"),
     "bench-attack": (["bench", "--in", "in.y4m", "--wm", "wm.pgm", "--attacks", "bogus"],
                      {}, 2, "unknown attack 'bogus'"),
     "key-seed1": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "seed1 out of 64-bit range"),

@@ -29,11 +29,12 @@ from wm3d.embed import (
     EmbedParams,
     _crop_coeffs,
     _window_crop,
+    _window_signs,
     embed_clip,
     embed_shot,
     prepare_sign_planes,
 )
-from wm3d.extract import extract_plane, extract_shot
+from wm3d.extract import extract_shot
 from wm3d.keyfile import write_key
 from wm3d.wavelet3d import BANDS, band_sums, subband_rect, temporal_analysis
 
@@ -231,7 +232,7 @@ def test_exact_tie_realizes_and_decodes_as_minus_one():
         planes = np.full((8, 2, 2), sign, np.int8)
         _, realized = embed_shot(frames, planes, params)
         assert np.all(realized[plane][tied] == -1)
-        decoded = extract_plane(coeffs, planes, local)
+        decoded = _window_signs(coeffs, planes, local)[1]
         assert np.all(decoded[plane][tied] == -1)
 
 

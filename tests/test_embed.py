@@ -1,5 +1,6 @@
 import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -282,3 +283,24 @@ def test_golden_key_bytes():
     luma = np.stack(marked.frames)
     assert luma.dtype == np.uint8
     assert hashlib.sha256(luma.tobytes()).hexdigest() == GOLDEN_LUMA_SHA256
+
+
+@pytest.mark.parametrize("value", [np.nan, 7.5, -1, 256])
+def test_embed_clip_rejects_watermark_values_that_are_not_bytes(value):
+    # refused before any cast, so NaN raises no RuntimeWarning on the way
+    clip = make_noise_clip(n=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+            embed_clip(clip, np.full((4, 4), value), SEED1, SEED2, SEED3)
+
+
+def test_integral_watermark_of_any_real_dtype_writes_the_same_key(watermark):
+    clip = make_noise_clip(n=16)
+    keys = set()
+    for dtype in (np.uint8, np.int64, np.float64):
+        _, bundle = embed_clip(clip, watermark.astype(dtype), SEED1, SEED2, SEED3)
+        sink = io.StringIO()
+        write_key(bundle, sink)
+        keys.add(sink.getvalue())
+    assert len(keys) == 1

@@ -7,7 +7,7 @@ import pytest
 from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
 from oracles import embed_plane, extract_plane, quantize_luma
 from wm3d.embed import EmbedParams, embed_clip
-from wm3d.errors import GeometryError
+from wm3d.errors import FormatError, GeometryError
 from wm3d.extract import extract_clip, extract_frames, extract_shot
 from wm3d.keyfile import KeyBundle, ShotRecord
 from wm3d.media_io import VideoClip
@@ -154,7 +154,7 @@ def test_extract_clip_rejects_records_out_of_shot_order(watermark):
     # frames are taken in order, so the records must be too
     marked, bundle = _three_shot_run(watermark)
     bundle.records.reverse()
-    with pytest.raises(ValueError, match="ascending order"):
+    with pytest.raises(FormatError, match="records do not match selected"):
         extract_clip(marked, bundle, watermark)
 
 
@@ -218,7 +218,7 @@ def test_extract_frames_rejects_no_records_before_reading(watermark):
         read.append(1)
         yield np.zeros((64, 64), np.uint8)
 
-    with pytest.raises(GeometryError, match="selects no shots"):
+    with pytest.raises(FormatError, match="selects no shots"):
         extract_frames(frames(), 64, 64, bundle, watermark)
     assert read == []
 
@@ -228,3 +228,35 @@ def test_extract_geometry_mismatch(embedded, watermark):
     small = VideoClip(frames=[np.zeros((64, 64), np.uint8)] * 64)
     with pytest.raises(GeometryError):
         extract_clip(small, run.bundle, watermark)
+
+
+def _record(index):
+    return ShotRecord(index, np.ones((8, 16, 16), np.int8))
+
+
+# Changes that make a valid in-memory key for 64 frames of 128x128 in two
+# shots break a key-file rule: (changes, message fragment).
+_BAD_KEYS = {
+    "index-minus-one": (dict(selected=(-1,), records=[_record(-1)]), "outside boundary range"),
+    "index-past-last": (dict(selected=(2,), records=[_record(2)]), "outside boundary range"),
+    "boundaries-fall": (dict(boundaries=(0, 30, 25, 40)), "bad shot boundaries"),
+    "records-not-selected": (dict(selected=(0,), records=[_record(1)]),
+                             "records do not match selected"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_KEYS))
+def test_extract_frames_rejects_a_bad_in_memory_key_before_reading(name):
+    changes, fragment = _BAD_KEYS[name]
+    valid = dict(boundaries=(0, 32, 64), selected=(0, 1), records=[_record(0), _record(1)])
+    bundle = dataclasses.replace(_synthetic_bundle(SEED1, SEED2), **{**valid, **changes})
+    read = []
+
+    def frames():
+        for _ in range(64):
+            read.append(1)
+            yield np.zeros((128, 128), np.uint8)
+
+    with pytest.raises(FormatError, match=fragment):
+        extract_frames(frames(), 128, 128, bundle)
+    assert read == []

@@ -42,6 +42,8 @@ def test_quantize_rounding_rules():
 
 def test_quantize_equals_clamped_round_half_away():
     rs = np.random.RandomState(9)
+    # 0.49999999999999994 rounds to 1, not 0: the rule is floor(|x| + 0.5)
+    # with the sign of x, as the attacks._round_half_away docstring states
     special = [-0.5, 0.5, -0.0, 254.5, 255.5, 127.49999999999999, 0.49999999999999994]
     halves = rs.randint(-40, 300, 1000) + 0.5
     x = np.concatenate([rs.uniform(-300.0, 600.0, 10000), halves, special])

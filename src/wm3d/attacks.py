@@ -11,7 +11,7 @@ import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import VideoClip, _require_uint8
+from .media_io import VideoClip
 
 # JPEG Annex K luminance quantization table.
 _QTABLE = np.array(
@@ -59,7 +59,6 @@ def attack_average(clip: VideoClip) -> VideoClip:
     two neighbors; the first and last frames stay unchanged."""
     if clip.frame_count < 3:
         raise ValueError("averaging attack needs at least 3 frames")
-    _require_uint8(clip.frames, "averaging attack")
     total = np.empty(clip.frames[0].shape, np.uint16)
     frames = [clip.frames[0].copy()]
     for k in range(1, clip.frame_count - 1):
@@ -149,7 +148,6 @@ def attack_compress(clip: VideoClip, quality: int) -> VideoClip:
             f"compression proxy needs dimensions divisible by 8, "
             f"got {clip.width}x{clip.height}"
         )
-    _require_uint8(clip.frames, "compression proxy")
     tables = [quantization_table(quality)] * clip.frame_count
     out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)
     # imported here to keep it off every CLI start; tasks call only private
@@ -193,7 +191,6 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if not 0 <= seed <= prng.MASK64:
         raise ValueError(f"noise seed must be an unsigned 64-bit integer, got {seed}")
-    _require_uint8(clip.frames, "noise attack")
     step = _noise_steps(sigma)
     out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)
     total = np.empty(out.shape[1:], np.int16)

@@ -237,8 +237,6 @@ def embed_clip(
     wm_h, wm_w = sign_planes.shape[1:]
 
     # Fail fast on geometry before any transform work.
-    if not clip.frames:
-        raise ValueError("empty clip")
     _window_crop(params, clip.height, clip.width, wm_h, wm_w)
 
     if boundaries is None:

@@ -143,6 +143,4 @@ def extract_clip(
 ) -> ExtractionResult:
     """Blind extraction from an in-memory clip: extract_frames over its
     frames."""
-    if not clip.frames:
-        raise ValueError("empty clip")
     return extract_frames(clip.frames, clip.height, clip.width, bundle, reference)

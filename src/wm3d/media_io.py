@@ -38,6 +38,11 @@ class VideoClip:
     chroma: per-frame chroma payload bytes, verbatim from the source.
     extras: other y4m header tokens (interlacing, aspect, comments) kept
         for re-emission.
+
+    Checked at construction, so by dataclasses.replace too (frames changed
+    in place later are not re-checked): ValueError for no frames or a frame
+    that is not a 2-D uint8 array (0x0 is fine), FormatError for mixed
+    shapes or a chroma_token without one payload per frame.
     """
 
     frames: list
@@ -45,6 +50,19 @@ class VideoClip:
     chroma_token: str | None = None
     chroma: list | None = None
     extras: tuple = ()
+
+    def __post_init__(self):
+        if not self.frames:
+            raise ValueError("empty clip")
+        for k, f in enumerate(self.frames):
+            if not isinstance(f, np.ndarray) or f.dtype != np.uint8 or f.ndim != 2:
+                got = f"{getattr(f, 'dtype', type(f).__name__)} of shape {np.shape(f)}"
+                raise ValueError(f"frame {k} must be a 2-D uint8 array, got {got}")
+            if f.shape != self.frames[0].shape:
+                got = f"frame {k} is {f.shape}, frame 0 is {self.frames[0].shape}"
+                raise FormatError(f"dimension mismatch across frames: {got}")
+        if self.chroma_token is not None and len(self.chroma or ()) != len(self.frames):
+            raise FormatError("chroma payload count does not match frame count")
 
     @property
     def frame_count(self) -> int:
@@ -57,25 +75,6 @@ class VideoClip:
     @property
     def width(self) -> int:
         return self.frames[0].shape[1]
-
-
-def _require_uint8(frames, what: str) -> None:
-    """ValueError unless every frame is uint8, as integer kernels need."""
-    for f in frames:
-        if f.dtype != np.uint8:
-            raise ValueError(f"{what} needs uint8 frames, got {f.dtype}")
-
-
-def _validate_clip(clip: VideoClip) -> None:
-    if not clip.frames:
-        raise ValueError("empty clip")
-    shape = clip.frames[0].shape
-    for f in clip.frames:
-        if f.shape != shape:
-            raise FormatError("dimension mismatch across frames")
-    if clip.chroma_token is not None:
-        if clip.chroma is None or len(clip.chroma) != len(clip.frames):
-            raise FormatError("chroma payload count does not match frame count")
 
 
 def _open(source, mode: str):
@@ -126,11 +125,11 @@ def _header_int(token, what: str) -> int:
 # --- YUV4MPEG2 ---------------------------------------------------------------
 
 
-def _read_line(stream, what: str) -> bytes:
-    """Next line without its newline, b"" at end of input."""
+def _read_line(stream, what: str) -> bytes | None:
+    """Next line without its newline, None at end of input."""
     line = stream.readline(_HEADER_MAX + 1)
     if line.endswith(b"\n") or not line:
-        return line[:-1]
+        return line[:-1] if line else None
     if len(line) > _HEADER_MAX:
         raise FormatError(f"{what} too long")
     raise FormatError(f"unterminated {what}")
@@ -151,10 +150,11 @@ def iter_y4m(stream, keep=None, chroma=None) -> tuple:
     yields each frame's HxW uint8 luma in order, or None for a frame
     whose index is not in `keep` (None keeps every frame), whose
     payload is skipped unread. Each kept frame's chroma payload is
-    appended to the list `chroma` if one is given, else skipped.
+    appended to the list `chroma` if one is given, else skipped. Only end
+    of input ends the frames: any line but a FRAME marker, an empty one
+    too, where a marker belongs is a FormatError.
     """
-    header = _read_line(stream, "header")
-    tokens = header.decode("ascii", "replace").split(" ")
+    tokens = (_read_line(stream, "header") or b"").decode("ascii", "replace").split(" ")
     if not tokens or tokens[0] != "YUV4MPEG2":
         raise FormatError("malformed header: missing YUV4MPEG2 magic")
 
@@ -201,7 +201,7 @@ def _y4m_frames(stream, header: Y4mHeader, keep, chroma):
     h, w = header.height, header.width
     chroma_size = 0 if header.chroma_token is None else (w // 2) * (h // 2) * 2
     count = 0
-    while marker := _read_line(stream, "frame marker"):
+    while (marker := _read_line(stream, "frame marker")) is not None:
         if marker != b"FRAME" and not marker.startswith(b"FRAME "):
             raise FormatError("malformed frame marker")
         luma = None
@@ -241,13 +241,11 @@ def read_y4m(source) -> VideoClip:
 
 def write_y4m(clip: VideoClip, sink) -> None:
     """Emit a clip as YUV4MPEG2; luma-only clips are written as mono."""
-    _validate_clip(clip)
-    h, w = clip.frames[0].shape
     ctoken = clip.chroma_token if clip.chroma_token is not None else "mono"
     tokens = [
         "YUV4MPEG2",
-        f"W{w}",
-        f"H{h}",
+        f"W{clip.width}",
+        f"H{clip.height}",
         f"F{clip.rate[0]}:{clip.rate[1]}",
         *clip.extras,
         f"C{ctoken}",
@@ -256,7 +254,7 @@ def write_y4m(clip: VideoClip, sink) -> None:
         stream.write((" ".join(tokens) + "\n").encode("ascii"))
         for k, frame in enumerate(clip.frames):
             stream.write(b"FRAME\n")
-            stream.write(np.ascontiguousarray(frame, dtype=np.uint8).tobytes())
+            stream.write(frame.tobytes())
             if clip.chroma_token is not None:
                 stream.write(clip.chroma[k])
 
@@ -315,26 +313,22 @@ def write_pgm(image: np.ndarray, sink) -> None:
 
 def read_pgm_sequence(directory) -> VideoClip:
     """Read a directory's *.pgm files, in lexicographic name order, as a
-    luma-only clip."""
+    luma-only clip: frame k is the k-th file, counting from 0."""
     paths = sorted(Path(directory).glob("*.pgm"), key=lambda p: p.name)
     if not paths:
         raise FormatError("no PGM frames found")
-    frames = [read_pgm(p) for p in paths]
-    shape = frames[0].shape
-    for p, f in zip(paths, frames):
-        if f.shape != shape:
-            raise FormatError(f"dimension mismatch across frames: {p.name}")
-    return VideoClip(frames=frames)
+    return VideoClip(frames=[read_pgm(p) for p in paths])
 
 
 def write_pgm_sequence(clip: VideoClip, directory) -> None:
     """Write clip frames as frame_000001.pgm, frame_000002.pgm, ... in
-    `directory`, which is made if missing.
-
-    Chroma and frame rate have no PGM representation and are dropped.
+    `directory`, which is made if missing and must hold no *.pgm file yet
+    (FormatError), so no stale frame is left to read back. Chroma and frame
+    rate have no PGM representation and are dropped.
     """
-    _validate_clip(clip)
     out = Path(directory)
+    if any(out.glob("*.pgm")):
+        raise FormatError(f"{out} already holds PGM frames")
     out.mkdir(parents=True, exist_ok=True)
     for k, frame in enumerate(clip.frames, start=1):
         write_pgm(frame, out / f"frame_{k:06d}.pgm")

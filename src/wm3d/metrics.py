@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .media_io import VideoClip, _require_uint8
+from .media_io import VideoClip
 
 
 @dataclass
@@ -64,13 +64,13 @@ def psnr_clip(a: VideoClip, b: VideoClip) -> MetricsReport:
         raise ValueError(
             f"frame count mismatch: {a.frame_count} vs {b.frame_count}"
         )
-    if not a.frames or not a.frames[0].size:
+    if not a.frames[0].size:
         raise ValueError("empty clip")
-    _require_uint8([*a.frames, *b.frames], "PSNR")
+    shape, other = a.frames[0].shape, b.frames[0].shape
+    if shape != other:
+        raise ValueError(f"dimension mismatch: {shape} vs {other}")
     values = []
     for fa, fb in zip(a.frames, b.frames):
-        if fa.shape != fb.shape:
-            raise ValueError(f"dimension mismatch: {fa.shape} vs {fb.shape}")
         values.append(_psnr_from_mse(_squared_error(fa, fb) / fa.size))
     finite = [v for v in values if math.isfinite(v)]
     mean = sum(finite) / len(finite) if finite else math.inf

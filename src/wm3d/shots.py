@@ -25,11 +25,11 @@ MIN_EMBED_SHOT_LEN = PLANE_COUNT + 1
 
 
 def _histogram(frame: np.ndarray) -> np.ndarray:
-    """64 bins of width 4 over the 8-bit range. An even-sized uint8 frame
-    is counted two pixels at a time: each uint16 of the shifted frame
+    """64 bins of width 4 over the 8-bit range. An even-sized frame is
+    counted two pixels at a time: each uint16 of the shifted frame
     indexes a 64 x 256 table of pixel pairs, folded by rows and columns."""
     bins = (frame >> 2).ravel()
-    if bins.dtype != np.uint8 or bins.size % 2:
+    if bins.size % 2:
         return np.bincount(bins, minlength=HIST_BINS)
     pairs = np.bincount(bins.view(np.uint16), minlength=HIST_BINS * 256)
     c = pairs.reshape(HIST_BINS, 256)[:, :HIST_BINS]
@@ -52,8 +52,6 @@ def detect_shots(clip: VideoClip, threshold: float = DEFAULT_THRESHOLD) -> list:
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    if not clip.frames:
-        raise ValueError("empty clip")
     boundaries = [0]
     prev = _histogram(clip.frames[0])
     for k in range(1, clip.frame_count):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,13 +118,12 @@ def test_average_equals_float_oracle(frames):
 
 
 def test_non_uint8_frames_rejected():
-    clip = VideoClip(frames=[np.full((8, 8), 10.9)] * 3)
+    # the uint8 rule runs when the clip is built, so no attack sees float frames
     with pytest.raises(ValueError, match="uint8"):
-        attack_average(clip)
+        VideoClip(frames=[np.full((8, 8), 10.9)] * 3)
+    clip = _clip([10, 11, 12], h=8, w=8)
     with pytest.raises(ValueError, match="uint8"):
-        attack_compress(clip, 75)
-    with pytest.raises(ValueError, match="uint8"):
-        attack_noise(clip, 1.0, 1)
+        replace(clip, frames=[f.astype(np.float64) for f in clip.frames])
 
 
 def test_swap_copies_predecessor():

@@ -281,6 +281,17 @@ def test_attack_subcommands(workdir, tmp_path):
         assert read_y4m(out).frame_count == 16
 
 
+def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
+    out = workdir / "frames"
+    write_pgm_sequence(make_noise_clip(n=20, h=16, w=16), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(out),
+                 "--type", "swap"])
+    assert code == 2
+    assert f"{out} already holds PGM frames" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
 def test_attack_noise_non_finite_sigma_exits_2(workdir, tmp_path, sigma):
     out = tmp_path / "noisy.y4m"

@@ -127,6 +127,19 @@ def test_write_y4m_empty_clip_rejected():
         write_y4m(VideoClip(frames=[]), io.BytesIO())
 
 
+@pytest.mark.parametrize("keep", [None, {0}, {1}, ()], ids=["all", "0", "1", "none"])
+def test_y4m_empty_line_for_frame_marker_is_refused(keep):
+    # a stray newline after frame 0's payload used to end the stream there
+    data = b"YUV4MPEG2 W4 H2 F25:1 Cmono\nFRAME\n" + bytes(8)
+    bad = data + b"\nFRAME\n" + bytes(8)
+    assert read_y4m(io.BytesIO(data)).frame_count == 1
+    with pytest.raises(FormatError, match="malformed frame marker"):
+        if keep is None:
+            read_y4m(io.BytesIO(bad))
+        else:
+            list(iter_y4m(io.BytesIO(bad), keep=keep)[1])
+
+
 def test_write_y4m_frame_parameters_tolerated():
     data = b"YUV4MPEG2 W2 H1 F25:1 Cmono\nFRAME Xtag\n" + bytes(2)
     clip = read_y4m(io.BytesIO(data))
@@ -300,6 +313,16 @@ def test_pgm_sequence_dimension_mismatch(tmp_path):
     write_pgm(np.zeros((3, 3), np.uint8), tmp_path / "b.pgm")
     with pytest.raises(FormatError, match="dimension mismatch"):
         read_pgm_sequence(tmp_path)
+
+
+def test_pgm_sequence_refuses_a_directory_holding_frames(tmp_path):
+    rs = np.random.RandomState(7)
+    write_pgm_sequence(_clip([rs.randint(0, 256, (4, 4)) for _ in range(5)]), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(FormatError, match=f"{tmp_path} already holds PGM frames"):
+        write_pgm_sequence(_clip([np.zeros((4, 4))] * 3), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert read_pgm_sequence(tmp_path).frame_count == 5
 
 
 def test_pgm_sequence_empty_dir(tmp_path):

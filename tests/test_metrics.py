@@ -115,12 +115,11 @@ def test_psnr_clip_empty_clips_rejected():
 
 
 def test_psnr_clip_rejects_non_uint8_frames():
-    # 49 dB apart; an int cast of one side only would make them equal
-    a = VideoClip(frames=[np.full((4, 4), 10.9)])
-    b = VideoClip(frames=[np.full((4, 4), 10.0)])
-    for x, y in ((a, b), (b, a)):
+    # the uint8 rule runs when the clip is built, so psnr_clip never sees
+    # float frames (49 dB apart; an int cast of one side would make them equal)
+    for value in (10.9, 10.0):
         with pytest.raises(ValueError, match="uint8"):
-            psnr_clip(x, y)
+            VideoClip(frames=[np.full((4, 4), value)])
 
 
 def _checker(h, w):

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from wm3d.attacks import attack_compress, attack_noise
 from wm3d.embed import EmbedParams, embed_clip, embed_shot
 from wm3d.errors import FormatError, GeometryError
 from wm3d.extract import extract_shot
@@ -45,6 +46,22 @@ _CASES = {
         lambda: write_y4m(VideoClip(frames=[_FRAME] * 2, chroma_token="420jpeg",
                                     chroma=[bytes(2048)]), io.BytesIO()),
         FormatError, "chroma payload count"),
+    # VideoClip checks every clip rule when it is built
+    "clip-empty": (lambda: VideoClip(frames=[]), ValueError, "empty clip"),
+    "clip-float-frame": (lambda: VideoClip(frames=[_FRAME, _FRAME / 2]), ValueError,
+                         "frame 1 must be a 2-D uint8 array, got float64"),
+    "clip-3d-frame": (lambda: VideoClip(frames=[_FRAME[None]]), ValueError,
+                      "frame 0 must be a 2-D uint8 array, got uint8 of shape (1, 64, 64)"),
+    "clip-mixed-shapes": (
+        lambda: VideoClip(frames=[_FRAME, _FRAME, _FRAME[:8]]), FormatError,
+        "frame 2 is (8, 64), frame 0 is (64, 64)"),
+    "clip-chroma-count": (
+        lambda: VideoClip(frames=[_FRAME] * 2, chroma_token="420jpeg", chroma=[b""]),
+        FormatError, "chroma payload count does not match frame count"),
+    "compress-empty-clip": (lambda: attack_compress(VideoClip(frames=[]), 50), ValueError,
+                            "empty clip"),
+    "noise-empty-clip": (lambda: attack_noise(VideoClip(frames=[]), 2.0, 1), ValueError,
+                         "empty clip"),
     "pgm-3d": (lambda: write_pgm(np.zeros((2, 2, 2), np.uint8), io.BytesIO()),
                ValueError, "nonempty 2-D array"),
     "params-negative-row": (lambda: EmbedParams(region_row0=-1), ValueError,

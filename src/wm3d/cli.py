@@ -124,12 +124,12 @@ def cmd_embed(args) -> int:
         fraction=args.select_fraction,
         threshold=args.shot_threshold,
     )
+    _save_clip(marked, args.output)  # first: a refused output leaves no key
+    write_key(bundle, args.key_out)
     spans = shot_spans(bundle.boundaries)
     for index in bundle.selected:
         a, b = spans[index]
         print(f"shot {index}: frames [{a},{b}) embedded")
-    write_key(bundle, args.key_out)
-    _save_clip(marked, args.output)
     return EXIT_OK
 
 

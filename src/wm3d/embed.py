@@ -1,11 +1,12 @@
 """Spread-spectrum embedding of prepared sign planes into a video.
 
-Bitplane b of the watermark goes to temporal coefficient frame b+1 (the
-DC frame is never touched), inside one window of a level-3 subband, so
-the least significant plane rides on the coarsest temporal detail. A
-level-3 coefficient depends only on its own 8x8 pixel block, so each
-selected shot is worked on through one block-aligned crop: the window's
-blocks plus a 1-coefficient halo. Other pixels are copied.
+Bitplane b of the watermark, prepared by wmprep.prepare_sign_planes,
+goes to temporal coefficient frame b+1 (the DC frame is never touched),
+inside one window of a level-3 subband, so the least significant plane
+rides on the coarsest temporal detail. A level-3 coefficient depends
+only on its own 8x8 pixel block, so each selected shot is worked on
+through one block-aligned crop: the window's blocks plus a
+1-coefficient halo. Other pixels are copied.
 
 The realized sign r of a position is +1 where its neighborhood max lies
 strictly on the side its prepared sign names, else -1, ties included;
@@ -50,7 +51,7 @@ from .wavelet3d import (
     temporal_analysis,
     temporal_synthesis,
 )
-from .wmprep import decompose_bitplanes, disorder, permute
+from .wmprep import prepare_sign_planes
 
 DEFAULT_ALPHA = 0.1
 
@@ -201,14 +202,6 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
         np.clip(total, 0, 255, out=total)
         pixels[...] = total
     return out, realized
-
-
-def prepare_sign_planes(watermark: np.ndarray, seed1: int, seed2: int) -> np.ndarray:
-    """Watermark image -> 8 permuted, disorder-mapped sign planes."""
-    bitplanes = decompose_bitplanes(watermark)
-    return np.stack(
-        [disorder(permute(bitplanes[b], seed1), b, seed2) for b in range(PLANE_COUNT)]
-    )
 
 
 def embed_clip(

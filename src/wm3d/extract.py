@@ -1,8 +1,8 @@
 """Blind watermark extraction driven entirely by the key bundle.
 
 The received video plus the bundle (seeds, geometry, stored shot
-boundaries and the realized sign planes) reproduce the forward
-transforms and invert the preparation; the original video is never
+boundaries, realized sign planes) reproduce the forward transforms, and
+wmprep.restore_bitplanes inverts the preparation; the original is never
 consulted. A bundle built in memory is held to the key file's rules, as
 one read from a file is. As in embedding, only the watermark window's
 crop is transformed, and only as far as the integer sums of one subband
@@ -26,8 +26,8 @@ from .errors import GeometryError
 from .keyfile import KeyBundle, _check_bundle
 from .media_io import VideoClip
 from .metrics import nc as nc_metric
-from .shots import PLANE_COUNT, shot_spans
-from .wmprep import compose_bitplanes, undisorder, unpermute
+from .shots import shot_spans
+from .wmprep import compose_bitplanes, restore_bitplanes
 
 
 @dataclass
@@ -68,9 +68,7 @@ def extract_shot(
     )
     sums = _crop_coeffs(frames, crop, params.band, expected_length)
     recovered = _window_signs(sums, key_planes, local)[1]
-    bitplanes = np.stack(
-        [unpermute(undisorder(recovered[k], k, seed2), seed1) for k in range(PLANE_COUNT)]
-    )
+    bitplanes = restore_bitplanes(recovered, seed1, seed2)
     return ShotExtraction(
         shot_index=-1,
         watermark=compose_bitplanes(bitplanes),

@@ -1,7 +1,7 @@
 """Keyed deterministic randomness built on splitmix64.
 
-Every key-driven choice in the toolkit (shot selection, bitplane
-permutation, disorder masks, the noise attack) goes through these
+Every key-driven choice in the toolkit (shot selection, the bitplane
+permutation and XOR masks of wmprep, the noise attack) goes through these
 primitives, so the same 64-bit keys reproduce the same bits on any
 platform. splitmix64 was picked because it is tiny, fast and trivial
 to port. It is implemented once, on uint64 arrays with wrapping

@@ -1,9 +1,10 @@
-"""Watermark preprocessing: bitplanes, keyed permutation, keyed signs.
+"""Watermark preprocessing: the (8, H, W) bitplane stack and its keys.
 
-A grayscale watermark is split into its 8 bitplanes. One keyed position
-permutation (first key) scatters every plane the same way; a keyed XOR
-mask (second key, salted with the plane index so planes decorrelate)
-then maps each plane to a +-1 sign matrix. All steps invert exactly.
+A grayscale watermark is split into its 8 bitplanes, and the stack is
+prepared in one step: one keyed position permutation (first key)
+scatters every plane the same way, and a keyed XOR mask per plane
+(second key, salted with the plane index so planes decorrelate) maps
+each plane to a +-1 sign matrix. restore_bitplanes inverts it exactly.
 """
 
 from functools import lru_cache
@@ -40,67 +41,41 @@ def compose_bitplanes(planes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _perm(size: int, seed1: int) -> np.ndarray:
-    # All 8 planes share one permutation, and embed/extract reuse it;
-    # every caller shares the cached array, so it is read-only.
-    p = prng.permutation(size, seed1)
-    p.setflags(write=False)
-    return p
-
-
-def permute(plane: np.ndarray, seed1: int) -> np.ndarray:
-    """Scatter positions with the keyed permutation shared by all planes.
-
-    Output position t takes input position p[t], where p is the
-    Fisher-Yates permutation drawn from splitmix64(seed1) over the
-    row-major flattening.
-    """
-    arr = np.asarray(plane)
-    p = _perm(arr.size, seed1)
-    return arr.ravel()[p].reshape(arr.shape)
-
-
-def unpermute(plane: np.ndarray, seed1: int) -> np.ndarray:
-    """Exact inverse of permute for the same seed."""
-    arr = np.asarray(plane)
-    p = _perm(arr.size, seed1)
-    out = np.empty(arr.size, dtype=arr.dtype)
-    out[p] = arr.ravel()
-    return out.reshape(arr.shape)
-
-
-@lru_cache(maxsize=64)
-def _mask(shape, plane_index: int, seed2: int) -> np.ndarray:
-    """Keyed binary mask: cell (i, j) is the low bit of mix(mix(mix(seed2
-    XOR plane_index) XOR i) XOR j), mix the splitmix64 step mod 2**64.
-
-    Every shot reuses the same 8 masks; cached, so shared and read-only."""
+def _keys(shape, seed1: int, seed2: int) -> tuple:
+    """(permutation, masks) of (H, W) marks, cached and so read-only: the
+    permutation is prng.permutation(H * W, seed1) of row-major positions;
+    cell (b, i, j) of the masks is the low bit of mix(mix(mix(seed2 XOR b)
+    XOR i) XOR j), mix the splitmix64 step mod 2**64."""
     h, w = shape
-    base = prng.mix64_np(np.array([(seed2 ^ plane_index) & prng.MASK64], np.uint64))
-    rows = prng.mix64_np(base ^ np.arange(h, dtype=np.uint64))
-    cells = prng.mix64_np(rows[:, None] ^ np.arange(w, dtype=np.uint64)[None, :])
-    m = (cells & np.uint64(1)).astype(np.uint8)
-    m.setflags(write=False)
-    return m
+    perm = prng.permutation(h * w, seed1)
+    salts = np.uint64(seed2 & prng.MASK64) ^ np.arange(8, dtype=np.uint64)
+    rows = prng.mix64_np(prng.mix64_np(salts)[:, None] ^ np.arange(h, dtype=np.uint64))
+    cells = prng.mix64_np(rows[..., None] ^ np.arange(w, dtype=np.uint64))
+    masks = (cells & np.uint64(1)).astype(np.uint8)
+    perm.setflags(write=False)
+    masks.setflags(write=False)
+    return perm, masks
 
 
-def disorder(plane: np.ndarray, plane_index: int, seed2: int) -> np.ndarray:
-    """Map a bitplane to a keyed +-1 sign matrix.
+def prepare_sign_planes(watermark: np.ndarray, seed1: int, seed2: int) -> np.ndarray:
+    """Watermark image -> (8, H, W) int8 +-1 sign planes.
 
-    XORs the bits with the plane's mask and maps 1 -> +1, 0 -> -1.
+    Output position t of every bitplane takes its input position p[t],
+    p the keyed permutation over the row-major flattening; each plane is
+    then XORed with its mask and mapped 1 -> +1, 0 -> -1.
     """
-    bits = np.asarray(plane, dtype=np.uint8)
-    if np.any(bits > 1):
-        raise ValueError("plane must be binary")
-    m = _mask(bits.shape, plane_index, seed2)
-    return (2 * (bits ^ m).astype(np.int8) - 1).astype(np.int8)
+    bits = decompose_bitplanes(watermark)
+    perm, masks = _keys(bits.shape[1:], seed1, seed2)
+    moved = bits.reshape(8, -1)[:, perm].reshape(bits.shape)
+    return 2 * (moved ^ masks).astype(np.int8) - 1
 
 
-def undisorder(signs: np.ndarray, plane_index: int, seed2: int) -> np.ndarray:
-    """Recover the bitplane from a sign matrix under the same key."""
+def restore_bitplanes(signs: np.ndarray, seed1: int, seed2: int) -> np.ndarray:
+    """Exact inverse of prepare_sign_planes: the (8, H, W) bit stack."""
     arr = np.asarray(signs)
     if np.any((arr != 1) & (arr != -1)):
         raise ValueError("sign plane values must be +1 or -1")
-    bits = ((arr + 1) // 2).astype(np.uint8)
-    m = _mask(arr.shape, plane_index, seed2)
-    return bits ^ m
+    perm, masks = _keys(arr.shape[1:], seed1, seed2)
+    bits = np.empty((8, perm.size), dtype=np.uint8)
+    bits[:, perm] = ((arr > 0) ^ masks).reshape(8, -1)
+    return bits.reshape(arr.shape)

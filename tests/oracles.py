@@ -3,21 +3,21 @@
 Scalar versions of the neighborhood and sign rules, the full 3-level
 orthonormal spatial Haar transform and its inverse (src/ computes only
 the integer sums of the one subband embedding uses), the inverse of one
-subband at full resolution (src/ synthesizes on the band grid), the
-full orthonormal temporal inverse (src/ uses the exact inverse of its
-integer analysis), the whole-volume 3D transform, the paper's float
-update of orthonormal coefficients (src/ applies it to the integer
-sums), and whole-frame embedding and extraction: every frame of a shot
-goes through the full temporal and spatial transforms, forward and
-inverse, as the crop-based path in wm3d.embed avoids doing. Also the
-sequential splitmix64 generator and Fisher-Yates shuffle, the noise
-attack drawn one pixel at a time, the pairwise histogram distance of
-shot detection, the compression proxy's rounding, the float64 luma
-rounding, averaging and PSNR, the
-per-block DCT round trip the compression proxy used before its
-separable products, and scipy's DCT round trip for the compression
-proxy; scipy is imported only when that oracle runs, since wm3d itself
-needs numpy only.
+subband at full resolution (src/ synthesizes on the band grid), the full
+orthonormal temporal inverse (src/ uses the exact inverse of its integer
+analysis), the whole-volume 3D transform, the paper's float update of
+orthonormal coefficients (src/ applies it to the integer sums), and
+whole-frame embedding and extraction: every frame of a shot goes through
+the full temporal and spatial transforms, forward and inverse, as the
+crop-based path in wm3d.embed avoids doing. Also the sequential
+splitmix64 generator and Fisher-Yates shuffle, the watermark preparation
+one plane and one cell at a time (wm3d.wmprep works on the whole plane
+stack), the noise attack drawn one pixel at a time, the pairwise
+histogram distance of shot detection, the compression proxy's rounding,
+the float64 luma rounding, averaging and PSNR, the per-block DCT round
+trip the compression proxy used before its separable products, and
+scipy's DCT round trip for the compression proxy; scipy is imported only
+when that oracle runs, since wm3d itself needs numpy only.
 """
 
 import math
@@ -31,7 +31,7 @@ from wm3d.errors import GeometryError
 from wm3d.metrics import _psnr_from_mse
 from wm3d.shots import HIST_BINS
 from wm3d.wavelet3d import SPATIAL_LEVELS, band_pattern
-from wm3d.wmprep import undisorder, unpermute
+from wm3d.wmprep import restore_bitplanes
 
 _SQRT2 = math.sqrt(2.0)
 MASK64 = (1 << 64) - 1
@@ -62,6 +62,29 @@ def fisher_yates(n: int, seed: int) -> np.ndarray:
         j = rng.below(i + 1)
         p[i], p[j] = p[j], p[i]
     return p
+
+
+def prepare_sign_planes_seq(watermark, seed1: int, seed2: int) -> np.ndarray:
+    """wm3d.wmprep.prepare_sign_planes from its definition alone, plane by
+    plane and cell by cell: output position t of bitplane b takes input
+    position fisher_yates(H * W, seed1)[t] (row-major), and cell (i, j) is
+    then XORed with the low bit of mix(mix(mix(seed2 ^ b) ^ i) ^ j), mix
+    one sequential splitmix64 step; bit 1 -> +1, 0 -> -1."""
+    def mix(x):
+        return SplitMix64(x).next_u64()
+
+    wm = np.asarray(watermark, dtype=np.uint8)
+    h, w = wm.shape
+    perm = fisher_yates(h * w, seed1)
+    out = np.empty((8, h, w), dtype=np.int8)
+    for b in range(8):
+        moved = ((wm >> b) & 1).ravel()[perm].reshape(h, w)
+        base = mix((seed2 ^ b) & MASK64)
+        for i in range(h):
+            row = mix(base ^ i)
+            for j in range(w):
+                out[b, i, j] = 1 if int(moved[i, j]) ^ (mix(row ^ j) & 1) else -1
+    return out
 
 
 def histogram_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -293,11 +316,8 @@ def embed_shot_full(frames, sign_planes, params) -> tuple:
 def extract_planes_full(frames, key_planes, seed1, seed2, params) -> np.ndarray:
     """Whole-frame extraction of the 8 bitplanes of one shot."""
     coeffs = spatial_forward3(temporal_forward_stacked(frames))
-    bits = []
-    for k in range(1, 9):
-        recovered = extract_plane(coeffs[k], key_planes[k - 1], params)
-        bits.append(unpermute(undisorder(recovered, k - 1, seed2), seed1))
-    return np.stack(bits)
+    recovered = [extract_plane(coeffs[k], key_planes[k - 1], params) for k in range(1, 9)]
+    return restore_bitplanes(np.stack(recovered), seed1, seed2)
 
 
 def noise_pixels(frames, sigma: float, seed: int) -> list:

@@ -60,14 +60,7 @@ def test_criterion_01_3d_reconstruction():
 
 
 def test_criterion_02_prep_roundtrip():
-    from wm3d.wmprep import (
-        compose_bitplanes,
-        decompose_bitplanes,
-        disorder,
-        permute,
-        undisorder,
-        unpermute,
-    )
+    from wm3d.wmprep import compose_bitplanes, prepare_sign_planes, restore_bitplanes
 
     rs = np.random.RandomState(202)
     start = time.perf_counter()
@@ -77,11 +70,7 @@ def test_criterion_02_prep_roundtrip():
         wm = rs.randint(0, 256, (h, w)).astype(np.uint8)
         s1 = int(rs.randint(0, 2**63))
         s2 = int(rs.randint(0, 2**63))
-        planes = decompose_bitplanes(wm)
-        prepared = [disorder(permute(planes[b], s1), b, s2) for b in range(8)]
-        restored = np.stack(
-            [unpermute(undisorder(prepared[b], b, s2), s1) for b in range(8)]
-        )
+        restored = restore_bitplanes(prepare_sign_planes(wm, s1, s2), s1, s2)
         ok = ok and np.array_equal(compose_bitplanes(restored), wm)
     elapsed = time.perf_counter() - start
     _report(

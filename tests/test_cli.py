@@ -292,6 +292,20 @@ def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_embed_into_a_directory_holding_frames_leaves_no_key(workdir, capsys):
+    out = workdir / "frames"
+    write_pgm_sequence(make_noise_clip(n=2, h=16, w=16), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = main(["embed", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),
+                 "--key-out", str(workdir / "k.key"), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{out} already holds PGM frames" in captured.err
+    assert not (workdir / "k.key").exists()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
 def test_attack_noise_non_finite_sigma_exits_2(workdir, tmp_path, sigma):
     out = tmp_path / "noisy.y4m"

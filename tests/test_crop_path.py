@@ -32,11 +32,11 @@ from wm3d.embed import (
     _window_signs,
     embed_clip,
     embed_shot,
-    prepare_sign_planes,
 )
 from wm3d.extract import extract_shot
 from wm3d.keyfile import write_key
 from wm3d.wavelet3d import BANDS, band_sums, subband_rect, temporal_analysis
+from wm3d.wmprep import prepare_sign_planes
 
 TIE_TOLERANCE = 1e-9
 HEIGHT, WIDTH = 64, 48  # level-3 subbands of 8 rows x 6 columns

@@ -12,13 +12,13 @@ from wm3d.embed import (
     _neighbor_max_grid,
     embed_clip,
     embed_shot,
-    prepare_sign_planes,
 )
 from wm3d.errors import GeometryError
 from wm3d.keyfile import write_key
 from wm3d.media_io import VideoClip
 from wm3d.metrics import psnr
 from wm3d.wavelet3d import subband_rect
+from wm3d.wmprep import prepare_sign_planes
 
 
 def _frame16(values=None):

@@ -9,8 +9,8 @@ import argparse
 import bisect
 import csv
 import math
+import os
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,16 +26,7 @@ from .embed import DEFAULT_ALPHA, EmbedParams, embed_clip
 from .errors import FormatError, GeometryError
 from .extract import extract_clip, extract_frames
 from .keyfile import read_key, write_key
-from .media_io import (
-    VideoClip,
-    iter_y4m,
-    read_pgm,
-    read_pgm_sequence,
-    read_y4m,
-    write_pgm,
-    write_pgm_sequence,
-    write_y4m,
-)
+from .media_io import VideoClip, open_video, read_pgm, read_video, write_pgm, write_video
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
 from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans
@@ -57,21 +48,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _load_clip(path: str):
-    p = Path(path)
-    if p.is_dir():
-        return read_pgm_sequence(p)
-    return read_y4m(p)
-
-
-def _save_clip(clip, path: str) -> None:
-    p = Path(path)
-    if p.suffix.lower() == ".y4m":
-        write_y4m(clip, p)
-    else:
-        write_pgm_sequence(clip, p)
 
 
 def _parse_offset(text: str):
@@ -104,7 +80,7 @@ def _parse_shot_list(text: str):
 
 
 def cmd_embed(args) -> int:
-    clip = _load_clip(args.input)
+    clip = read_video(args.input)
     watermark = read_pgm(args.wm)
     params = EmbedParams(
         alpha=args.alpha,
@@ -124,8 +100,15 @@ def cmd_embed(args) -> int:
         fraction=args.select_fraction,
         threshold=args.shot_threshold,
     )
-    _save_clip(marked, args.output)  # first: a refused output leaves no key
-    write_key(bundle, args.key_out)
+    made = not os.path.lexists(args.key_out)
+    with open(args.key_out, "a"):  # opened first: a refused key path leaves no video
+        try:
+            write_video(marked, args.output)
+        except BaseException:
+            if made:  # a refused video leaves no new key and an earlier one unchanged
+                os.remove(args.key_out)
+            raise
+        write_key(bundle, args.key_out)
     spans = shot_spans(bundle.boundaries)
     for index in bundle.selected:
         a, b = spans[index]
@@ -148,14 +131,10 @@ class _SpanFrames:
 def cmd_extract(args) -> int:
     bundle = read_key(args.key)
     reference = read_pgm(args.ref) if args.ref else None
-    if Path(args.input).is_dir():
-        result = extract_clip(read_pgm_sequence(args.input), bundle, reference)
-    else:
-        spans = shot_spans(bundle.boundaries)
-        keep = _SpanFrames(spans[rec.shot_index] for rec in bundle.records)
-        with open(args.input, "rb") as stream:
-            head, frames = iter_y4m(stream, keep)
-            result = extract_frames(frames, head.height, head.width, bundle, reference)
+    spans = shot_spans(bundle.boundaries)
+    keep = _SpanFrames(spans[rec.shot_index] for rec in bundle.records)
+    with open_video(args.input, keep) as (head, frames):
+        result = extract_frames(frames, head.height, head.width, bundle, reference)
     write_pgm(result.watermark, args.output)
     for shot in result.shots:
         note = " (length mismatch)" if shot.length_mismatch else ""
@@ -169,20 +148,20 @@ def cmd_extract(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    clip = _load_clip(args.input)
+    clip = read_video(args.input)
     attack = _ATTACKS[args.type]
     original = None
     if args.type == "drop":
         if not args.original:
             raise FormatError("attack type 'drop' requires --original")
-        original = _load_clip(args.original)
+        original = read_video(args.original)
     param = getattr(args, attack.option) if attack.option else None
-    _save_clip(attack.apply(clip, original, param, args.seed), args.output)
+    write_video(attack.apply(clip, original, param, args.seed), args.output)
     return EXIT_OK
 
 
 def cmd_psnr(args) -> int:
-    report = psnr_clip(_load_clip(args.a), _load_clip(args.b))
+    report = psnr_clip(read_video(args.a), read_video(args.b))
     print(f"{report.psnr_mean:.4f}")
     return EXIT_OK
 
@@ -193,7 +172,7 @@ def cmd_nc(args) -> int:
 
 
 def cmd_shots(args) -> int:
-    boundaries = detect_shots(_load_clip(args.input), args.threshold)
+    boundaries = detect_shots(read_video(args.input), args.threshold)
     print(",".join(str(b) for b in boundaries))
     return EXIT_OK
 
@@ -251,7 +230,7 @@ def cmd_bench(args) -> int:
     # Arguments are checked before any output: here, then by the first embed.
     strengths = [EmbedParams(alpha=float(a)) for a in args.alphas.split(",")]
     specs = _parse_attack_list(args.attacks, args.seed)
-    clip = _load_clip(args.input)
+    clip = read_video(args.input)
     watermark = read_pgm(args.wm)
 
     writer = csv.writer(sys.stdout)

@@ -9,11 +9,12 @@ crop is transformed, and only as far as the integer sums of one subband
 of its coefficient frames 1..8 (see wm3d.embed), so the neighborhood
 comparison is exact, and embed's sign rule (embed._window_signs) decodes
 each bit, a tie as -1. Frames are taken in order and only the selected
-shot being filled is held, so a reader may skip every frame outside the
-key's shots. A shot shorter than the key's record is repaired in closed
-form: the missing frames repeat the last one received, so their columns
-of the analysis matrix fold onto its column, and memory follows the
-frames received, not the length the key claims.
+shot being filled is held, so a reader, such as media_io.open_video for
+either form, may skip every frame outside the key's shots. A shot
+shorter than the key's record is repaired in closed form: the missing
+frames repeat the last one received, so their columns of the analysis
+matrix fold onto its column, and memory follows the frames received, not
+the length the key claims.
 """
 
 from dataclasses import dataclass
@@ -120,7 +121,7 @@ def extract_frames(
         if reference is not None:
             res.nc = nc_metric(reference, res.watermark)
         results.append(res)
-    for _ in frames:  # read on to the end: a damaged tail fails as in read_y4m
+    for _ in frames:  # read on to the end: a damaged tail fails as in read_video
         pass
 
     votes = np.sum([r.bitplanes.astype(np.int32) for r in results], axis=0)

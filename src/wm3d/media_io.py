@@ -1,17 +1,18 @@
 """Video and image I/O: YUV4MPEG2 streams and binary PGM files.
 
-Readers and writers take a path (str or any os.PathLike) or an open
-binary io stream (readers call its readline); a stream is left open.
-Only the luma plane is ever processed. Chroma payloads read from 4:2:0
-sources are kept verbatim and re-emitted untouched, so a pipeline run
-never rewrites bytes it did not watermark. Parsing never rescales sample
-values.
+A video is a y4m file or stream, or a directory of PGM frames; only
+open_video, read_video and write_video tell the two forms apart. Readers
+and writers take a path (str or any os.PathLike) or an open binary io
+stream (readers call its readline); a stream is left open. Only the luma
+plane is ever processed. Chroma payloads read from 4:2:0 sources are kept
+verbatim and re-emitted untouched, so a pipeline run never rewrites bytes
+it did not watermark. Parsing never rescales sample values.
 """
 
 import io
 import os
 import re
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -58,9 +59,7 @@ class VideoClip:
             if not isinstance(f, np.ndarray) or f.dtype != np.uint8 or f.ndim != 2:
                 got = f"{getattr(f, 'dtype', type(f).__name__)} of shape {np.shape(f)}"
                 raise ValueError(f"frame {k} must be a 2-D uint8 array, got {got}")
-            if f.shape != self.frames[0].shape:
-                got = f"frame {k} is {f.shape}, frame 0 is {self.frames[0].shape}"
-                raise FormatError(f"dimension mismatch across frames: {got}")
+            _check_shape(k, f, 0, self.frames[0])
         if self.chroma_token is not None and len(self.chroma or ()) != len(self.frames):
             raise FormatError("chroma payload count does not match frame count")
 
@@ -75,6 +74,12 @@ class VideoClip:
     @property
     def width(self) -> int:
         return self.frames[0].shape[1]
+
+
+def _check_shape(k: int, frame, first: int, first_frame) -> None:
+    if frame.shape != first_frame.shape:
+        got = f"frame {k} is {frame.shape}, frame {first} is {first_frame.shape}"
+        raise FormatError(f"dimension mismatch across frames: {got}")
 
 
 def _open(source, mode: str):
@@ -135,7 +140,7 @@ def _read_line(stream, what: str) -> bytes | None:
     raise FormatError(f"unterminated {what}")
 
 
-class Y4mHeader(NamedTuple):
+class VideoHeader(NamedTuple):
     width: int
     height: int
     rate: tuple  # (numerator, denominator)
@@ -146,7 +151,7 @@ class Y4mHeader(NamedTuple):
 def iter_y4m(stream, keep=None, chroma=None) -> tuple:
     """Read a YUV4MPEG2 stream (binary file object) frame by frame.
 
-    Parses the header at once and returns (Y4mHeader, frames). `frames`
+    Parses the header at once and returns (VideoHeader, frames). `frames`
     yields each frame's HxW uint8 luma in order, or None for a frame
     whose index is not in `keep` (None keeps every frame), whose
     payload is skipped unread. Each kept frame's chroma payload is
@@ -193,11 +198,11 @@ def iter_y4m(stream, keep=None, chroma=None) -> tuple:
             raise FormatError("4:2:0 stream requires even dimensions")
     else:
         raise FormatError(f"unsupported chroma subsampling C{ctoken}")
-    header = Y4mHeader(width, height, rate, ctoken, tuple(extras))
+    header = VideoHeader(width, height, rate, ctoken, tuple(extras))
     return header, _y4m_frames(stream, header, keep, chroma)
 
 
-def _y4m_frames(stream, header: Y4mHeader, keep, chroma):
+def _y4m_frames(stream, header: VideoHeader, keep, chroma):
     h, w = header.height, header.width
     chroma_size = 0 if header.chroma_token is None else (w // 2) * (h // 2) * 2
     count = 0
@@ -218,25 +223,6 @@ def _y4m_frames(stream, header: Y4mHeader, keep, chroma):
         yield luma
     if not count:
         raise FormatError("truncated frame payload: no frames after header")
-
-
-def read_y4m(source) -> VideoClip:
-    """Parse a YUV4MPEG2 stream (path or binary file object).
-
-    Accepts 4:2:0 and mono (4:0:0) streams; chroma planes are stored
-    verbatim for lossless re-emission: iter_y4m keeping every frame.
-    """
-    chroma = []
-    with _open(source, "rb") as stream:
-        header, frames = iter_y4m(stream, chroma=chroma)
-        frames = list(frames)
-    return VideoClip(
-        frames=frames,
-        rate=header.rate,
-        chroma_token=header.chroma_token,
-        chroma=None if header.chroma_token is None else chroma,
-        extras=header.extras,
-    )
 
 
 def write_y4m(clip: VideoClip, sink) -> None:
@@ -311,15 +297,6 @@ def write_pgm(image: np.ndarray, sink) -> None:
         stream.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 
 
-def read_pgm_sequence(directory) -> VideoClip:
-    """Read a directory's *.pgm files, in lexicographic name order, as a
-    luma-only clip: frame k is the k-th file, counting from 0."""
-    paths = sorted(Path(directory).glob("*.pgm"), key=lambda p: p.name)
-    if not paths:
-        raise FormatError("no PGM frames found")
-    return VideoClip(frames=[read_pgm(p) for p in paths])
-
-
 def write_pgm_sequence(clip: VideoClip, directory) -> None:
     """Write clip frames as frame_000001.pgm, frame_000002.pgm, ... in
     `directory`, which is made if missing and must hold no *.pgm file yet
@@ -332,3 +309,53 @@ def write_pgm_sequence(clip: VideoClip, directory) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for k, frame in enumerate(clip.frames, start=1):
         write_pgm(frame, out / f"frame_{k:06d}.pgm")
+
+
+# --- either form -------------------------------------------------------------
+
+
+@contextmanager
+def open_video(source, keep=None, chroma=None):
+    """Open a video to read frame by frame: (VideoHeader, frames) as from
+    iter_y4m. A directory is its *.pgm files in name order, luma only at
+    25:1; it is listed once, only frames in `keep` are opened, the header
+    is the first kept frame's (frame 0's if none is), and a kept frame of
+    another size is a FormatError when read. Anything else is y4m."""
+    if isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
+        paths = sorted(Path(source).glob("*.pgm"), key=lambda p: p.name)
+        if not paths:
+            raise FormatError("no PGM frames found")
+        kept = [keep is None or k in keep for k in range(len(paths))]
+        first = kept.index(True) if True in kept else 0
+        image = read_pgm(paths[first])
+        header = VideoHeader(image.shape[1], image.shape[0], (25, 1), None, ())
+        yield header, _pgm_frames(paths, kept, first, image)
+    else:
+        with _open(source, "rb") as stream:
+            yield iter_y4m(stream, keep, chroma)
+
+
+def _pgm_frames(paths, kept, first: int, image):
+    for k, (path, take) in enumerate(zip(paths, kept)):
+        frame = None
+        if take:
+            frame = image if k == first else read_pgm(path)
+            _check_shape(k, frame, first, image)
+        yield frame
+
+
+def read_video(source) -> VideoClip:
+    """Read a whole video, every frame and its chroma, through open_video."""
+    chroma = []
+    with open_video(source, chroma=chroma) as (header, frames):
+        frames = list(frames)
+    return VideoClip(frames, header.rate, header.chroma_token, chroma or None, header.extras)
+
+
+read_y4m = read_pgm_sequence = read_video  # its older names, one per form
+
+
+def write_video(clip: VideoClip, path) -> None:
+    """Write a clip as y4m to a path named *.y4m (any case), else as PGM frames."""
+    write = write_y4m if Path(path).suffix.lower() == ".y4m" else write_pgm_sequence
+    write(clip, path)

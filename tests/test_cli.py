@@ -31,6 +31,7 @@ from wm3d.media_io import (
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+RUN_CLI = "import sys; from wm3d.cli import main; sys.exit(main())"
 
 
 @pytest.fixture()
@@ -304,6 +305,62 @@ def test_embed_into_a_directory_holding_frames_leaves_no_key(workdir, capsys):
     assert f"{out} already holds PGM frames" in captured.err
     assert not (workdir / "k.key").exists()
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_refused_video_leaves_an_earlier_key_unchanged(workdir, capsys):
+    out = str(workdir / "frames")
+    assert _embed(workdir, "--out", out) == 0
+    key = (workdir / "k.key").read_bytes()
+    capsys.readouterr()
+    assert _embed(workdir, "--out", out, "--alpha", "0.2") == 2  # frames/ is not empty now
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{out} already holds PGM frames" in captured.err
+    assert (workdir / "k.key").read_bytes() == key
+
+
+def test_a_key_file_is_rewritten_whole(workdir):
+    (workdir / "k.key").write_text("x" * 100_000)  # longer than the key
+    assert _embed(workdir) == 0
+    assert read_key(workdir / "k.key").selected
+
+
+def test_embed_to_a_refused_key_path_leaves_no_video(workdir, capsys):
+    out = workdir / "marked.y4m"
+    code = main(["embed", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),
+                 "--key-out", str(workdir / "missing" / "k.key"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_embed_over_its_input_equals_a_separate_output(workdir, capsys):
+    assert _embed(workdir) == 0
+    want = capsys.readouterr().out
+    video = workdir / "same.y4m"
+    video.write_bytes((workdir / "in.y4m").read_bytes())
+    code = main(["embed", "--in", str(video), "--wm", str(workdir / "wm.pgm"),
+                 "--key-out", str(workdir / "same.key"), "--out", str(video)])
+    assert code == 0
+    assert capsys.readouterr().out == want
+    assert video.read_bytes() == (workdir / "marked.y4m").read_bytes()
+    assert (workdir / "same.key").read_bytes() == (workdir / "k.key").read_bytes()
+
+
+def test_embed_from_pipe_equals_file(workdir, capsys):
+    assert _embed(workdir) == 0
+    want = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, "embed", "--in", "/dev/stdin",
+         "--wm", str(workdir / "wm.pgm"), "--key-out", str(workdir / "pipe.key"),
+         "--out", str(workdir / "pipe.y4m")],
+        input=(workdir / "in.y4m").read_bytes(),
+        capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == want
+    assert (workdir / "pipe.y4m").read_bytes() == (workdir / "marked.y4m").read_bytes()
+    assert (workdir / "pipe.key").read_bytes() == (workdir / "k.key").read_bytes()
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -591,10 +648,9 @@ def test_extract_from_file_decodes_only_key_shots(
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_extract_from_pipe_equals_in_memory(stream_dir, name):
     # a pipe cannot seek: skipped payloads are read and dropped
-    cli = "import sys; from wm3d.cli import main; sys.exit(main())"
     argv = _extract_argv(stream_dir, "/dev/stdin", f"{name}-pipe")
     proc = subprocess.run(
-        [sys.executable, "-c", cli, *argv],
+        [sys.executable, "-c", RUN_CLI, *argv],
         input=(stream_dir / f"{name}.y4m").read_bytes(),
         capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
     )
@@ -605,3 +661,50 @@ def test_extract_from_pipe_equals_in_memory(stream_dir, name):
     else:
         assert proc.stdout.decode() == want_out
         assert (stream_dir / f"{name}-pipe.pgm").read_bytes() == want_pgm
+
+
+# the STREAM_CASES a directory of PGM frames can hold
+DIR_CASES = ["long", "mono", "past-end", "short"]
+
+
+@pytest.mark.parametrize("name", DIR_CASES)
+def test_extract_from_pgm_directory_opens_only_key_frames(
+    stream_dir, name, tmp_path, capsys, monkeypatch
+):
+    frames = tmp_path / "frames"
+    write_pgm_sequence(read_y4m(stream_dir / f"{name}.y4m"), frames)
+    opened = []
+    real_open = media_io._open
+
+    def counting(source, mode):
+        opened.append(isinstance(source, Path) and source.parent == frames)
+        return real_open(source, mode)
+
+    monkeypatch.setattr(media_io, "_open", counting)
+    code = main(_extract_argv(stream_dir, str(frames), f"{name}-dir"))
+    want_code, want_out, want_pgm = _in_memory(stream_dir, name)
+    out, err = capsys.readouterr()
+    assert code == want_code
+    if want_pgm is None:
+        assert want_out in err
+    else:
+        assert out == want_out
+        assert (stream_dir / f"{name}-dir.pgm").read_bytes() == want_pgm
+    assert sum(opened) == sum(k < STREAM_CASES[name] for k in STREAM_KEPT)
+
+
+def test_extract_from_pgm_directory_checks_kept_frame_sizes(stream_dir, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    write_pgm_sequence(read_y4m(stream_dir / "mono.y4m"), frames)
+    write_pgm(np.zeros((32, 32), np.uint8), frames / "frame_000001.pgm")  # frame 0: skipped
+    argv = _extract_argv(stream_dir, str(frames), "resized")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _in_memory(stream_dir, "mono")[1]
+    write_pgm(np.zeros((32, 32), np.uint8), frames / "frame_000013.pgm")  # frame 12: kept
+    assert main(argv) == 2
+    assert "frame 12 is (32, 32), frame 9 is (64, 64)" in capsys.readouterr().err
+
+
+def test_extract_from_an_empty_directory_exits_2(stream_dir, tmp_path, capsys):
+    assert main(_extract_argv(stream_dir, str(tmp_path), "empty")) == 2
+    assert "no PGM frames found" in capsys.readouterr().err

@@ -12,11 +12,14 @@ from wm3d.errors import FormatError
 from wm3d.media_io import (
     VideoClip,
     iter_y4m,
+    open_video,
     read_pgm,
     read_pgm_sequence,
+    read_video,
     read_y4m,
     write_pgm,
     write_pgm_sequence,
+    write_video,
     write_y4m,
 )
 
@@ -328,3 +331,53 @@ def test_pgm_sequence_refuses_a_directory_holding_frames(tmp_path):
 def test_pgm_sequence_empty_dir(tmp_path):
     with pytest.raises(FormatError, match="no PGM frames"):
         read_pgm_sequence(tmp_path)
+
+
+def test_open_video_pgm_directory_opens_only_kept_frames(tmp_path, monkeypatch):
+    # frame 2 is another size but not kept, so never opened; frame 3 is
+    # kept and fails when it is read, after frame 1 was yielded
+    rs = np.random.RandomState(14)
+    frames = [rs.randint(0, 256, (4, 6)).astype(np.uint8) for _ in range(5)]
+    frames[2] = frames[3] = np.zeros((5, 6), np.uint8)
+    for k, frame in enumerate(frames):
+        write_pgm(frame, tmp_path / f"f{k}.pgm")
+    opened = []
+    real_open = media_io._open
+
+    def counting(source, mode):
+        opened.append(source.name)
+        return real_open(source, mode)
+
+    monkeypatch.setattr(media_io, "_open", counting)
+    with open_video(tmp_path, {1, 4}) as (header, frames_in):
+        assert header == (6, 4, (25, 1), None, ())
+        got = list(frames_in)
+    assert [g is None for g in got] == [True, False, True, True, False]
+    assert np.array_equal(got[1], frames[1]) and np.array_equal(got[4], frames[4])
+    assert opened == ["f1.pgm", "f4.pgm"]
+    with open_video(tmp_path, {1, 3}) as (header, frames_in):
+        assert next(frames_in) is None and next(frames_in) is not None
+        assert next(frames_in) is None
+        with pytest.raises(FormatError, match=r"frame 3 is \(5, 6\), frame 1 is \(4, 6\)"):
+            next(frames_in)
+
+
+@pytest.mark.parametrize("kind", sorted(PATH_KINDS))
+def test_one_reader_and_writer_for_both_forms(tmp_path, kind):
+    to_path = PATH_KINDS[kind]
+    rs = np.random.RandomState(15)
+    clip = _clip([rs.randint(0, 256, (4, 6)) for _ in range(3)])
+    write_video(clip, to_path(tmp_path / "frames"))
+    write_video(clip, to_path(tmp_path / "clip.Y4M"))
+    assert (tmp_path / "clip.Y4M").read_bytes() == _y4m_bytes(clip)
+    assert len(list((tmp_path / "frames").glob("*.pgm"))) == 3
+    for name in ("frames", "clip.Y4M"):
+        again = read_video(to_path(tmp_path / name))
+        assert all(np.array_equal(a, b) for a, b in zip(clip.frames, again.frames))
+    assert read_y4m is read_pgm_sequence is read_video
+
+
+def test_a_missing_video_path_is_file_not_found(tmp_path):
+    # a missing path is no directory, so it is opened as y4m, whatever the name
+    with pytest.raises(FileNotFoundError):
+        read_pgm_sequence(tmp_path / "missing")

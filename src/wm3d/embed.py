@@ -1,12 +1,13 @@
 """Spread-spectrum embedding of prepared sign planes into a video.
 
-Bitplane b of the watermark, prepared by wmprep.prepare_sign_planes,
-goes to temporal coefficient frame b+1 (the DC frame is never touched),
-inside one window of a level-3 subband, so the least significant plane
-rides on the coarsest temporal detail. A level-3 coefficient depends
-only on its own 8x8 pixel block, so each selected shot is worked on
-through one block-aligned crop: the window's blocks plus a
-1-coefficient halo. Other pixels are copied.
+Bitplane b of the watermark, prepared by wmprep.prepare_sign_planes, goes to
+temporal coefficient frame b+1 (the DC frame is never touched), inside one
+window of a level-3 subband, so the least significant plane rides on the
+coarsest temporal detail. A level-3 coefficient depends only on its own 8x8
+pixel block, so each selected shot is worked on through one block-aligned
+crop, the window's blocks plus a 1-coefficient halo, which _window_crop
+returns with the window's pair of slices in the crop's subband; it refuses a
+subband of one coefficient, which has no neighbor. Other pixels are copied.
 
 The realized sign r of a position is +1 where its neighborhood max lies
 strictly on the side its prepared sign names, else -1, ties included;
@@ -89,20 +90,6 @@ class EmbedParams:
         return subband_rect(height, width, self.band)
 
 
-def _wm_slices(rows: int, cols: int, params: EmbedParams, wm_h: int, wm_w: int):
-    """Relative slices of the watermark window inside a rows x cols subband.
-
-    Raises a capacity error when the rectangle does not fit.
-    """
-    r0, c0 = params.region_row0, params.region_col0
-    if r0 + wm_h > rows or c0 + wm_w > cols:
-        raise GeometryError(
-            f"watermark {wm_w}x{wm_h} at offset ({r0},{c0}) does not fit "
-            f"subband {params.band} of {cols}x{rows} coefficients"
-        )
-    return slice(r0, r0 + wm_h), slice(c0, c0 + wm_w)
-
-
 def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
     """Neighbor max at every position of (..., h, w) subband regions at once."""
     *lead, h, w = sub.shape
@@ -116,40 +103,49 @@ def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
     return np.max(stack, axis=0)
 
 
-def _window_signs(sub, plane, params: EmbedParams) -> tuple:
-    """(window index, signs) of (..., h, w) regions and matching
-    (..., wm_h, wm_w) +-1 planes: +1 where the neighbor max lies strictly
-    on the side the plane names (above for +1), else -1. Embed keeps these
-    as the realized signs; given those, extraction decodes the key sign
-    where the neighbor max lies above the coefficient, its negation where
-    it lies below, and -1 at a tie."""
+def _window_signs(sub, plane, win) -> np.ndarray:
+    """Signs of the window `win` (slices from _window_crop) of (..., h, w)
+    regions, for matching (..., wm_h, wm_w) +-1 planes: +1 where the
+    neighbor max lies strictly on the side the plane names (above for
+    +1), else -1. Embed keeps these as the realized signs; given those,
+    extraction decodes the key sign where the neighbor max lies above
+    the coefficient, its negation where it lies below, and -1 at a tie."""
     arr = np.asarray(sub)
     wd = np.asarray(plane)
     if np.any((wd != 1) & (wd != -1)):
         raise ValueError("plane values must be +1 or -1")
-    win = (..., *_wm_slices(*arr.shape[-2:], params, *wd.shape[-2:]))
+    win = (..., *win)
     t, r = _neighbor_max_grid(arr)[win], arr[win]
     if wd.shape != r.shape:
         raise ValueError(f"planes {wd.shape} do not match windows {r.shape}")
     hit = ((t > r) & (wd == 1)) | ((t < r) & (wd == -1))
-    return win, np.where(hit, 1, -1).astype(np.int8)
+    return np.where(hit, 1, -1).astype(np.int8)
 
 
-def _window_crop(params: EmbedParams, height, width, wm_h, wm_w):
-    """Pixel crop holding every coefficient the window's update reads.
-
-    The crop is the window's 8x8 blocks plus the 1-coefficient halo of
-    the neighbor max, clipped at the subband edge. Returns its pixel
-    slices and params whose window offset addresses the crop's subband.
+def _window_crop(params: EmbedParams, height, width, wm_h, wm_w) -> tuple:
+    """(crop, win): pixel slices of the crop holding every coefficient the
+    window's update reads (its 8x8 blocks plus the 1-coefficient halo of
+    the neighbor max, clipped at the subband edge), and the window's
+    slices in the crop's subband. GeometryError if the window does not
+    fit, or the subband is one coefficient, which has no neighbor.
     """
     rect = params.rect_for(height, width)
-    _wm_slices(rect.rows, rect.cols, params, wm_h, wm_w)
     r0, c0 = params.region_row0, params.region_col0
+    if r0 + wm_h > rect.rows or c0 + wm_w > rect.cols:
+        raise GeometryError(
+            f"watermark {wm_w}x{wm_h} at offset ({r0},{c0}) does not fit "
+            f"subband {params.band} of {rect.cols}x{rect.rows} coefficients"
+        )
+    if rect.rows * rect.cols < 2:
+        raise GeometryError(
+            f"subband too small: {width}x{height} frames give it one coefficient"
+        )
     top, left = max(r0 - 1, 0), max(c0 - 1, 0)
     bottom, right = min(r0 + wm_h + 1, rect.rows), min(c0 + wm_w + 1, rect.cols)
     b = 1 << SPATIAL_LEVELS
     crop = slice(b * top, b * bottom), slice(b * left, b * right)
-    return crop, replace(params, region_row0=r0 - top, region_col0=c0 - left)
+    win = slice(r0 - top, r0 - top + wm_h), slice(c0 - left, c0 - left + wm_w)
+    return crop, win
 
 
 def _crop_coeffs(frames, crop, band: str, length: int | None = None) -> np.ndarray:
@@ -176,11 +172,11 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     if planes.shape[0] != PLANE_COUNT:
         raise ValueError(f"expected {PLANE_COUNT} sign planes")
 
-    crop, local = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
+    crop, win = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
     sums = _crop_coeffs(frames, crop, params.band)
-    win, realized = _window_signs(sums, planes, local)
+    realized = _window_signs(sums, planes, win)
     spread = np.zeros_like(sums)
-    spread[win] = realized * sums[win]
+    spread[(..., *win)] = realized * sums[(..., *win)]
     # terms E_k / span_k are below 64 * 255 and multiples of 1 / P, so
     # their 8-term sums are exact in float64 for P up to 2**36 frames
     synthesis = temporal_synthesis(n, PLANE_COUNT + 1)[:, 1:]
@@ -239,10 +235,11 @@ def embed_clip(
         validate_boundaries(boundaries, clip.frame_count)
     selected = select_shots(boundaries, seed3, fraction)
 
+    spans = shot_spans(boundaries)
     out_frames = list(clip.frames)
     records = []
     for index in selected:
-        start, end = shot_spans(boundaries)[index]
+        start, end = spans[index]
         shot_out, realized = embed_shot(clip.frames[start:end], sign_planes, params)
         out_frames[start:end] = shot_out
         records.append(ShotRecord(shot_index=index, planes=realized))

@@ -3,18 +3,18 @@
 The received video plus the bundle (seeds, geometry, stored shot
 boundaries, realized sign planes) reproduce the forward transforms, and
 wmprep.restore_bitplanes inverts the preparation; the original is never
-consulted. A bundle built in memory is held to the key file's rules, as
-one read from a file is. As in embedding, only the watermark window's
-crop is transformed, and only as far as the integer sums of one subband
-of its coefficient frames 1..8 (see wm3d.embed), so the neighborhood
+consulted. A bundle built in memory is held to the key file's rules, as one
+read from a file is. As in embedding, only the crop that embed._window_crop
+gives is transformed, and only as far as the integer sums of one subband of
+its coefficient frames 1..8 (see wm3d.embed), so the neighborhood
 comparison is exact, and embed's sign rule (embed._window_signs) decodes
-each bit, a tie as -1. Frames are taken in order and only the selected
-shot being filled is held, so a reader, such as media_io.open_video for
-either form, may skip every frame outside the key's shots. A shot
-shorter than the key's record is repaired in closed form: the missing
-frames repeat the last one received, so their columns of the analysis
-matrix fold onto its column, and memory follows the frames received, not
-the length the key claims.
+each bit of the window, the pair of slices _window_crop also gives, a tie
+as -1. Frames are taken in order and only the selected shot being filled is
+held, so a reader, such as media_io.open_video for either form, may skip
+every frame outside the key's shots. A shot shorter than the key's record
+is repaired in closed form: the missing frames repeat the last one
+received, so their columns of the analysis matrix fold onto its column, and
+memory follows the frames received, not the length the key claims.
 """
 
 from dataclasses import dataclass
@@ -64,11 +64,11 @@ def extract_shot(
         raise GeometryError("shot has no frames left to extract from")
     mismatch = len(frames) != expected_length
     frames = frames[:expected_length]
-    crop, local = _window_crop(
+    crop, win = _window_crop(
         params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
     )
     sums = _crop_coeffs(frames, crop, params.band, expected_length)
-    recovered = _window_signs(sums, key_planes, local)[1]
+    recovered = _window_signs(sums, key_planes, win)
     bitplanes = restore_bitplanes(recovered, seed1, seed2)
     return ShotExtraction(
         shot_index=-1,

@@ -52,6 +52,8 @@ def detect_shots(clip: VideoClip, threshold: float = DEFAULT_THRESHOLD) -> list:
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
+    if not clip.frames[0].size:
+        raise ValueError("zero-size frames have no histogram")
     boundaries = [0]
     prev = _histogram(clip.frames[0])
     for k in range(1, clip.frame_count):

@@ -266,39 +266,50 @@ def band_inverse3(c: np.ndarray, band: str) -> np.ndarray:
     return blocks.reshape(*lead, 8 * h, 8 * w)
 
 
-def embed_window(sub, sign_plane, params) -> tuple:
+def embed_window(sub, sign_plane, win, alpha) -> tuple:
     """The paper's update of subband regions, in float64.
 
-    `sub` is (..., h, w), one region of the band named by params.band
-    per plane of the matching (..., wm_h, wm_w) `sign_plane`; the window
-    sits at (region_row0, region_col0) of each. Realized signs come from
-    the unmodified regions, then every window coefficient is scaled by
-    (1 + alpha * sign). Returns (modified regions, realized planes).
+    `sub` is (..., h, w), one region of a band per plane of the matching
+    (..., wm_h, wm_w) `sign_plane`; the window `win` is a pair of row and
+    column slices into each, as wm3d.embed._window_crop returns. Realized
+    signs come from the unmodified regions, then every window coefficient
+    is scaled by (1 + alpha * sign). Returns (modified regions, realized
+    planes).
     """
     out = np.array(sub, dtype=np.float64)
-    win, realized = _window_signs(out, sign_plane, params)
-    out[win] *= 1.0 + params.alpha * realized
+    realized = _window_signs(out, sign_plane, win)
+    out[(..., *win)] *= 1.0 + alpha * realized
     return out, realized
+
+
+def _band_window(params, shape, plane) -> tuple:
+    """The slices of the band named by params.band in a whole frame of
+    `shape`, and of the window at (region_row0, region_col0) in that band,
+    sized by `plane`."""
+    (h, w), r0, c0 = np.shape(plane), params.region_row0, params.region_col0
+    return params.rect_for(*shape).slices(), (slice(r0, r0 + h), slice(c0, c0 + w))
 
 
 def embed_plane(frame, sign_plane, params) -> tuple:
     """embed_window on a whole coefficient frame.
 
-    The subband named by params.band is cut out, marked and put back.
-    Returns (modified frame, realized sign plane).
+    The subband named by params.band is cut out, marked in the window at
+    (region_row0, region_col0) and put back. Returns (modified frame,
+    realized sign plane).
     """
     out = np.array(frame, dtype=np.float64)
-    band = params.rect_for(*out.shape).slices()
-    out[band], realized = embed_window(out[band], sign_plane, params)
+    band, win = _band_window(params, out.shape, sign_plane)
+    out[band], realized = embed_window(out[band], sign_plane, win, params.alpha)
     return out, realized
 
 
 def extract_plane(frame, key_plane, params) -> np.ndarray:
     """Extraction's sign rule (wm3d.embed._window_signs) on a whole
-    coefficient frame."""
+    coefficient frame, in the window of the band named by params.band
+    at (region_row0, region_col0), sized by the key plane."""
     arr = np.asarray(frame, dtype=np.float64)
-    band = params.rect_for(*arr.shape).slices()
-    return _window_signs(arr[band], key_plane, params)[1]
+    band, win = _band_window(params, arr.shape, key_plane)
+    return _window_signs(arr[band], key_plane, win)
 
 
 def embed_shot_full(frames, sign_planes, params) -> tuple:

@@ -185,6 +185,27 @@ def test_capacity_error_exits_3(tmp_path):
     assert code == 3
 
 
+def test_one_coefficient_subband_exits_3_and_writes_nothing(tmp_path, capsys):
+    # 8x8 frames give a 1x1 subband, whose coefficient has no neighbor:
+    # the realized signs would carry the mark in the key alone
+    frames = np.random.RandomState(4).randint(0, 256, (9, 8, 8)).astype(np.uint8)
+    write_y4m(VideoClip(frames=list(frames)), tmp_path / "tiny.y4m")
+    write_pgm(np.full((1, 1), 200, np.uint8), tmp_path / "wm1.pgm")
+    code = main(
+        [
+            "embed",
+            "--in", str(tmp_path / "tiny.y4m"),
+            "--wm", str(tmp_path / "wm1.pgm"),
+            "--key-out", str(tmp_path / "k.key"),
+            "--out", str(tmp_path / "out.y4m"),
+            "--shots", "0:9",
+        ]
+    )
+    assert code == 3
+    assert "subband too small" in capsys.readouterr().err
+    assert not (tmp_path / "k.key").exists() and not (tmp_path / "out.y4m").exists()
+
+
 def test_usage_error_exits_1(workdir):
     assert main(["embed", "--in", str(workdir / "in.y4m")]) == 1
     assert main(["attack", "--in", "x", "--out", "y", "--type", "bogus"]) == 1

@@ -126,10 +126,10 @@ def _assert_synthesis_matches_full_resolution(frames, params, wm_h, wm_w):
     n, (height, width) = len(frames), frames[0].shape
     wm = np.arange(wm_h * wm_w, dtype=np.uint8).reshape(wm_h, wm_w)
     planes = prepare_sign_planes(wm, SEED1, SEED2)
-    crop, local = _window_crop(params, height, width, wm_h, wm_w)
+    crop, win = _window_crop(params, height, width, wm_h, wm_w)
     sums = _crop_coeffs(frames, crop, params.band)
     coeffs = sums / (8 * np.sqrt(coefficient_spans(n, 9)[1:]))[:, None, None]
-    marked, want_realized = embed_window(coeffs, planes, local)
+    marked, want_realized = embed_window(coeffs, planes, win, params.alpha)
     volume = np.zeros((1 << (n - 1).bit_length(), *coeffs.shape[1:]))
     volume[1:9] = marked - coeffs
     change = temporal_inverse(band_inverse3(volume, params.band), n)
@@ -222,7 +222,7 @@ def _tied_shot():
 def test_exact_tie_realizes_and_decodes_as_minus_one():
     frames, plane, tied = _tied_shot(), 3, ([0, 1], [1, 1])
     params = EmbedParams(band="lh3")
-    crop, local = _window_crop(params, 16, 16, 2, 2)
+    crop, win = _window_crop(params, 16, 16, 2, 2)
     coeffs = _crop_coeffs(frames, crop, "lh3")
     assert np.all(coeffs[plane][tied] == 1700)
     oracle = spatial_forward3(temporal_forward_stacked(frames))[1:9, 2:4, 0:2]
@@ -232,7 +232,7 @@ def test_exact_tie_realizes_and_decodes_as_minus_one():
         planes = np.full((8, 2, 2), sign, np.int8)
         _, realized = embed_shot(frames, planes, params)
         assert np.all(realized[plane][tied] == -1)
-        decoded = _window_signs(coeffs, planes, local)[1]
+        decoded = _window_signs(coeffs, planes, win)
         assert np.all(decoded[plane][tied] == -1)
 
 

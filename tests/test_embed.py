@@ -10,6 +10,7 @@ from oracles import embed_plane, neighbor_max, quantize_luma, spread_sign
 from wm3d.embed import (
     EmbedParams,
     _neighbor_max_grid,
+    _window_crop,
     embed_clip,
     embed_shot,
 )
@@ -136,14 +137,12 @@ def test_embed_plane_snapshot_semantics():
     assert not (9.0 > 9.5 and realized[0, 1] == 1)
 
 
-def test_embed_plane_capacity_error_cites_dims():
-    frame = np.zeros((128, 128))
+def test_window_crop_capacity_error_cites_dims():
+    # _window_crop holds the one capacity check that embed and extract run
     with pytest.raises(GeometryError, match="17x16.*16x16|watermark"):
-        embed_plane(frame, np.ones((16, 17), np.int8), EmbedParams())
+        _window_crop(EmbedParams(), 128, 128, 16, 17)
     with pytest.raises(GeometryError, match="does not fit"):
-        embed_plane(
-            frame, np.ones((16, 16), np.int8), EmbedParams(region_row0=1)
-        )
+        _window_crop(EmbedParams(region_row0=1), 128, 128, 16, 16)
 
 
 def test_embed_params_validation():

@@ -35,6 +35,10 @@ _CASES = {
     "key-plane-zero": (lambda: _write_key(_HOLED), FormatError, "planes must be +-1"),
     "shots-empty-clip": (lambda: detect_shots(VideoClip(frames=[])), ValueError,
                          "empty clip"),
+    # a histogram of no pixels has no distance to the next
+    "shots-zero-pixel-frames": (
+        lambda: detect_shots(VideoClip(frames=[np.zeros((0, 5), np.uint8)] * 2)),
+        ValueError, "zero-size frames"),
     "embed-repeated-boundary": (
         lambda: embed_clip(VideoClip(frames=[_FRAME] * 20), np.ones((2, 2), np.uint8),
                            1, 2, 3, boundaries=[0, 9, 9, 20]),
@@ -75,6 +79,15 @@ _CASES = {
     "shot-planes-shape": (
         lambda: extract_shot([_FRAME] * 9, _PLANES[:7], 1, 2, 9, EmbedParams()),
         ValueError, "do not match windows"),
+    # 8x8 frames have a 1x1 subband: its coefficient has no neighbor to
+    # compare with, so its sign would come from the key alone
+    "shot-one-coefficient-band": (
+        lambda: embed_shot([_FRAME[:8, :8]] * 9, _PLANES[:, :1, :1], EmbedParams()),
+        GeometryError, "subband too small: 8x8 frames give it one coefficient"),
+    "extract-one-coefficient-band": (
+        lambda: extract_shot([_FRAME[:8, :8]] * 9, _PLANES[:, :1, :1], 1, 2, 9,
+                             EmbedParams()),
+        GeometryError, "subband too small"),
     "bitplanes-1d": (lambda: decompose_bitplanes(np.zeros(4, np.uint8)), ValueError,
                      "nonempty 2-D image"),
 }

@@ -14,10 +14,10 @@ from .attacks import (
     attack_noise,
     attack_swap,
 )
-from .embed import EmbedParams, embed_clip
+from .embed import embed_clip
 from .errors import FormatError, GeometryError
 from .extract import extract_clip
-from .keyfile import KeyBundle, ShotRecord, read_key, write_key
+from .keyfile import EmbedParams, KeyBundle, ShotRecord, read_key, write_key
 from .media_io import (
     VideoClip,
     read_pgm,

@@ -22,10 +22,10 @@ from .attacks import (
     attack_noise,
     attack_swap,
 )
-from .embed import DEFAULT_ALPHA, EmbedParams, embed_clip
+from .embed import embed_clip
 from .errors import FormatError, GeometryError
 from .extract import extract_clip, extract_frames
-from .keyfile import read_key, write_key
+from .keyfile import EmbedParams, read_key, write_key
 from .media_io import VideoClip, open_video, read_pgm, read_video, write_pgm, write_video
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wm", required=True, help="watermark PGM image")
     p.add_argument("--key-out", required=True, help="key file to write")
     p.add_argument("--out", dest="output", required=True, help="output video")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+    p.add_argument("--alpha", type=float, default=EmbedParams.alpha,
                    help="embedding intensity (default %(default)s)")
     _add_seed_options(p)
     p.add_argument("--select-fraction", type=float, default=1.0,
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="embed/attack/extract sweep as CSV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--wm", required=True)
-    p.add_argument("--alphas", default=str(DEFAULT_ALPHA), help="comma list of alphas")
+    p.add_argument("--alphas", default=str(EmbedParams.alpha), help="comma list of alphas")
     p.add_argument("--attacks", default=_BENCH_ATTACKS,
                    help=f"comma list, e.g. {_BENCH_ATTACKS}")
     p.add_argument("--seed", type=int, default=_NOISE_SEED, help="noise attack seed")

@@ -8,6 +8,8 @@ pixel block, so each selected shot is worked on through one block-aligned
 crop, the window's blocks plus a 1-coefficient halo, which _window_crop
 returns with the window's pair of slices in the crop's subband; it refuses a
 subband of one coefficient, which has no neighbor. Other pixels are copied.
+EmbedParams, the strength, band and offset, is declared with its rules in
+wm3d.keyfile, beside the key that stores them.
 
 The realized sign r of a position is +1 where its neighborhood max lies
 strictly on the side its prepared sign names, else -1, ties included;
@@ -25,12 +27,12 @@ which its rounding noise decides, and where d is exactly k + 0.5, which
 it misses by up to 1e-9.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import GeometryError
-from .keyfile import KeyBundle, ShotRecord
+from .keyfile import EmbedParams, KeyBundle, ShotRecord
 from .media_io import VideoClip
 from .prng import MASK64
 from .shots import (
@@ -43,51 +45,19 @@ from .shots import (
     validate_boundaries,
 )
 from .wavelet3d import (
-    BANDS,
     SPATIAL_LEVELS,
-    SubbandRect,
     band_pattern,
     band_sums,
-    subband_rect,
     temporal_analysis,
     temporal_synthesis,
 )
 from .wmprep import prepare_sign_planes
-
-DEFAULT_ALPHA = 0.1
 
 _NEIGHBOR_OFFSETS = [
     (-1, -1), (-1, 0), (-1, 1),
     (0, -1), (0, 1),
     (1, -1), (1, 0), (1, 1),
 ]
-
-
-@dataclass
-class EmbedParams:
-    """Embedding strength and watermark placement.
-
-    band names a level-3 subband ("lh3" by default, "hl3" for the
-    transposed convention); the watermark rectangle sits at
-    (region_row0, region_col0) inside that subband.
-    """
-
-    alpha: float = DEFAULT_ALPHA
-    region_row0: int = 0
-    region_col0: int = 0
-    band: str = "lh3"
-
-    def __post_init__(self):
-        # alpha 0 is allowed as a degenerate no-op strength
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha {self.alpha} outside [0, 1)")
-        if self.region_row0 < 0 or self.region_col0 < 0:
-            raise ValueError("region offset must be non-negative")
-        if self.band not in BANDS:
-            raise ValueError(f"unknown band {self.band!r}")
-
-    def rect_for(self, height: int, width: int) -> SubbandRect:
-        return subband_rect(height, width, self.band)
 
 
 def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Blind watermark extraction driven entirely by the key bundle.
 
-The received video plus the bundle (seeds, geometry, stored shot
-boundaries, realized sign planes) reproduce the forward transforms, and
+The received video plus the bundle (seeds, geometry, stored shot boundaries,
+realized sign planes) reproduce the forward transforms, and
 wmprep.restore_bitplanes inverts the preparation; the original is never
 consulted. A bundle built in memory is held to the key file's rules, as one
-read from a file is. As in embedding, only the crop that embed._window_crop
-gives is transformed, and only as far as the integer sums of one subband of
-its coefficient frames 1..8 (see wm3d.embed), so the neighborhood
-comparison is exact, and embed's sign rule (embed._window_signs) decodes
-each bit of the window, the pair of slices _window_crop also gives, a tie
-as -1. Frames are taken in order and only the selected shot being filled is
-held, so a reader, such as media_io.open_video for either form, may skip
-every frame outside the key's shots. A shot shorter than the key's record
-is repaired in closed form: the missing frames repeat the last one
-received, so their columns of the analysis matrix fold onto its column, and
-memory follows the frames received, not the length the key claims.
+read from a file is: keyfile._check_bundle applies them and returns the
+bundle's EmbedParams, which extraction uses. As in embedding, only the crop
+that embed._window_crop gives is transformed, and only as far as the integer
+sums of one subband of its coefficient frames 1..8 (see wm3d.embed), so the
+neighborhood comparison is exact, and embed's sign rule
+(embed._window_signs) decodes each bit of the window, the pair of slices
+_window_crop also gives, a tie as -1. Frames are taken in order and only the
+selected shot being filled is held, so a reader, such as media_io.open_video
+for either form, may skip every frame outside the key's shots. A shot
+shorter than the key's record is repaired in closed form: the missing frames
+repeat the last one received, so their columns of the analysis matrix fold
+onto its column, and memory follows the frames received, not the length the
+key claims.
 """
 
 from dataclasses import dataclass
@@ -22,9 +24,9 @@ from itertools import islice
 
 import numpy as np
 
-from .embed import EmbedParams, _crop_coeffs, _window_crop, _window_signs
+from .embed import _crop_coeffs, _window_crop, _window_signs
 from .errors import GeometryError
-from .keyfile import KeyBundle, _check_bundle
+from .keyfile import EmbedParams, KeyBundle, _check_bundle
 from .media_io import VideoClip
 from .metrics import nc as nc_metric
 from .shots import shot_spans
@@ -92,13 +94,7 @@ def extract_frames(
     vote across shots; a tie keeps the lowest-indexed shot's bit. NC
     values are filled in when a reference watermark is given.
     """
-    _check_bundle(bundle)
-    params = EmbedParams(
-        alpha=bundle.alpha,
-        region_row0=bundle.region_row0,
-        region_col0=bundle.region_col0,
-        band=bundle.band,
-    )
+    params = _check_bundle(bundle)
     _window_crop(params, height, width, bundle.wm_height, bundle.wm_width)
 
     spans = shot_spans(bundle.boundaries)

@@ -1,5 +1,8 @@
 """Key bundle: everything blind extraction needs, and its file format.
 
+It also declares EmbedParams, a mark's strength and placement, with its
+rules; _check_bundle holds a key to them and returns the key's EmbedParams.
+
 The file is line-oriented text. A header fixes the keys and geometry:
 
     WM3DKEY 1
@@ -29,10 +32,37 @@ from .errors import FormatError
 from .media_io import _open
 from .prng import MASK64
 from .shots import MIN_EMBED_SHOT_LEN, PLANE_COUNT
-from .wavelet3d import BANDS
+from .wavelet3d import BANDS, SubbandRect, subband_rect
 
 MAGIC = "WM3DKEY"
 VERSION = 1
+
+
+@dataclass(frozen=True)
+class EmbedParams:
+    """Embedding strength and watermark placement, checked when built.
+
+    band names a level-3 subband ("lh3" by default, "hl3" for the
+    transposed convention); the watermark rectangle sits at
+    (region_row0, region_col0) inside that subband.
+    """
+
+    alpha: float = 0.1
+    region_row0: int = 0
+    region_col0: int = 0
+    band: str = "lh3"
+
+    def __post_init__(self):
+        # alpha 0 is allowed as a degenerate no-op strength
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError(f"alpha {self.alpha} outside [0, 1)")
+        if self.band not in BANDS:
+            raise ValueError(f"unknown band {self.band!r}")
+        if self.region_row0 < 0 or self.region_col0 < 0:
+            raise ValueError("region offset must be non-negative")
+
+    def rect_for(self, height: int, width: int) -> SubbandRect:
+        return subband_rect(height, width, self.band)
 
 
 @dataclass(eq=False)
@@ -51,27 +81,28 @@ class KeyBundle:
     alpha: float
     wm_width: int
     wm_height: int
-    band: str = "lh3"
-    region_row0: int = 0
-    region_col0: int = 0
+    band: str = EmbedParams.band
+    region_row0: int = EmbedParams.region_row0
+    region_col0: int = EmbedParams.region_col0
     boundaries: tuple = ()
     selected: tuple = ()
     records: list = field(default_factory=list)
 
 
-def _check_bundle(bundle: KeyBundle) -> None:
+def _check_bundle(bundle: KeyBundle) -> EmbedParams:
+    """The bundle's EmbedParams; FormatError if it breaks a key rule."""
     for name in ("seed1", "seed2", "seed3"):
         v = getattr(bundle, name)
         if not 0 <= v <= MASK64:
             raise FormatError(f"{name} out of 64-bit range")
-    if not 0.0 <= bundle.alpha < 1.0:
-        raise FormatError(f"alpha {bundle.alpha} outside [0, 1)")
+    try:
+        params = EmbedParams(
+            bundle.alpha, bundle.region_row0, bundle.region_col0, bundle.band
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     if bundle.wm_width < 1 or bundle.wm_height < 1:
         raise FormatError("watermark dimensions must be positive")
-    if bundle.band not in BANDS:
-        raise FormatError(f"unknown band {bundle.band!r}")
-    if bundle.region_row0 < 0 or bundle.region_col0 < 0:
-        raise FormatError("region offset must be non-negative")
     b = bundle.boundaries
     if len(b) < 2 or b[0] != 0 or any(y <= x for x, y in zip(b, b[1:])):
         raise FormatError(f"bad shot boundaries {list(b)}")
@@ -100,6 +131,7 @@ def _check_bundle(bundle: KeyBundle) -> None:
             )
         if np.any((arr != 1) & (arr != -1)):
             raise FormatError(f"shot {rec.shot_index} planes must be +-1")
+    return params
 
 
 def _pack_plane(plane: np.ndarray) -> str:

@@ -266,6 +266,9 @@ _REJECTED = {
     "key-seed1": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "seed1 out of 64-bit range"),
     "key-wm-w": (*_bad_key("wm_w=4\n", "wm_w=0\n"), 2, "dimensions must be positive"),
     "key-row0": (*_bad_key("row0=0\n", "row0=-1\n"), 2, "offset must be non-negative"),
+    "key-alpha": (*_bad_key("alpha=0.1\n", "alpha=1.0\n"), 2, "alpha 1.0 outside [0, 1)"),
+    "key-short-shot": (*_bad_key("boundaries=0,9,18", "boundaries=0,8,18"), 2,
+                       "fewer than the 9 a mark needs"),
     "key-unsorted": (*_bad_key("selected=0,1", "selected=1,0"), 2, "sorted and unique"),
     "key-repeated": (*_bad_key("selected=0,1", "selected=0,0"), 2, "sorted and unique"),
     "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot block, got 'junk'"),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import warnings
@@ -153,6 +154,24 @@ def test_embed_params_validation():
     with pytest.raises(ValueError):
         EmbedParams(band="xx3")
     EmbedParams(alpha=0.0)  # degenerate strength is allowed
+
+
+def test_embed_params_are_frozen():
+    # a field set after the rules ran would reach embed_shot unchecked;
+    # a changed copy is built, so it is checked
+    params = EmbedParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.alpha = 40.0
+    assert params.alpha == 0.1
+    with pytest.raises(ValueError, match=r"alpha 1\.0 outside"):
+        dataclasses.replace(params, alpha=1.0)
+
+
+def test_embed_params_is_one_class_on_every_import_path():
+    import wm3d
+    import wm3d.keyfile
+
+    assert wm3d.EmbedParams is EmbedParams is wm3d.keyfile.EmbedParams
 
 
 def test_embed_shot_too_short():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,11 @@ _BAD_KEYS = {
     "boundaries-fall": (dict(boundaries=(0, 30, 25, 40)), "bad shot boundaries"),
     "records-not-selected": (dict(selected=(0,), records=[_record(1)]),
                              "records do not match selected"),
+    "shot-too-short": (dict(boundaries=(0, 8, 64)), "fewer than the 9 a mark needs"),
+    # EmbedParams' rules, raised as FormatError with its messages
+    "alpha-one": (dict(alpha=1.0), "alpha 1.0 outside [0, 1)"),
+    "band-unknown": (dict(band="xx3"), "unknown band 'xx3'"),
+    "col0-negative": (dict(region_col0=-1), "region offset must be non-negative"),
 }
 
 
@@ -257,6 +263,6 @@ def test_extract_frames_rejects_a_bad_in_memory_key_before_reading(name):
             read.append(1)
             yield np.zeros((128, 128), np.uint8)
 
-    with pytest.raises(FormatError, match=fragment):
+    with pytest.raises(FormatError, match=re.escape(fragment)):
         extract_frames(frames(), 128, 128, bundle)
     assert read == []

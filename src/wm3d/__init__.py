@@ -2,7 +2,10 @@
 
 Embeds an 8-bit grayscale watermark into the 3D wavelet coefficients of
 video shots, extracts it again from key material alone, and ships the
-attack simulators and metrics used to judge robustness.
+attack simulators and metrics used to judge robustness. A video, a y4m
+file or stream or a directory of PGM frames, is read whole with
+read_video, frame by frame with open_video, and written with write_video;
+read_pgm and write_pgm read and write one image, such as a watermark.
 """
 
 __version__ = "0.1.0"
@@ -20,12 +23,11 @@ from .extract import extract_clip
 from .keyfile import EmbedParams, KeyBundle, ShotRecord, read_key, write_key
 from .media_io import (
     VideoClip,
+    open_video,
     read_pgm,
-    read_pgm_sequence,
-    read_y4m,
+    read_video,
     write_pgm,
-    write_pgm_sequence,
-    write_y4m,
+    write_video,
 )
 from .metrics import nc, psnr, psnr_clip
 from .shots import detect_shots, select_shots
@@ -46,15 +48,14 @@ __all__ = [
     "embed_clip",
     "extract_clip",
     "nc",
+    "open_video",
     "psnr",
     "psnr_clip",
     "read_key",
     "read_pgm",
-    "read_pgm_sequence",
-    "read_y4m",
+    "read_video",
     "select_shots",
     "write_key",
     "write_pgm",
-    "write_pgm_sequence",
-    "write_y4m",
+    "write_video",
 ]

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Video arguments are YUV4MPEG2 files (*.y4m) or directories of binary
-PGM frames; watermarks are single PGM images. Exit codes: 0 success,
+PGM frames; watermarks are single PGM images. An output that names one
+of the command's input files is a usage error. Exit codes: 0 success,
 1 usage error, 2 data/format error, 3 capacity/geometry error.
 """
 
@@ -341,12 +342,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (command, an option it writes, the options it reads whose files that
+# write must not replace). embed and attack may write --out over --in.
+_KEEP_INPUTS = [
+    ("embed", "--key-out", ("--in", "--wm", "--out")),
+    ("embed", "--out", ("--wm",)),
+    ("extract", "--out", ("--in", "--key", "--ref")),
+    ("attack", "--out", ("--original",)),
+]
+
+
+def _same_file(a: str, b: str) -> bool:
+    """One file by path, or by inode if both exist (hard links)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either one is missing
+        return False
+
+
+def _overwritten_input(args) -> str | None:
+    """Names the first input the command's output would overwrite, if any."""
+    def value(option):  # --in is args.input, --out args.output, --key-out args.key_out
+        dest = {"--in": "input", "--out": "output"}.get(option, option[2:].replace("-", "_"))
+        return getattr(args, dest)
+
+    for command, out, inputs in _KEEP_INPUTS:
+        if command != args.command:
+            continue
+        for option in inputs:
+            if value(option) is not None and _same_file(value(out), value(option)):
+                return f"{out} and {option} name the same file"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage error or --help
         return int(exc.code or 0)
+    if clash := _overwritten_input(args):
+        print(f"wm3d {args.command}: error: {clash}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except GeometryError as exc:

@@ -1,12 +1,12 @@
 """Video and image I/O: YUV4MPEG2 streams and binary PGM files.
 
-A video is a y4m file or stream, or a directory of PGM frames; only
-open_video, read_video and write_video tell the two forms apart. Readers
-and writers take a path (str or any os.PathLike) or an open binary io
-stream (readers call its readline); a stream is left open. Only the luma
-plane is ever processed. Chroma payloads read from 4:2:0 sources are kept
-verbatim and re-emitted untouched, so a pipeline run never rewrites bytes
-it did not watermark. Parsing never rescales sample values.
+A video is a y4m file or stream, or a directory of PGM frames; its API,
+read_video (whole clip), open_video (frame by frame) and write_video, alone
+tells the two forms apart. Readers and writers take a path (str or any
+os.PathLike) or an open binary io stream, left open (readers call its
+readline). Only the luma plane is processed. Chroma payloads read from 4:2:0
+sources are kept verbatim and re-emitted untouched, so a pipeline run never
+rewrites bytes it did not watermark. Parsing never rescales sample values.
 """
 
 import io
@@ -240,7 +240,7 @@ def write_y4m(clip: VideoClip, sink) -> None:
         stream.write((" ".join(tokens) + "\n").encode("ascii"))
         for k, frame in enumerate(clip.frames):
             stream.write(b"FRAME\n")
-            stream.write(frame.tobytes())
+            stream.write(np.ascontiguousarray(frame))
             if clip.chroma_token is not None:
                 stream.write(clip.chroma[k])
 
@@ -294,7 +294,7 @@ def write_pgm(image: np.ndarray, sink) -> None:
     h, w = arr.shape
     with _open(sink, "wb") as stream:
         stream.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        stream.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
+        stream.write(np.ascontiguousarray(arr, dtype=np.uint8))
 
 
 def write_pgm_sequence(clip: VideoClip, directory) -> None:
@@ -350,9 +350,6 @@ def read_video(source) -> VideoClip:
     with open_video(source, chroma=chroma) as (header, frames):
         frames = list(frames)
     return VideoClip(frames, header.rate, header.chroma_token, chroma or None, header.extras)
-
-
-read_y4m = read_pgm_sequence = read_video  # its older names, one per form
 
 
 def write_video(clip: VideoClip, path) -> None:

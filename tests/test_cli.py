@@ -24,7 +24,7 @@ from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key
 from wm3d.media_io import (
     VideoClip,
     read_pgm,
-    read_y4m,
+    read_video,
     write_pgm,
     write_pgm_sequence,
     write_y4m,
@@ -154,7 +154,7 @@ def test_extract_key_claiming_a_million_frames_allocates_little(
     key.write_text(key.read_text().replace("boundaries=0,16", "boundaries=0,1000000"))
     video = workdir / "marked.y4m"
     if source == "pgm-dir":
-        write_pgm_sequence(read_y4m(video), workdir / "frames")
+        write_pgm_sequence(read_video(video), workdir / "frames")
         video = workdir / "frames"
     capsys.readouterr()
     tracemalloc.start()
@@ -277,6 +277,18 @@ _REJECTED = {
                       2, "4:2:0 stream requires even dimensions"),
     "pgm-zero-width": (["nc", "zero.pgm", "wm.pgm"], {"zero.pgm": b"P5\n0 4\n255\n"},
                        2, "invalid PGM dimensions"),
+    "key-out-over-in": (_EMBED + ["--key-out", "in.y4m"], {}, 1,
+                        "--key-out and --in name the same file"),
+    "key-out-over-out": (_EMBED + ["--key-out", "./out.y4m"], {}, 1,
+                         "--key-out and --out name the same file"),
+    "out-over-wm": (_EMBED + ["--wm", "wm.y4m", "--out", "wm.y4m"],
+                    {"wm.y4m": b"P5\n8 8\n255\n" + bytes(64)}, 1,
+                    "--out and --wm name the same file"),
+    "extract-over-key": (["extract", "--in", "in.y4m", "--key", "k.key", "--out", "k.key"],
+                         {"k.key": _KEY.encode()}, 1, "--out and --key name the same file"),
+    "attack-over-original": (["attack", "--in", "in.y4m", "--out", "in.y4m", "--type", "drop",
+                              "--original", "in.y4m"], {}, 1,
+                             "--out and --original name the same file"),
 }
 
 
@@ -303,7 +315,7 @@ def test_attack_subcommands(workdir, tmp_path):
     ):
         out = tmp_path / f"att_{extra[1]}.y4m"
         assert main(["attack", "--in", marked, "--out", str(out), *extra]) == 0
-        assert read_y4m(out).frame_count == 16
+        assert read_video(out).frame_count == 16
 
 
 def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
@@ -356,6 +368,21 @@ def test_embed_to_a_refused_key_path_leaves_no_video(workdir, capsys):
     assert code == 2
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+def test_an_output_over_an_input_is_refused_before_anything_is_written(workdir, capsys):
+    assert _embed(workdir) == 0
+    os.link(workdir / "k.key", workdir / "linked.key")  # one file under two names
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    capsys.readouterr()
+    assert _embed(workdir, "--key-out", str(workdir / "in.y4m"),
+                  "--out", str(workdir / "new.y4m")) == 1
+    assert main(["extract", "--in", str(workdir / "marked.y4m"), "--key",
+                 str(workdir / "k.key"), "--out", str(workdir / "linked.key")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--key-out and --in" in captured.err and "--out and --key" in captured.err
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
 
 def test_embed_over_its_input_equals_a_separate_output(workdir, capsys):
@@ -467,10 +494,7 @@ def test_manual_shot_override(workdir, capsys):
 
 
 def test_pgm_directory_flow(workdir, tmp_path, capsys):
-    clip = read_y4m(workdir / "in.y4m")
-    from wm3d.media_io import write_pgm_sequence
-
-    write_pgm_sequence(clip, tmp_path / "frames")
+    write_pgm_sequence(read_video(workdir / "in.y4m"), tmp_path / "frames")
     code = main(
         [
             "embed",
@@ -625,7 +649,7 @@ def _extract_argv(d, video, name):
 def _in_memory(d, name):
     """(exit code, stdout or error, PGM bytes) of the in-memory path."""
     try:
-        clip = read_y4m(d / f"{name}.y4m")
+        clip = read_video(d / f"{name}.y4m")
         result = extract_clip(clip, read_key(d / "k.key"), read_pgm(d / "wm.pgm"))
     except GeometryError as exc:
         return 3, str(exc), None
@@ -696,7 +720,7 @@ def test_extract_from_pgm_directory_opens_only_key_frames(
     stream_dir, name, tmp_path, capsys, monkeypatch
 ):
     frames = tmp_path / "frames"
-    write_pgm_sequence(read_y4m(stream_dir / f"{name}.y4m"), frames)
+    write_pgm_sequence(read_video(stream_dir / f"{name}.y4m"), frames)
     opened = []
     real_open = media_io._open
 
@@ -719,7 +743,7 @@ def test_extract_from_pgm_directory_opens_only_key_frames(
 
 def test_extract_from_pgm_directory_checks_kept_frame_sizes(stream_dir, tmp_path, capsys):
     frames = tmp_path / "frames"
-    write_pgm_sequence(read_y4m(stream_dir / "mono.y4m"), frames)
+    write_pgm_sequence(read_video(stream_dir / "mono.y4m"), frames)
     write_pgm(np.zeros((32, 32), np.uint8), frames / "frame_000001.pgm")  # frame 0: skipped
     argv = _extract_argv(stream_dir, str(frames), "resized")
     assert main(argv) == 0

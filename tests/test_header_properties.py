@@ -18,7 +18,7 @@ from wm3d.media_io import (  # noqa: E402
     _HEADER_MAX,
     VideoClip,
     read_pgm,
-    read_y4m,
+    read_video,
     write_pgm,
     write_y4m,
 )
@@ -56,7 +56,7 @@ def pgm_files(draw):
     return data, len(data) - h * w
 
 
-READERS = {"y4m": (y4m_files(), read_y4m), "pgm": (pgm_files(), read_pgm)}
+READERS = {"y4m": (y4m_files(), read_video), "pgm": (pgm_files(), read_pgm)}
 
 
 def _parses_or_format_error(read, data: bytes) -> None:
@@ -138,7 +138,7 @@ def test_pgm_long_token_or_comment_stops_at_cap(data):
 )
 def test_y4m_bad_dimension_token_raises_format_error(data):
     with pytest.raises(FormatError, match="malformed y4m"):
-        read_y4m(io.BytesIO(data))
+        read_video(io.BytesIO(data))
 
 
 @pytest.mark.parametrize(

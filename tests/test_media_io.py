@@ -1,10 +1,11 @@
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import PATH_KINDS
+from conftest import PATH_KINDS, corpus_watermark, make_noise_clip
 from wm3d import media_io
 from oracles import quantize_luma, round_half_away
 from wm3d.attacks import _round_half_away
@@ -14,9 +15,7 @@ from wm3d.media_io import (
     iter_y4m,
     open_video,
     read_pgm,
-    read_pgm_sequence,
     read_video,
-    read_y4m,
     write_pgm,
     write_pgm_sequence,
     write_video,
@@ -58,7 +57,7 @@ def test_read_y4m_minimal_420():
     luma = bytes(range(8))
     chroma = bytes([7, 8, 9, 10])  # 2x1 U plane + 2x1 V plane
     data = b"YUV4MPEG2 W4 H2 F25:1 C420\nFRAME\n" + luma + chroma
-    clip = read_y4m(io.BytesIO(data))
+    clip = read_video(io.BytesIO(data))
     assert clip.frame_count == 1
     assert clip.frames[0].shape == (2, 4)
     assert clip.frames[0].tobytes() == luma
@@ -69,39 +68,39 @@ def test_read_y4m_minimal_420():
 
 def test_read_y4m_mono_and_default_chroma():
     mono = b"YUV4MPEG2 W2 H2 F30:1 Cmono\nFRAME\n" + bytes(4)
-    clip = read_y4m(io.BytesIO(mono))
+    clip = read_video(io.BytesIO(mono))
     assert clip.chroma_token is None and clip.chroma is None
 
     # no C token means 4:2:0
     dflt = b"YUV4MPEG2 W2 H2 F30:1\nFRAME\n" + bytes(4) + bytes(2)
-    assert read_y4m(io.BytesIO(dflt)).chroma_token == "420jpeg"
+    assert read_video(io.BytesIO(dflt)).chroma_token == "420jpeg"
 
 
 def test_read_y4m_no_frames_is_truncated():
     with pytest.raises(FormatError, match="truncated frame payload"):
-        read_y4m(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1 C420\n"))
+        read_video(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1 C420\n"))
 
 
 def test_read_y4m_short_payload():
     data = b"YUV4MPEG2 W4 H4 F25:1 Cmono\nFRAME\n" + bytes(3)
     with pytest.raises(FormatError, match="truncated"):
-        read_y4m(io.BytesIO(data))
+        read_video(io.BytesIO(data))
 
 
 def test_read_y4m_bad_magic_and_unsupported_chroma():
     with pytest.raises(FormatError, match="magic"):
-        read_y4m(io.BytesIO(b"JUNK W4 H2 F25:1\nFRAME\n" + bytes(8)))
+        read_video(io.BytesIO(b"JUNK W4 H2 F25:1\nFRAME\n" + bytes(8)))
     with pytest.raises(FormatError, match="unsupported chroma"):
-        read_y4m(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1 C444\nFRAME\n" + bytes(24)))
+        read_video(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1 C444\nFRAME\n" + bytes(24)))
     with pytest.raises(FormatError, match="header"):
-        read_y4m(io.BytesIO(b"YUV4MPEG2 W4 F25:1\nFRAME\n"))
+        read_video(io.BytesIO(b"YUV4MPEG2 W4 F25:1\nFRAME\n"))
 
 
 def test_y4m_roundtrip_mono_bytes_identical():
     rs = np.random.RandomState(3)
     clip = _clip([rs.randint(0, 256, (6, 8)) for _ in range(3)], rate=(30, 1))
     data = _y4m_bytes(clip)
-    again = read_y4m(io.BytesIO(data))
+    again = read_video(io.BytesIO(data))
     assert _y4m_bytes(again) == data
     assert all(np.array_equal(a, b) for a, b in zip(clip.frames, again.frames))
 
@@ -113,14 +112,14 @@ def test_y4m_roundtrip_420_preserves_chroma():
     clip = _clip(frames, rate=(24, 1), chroma_token="420mpeg2", chroma=chroma)
     data = _y4m_bytes(clip)
     assert b"C420mpeg2" in data.split(b"\n", 1)[0]
-    again = read_y4m(io.BytesIO(data))
+    again = read_video(io.BytesIO(data))
     assert again.chroma == chroma
     assert _y4m_bytes(again) == data
 
 
 def test_y4m_extras_passthrough():
     data = b"YUV4MPEG2 W2 H2 F25:1 Ip A1:1 Cmono\nFRAME\n" + bytes(4)
-    clip = read_y4m(io.BytesIO(data))
+    clip = read_video(io.BytesIO(data))
     assert clip.extras == ("Ip", "A1:1")
     assert _y4m_bytes(clip) == data
 
@@ -135,17 +134,17 @@ def test_y4m_empty_line_for_frame_marker_is_refused(keep):
     # a stray newline after frame 0's payload used to end the stream there
     data = b"YUV4MPEG2 W4 H2 F25:1 Cmono\nFRAME\n" + bytes(8)
     bad = data + b"\nFRAME\n" + bytes(8)
-    assert read_y4m(io.BytesIO(data)).frame_count == 1
+    assert read_video(io.BytesIO(data)).frame_count == 1
     with pytest.raises(FormatError, match="malformed frame marker"):
         if keep is None:
-            read_y4m(io.BytesIO(bad))
+            read_video(io.BytesIO(bad))
         else:
             list(iter_y4m(io.BytesIO(bad), keep=keep)[1])
 
 
 def test_write_y4m_frame_parameters_tolerated():
     data = b"YUV4MPEG2 W2 H1 F25:1 Cmono\nFRAME Xtag\n" + bytes(2)
-    clip = read_y4m(io.BytesIO(data))
+    clip = read_video(io.BytesIO(data))
     assert clip.frame_count == 1
 
 
@@ -165,7 +164,7 @@ def test_readers_and_writers_take_any_path(tmp_path, kind):
     assert np.array_equal(read_pgm(to_path(tmp_path / "x.pgm")), img)
     clip = _clip([img[:4, :6], img[1:, 1:]], chroma_token="420", chroma=[b"ab" * 6, b"cd" * 6])
     write_y4m(clip, to_path(tmp_path / "x.y4m"))
-    again = read_y4m(to_path(tmp_path / "x.y4m"))
+    again = read_video(to_path(tmp_path / "x.y4m"))
     assert (tmp_path / "x.y4m").read_bytes() == _y4m_bytes(again)
     assert again.chroma == clip.chroma
 
@@ -179,7 +178,7 @@ def test_streams_are_left_open():
     buf = io.BytesIO()
     write_y4m(_clip([img]), buf)
     buf.seek(0)
-    assert np.array_equal(read_y4m(buf).frames[0], img) and not buf.closed
+    assert np.array_equal(read_video(buf).frames[0], img) and not buf.closed
 
 
 def test_pgm_comments_and_errors():
@@ -195,7 +194,7 @@ def test_pgm_comments_and_errors():
 
 # Short inputs whose headers declare 20000x20000 (400 MB) payloads.
 HUGE_HEADERS = {
-    "y4m": (read_y4m, b"YUV4MPEG2 W20000 H20000 F25:1 Cmono\nFRAME\nabc"),
+    "y4m": (read_video, b"YUV4MPEG2 W20000 H20000 F25:1 Cmono\nFRAME\nabc"),
     "pgm": (read_pgm, b"P5\n20000 20000\n255\nabc"),
 }
 
@@ -222,11 +221,11 @@ def test_payloads_read_in_pieces(monkeypatch):
     frames = [rs.randint(0, 256, (4, 6)) for _ in range(2)]
     chroma = [rs.bytes(12) for _ in range(2)]
     data = _y4m_bytes(_clip(frames, chroma_token="420jpeg", chroma=chroma))
-    clip = read_y4m(io.BytesIO(data))
+    clip = read_video(io.BytesIO(data))
     assert all(np.array_equal(a, b) for a, b in zip(clip.frames, frames))
     assert clip.chroma == chroma
     with pytest.raises(FormatError, match="truncated"):
-        read_y4m(io.BytesIO(data[:-1]))
+        read_video(io.BytesIO(data[:-1]))
     assert np.array_equal(read_pgm(io.BytesIO(b"P5\n6 4\n255\n" + bytes(range(24)))),
                           np.arange(24, dtype=np.uint8).reshape(4, 6))
     with pytest.raises(FormatError, match="truncated"):
@@ -307,7 +306,7 @@ def test_pgm_sequence_roundtrip(tmp_path):
     write_pgm_sequence(clip, tmp_path)
     names = sorted(p.name for p in tmp_path.glob("*.pgm"))
     assert names == ["frame_000001.pgm", "frame_000002.pgm", "frame_000003.pgm"]
-    again = read_pgm_sequence(tmp_path)
+    again = read_video(tmp_path)
     assert all(np.array_equal(a, b) for a, b in zip(clip.frames, again.frames))
 
 
@@ -315,7 +314,7 @@ def test_pgm_sequence_dimension_mismatch(tmp_path):
     write_pgm(np.zeros((2, 2), np.uint8), tmp_path / "a.pgm")
     write_pgm(np.zeros((3, 3), np.uint8), tmp_path / "b.pgm")
     with pytest.raises(FormatError, match="dimension mismatch"):
-        read_pgm_sequence(tmp_path)
+        read_video(tmp_path)
 
 
 def test_pgm_sequence_refuses_a_directory_holding_frames(tmp_path):
@@ -325,12 +324,12 @@ def test_pgm_sequence_refuses_a_directory_holding_frames(tmp_path):
     with pytest.raises(FormatError, match=f"{tmp_path} already holds PGM frames"):
         write_pgm_sequence(_clip([np.zeros((4, 4))] * 3), tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    assert read_pgm_sequence(tmp_path).frame_count == 5
+    assert read_video(tmp_path).frame_count == 5
 
 
 def test_pgm_sequence_empty_dir(tmp_path):
     with pytest.raises(FormatError, match="no PGM frames"):
-        read_pgm_sequence(tmp_path)
+        read_video(tmp_path)
 
 
 def test_open_video_pgm_directory_opens_only_kept_frames(tmp_path, monkeypatch):
@@ -374,10 +373,51 @@ def test_one_reader_and_writer_for_both_forms(tmp_path, kind):
     for name in ("frames", "clip.Y4M"):
         again = read_video(to_path(tmp_path / name))
         assert all(np.array_equal(a, b) for a, b in zip(clip.frames, again.frames))
-    assert read_y4m is read_pgm_sequence is read_video
+
+
+def test_the_package_exports_one_video_api():
+    import wm3d
+
+    assert wm3d.read_video is read_video
+    assert wm3d.open_video is open_video
+    assert wm3d.write_video is write_video
+    assert {"read_video", "open_video", "write_video"} <= set(wm3d.__all__)
+    # the four form-named readers and writers the package no longer exports
+    forms = ("y4m", "pgm_sequence")
+    gone = {f"{verb}_{form}" for verb in ("read", "write") for form in forms}
+    assert not gone & set(wm3d.__all__)
+    for form in forms:
+        assert not hasattr(wm3d, f"read_{form}") and not hasattr(media_io, f"read_{form}")
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    start = library.index("```python\n") + len("```python\n")
+    example = library[start:library.index("\n```", start)]
+    write_video(make_noise_clip(n=16), tmp_path / "in.y4m")
+    write_pgm(corpus_watermark(), tmp_path / "logo.pgm")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    nc, shape = capsys.readouterr().out.split(" ", 1)
+    assert float(nc) > 0.9 and shape.strip() == str(corpus_watermark().shape)
+    assert read_video(tmp_path / "marked.y4m").frame_count == 16
+
+
+def test_frame_views_write_the_bytes_of_their_copies(tmp_path):
+    rs = np.random.RandomState(16)
+    views = [rs.randint(0, 256, (4, 12)).astype(np.uint8)[:, ::2] for _ in range(3)]
+    assert not any(v.flags.c_contiguous for v in views)
+    copies = [v.copy() for v in views]
+    assert _y4m_bytes(VideoClip(views)) == _y4m_bytes(VideoClip(copies))
+    write_video(VideoClip(views), tmp_path / "views")
+    write_video(VideoClip(copies), tmp_path / "copies")
+    for k in (1, 2, 3):
+        view, copy = (tmp_path / side / f"frame_{k:06d}.pgm" for side in ("views", "copies"))
+        assert view.read_bytes() == copy.read_bytes()
 
 
 def test_a_missing_video_path_is_file_not_found(tmp_path):
     # a missing path is no directory, so it is opened as y4m, whatever the name
     with pytest.raises(FileNotFoundError):
-        read_pgm_sequence(tmp_path / "missing")
+        read_video(tmp_path / "missing")

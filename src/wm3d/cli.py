@@ -83,12 +83,7 @@ def _parse_shot_list(text: str):
 def cmd_embed(args) -> int:
     clip = read_video(args.input)
     watermark = read_pgm(args.wm)
-    params = EmbedParams(
-        alpha=args.alpha,
-        region_row0=args.offset[0],
-        region_col0=args.offset[1],
-        band=args.band,
-    )
+    params = EmbedParams(args.alpha, *args.offset, band=args.band)
     boundaries = _parse_shot_list(args.shots) if args.shots else None
     marked, bundle = embed_clip(
         clip,
@@ -133,7 +128,7 @@ def cmd_extract(args) -> int:
     bundle = read_key(args.key)
     reference = read_pgm(args.ref) if args.ref else None
     spans = shot_spans(bundle.boundaries)
-    keep = _SpanFrames(spans[rec.shot_index] for rec in bundle.records)
+    keep = _SpanFrames(spans[i] for i in bundle.selected)
     with open_video(args.input, keep) as (head, frames):
         result = extract_frames(frames, head.height, head.width, bundle, reference)
     write_pgm(result.watermark, args.output)

@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import GeometryError
-from .keyfile import EmbedParams, KeyBundle, ShotRecord
+from .keyfile import EmbedParams, KeyBundle, ShotRecord, _is_int
 from .media_io import VideoClip
 from .prng import MASK64
 from .shots import (
@@ -190,7 +190,7 @@ def embed_clip(
     if params is None:
         params = EmbedParams()
     for name, seed in (("seed1", seed1), ("seed2", seed2), ("seed3", seed3)):
-        if not 0 <= seed <= MASK64:
+        if not (_is_int(seed) and 0 <= seed <= MASK64):
             raise ValueError(f"{name} must be an unsigned 64-bit integer")
     sign_planes = prepare_sign_planes(watermark, seed1, seed2)
     wm_h, wm_w = sign_planes.shape[1:]
@@ -214,18 +214,5 @@ def embed_clip(
         out_frames[start:end] = shot_out
         records.append(ShotRecord(shot_index=index, planes=realized))
 
-    bundle = KeyBundle(
-        seed1=seed1,
-        seed2=seed2,
-        seed3=seed3,
-        alpha=params.alpha,
-        wm_width=wm_w,
-        wm_height=wm_h,
-        band=params.band,
-        region_row0=params.region_row0,
-        region_col0=params.region_col0,
-        boundaries=tuple(boundaries),
-        selected=tuple(selected),
-        records=records,
-    )
+    bundle = KeyBundle(seed1, seed2, seed3, params, tuple(boundaries), records)
     return replace(clip, frames=out_frames), bundle

@@ -4,9 +4,9 @@ The received video plus the bundle (seeds, geometry, stored shot boundaries,
 realized sign planes) reproduce the forward transforms, and
 wmprep.restore_bitplanes inverts the preparation; the original is never
 consulted. A bundle built in memory is held to the key file's rules, as one
-read from a file is: keyfile._check_bundle applies them and returns the
-bundle's EmbedParams, which extraction uses. As in embedding, only the crop
-that embed._window_crop gives is transformed, and only as far as the integer
+read from a file is: keyfile._check_bundle applies them, and extraction uses
+the bundle's EmbedParams. As in embedding, only the crop that
+embed._window_crop gives is transformed, and only as far as the integer
 sums of one subband of its coefficient frames 1..8 (see wm3d.embed), so the
 neighborhood comparison is exact, and embed's sign rule
 (embed._window_signs) decodes each bit of the window, the pair of slices
@@ -94,8 +94,8 @@ def extract_frames(
     vote across shots; a tie keeps the lowest-indexed shot's bit. NC
     values are filled in when a reference watermark is given.
     """
-    params = _check_bundle(bundle)
-    _window_crop(params, height, width, bundle.wm_height, bundle.wm_width)
+    _check_bundle(bundle)
+    _window_crop(bundle.params, height, width, bundle.wm_height, bundle.wm_width)
 
     spans = shot_spans(bundle.boundaries)
     frames, received, results = iter(frames), 0, []
@@ -111,7 +111,7 @@ def extract_frames(
             )
         res = extract_shot(
             chunk[start - before :], rec.planes, bundle.seed1, bundle.seed2,
-            end - start, params,
+            end - start, bundle.params,
         )
         res.shot_index = rec.shot_index
         if reference is not None:

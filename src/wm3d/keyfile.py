@@ -1,7 +1,8 @@
 """Key bundle: everything blind extraction needs, and its file format.
 
-It also declares EmbedParams, a mark's strength and placement, with its
-rules; _check_bundle holds a key to them and returns the key's EmbedParams.
+A KeyBundle holds each fact once: seeds, EmbedParams (a mark's strength and
+placement, with its rules), shot boundaries and one ShotRecord per selected
+shot; the records give the selected shots and the mark's size.
 
 The file is line-oriented text. A header fixes the keys and geometry:
 
@@ -24,7 +25,8 @@ padded to a byte boundary) and base64-encoded. Round-trips are exact.
 
 import base64
 import binascii
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +38,11 @@ from .wavelet3d import BANDS, SubbandRect, subband_rect
 
 MAGIC = "WM3DKEY"
 VERSION = 1
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a value a key file stores as is."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,9 @@ class EmbedParams:
             raise ValueError(f"alpha {self.alpha} outside [0, 1)")
         if self.band not in BANDS:
             raise ValueError(f"unknown band {self.band!r}")
+        for name in ("region_row0", "region_col0"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.region_row0 < 0 or self.region_col0 < 0:
             raise ValueError("region offset must be non-negative")
 
@@ -78,50 +88,55 @@ class KeyBundle:
     seed1: int
     seed2: int
     seed3: int
-    alpha: float
-    wm_width: int
-    wm_height: int
-    band: str = EmbedParams.band
-    region_row0: int = EmbedParams.region_row0
-    region_col0: int = EmbedParams.region_col0
-    boundaries: tuple = ()
-    selected: tuple = ()
-    records: list = field(default_factory=list)
+    params: EmbedParams
+    boundaries: tuple
+    records: list
+
+    @property
+    def selected(self) -> tuple:
+        return tuple(rec.shot_index for rec in self.records)
+
+    @property
+    def wm_height(self) -> int:
+        return np.shape(self.records[0].planes)[1]
+
+    @property
+    def wm_width(self) -> int:
+        return np.shape(self.records[0].planes)[2]
 
 
-def _check_bundle(bundle: KeyBundle) -> EmbedParams:
-    """The bundle's EmbedParams; FormatError if it breaks a key rule."""
-    for name in ("seed1", "seed2", "seed3"):
-        v = getattr(bundle, name)
+def _check_bundle(bundle: KeyBundle) -> None:
+    """FormatError if the bundle breaks a key rule."""
+    seeds = (bundle.seed1, bundle.seed2, bundle.seed3)
+    b, selected = bundle.boundaries, bundle.selected
+    for name, values in (("seeds", seeds), ("shot boundaries", b), ("shot indices", selected)):
+        if not all(map(_is_int, values)):
+            raise FormatError(f"{name} must be integers, got {list(values)}")
+    for name, v in zip(("seed1", "seed2", "seed3"), seeds):
         if not 0 <= v <= MASK64:
             raise FormatError(f"{name} out of 64-bit range")
-    try:
-        params = EmbedParams(
-            bundle.alpha, bundle.region_row0, bundle.region_col0, bundle.band
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    if bundle.wm_width < 1 or bundle.wm_height < 1:
-        raise FormatError("watermark dimensions must be positive")
-    b = bundle.boundaries
     if len(b) < 2 or b[0] != 0 or any(y <= x for x, y in zip(b, b[1:])):
         raise FormatError(f"bad shot boundaries {list(b)}")
-    shot_count = len(bundle.boundaries) - 1
-    if not bundle.selected:
+    if not selected:
         raise FormatError("key bundle selects no shots")
-    if any(not 0 <= i < shot_count for i in bundle.selected):
+    if any(not 0 <= i < len(b) - 1 for i in selected):
         raise FormatError("selected shot index outside boundary range")
-    if list(bundle.selected) != sorted(set(bundle.selected)):
+    if list(selected) != sorted(set(selected)):
         raise FormatError("selected shot indices must be sorted and unique")
-    for i in bundle.selected:
+    for i in selected:
         if b[i + 1] - b[i] < MIN_EMBED_SHOT_LEN:
             raise FormatError(
                 f"selected shot {i} has {b[i + 1] - b[i]} frames, "
                 f"fewer than the {MIN_EMBED_SHOT_LEN} a mark needs"
             )
-    if [r.shot_index for r in bundle.records] != list(bundle.selected):
-        raise FormatError("shot records do not match selected shots")
-    shape = (PLANE_COUNT, bundle.wm_height, bundle.wm_width)
+    # the first record fixes the mark's size; every record must share it
+    shape = np.shape(bundle.records[0].planes)
+    if len(shape) != 3:
+        raise FormatError(f"shot {selected[0]} planes have shape {shape}, "
+                          f"expected ({PLANE_COUNT}, height, width)")
+    if 0 in shape[1:]:
+        raise FormatError("watermark dimensions must be positive")
+    shape = (PLANE_COUNT, *shape[1:])
     for rec in bundle.records:
         arr = np.asarray(rec.planes)
         if arr.shape != shape:
@@ -131,7 +146,6 @@ def _check_bundle(bundle: KeyBundle) -> EmbedParams:
             )
         if np.any((arr != 1) & (arr != -1)):
             raise FormatError(f"shot {rec.shot_index} planes must be +-1")
-    return params
 
 
 def _pack_plane(plane: np.ndarray) -> str:
@@ -163,19 +177,20 @@ def _format_int_list(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-# The header, in file order: (name in the file, KeyBundle attribute,
+# The header, in file order: (name in the file, KeyBundle attribute path,
 # parser, formatter). Alpha is written as the repr of a float, so an
-# integer alpha 0 still reads back as 0.0.
+# integer alpha 0 still reads back as 0.0. wm_w, wm_h and selected repeat
+# the shot blocks, which read_key checks against them.
 _HEADER = (
     ("seed1", "seed1", int, str),
     ("seed2", "seed2", int, str),
     ("seed3", "seed3", int, str),
-    ("alpha", "alpha", float, lambda v: repr(float(v))),
+    ("alpha", "params.alpha", float, lambda v: repr(float(v))),
     ("wm_w", "wm_width", int, str),
     ("wm_h", "wm_height", int, str),
-    ("band", "band", str, str),
-    ("row0", "region_row0", int, str),
-    ("col0", "region_col0", int, str),
+    ("band", "params.band", str, str),
+    ("row0", "params.region_row0", int, str),
+    ("col0", "params.region_col0", int, str),
     ("boundaries", "boundaries", _parse_int_list, _format_int_list),
     ("selected", "selected", _parse_int_list, _format_int_list),
 )
@@ -185,7 +200,7 @@ def write_key(bundle: KeyBundle, sink) -> None:
     """Serialize a key bundle; fails on an inconsistent bundle."""
     _check_bundle(bundle)
     lines = [f"{MAGIC} {VERSION}"]
-    lines += [f"{name}={fmt(getattr(bundle, attr))}" for name, attr, _, fmt in _HEADER]
+    lines += [f"{name}={fmt(attrgetter(attr)(bundle))}" for name, attr, _, fmt in _HEADER]
     for rec in bundle.records:
         lines.append(f"shot={rec.shot_index}")
         for k in range(PLANE_COUNT):
@@ -213,16 +228,21 @@ def read_key(source) -> KeyBundle:
     if magic[1] != str(VERSION):
         raise FormatError(f"unknown key file version {magic[1]!r}")
 
-    values = {}
-    for pos, (name, attr, parse, _) in enumerate(_HEADER, start=1):
+    head = {}
+    for pos, (name, _, parse, _) in enumerate(_HEADER, start=1):
         if pos >= len(lines) or not lines[pos].startswith(f"{name}="):
             raise FormatError(f"missing or misplaced header field {name!r}")
         text = lines[pos].split("=", 1)[1]
         try:
-            values[attr] = parse(text)
+            head[name] = parse(text)
         except ValueError as exc:
             raise FormatError(f"bad {name} value {text!r}") from exc
-    bundle = KeyBundle(**values)
+    try:
+        params = EmbedParams(head["alpha"], head["row0"], head["col0"], head["band"])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    bundle = KeyBundle(head["seed1"], head["seed2"], head["seed3"], params,
+                       head["boundaries"], [])
     pos = len(_HEADER) + 1
 
     while pos < len(lines):
@@ -241,9 +261,11 @@ def read_key(source) -> KeyBundle:
             if pos >= len(lines) or not lines[pos].startswith(prefix):
                 raise FormatError(f"missing plane {k + 1} for shot {index}")
             text = lines[pos][len(prefix) :]
-            planes.append(_unpack_plane(text, bundle.wm_height, bundle.wm_width))
+            planes.append(_unpack_plane(text, head["wm_h"], head["wm_w"]))
             pos += 1
         bundle.records.append(ShotRecord(shot_index=index, planes=np.stack(planes)))
 
+    if bundle.selected != head["selected"]:
+        raise FormatError("shot records do not match selected shots")
     _check_bundle(bundle)
     return bundle

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from wm3d.cli import main
 from wm3d.embed import embed_clip
 from wm3d.errors import FormatError, GeometryError
 from wm3d.extract import extract_clip
-from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key
+from wm3d.keyfile import EmbedParams, KeyBundle, ShotRecord, read_key, write_key
 from wm3d.media_io import (
     VideoClip,
     read_pgm,
@@ -234,8 +235,7 @@ def test_bad_offset_says_what_it_expects(workdir, capsys):
 
 def _two_shot_key() -> str:
     records = [ShotRecord(i, np.ones((8, 4, 4), np.int8)) for i in (0, 1)]
-    bundle = KeyBundle(1, 2, 3, 0.1, 4, 4, boundaries=(0, 9, 18), selected=(0, 1),
-                       records=records)
+    bundle = KeyBundle(1, 2, 3, EmbedParams(), (0, 9, 18), records)
     sink = io.StringIO()
     write_key(bundle, sink)
     return sink.getvalue()
@@ -246,10 +246,14 @@ _EMBED = ["embed", "--in", "in.y4m", "--wm", "wm.pgm", "--key-out", "k.key",
           "--out", "out.y4m"]
 
 
-def _bad_key(old: str, new: str) -> tuple:
-    assert old in _KEY
+def _bad_key(*edits: str) -> tuple:
+    """Key text with each old, new pair of `edits` replaced at once, so two
+    pairs may swap text."""
+    swap = dict(zip(edits[::2], edits[1::2]))
+    assert all(old in _KEY for old in swap)
+    text = re.sub("|".join(map(re.escape, swap)), lambda m: swap[m.group()], _KEY)
     argv = ["extract", "--in", "in.y4m", "--key", "bad.key", "--out", "x.pgm"]
-    return argv, {"bad.key": _KEY.replace(old, new).encode()}
+    return argv, {"bad.key": text.encode()}
 
 
 # name: (argv, files written first, exit code, a fragment of stderr);
@@ -269,8 +273,14 @@ _REJECTED = {
     "key-alpha": (*_bad_key("alpha=0.1\n", "alpha=1.0\n"), 2, "alpha 1.0 outside [0, 1)"),
     "key-short-shot": (*_bad_key("boundaries=0,9,18", "boundaries=0,8,18"), 2,
                        "fewer than the 9 a mark needs"),
-    "key-unsorted": (*_bad_key("selected=0,1", "selected=1,0"), 2, "sorted and unique"),
-    "key-repeated": (*_bad_key("selected=0,1", "selected=0,0"), 2, "sorted and unique"),
+    "key-band": (*_bad_key("band=lh3\n", "band=xx3\n"), 2, "unknown band 'xx3'"),
+    # both shots' planes are equal, so renaming a block is moving it
+    "key-unsorted": (*_bad_key("selected=0,1", "selected=1,0", "shot=0\n", "shot=1\n",
+                               "shot=1\n", "shot=0\n"), 2, "sorted and unique"),
+    "key-repeated": (*_bad_key("selected=0,1", "selected=0,0", "shot=1\n", "shot=0\n"), 2,
+                     "sorted and unique"),
+    "key-selected-header": (*_bad_key("selected=0,1", "selected=1"), 2,
+                            "shot records do not match selected shots"),
     "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot block, got 'junk'"),
     "y4m-odd-width": (["shots", "--in", "odd.y4m"],
                       {"odd.y4m": b"YUV4MPEG2 W5 H2 F25:1 C420\nFRAME\n" + bytes(14)},

@@ -68,17 +68,7 @@ def _gray_clip(n=64, h=128, w=128):
 
 def _synthetic_bundle(seed1, seed2):
     planes = np.ones((8, 16, 16), np.int8)
-    return KeyBundle(
-        seed1=seed1,
-        seed2=seed2,
-        seed3=0,
-        alpha=0.1,
-        wm_width=16,
-        wm_height=16,
-        boundaries=(0, 64),
-        selected=(0,),
-        records=[ShotRecord(shot_index=0, planes=planes)],
-    )
+    return KeyBundle(seed1, seed2, 0, EmbedParams(), (0, 64), [ShotRecord(0, planes)])
 
 
 def test_destroyed_watermark_near_chance(embedded, watermark):
@@ -155,7 +145,7 @@ def test_extract_clip_rejects_records_out_of_shot_order(watermark):
     # frames are taken in order, so the records must be too
     marked, bundle = _three_shot_run(watermark)
     bundle.records.reverse()
-    with pytest.raises(FormatError, match="records do not match selected"):
+    with pytest.raises(FormatError, match="sorted and unique"):
         extract_clip(marked, bundle, watermark)
 
 
@@ -212,7 +202,7 @@ def test_extract_clip_empty_clip_rejected():
 
 def test_extract_frames_rejects_no_records_before_reading(watermark):
     bundle = _synthetic_bundle(1, 2)
-    bundle.selected, bundle.records = (), []
+    bundle.records = []
     read = []
 
     def frames():
@@ -236,25 +226,32 @@ def _record(index):
 
 
 # Changes that make a valid in-memory key for 64 frames of 128x128 in two
-# shots break a key-file rule: (changes, message fragment).
+# shots break a key-file rule: (changes, message fragment). EmbedParams'
+# rules hold when params are built, so a bundle cannot break them.
 _BAD_KEYS = {
-    "index-minus-one": (dict(selected=(-1,), records=[_record(-1)]), "outside boundary range"),
-    "index-past-last": (dict(selected=(2,), records=[_record(2)]), "outside boundary range"),
+    "index-minus-one": (dict(records=[_record(-1)]), "outside boundary range"),
+    "index-past-last": (dict(records=[_record(2)]), "outside boundary range"),
     "boundaries-fall": (dict(boundaries=(0, 30, 25, 40)), "bad shot boundaries"),
-    "records-not-selected": (dict(selected=(0,), records=[_record(1)]),
-                             "records do not match selected"),
     "shot-too-short": (dict(boundaries=(0, 8, 64)), "fewer than the 9 a mark needs"),
-    # EmbedParams' rules, raised as FormatError with its messages
-    "alpha-one": (dict(alpha=1.0), "alpha 1.0 outside [0, 1)"),
-    "band-unknown": (dict(band="xx3"), "unknown band 'xx3'"),
-    "col0-negative": (dict(region_col0=-1), "region offset must be non-negative"),
+    # what a key file cannot store: a float or bool where it stores an integer
+    "seed-float": (dict(seed1=1.5), "seeds must be integers, got [1.5"),
+    "seed-bool": (dict(seed3=True), "seeds must be integers"),
+    "boundary-float": (dict(boundaries=(0, 32.0, 64)), "shot boundaries must be integers"),
+    "index-bool": (dict(records=[_record(False), _record(1)]), "shot indices must be integers"),
+    "index-float": (dict(records=[_record(0), _record(1.0)]), "shot indices must be integers"),
+    # the first record fixes the mark's size
+    "records-sizes-differ": (
+        dict(records=[_record(0), ShotRecord(1, np.ones((8, 16, 8), np.int8))]),
+        "shot 1 planes have shape (8, 16, 8), expected (8, 16, 16)"),
+    "records-2d": (dict(records=[ShotRecord(0, np.ones((8, 16), np.int8))]),
+                   "shot 0 planes have shape (8, 16), expected (8, height, width)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_KEYS))
 def test_extract_frames_rejects_a_bad_in_memory_key_before_reading(name):
     changes, fragment = _BAD_KEYS[name]
-    valid = dict(boundaries=(0, 32, 64), selected=(0, 1), records=[_record(0), _record(1)])
+    valid = dict(boundaries=(0, 32, 64), records=[_record(0), _record(1)])
     bundle = dataclasses.replace(_synthetic_bundle(SEED1, SEED2), **{**valid, **changes})
     read = []
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import PATH_KINDS
 from wm3d.errors import FormatError
-from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key
+from wm3d.keyfile import EmbedParams, KeyBundle, ShotRecord, read_key, write_key
 
 
 def _planes(seed, h=16, w=16):
@@ -18,14 +18,8 @@ def _bundle(**overrides):
         seed1=0x0123456789ABCDEF,
         seed2=42,
         seed3=2**64 - 1,
-        alpha=0.1,
-        wm_width=16,
-        wm_height=16,
-        band="lh3",
-        region_row0=0,
-        region_col0=0,
+        params=EmbedParams(),
         boundaries=(0, 30, 64),
-        selected=(0, 1),
         records=[
             ShotRecord(shot_index=0, planes=_planes(1)),
             ShotRecord(shot_index=1, planes=_planes(2)),
@@ -44,8 +38,8 @@ def _roundtrip(bundle):
 def test_roundtrip_exact():
     bundle = _bundle()
     again, _ = _roundtrip(bundle)
-    for name in ("seed1", "seed2", "seed3", "alpha", "wm_width", "wm_height",
-                 "band", "region_row0", "region_col0", "boundaries", "selected"):
+    for name in ("seed1", "seed2", "seed3", "params", "boundaries", "selected",
+                 "wm_height", "wm_width"):
         assert getattr(again, name) == getattr(bundle, name)
     assert len(again.records) == 2
     for a, b in zip(again.records, bundle.records):
@@ -55,12 +49,12 @@ def test_roundtrip_exact():
 
 def test_alpha_repr_roundtrips_exactly():
     for alpha in (0.1, 1.0 / 3.0, 0.07500000000000001, 0.0):
-        again, _ = _roundtrip(_bundle(alpha=alpha))
-        assert again.alpha == alpha
+        again, _ = _roundtrip(_bundle(params=EmbedParams(alpha)))
+        assert again.params.alpha == alpha
     # an integer alpha is written as a float, as EmbedParams(alpha=0) gives it
-    again, text = _roundtrip(_bundle(alpha=0))
+    again, text = _roundtrip(_bundle(params=EmbedParams(alpha=0)))
     assert "\nalpha=0.0\n" in text
-    assert again.alpha == 0.0 and isinstance(again.alpha, float)
+    assert again.params.alpha == 0.0 and isinstance(again.params.alpha, float)
 
 
 def test_plane_lines_are_44_base64_chars():
@@ -156,7 +150,7 @@ def test_bad_header_value_names_its_field(name, value):
 
 def test_empty_selection_rejected():
     with pytest.raises(FormatError, match="selects no shots"):
-        write_key(_bundle(selected=(), records=[]), io.StringIO())
+        write_key(_bundle(records=[]), io.StringIO())
     _, text = _roundtrip(_bundle())
     header = text.split("shot=")[0].replace("selected=0,1", "selected=")
     with pytest.raises(FormatError, match="selects no shots"):
@@ -173,16 +167,29 @@ def test_missing_header_field_rejected():
 def test_inconsistent_bundles_rejected_on_write():
     with pytest.raises(FormatError, match="boundaries"):
         write_key(_bundle(boundaries=(0, 30, 20)), io.StringIO())
+    # written as "seed1=1.5", it would fail read_key
+    with pytest.raises(FormatError, match="seeds must be integers"):
+        write_key(_bundle(seed1=1.5), io.StringIO())
     with pytest.raises(FormatError, match="selected"):
-        write_key(_bundle(selected=(0, 5)), io.StringIO())
-    with pytest.raises(FormatError, match="records"):
-        write_key(_bundle(selected=(0,)), io.StringIO())
-    with pytest.raises(FormatError, match="alpha"):
-        write_key(_bundle(alpha=1.5), io.StringIO())
+        write_key(_bundle(records=[ShotRecord(0, _planes(1)), ShotRecord(5, _planes(2))]),
+                  io.StringIO())
+    # a bundle's params are checked when they are built
+    with pytest.raises(ValueError, match="alpha"):
+        _bundle(params=EmbedParams(alpha=1.5))
     bad = _bundle()
     bad.records[0].planes = np.zeros((8, 16, 16), np.int8)
     with pytest.raises(FormatError, match="must be"):
         write_key(bad, io.StringIO())
+
+
+def test_numpy_integer_fields_roundtrip():
+    records = [ShotRecord(np.int64(0), _planes(1)), ShotRecord(np.int64(1), _planes(2))]
+    bundle = _bundle(seed1=np.uint64(7), boundaries=tuple(np.array([0, 30, 64])),
+                     params=EmbedParams(region_row0=np.int64(2)), records=records)
+    again, text = _roundtrip(bundle)
+    assert "\nseed1=7\n" in text and "\nrow0=2\n" in text and "\nselected=0,1\n" in text
+    assert (again.seed1, again.boundaries, again.selected) == (7, (0, 30, 64), (0, 1))
+    assert again.params == EmbedParams(region_row0=2)
 
 
 def test_selected_records_mismatch_on_read():
@@ -201,7 +208,7 @@ def test_selected_shot_shorter_than_minimum_rejected():
     with pytest.raises(FormatError, match="selected shot 1 has 8 frames"):
         read_key(io.StringIO(text.replace("boundaries=0,30,64", "boundaries=0,30,38")))
     # an unselected short shot is fine
-    again, _ = _roundtrip(_bundle(boundaries=(0, 30, 33, 64), selected=(0, 2),
+    again, _ = _roundtrip(_bundle(boundaries=(0, 30, 33, 64),
                                   records=[ShotRecord(0, _planes(1)),
                                            ShotRecord(2, _planes(2))]))
     assert again.boundaries == (0, 30, 33, 64)

@@ -4,6 +4,7 @@ Derandomized, so every run draws the same examples.
 """
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from wm3d.errors import FormatError  # noqa: E402
-from wm3d.keyfile import KeyBundle, ShotRecord, read_key, write_key  # noqa: E402
+from wm3d.keyfile import EmbedParams, KeyBundle, ShotRecord, read_key, write_key  # noqa: E402
 from wm3d.shots import MIN_EMBED_SHOT_LEN  # noqa: E402
 from wm3d.wavelet3d import BANDS  # noqa: E402
 
@@ -36,20 +37,13 @@ def bundles(draw):
         rs = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
         planes = np.where(rs.rand(8, wm_h, wm_w) < 0.5, 1, -1).astype(np.int8)
         records.append(ShotRecord(shot_index=index, planes=planes))
-    return KeyBundle(
-        seed1=draw(U64),
-        seed2=draw(U64),
-        seed3=draw(U64),
+    params = EmbedParams(
         alpha=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        wm_width=wm_w,
-        wm_height=wm_h,
-        band=draw(st.sampled_from(BANDS)),
         region_row0=draw(st.integers(0, 500)),
         region_col0=draw(st.integers(0, 500)),
-        boundaries=boundaries,
-        selected=selected,
-        records=records,
+        band=draw(st.sampled_from(BANDS)),
     )
+    return KeyBundle(draw(U64), draw(U64), draw(U64), params, boundaries, records)
 
 
 def _key_bytes(bundle) -> bytes:
@@ -58,18 +52,50 @@ def _key_bytes(bundle) -> bytes:
     return buf.getvalue().encode("ascii")
 
 
+def _assert_same_key(again, bundle) -> None:
+    for name in ("seed1", "seed2", "seed3", "params", "boundaries", "selected",
+                 "wm_height", "wm_width"):
+        assert getattr(again, name) == getattr(bundle, name)
+    for a, b in zip(again.records, bundle.records, strict=True):
+        assert np.array_equal(a.planes, b.planes)
+
+
 @PROPERTY
 @given(bundles())
 def test_any_valid_bundle_roundtrips(bundle):
     data = _key_bytes(bundle)
     again = read_key(io.BytesIO(data))
-    for name in ("seed1", "seed2", "seed3", "alpha", "wm_width", "wm_height",
-                 "band", "region_row0", "region_col0", "boundaries", "selected"):
-        assert getattr(again, name) == getattr(bundle, name)
-    assert [r.shot_index for r in again.records] == list(bundle.selected)
-    for a, b in zip(again.records, bundle.records):
-        assert np.array_equal(a.planes, b.planes)
+    _assert_same_key(again, bundle)
     assert _key_bytes(again) == data
+
+
+@PROPERTY
+@given(bundles(), st.data())
+def test_any_bundle_write_key_accepts_reads_back_equal(bundle, data):
+    # Where a key stores an integer, a caller may hand a numpy integer, a
+    # float or a bool. write_key takes the first and refuses the others;
+    # EmbedParams refuses them when built. One field is loosened per example.
+    field = data.draw(st.sampled_from(["seed1", "seed2", "seed3", "boundaries",
+                                       "records", "region_row0", "region_col0"]))
+    numpy_int = np.uint64 if field.startswith("seed") else np.int64
+    kind = data.draw(st.sampled_from([int, numpy_int, float, bool]))
+    if field.startswith("seed"):
+        setattr(bundle, field, kind(getattr(bundle, field)))
+    elif field == "boundaries":
+        bundle.boundaries = tuple(map(kind, bundle.boundaries))
+    elif field == "records":
+        for rec in bundle.records:
+            rec.shot_index = kind(rec.shot_index)
+    else:
+        try:
+            bundle.params = replace(bundle.params, **{field: kind(getattr(bundle.params, field))})
+        except ValueError:
+            return
+    try:
+        key = _key_bytes(bundle)
+    except FormatError:
+        return
+    _assert_same_key(read_key(io.BytesIO(key)), bundle)
 
 
 @PROPERTY
@@ -113,8 +139,7 @@ def test_truncated_key_parses_or_raises_format_error(bundle, data):
 
 def test_non_ascii_key_raises_format_error(tmp_path):
     record = ShotRecord(shot_index=0, planes=np.ones((8, 1, 1), np.int8))
-    key = _key_bytes(KeyBundle(1, 2, 3, 0.1, 1, 1, boundaries=(0, 9), selected=(0,),
-                               records=[record]))
+    key = _key_bytes(KeyBundle(1, 2, 3, EmbedParams(), (0, 9), [record]))
     path = tmp_path / "k.key"
     path.write_bytes(key.replace(b"alpha=0.1", b"alpha=0.\xe91"))
     with pytest.raises(FormatError, match="ASCII"):

@@ -22,15 +22,14 @@ _HOLED = _PLANES.copy()
 _HOLED[3, 1, 0] = 0
 
 
-def _write_key(planes, wm_width=2):
-    bundle = KeyBundle(1, 2, 3, 0.1, wm_width, 2, boundaries=(0, 9), selected=(0,),
-                       records=[ShotRecord(0, planes)])
+def _write_key(planes):
+    bundle = KeyBundle(1, 2, 3, EmbedParams(), (0, 9), [ShotRecord(0, planes)])
     write_key(bundle, io.StringIO())
 
 
 # name: (call, error type, message fragment)
 _CASES = {
-    "key-wm-width": (lambda: _write_key(_PLANES, wm_width=0), FormatError,
+    "key-wm-width": (lambda: _write_key(_PLANES[:, :, :0]), FormatError,
                      "watermark dimensions must be positive"),
     "key-plane-zero": (lambda: _write_key(_HOLED), FormatError, "planes must be +-1"),
     "shots-empty-clip": (lambda: detect_shots(VideoClip(frames=[])), ValueError,
@@ -39,6 +38,10 @@ _CASES = {
     "shots-zero-pixel-frames": (
         lambda: detect_shots(VideoClip(frames=[np.zeros((0, 5), np.uint8)] * 2)),
         ValueError, "zero-size frames"),
+    "embed-float-seed": (
+        lambda: embed_clip(VideoClip(frames=[_FRAME] * 9), np.ones((2, 2), np.uint8),
+                           1.5, 2, 3),
+        ValueError, "seed1 must be an unsigned 64-bit integer"),
     "embed-repeated-boundary": (
         lambda: embed_clip(VideoClip(frames=[_FRAME] * 20), np.ones((2, 2), np.uint8),
                            1, 2, 3, boundaries=[0, 9, 9, 20]),
@@ -70,6 +73,11 @@ _CASES = {
                ValueError, "nonempty 2-D array"),
     "params-negative-row": (lambda: EmbedParams(region_row0=-1), ValueError,
                             "region offset must be non-negative"),
+    # a key file stores offsets as integers
+    "params-float-col": (lambda: EmbedParams(region_col0=1.5), ValueError,
+                         "region_col0 must be an integer, got 1.5"),
+    "params-bool-row": (lambda: EmbedParams(region_row0=True), ValueError,
+                        "region_row0 must be an integer, got True"),
     "shot-seven-planes": (lambda: embed_shot([_FRAME] * 9, _PLANES[:7], EmbedParams()),
                           ValueError, "expected 8 sign planes"),
     "shot-plane-zero": (lambda: embed_shot([_FRAME] * 9, _HOLED, EmbedParams()),

@@ -216,7 +216,10 @@ def _parse_attack_list(text: str, seed: int):
             raise FormatError(f"attack {name!r} takes no parameter, got {part!r}")
         value = None
         if attack.parse is not None:
-            value = attack.parse(param) if param else attack.default
+            try:
+                value = attack.parse(param) if param else attack.default
+            except ValueError:
+                raise FormatError(f"bad {name} parameter {param!r}") from None
         attack.apply(_NO_PIXELS, _NO_PIXELS, value, seed)  # its own checks only
         specs.append((name, value))
     return specs

@@ -4,27 +4,27 @@ Bitplane b of the watermark, prepared by wmprep.prepare_sign_planes, goes to
 temporal coefficient frame b+1 (the DC frame is never touched), inside one
 window of a level-3 subband, so the least significant plane rides on the
 coarsest temporal detail. A level-3 coefficient depends only on its own 8x8
-pixel block, so each selected shot is worked on through one block-aligned
-crop, the window's blocks plus a 1-coefficient halo, which _window_crop
-returns with the window's pair of slices in the crop's subband; it refuses a
-subband of one coefficient, which has no neighbor. Other pixels are copied.
+pixel block, so each selected shot is read through one block-aligned crop,
+the window's blocks plus a 1-coefficient halo, which _window_crop returns
+with the window's pair of slices in the crop's subband; it refuses a subband
+of one coefficient, which has no neighbor. Only the window's blocks change.
 EmbedParams, the strength, band and offset, is declared with its rules in
 wm3d.keyfile, beside the key that stores them.
 
-The realized sign r of a position is +1 where its neighborhood max lies
-strictly on the side its prepared sign names, else -1, ties included;
-the realized signs are the key extraction needs. The paper's update
-scales each window coefficient by (1 + alpha * r). It is relative, so
-it runs on the integer sums E of wm3d.wavelet3d, a positive multiple of
-the orthonormal coefficients per frame, and ties are exact. Frame f's
-change under the band's +-1 sign pattern on each 8x8 block is
-d[f] = sum_k S[f, k] * r_k * E_k * alpha / 64, S the temporal synthesis
-matrix (entries 0 or +-1 over a power of two): exact in float64 in any
-summation order but for the one multiply by alpha. A crop pixel p
-becomes p + floor(+-d + 0.5), clipped to [0, 255]. A whole-frame float
-round trip (a test oracle) may differ in blocks of exact neighbor ties,
-which its rounding noise decides, and where d is exactly k + 0.5, which
-it misses by up to 1e-9.
+The realized sign r of a position is +1 where t, the max of its 8 neighbors
+in the subband (two separable passes), lies strictly on the side its
+prepared sign names, else -1, ties included; the realized signs are the key
+extraction needs. The paper's update scales each window coefficient by
+(1 + alpha * r). It is relative, so it runs on the integer sums E of
+wm3d.wavelet3d, a positive multiple of the orthonormal coefficients per
+frame, and ties are exact. Frame f's change under the band's +-1 sign
+pattern on each 8x8 block is d[f] = sum_k S[f, k] * r_k * E_k * alpha / 64,
+S the temporal synthesis matrix (entries 0 or +-1 over a power of two):
+exact in float64 in any summation order but for the one multiply by alpha.
+A window pixel p becomes p + floor(+-d + 0.5), clipped to [0, 255]. A
+whole-frame float round trip (a test oracle) may differ in blocks of exact
+neighbor ties, which its rounding noise decides, and where d is exactly
+k + 0.5, which it misses by up to 1e-9.
 """
 
 from dataclasses import replace
@@ -53,24 +53,19 @@ from .wavelet3d import (
 )
 from .wmprep import prepare_sign_planes
 
-_NEIGHBOR_OFFSETS = [
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-]
-
 
 def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
-    """Neighbor max at every position of (..., h, w) subband regions at once."""
-    *lead, h, w = sub.shape
+    """Max of the 8 neighbors at each position of (..., h, w) regions, in
+    two separable passes: left/right, then with the three-wide row maxima
+    above and below; a missing neighbor counts as the dtype's lowest value."""
     low = -np.inf if sub.dtype.kind == "f" else np.iinfo(sub.dtype).min
-    padded = np.full((*lead, h + 2, w + 2), low, dtype=sub.dtype)
-    padded[..., 1:-1, 1:-1] = sub
-    stack = [
-        padded[..., 1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
-        for di, dj in _NEIGHBOR_OFFSETS
-    ]
-    return np.max(stack, axis=0)
+    t = np.full_like(sub, low)
+    t[..., 1:] = sub[..., :-1]
+    np.maximum(t[..., :-1], sub[..., 1:], out=t[..., :-1])
+    wide = np.maximum(t, sub)
+    np.maximum(t[..., 1:, :], wide[..., :-1, :], out=t[..., 1:, :])
+    np.maximum(t[..., :-1, :], wide[..., 1:, :], out=t[..., :-1, :])
+    return t
 
 
 def _window_signs(sub, plane, win) -> np.ndarray:
@@ -80,8 +75,7 @@ def _window_signs(sub, plane, win) -> np.ndarray:
     +1), else -1. Embed keeps these as the realized signs; given those,
     extraction decodes the key sign where the neighbor max lies above
     the coefficient, its negation where it lies below, and -1 at a tie."""
-    arr = np.asarray(sub)
-    wd = np.asarray(plane)
+    arr, wd = np.asarray(sub), np.asarray(plane)
     if np.any((wd != 1) & (wd != -1)):
         raise ValueError("plane values must be +1 or -1")
     win = (..., *win)
@@ -130,13 +124,12 @@ def _crop_coeffs(frames, crop, band: str, length: int | None = None) -> np.ndarr
 
 def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     """Watermark one shot of 8-bit frames; returns (quantized frames,
-    realized planes). A crop pixel p under the band's sign s becomes
+    realized planes). A window pixel p under the band's sign s becomes
     p + round-half-up(s*d), clipped to [0, 255] in int16."""
     n = len(frames)
     if n < MIN_EMBED_SHOT_LEN:
         raise GeometryError(
-            f"shot of {n} frames too short to embed "
-            f"(minimum {MIN_EMBED_SHOT_LEN})"
+            f"shot of {n} frames too short to embed (minimum {MIN_EMBED_SHOT_LEN})"
         )
     planes = np.asarray(sign_planes)
     if planes.shape[0] != PLANE_COUNT:
@@ -145,25 +138,26 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     crop, win = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
     sums = _crop_coeffs(frames, crop, params.band)
     realized = _window_signs(sums, planes, win)
-    spread = np.zeros_like(sums)
-    spread[(..., *win)] = realized * sums[(..., *win)]
     # terms E_k / span_k are below 64 * 255 and multiples of 1 / P, so
     # their 8-term sums are exact in float64 for P up to 2**36 frames
     synthesis = temporal_synthesis(n, PLANE_COUNT + 1)[:, 1:]
-    change = np.tensordot(synthesis, spread, axes=1) * (params.alpha / 64)
+    change = np.tensordot(synthesis, realized * sums[(..., *win)], axes=1)
+    change *= params.alpha / 64
 
     # Each of the 8 coefficient frames moves a pixel by at most
     # alpha * 255, so |step| <= 8 * 255 and p + step fit int16.
     steps = np.floor(np.stack([change, -change], axis=1) + 0.5).astype(np.int16)
     # s is constant on each (row half, column) of a block: 0 steps +d, 1 -d
     side = (band_pattern(params.band)[::4] < 0).astype(np.intp)
-    h, w = sums.shape[1:]
+    h, w = realized.shape[1:]
+    # the window's 8x8 blocks start here; a halo pixel's step is 0
+    r0, c0 = (c.start + 8 * s.start for c, s in zip(crop, win))
     total = np.empty((h, 2, 4, 8 * w), dtype=np.int16)
     out = [np.array(f, dtype=np.uint8) for f in frames]
     for frame, step in zip(out, steps):
-        # one step per block row, row half and crop column
+        # one step per block row, row half and window column
         rows = step[side].transpose(2, 0, 3, 1).reshape(h, 2, 1, 8 * w)
-        pixels = frame[crop].reshape(h, 2, 4, 8 * w)  # a view of the crop
+        pixels = frame[r0 : r0 + 8 * h, c0 : c0 + 8 * w].reshape(h, 2, 4, 8 * w)
         np.add(pixels, rows, out=total)
         np.clip(total, 0, 255, out=total)
         pixels[...] = total

@@ -90,12 +90,20 @@ def extract_frames(
     reads it. A shot is extracted once its last frame arrives, or when
     the input ends (length repair). Before any frame is read, the bundle
     is checked by the key file's rules (FormatError) and against the
-    frame size (GeometryError). The aggregate takes each bit by majority
-    vote across shots; a tie keeps the lowest-indexed shot's bit. NC
-    values are filled in when a reference watermark is given.
+    frame size (GeometryError), and a reference is refused as nc would
+    refuse it (ValueError): another shape than the mark's, or all zeros.
+    The aggregate takes each bit by majority vote across shots; a tie
+    keeps the lowest-indexed shot's bit. NC values are filled in when a
+    reference watermark is given.
     """
     _check_bundle(bundle)
     _window_crop(bundle.params, height, width, bundle.wm_height, bundle.wm_width)
+    if reference is not None:
+        shape, mark = np.shape(reference), (bundle.wm_height, bundle.wm_width)
+        if shape != mark:
+            raise ValueError(f"reference {shape} does not match the key's mark {mark}")
+        if not np.any(reference):
+            raise ValueError("all-zero reference watermark")
 
     spans = shot_spans(bundle.boundaries)
     frames, received, results = iter(frames), 0, []

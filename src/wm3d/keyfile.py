@@ -25,6 +25,7 @@ padded to a byte boundary) and base64-encoded. Round-trips are exact.
 
 import base64
 import binascii
+import numbers
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -60,6 +61,8 @@ class EmbedParams:
     band: str = "lh3"
 
     def __post_init__(self):
+        if not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         # alpha 0 is allowed as a degenerate no-op strength
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1)")

@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from wm3d.attacks import _DCT, _quantize_into
-from wm3d.embed import _NEIGHBOR_OFFSETS, _window_signs
+from wm3d.embed import _window_signs
 from wm3d.errors import GeometryError
 from wm3d.metrics import _psnr_from_mse
 from wm3d.shots import HIST_BINS
@@ -35,6 +35,12 @@ from wm3d.wmprep import restore_bitplanes
 
 _SQRT2 = math.sqrt(2.0)
 MASK64 = (1 << 64) - 1
+# the 8 neighbors of a subband position
+NEIGHBOR_OFFSETS = [
+    (-1, -1), (-1, 0), (-1, 1),
+    (0, -1), (0, 1),
+    (1, -1), (1, 0), (1, 1),
+]
 
 
 class SplitMix64:
@@ -108,7 +114,7 @@ def neighbor_max(frame: np.ndarray, rect, i: int, j: int) -> float:
     if not (rows.start <= i < rows.stop and cols.start <= j < cols.stop):
         raise ValueError(f"position ({i},{j}) outside subband {rect}")
     best = None
-    for di, dj in _NEIGHBOR_OFFSETS:
+    for di, dj in NEIGHBOR_OFFSETS:
         r, c = i + di, j + dj
         if rows.start <= r < rows.stop and cols.start <= c < cols.stop:
             v = float(arr[r, c])

@@ -467,6 +467,17 @@ def test_bench_checks_arguments_before_any_output(workdir, capsys, extra):
     assert capsys.readouterr().out == ""
 
 
+def test_bench_names_the_attack_and_value_it_cannot_parse(workdir, capsys):
+    for attacks, message in [("compress:1e3", "bad compress parameter '1e3'"),
+                             ("swap,noise:abc", "bad noise parameter 'abc'")]:
+        code = main(["bench", "--in", str(workdir / "in.y4m"),
+                     "--wm", str(workdir / "wm.pgm"), "--attacks", attacks])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"wm3d: {message}\n"
+
+
 def test_attack_drop_requires_original(workdir):
     assert _embed(workdir) == 0
     code = main(

@@ -70,6 +70,21 @@ def test_neighbor_max_exhaustive_oracle():
             assert neighbor_max(frame, rect, i, j) == pytest.approx(best)
             assert grid[i - rect.row0, j - rect.col0] == pytest.approx(best)
 
+    # int64 regions full of ties, one row or one column, one position,
+    # and a leading plane axis, against a brute-force max
+    low = np.iinfo(np.int64).min
+    for shape in [(5, 6), (1, 7), (7, 1), (1, 1), (1, 2), (3, 5, 6), (2, 1, 4)]:
+        region = rs.randint(-2, 2, shape).astype(np.int64)
+        want = np.full(shape, low, dtype=np.int64)
+        for *lead, i, j in np.ndindex(*shape):
+            for r, c in np.ndindex(3, 3):
+                r, c = i + r - 1, j + c - 1
+                if (r, c) != (i, j) and 0 <= r < shape[-2] and 0 <= c < shape[-1]:
+                    want[(*lead, i, j)] = max(want[(*lead, i, j)], region[(*lead, r, c)])
+        got = _neighbor_max_grid(region)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
 
 def test_spread_sign_truth_table():
     assert spread_sign(20.0, 10.0, 1) == 1
@@ -153,7 +168,13 @@ def test_embed_params_validation():
         EmbedParams(alpha=-0.1)
     with pytest.raises(ValueError):
         EmbedParams(band="xx3")
+    for alpha in ("0.1", None, 0.1 + 0j):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            EmbedParams(alpha=alpha)
+    with pytest.raises(ValueError, match="alpha True outside"):
+        EmbedParams(alpha=True)
     EmbedParams(alpha=0.0)  # degenerate strength is allowed
+    EmbedParams(alpha=False)
 
 
 def test_embed_params_are_frozen():
@@ -191,6 +212,24 @@ def test_embed_shot_static_shot_unchanged():
     out, realized = embed_shot(frames, np.ones((8, 2, 2), np.int8), EmbedParams())
     assert all(np.array_equal(f, frame) for f in out)
     assert realized.shape == (8, 2, 2)
+
+
+def test_embed_shot_changes_only_the_windows_blocks():
+    # the halo on all four sides is read for the neighbor max, but no
+    # pixel outside the window's 8x8 blocks moves
+    clip = make_noise_clip(n=16)
+    wm = np.random.RandomState(16).randint(0, 256, (4, 5)).astype(np.uint8)
+    planes = prepare_sign_planes(wm, SEED1, SEED2)
+    params = EmbedParams(alpha=0.3, region_row0=3, region_col0=2, band="hl3")
+    crop, win = _window_crop(params, 128, 128, 4, 5)
+    h, w = ((c.stop - c.start) // 8 for c in crop)
+    assert [(s.start, s.stop) for s in win] == [(1, h - 1), (1, w - 1)]
+    out, _ = embed_shot(clip.frames, planes, params)
+    blocks = np.zeros((128, 128), bool)
+    blocks[8 * 3 : 8 * 7, 8 * 2 : 8 * 7] = True
+    for before, after in zip(clip.frames, out):
+        np.testing.assert_array_equal(after[~blocks], before[~blocks])
+    assert any(not np.array_equal(a[blocks], b[blocks]) for a, b in zip(out, clip.frames))
 
 
 def test_embed_shot_alpha_zero_identity():

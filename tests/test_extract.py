@@ -214,6 +214,25 @@ def test_extract_frames_rejects_no_records_before_reading(watermark):
     assert read == []
 
 
+@pytest.mark.parametrize(
+    "reference, fragment",
+    [(np.full((16, 8), 9, np.uint8), r"reference \(16, 8\) does not match the key's mark \(16, 16\)"),
+     (np.zeros((16, 16), np.uint8), "all-zero reference watermark")],
+    ids=["shape", "all-zero"],
+)
+def test_extract_frames_rejects_a_bad_reference_before_reading(reference, fragment):
+    read = []
+
+    def frames():
+        for _ in range(64):
+            read.append(1)
+            yield np.zeros((128, 128), np.uint8)
+
+    with pytest.raises(ValueError, match=fragment):
+        extract_frames(frames(), 128, 128, _synthetic_bundle(SEED1, SEED2), reference)
+    assert read == []
+
+
 def test_extract_geometry_mismatch(embedded, watermark):
     run = embedded["noise"]
     small = VideoClip(frames=[np.zeros((64, 64), np.uint8)] * 64)

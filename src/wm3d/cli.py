@@ -9,6 +9,7 @@ of the command's input files is a usage error. Exit codes: 0 success,
 import argparse
 import bisect
 import csv
+import functools
 import math
 import os
 import sys
@@ -23,11 +24,12 @@ from .attacks import (
     attack_noise,
     attack_swap,
 )
-from .embed import embed_clip
+from .embed import embed_clip, embed_video
 from .errors import FormatError, GeometryError
 from .extract import extract_clip, extract_frames
 from .keyfile import EmbedParams, read_key, write_key
-from .media_io import VideoClip, open_video, read_pgm, read_video, write_pgm, write_video
+from .media_io import VideoClip, open_video, read_pgm, read_video, write_frames
+from .media_io import write_pgm, write_video
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
 from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans
@@ -81,27 +83,24 @@ def _parse_shot_list(text: str):
 
 
 def cmd_embed(args) -> int:
-    clip = read_video(args.input)
+    # A file or directory is read twice, one shot held; a pipe, or the
+    # file --out rewrites, is read whole first.
+    source = args.input
+    if not (os.path.isfile(source) or os.path.isdir(source)) or _same_file(args.output, source):
+        source = read_video(source)
     watermark = read_pgm(args.wm)
     params = EmbedParams(args.alpha, *args.offset, band=args.band)
     boundaries = _parse_shot_list(args.shots) if args.shots else None
-    marked, bundle = embed_clip(
-        clip,
-        watermark,
-        seed1=args.seed1,
-        seed2=args.seed2,
-        seed3=args.seed3,
-        params=params,
-        boundaries=boundaries,
-        fraction=args.select_fraction,
-        threshold=args.shot_threshold,
-    )
     made = not os.path.lexists(args.key_out)
     with open(args.key_out, "a"):  # opened first: a refused key path leaves no video
         try:
-            write_video(marked, args.output)
+            bundle = embed_video(
+                source, functools.partial(write_frames, args.output), watermark,
+                args.seed1, args.seed2, args.seed3, params, boundaries,
+                args.select_fraction, args.shot_threshold,
+            )
         except BaseException:
-            if made:  # a refused video leaves no new key and an earlier one unchanged
+            if made:  # a refused run leaves no new key and an earlier one unchanged
                 os.remove(args.key_out)
             raise
         write_key(bundle, args.key_out)

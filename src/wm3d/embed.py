@@ -9,7 +9,12 @@ the window's blocks plus a 1-coefficient halo, which _window_crop returns
 with the window's pair of slices in the crop's subband; it refuses a subband
 of one coefficient, which has no neighbor. Only the window's blocks change.
 EmbedParams, the strength, band and offset, is declared with its rules in
-wm3d.keyfile, beside the key that stores them.
+wm3d.keyfile, beside the key that stores them. embed_video is the one
+embedding path: it reads its source twice through media_io.open_video,
+finding the cuts as frames arrive, then marking each selected shot while
+the frames stream to a sink; only the shot being filled is held. The
+source is a path or, for embed_clip and input that cannot be read twice,
+a VideoClip in memory.
 
 The realized sign r of a position is +1 where t, the max of its 8 neighbors
 in the subband (two separable passes), lies strictly on the side its
@@ -28,18 +33,19 @@ k + 0.5, which it misses by up to 1e-9.
 """
 
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import FormatError, GeometryError
 from .keyfile import EmbedParams, KeyBundle, ShotRecord, _is_int
-from .media_io import VideoClip
+from .media_io import VideoClip, open_video
 from .prng import MASK64
 from .shots import (
     DEFAULT_THRESHOLD,
     MIN_EMBED_SHOT_LEN,
     PLANE_COUNT,
-    detect_shots,
+    _shots,
     select_shots,
     shot_spans,
     validate_boundaries,
@@ -164,22 +170,23 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
     return out, realized
 
 
-def embed_clip(
-    clip: VideoClip,
-    watermark: np.ndarray,
-    seed1: int,
-    seed2: int,
-    seed3: int,
-    params: EmbedParams | None = None,
-    boundaries=None,
-    fraction: float = 1.0,
+def embed_video(
+    source, sink, watermark: np.ndarray, seed1: int, seed2: int, seed3: int,
+    params: EmbedParams | None = None, boundaries=None, fraction: float = 1.0,
     threshold: float = DEFAULT_THRESHOLD,
-) -> tuple:
-    """Embed a watermark into every selected shot of a clip.
+) -> KeyBundle:
+    """Embed a watermark into every selected shot of `source`, anything
+    media_io.open_video opens twice (a path or a VideoClip, not a pipe),
+    in two passes; returns the key bundle.
 
-    Returns (watermarked clip, key bundle). Unselected shots are left
-    bit-identical. Shot boundaries may be forced via `boundaries`;
-    otherwise they come from histogram-based detection.
+    Pass 1 finds the cuts as each frame arrives (or, given `boundaries`,
+    counts the frames) and selects the shots. Pass 2 opens the source
+    again and calls sink(header, frames), which consumes `frames`, the
+    marked video's (luma, chroma payload) pairs in order. Only the
+    selected shot being filled is held; unselected shots pass through
+    bit-identical. A second pass with another header (checked before the
+    sink is called) or frame count (as `frames` runs out) is a FormatError;
+    a sink that returns before `frames` runs out is a RuntimeError.
     """
     if params is None:
         params = EmbedParams()
@@ -187,26 +194,59 @@ def embed_clip(
         if not (_is_int(seed) and 0 <= seed <= MASK64):
             raise ValueError(f"{name} must be an unsigned 64-bit integer")
     sign_planes = prepare_sign_planes(watermark, seed1, seed2)
-    wm_h, wm_w = sign_planes.shape[1:]
 
-    # Fail fast on geometry before any transform work.
-    _window_crop(params, clip.height, clip.width, wm_h, wm_w)
-
-    if boundaries is None:
-        boundaries = detect_shots(clip, threshold)
-    else:
-        boundaries = list(boundaries)
-        validate_boundaries(boundaries, clip.frame_count)
+    with open_video(source) as (header, frames):
+        # Fail fast on geometry before any frame is read.
+        _window_crop(params, header.height, header.width, *sign_planes.shape[1:])
+        if boundaries is None:
+            boundaries = _shots(frames, threshold)
+        else:
+            boundaries = list(boundaries)
+            validate_boundaries(boundaries, sum(1 for _ in frames))
     selected = select_shots(boundaries, seed3, fraction)
 
-    spans = shot_spans(boundaries)
-    out_frames = list(clip.frames)
-    records = []
-    for index in selected:
-        start, end = spans[index]
-        shot_out, realized = embed_shot(clip.frames[start:end], sign_planes, params)
-        out_frames[start:end] = shot_out
-        records.append(ShotRecord(shot_index=index, planes=realized))
+    records, chroma, finished = [], [], []
 
-    bundle = KeyBundle(seed1, seed2, seed3, params, tuple(boundaries), records)
-    return replace(clip, frames=out_frames), bundle
+    def marked(frames):
+        pairs = ((f, chroma.pop() if chroma else None) for f in frames)
+        seen = 0
+        for index, (start, end) in enumerate(shot_spans(boundaries)):
+            shot = islice(pairs, end - start)
+            if index in selected:
+                shot = list(shot)
+                if len(shot) == end - start:  # else the count check refuses it
+                    luma, realized = embed_shot([f for f, _ in shot], sign_planes, params)
+                    records.append(ShotRecord(shot_index=index, planes=realized))
+                    shot = zip(luma, [p for _, p in shot])
+            # a short shot ends the input, so `seen` counts every frame read
+            for seen, pair in enumerate(shot, start + 1):
+                yield pair
+        seen += sum(1 for _ in pairs)
+        if seen != boundaries[-1]:
+            changed = f"{boundaries[-1]} frames, then {seen}"
+            raise FormatError(f"input changed between passes: {changed}")
+        finished.append(True)
+
+    with open_video(source, chroma=chroma) as (again, frames):
+        if again != header:
+            raise FormatError(f"input changed between passes: {header}, then {again}")
+        sink(header, marked(frames))
+    if not finished:  # the records would miss shots and the count is unchecked
+        raise RuntimeError("the sink returned before the last frame")
+    return KeyBundle(seed1, seed2, seed3, params, tuple(boundaries), records)
+
+
+def embed_clip(
+    clip: VideoClip, watermark: np.ndarray, seed1: int, seed2: int, seed3: int,
+    params: EmbedParams | None = None, boundaries=None, fraction: float = 1.0,
+    threshold: float = DEFAULT_THRESHOLD,
+) -> tuple:
+    """embed_video over a clip in memory; returns (watermarked clip, key
+    bundle). Shot boundaries may be forced via `boundaries`; otherwise
+    they come from histogram-based detection."""
+    out = []
+    bundle = embed_video(
+        clip, lambda header, frames: out.extend(f for f, _ in frames), watermark,
+        seed1, seed2, seed3, params, boundaries, fraction, threshold,
+    )
+    return replace(clip, frames=out), bundle

@@ -1,17 +1,21 @@
 """Video and image I/O: YUV4MPEG2 streams and binary PGM files.
 
 A video is a y4m file or stream, or a directory of PGM frames; its API,
-read_video (whole clip), open_video (frame by frame) and write_video, alone
-tells the two forms apart. Readers and writers take a path (str or any
-os.PathLike) or an open binary io stream, left open (readers call its
-readline). Only the luma plane is processed. Chroma payloads read from 4:2:0
-sources are kept verbatim and re-emitted untouched, so a pipeline run never
-rewrites bytes it did not watermark. Parsing never rescales sample values.
+read_video (whole clip), open_video (frame by frame, from a VideoClip too)
+and write_video, alone tells the two forms apart. Readers and writers take a
+path (str or any os.PathLike) or an open binary io stream, left open
+(readers call its readline). Every video writer wraps write_frames, which
+writes one frame at a time and rewrites an existing y4m file in place. Only
+the luma plane is processed. Chroma payloads read from 4:2:0 sources are
+kept verbatim and re-emitted untouched, so a pipeline run never rewrites
+bytes it did not watermark. Parsing never rescales sample values.
 """
 
 import io
+import itertools
 import os
 import re
+import stat
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +78,10 @@ class VideoClip:
     @property
     def width(self) -> int:
         return self.frames[0].shape[1]
+
+    @property
+    def header(self) -> "VideoHeader":
+        return VideoHeader(self.width, self.height, self.rate, self.chroma_token, self.extras)
 
 
 def _check_shape(k: int, frame, first: int, first_frame) -> None:
@@ -227,22 +235,7 @@ def _y4m_frames(stream, header: VideoHeader, keep, chroma):
 
 def write_y4m(clip: VideoClip, sink) -> None:
     """Emit a clip as YUV4MPEG2; luma-only clips are written as mono."""
-    ctoken = clip.chroma_token if clip.chroma_token is not None else "mono"
-    tokens = [
-        "YUV4MPEG2",
-        f"W{clip.width}",
-        f"H{clip.height}",
-        f"F{clip.rate[0]}:{clip.rate[1]}",
-        *clip.extras,
-        f"C{ctoken}",
-    ]
-    with _open(sink, "wb") as stream:
-        stream.write((" ".join(tokens) + "\n").encode("ascii"))
-        for k, frame in enumerate(clip.frames):
-            stream.write(b"FRAME\n")
-            stream.write(np.ascontiguousarray(frame))
-            if clip.chroma_token is not None:
-                stream.write(clip.chroma[k])
+    _write_clip(clip, sink, pgm=False)
 
 
 # --- PGM ---------------------------------------------------------------------
@@ -299,16 +292,8 @@ def write_pgm(image: np.ndarray, sink) -> None:
 
 def write_pgm_sequence(clip: VideoClip, directory) -> None:
     """Write clip frames as frame_000001.pgm, frame_000002.pgm, ... in
-    `directory`, which is made if missing and must hold no *.pgm file yet
-    (FormatError), so no stale frame is left to read back. Chroma and frame
-    rate have no PGM representation and are dropped.
-    """
-    out = Path(directory)
-    if any(out.glob("*.pgm")):
-        raise FormatError(f"{out} already holds PGM frames")
-    out.mkdir(parents=True, exist_ok=True)
-    for k, frame in enumerate(clip.frames, start=1):
-        write_pgm(frame, out / f"frame_{k:06d}.pgm")
+    `directory`, as write_frames does."""
+    _write_clip(clip, directory, pgm=True)
 
 
 # --- either form -------------------------------------------------------------
@@ -320,8 +305,11 @@ def open_video(source, keep=None, chroma=None):
     iter_y4m. A directory is its *.pgm files in name order, luma only at
     25:1; it is listed once, only frames in `keep` are opened, the header
     is the first kept frame's (frame 0's if none is), and a kept frame of
-    another size is a FormatError when read. Anything else is y4m."""
-    if isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
+    another size is a FormatError when read. A VideoClip yields its own
+    frames and payloads. Anything else is y4m."""
+    if isinstance(source, VideoClip):
+        yield source.header, _clip_frames(source, keep, chroma)
+    elif isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
         paths = sorted(Path(source).glob("*.pgm"), key=lambda p: p.name)
         if not paths:
             raise FormatError("no PGM frames found")
@@ -344,6 +332,14 @@ def _pgm_frames(paths, kept, first: int, image):
         yield frame
 
 
+def _clip_frames(clip: VideoClip, keep, chroma):
+    for k, frame in enumerate(clip.frames):
+        take = keep is None or k in keep
+        if take and chroma is not None and clip.chroma_token is not None:
+            chroma.append(clip.chroma[k])
+        yield frame if take else None
+
+
 def read_video(source) -> VideoClip:
     """Read a whole video, every frame and its chroma, through open_video."""
     chroma = []
@@ -352,7 +348,60 @@ def read_video(source) -> VideoClip:
     return VideoClip(frames, header.rate, header.chroma_token, chroma or None, header.extras)
 
 
+def write_frames(sink, header: VideoHeader, frames, pgm: bool | None = None) -> None:
+    """Write a video frame by frame from `frames`, (luma, chroma payload)
+    pairs (the payload is ignored for a mono header), each as it arrives.
+
+    pgm=False writes y4m to a path or an open binary stream (luma-only as
+    mono). A path is opened without O_TRUNC (and made if missing) and
+    written from its start; a regular file, so one that already existed
+    is rewritten in place, is then cut to the bytes written, after an
+    exception too, so no tail of the old file survives it. A run killed
+    midway leaves the new frames followed by the old file's later ones.
+    A FIFO or /dev/null is written as it comes. pgm=True writes
+    frame_000001.pgm, frame_000002.pgm, ... into the directory `sink`,
+    which is made if missing and must hold no *.pgm file yet (FormatError),
+    so no stale frame is left to read back; chroma and frame rate have no
+    PGM form and are dropped. pgm=None picks y4m for a stream or a path
+    named *.y4m (any case), else PGM.
+    """
+    if pgm is None:
+        pgm = isinstance(sink, (str, os.PathLike)) and Path(sink).suffix.lower() != ".y4m"
+    if pgm:
+        out = Path(sink)
+        if any(out.glob("*.pgm")):
+            raise FormatError(f"{out} already holds PGM frames")
+        out.mkdir(parents=True, exist_ok=True)
+        for k, (frame, _) in enumerate(frames, start=1):
+            write_pgm(frame, out / f"frame_{k:06d}.pgm")
+        return
+    width, height, rate, ctoken, extras = header
+    line = " ".join(["YUV4MPEG2", f"W{width}", f"H{height}", f"F{rate[0]}:{rate[1]}", *extras])
+    path = isinstance(sink, (str, os.PathLike))
+    if path:
+        opened = open(os.open(sink, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
+    with opened if path else nullcontext(sink) as stream:
+        regular = path and stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+        try:
+            stream.write(f"{line} C{ctoken or 'mono'}\n".encode("ascii"))
+            for frame, payload in frames:
+                stream.write(b"FRAME\n")
+                stream.write(np.ascontiguousarray(frame))
+                if ctoken is not None:
+                    stream.write(payload)
+            stream.flush()
+        finally:
+            # cut where the bytes that reached the file end, which a failed
+            # flush cannot overstate; close then adds what is still buffered
+            if regular:
+                os.ftruncate(stream.fileno(), stream.raw.tell())
+
+
+def _write_clip(clip: VideoClip, sink, pgm: bool | None) -> None:
+    payloads = clip.chroma or itertools.repeat(None)
+    write_frames(sink, clip.header, zip(clip.frames, payloads), pgm)
+
+
 def write_video(clip: VideoClip, path) -> None:
     """Write a clip as y4m to a path named *.y4m (any case), else as PGM frames."""
-    write = write_y4m if Path(path).suffix.lower() == ".y4m" else write_pgm_sequence
-    write(clip, path)
+    _write_clip(clip, path, pgm=None)

@@ -50,18 +50,23 @@ def detect_shots(clip: VideoClip, threshold: float = DEFAULT_THRESHOLD) -> list:
     consecutive pairs are exactly the shots. A clip with no jump above
     `threshold` comes back as one shot.
     """
+    return _shots(clip.frames, threshold)
+
+
+def _shots(frames, threshold: float) -> list:
+    """detect_shots over frames taken in order, each compared with the one
+    before it as it arrives, so only two histograms are held."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    if not clip.frames[0].size:
-        raise ValueError("zero-size frames have no histogram")
-    boundaries = [0]
-    prev = _histogram(clip.frames[0])
-    for k in range(1, clip.frame_count):
-        cur = _histogram(clip.frames[k])
-        if _distance(cur, prev, clip.frames[k].size) > threshold:
-            boundaries.append(k)
+    boundaries, prev, count = [0], None, 0
+    for count, frame in enumerate(frames, start=1):
+        if not frame.size:
+            raise ValueError("zero-size frames have no histogram")
+        cur = _histogram(frame)
+        if prev is not None and _distance(cur, prev, frame.size) > threshold:
+            boundaries.append(count - 1)
         prev = cur
-    boundaries.append(clip.frame_count)
+    boundaries.append(count)
     return boundaries
 
 

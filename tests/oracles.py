@@ -9,7 +9,9 @@ analysis), the whole-volume 3D transform, the paper's float update of
 orthonormal coefficients (src/ applies it to the integer sums), and
 whole-frame embedding and extraction: every frame of a shot goes through
 the full temporal and spatial transforms, forward and inverse, as the
-crop-based path in wm3d.embed avoids doing. Also the sequential
+crop-based path in wm3d.embed avoids doing. Also embedding a whole clip
+held in memory, shot detection over every frame first (wm3d.embed streams
+the frames in two passes, one shot held). Also the sequential
 splitmix64 generator and Fisher-Yates shuffle, the watermark preparation
 one plane and one cell at a time (wm3d.wmprep works on the whole plane
 stack), the noise attack drawn one pixel at a time, the pairwise
@@ -23,15 +25,25 @@ when that oracle runs, since wm3d itself needs numpy only.
 import math
 from statistics import NormalDist
 
+from dataclasses import replace
+
 import numpy as np
 
 from wm3d.attacks import _DCT, _quantize_into
-from wm3d.embed import _window_signs
+from wm3d.embed import _window_crop, _window_signs, embed_shot
 from wm3d.errors import GeometryError
+from wm3d.keyfile import EmbedParams, KeyBundle, ShotRecord
 from wm3d.metrics import _psnr_from_mse
-from wm3d.shots import HIST_BINS
+from wm3d.shots import (
+    DEFAULT_THRESHOLD,
+    HIST_BINS,
+    detect_shots,
+    select_shots,
+    shot_spans,
+    validate_boundaries,
+)
 from wm3d.wavelet3d import SPATIAL_LEVELS, band_pattern
-from wm3d.wmprep import restore_bitplanes
+from wm3d.wmprep import prepare_sign_planes, restore_bitplanes
 
 _SQRT2 = math.sqrt(2.0)
 MASK64 = (1 << 64) - 1
@@ -335,6 +347,35 @@ def extract_planes_full(frames, key_planes, seed1, seed2, params) -> np.ndarray:
     coeffs = spatial_forward3(temporal_forward_stacked(frames))
     recovered = [extract_plane(coeffs[k], key_planes[k - 1], params) for k in range(1, 9)]
     return restore_bitplanes(np.stack(recovered), seed1, seed2)
+
+
+def embed_clip_whole(
+    clip, watermark, seed1, seed2, seed3, params=None, boundaries=None,
+    fraction=1.0, threshold=DEFAULT_THRESHOLD,
+) -> tuple:
+    """The whole-clip embed: every frame held, shots detected over the
+    clip, then each selected shot marked with embed_shot. Returns
+    (watermarked clip, key bundle), as wm3d.embed.embed_clip does."""
+    if params is None:
+        params = EmbedParams()
+    sign_planes = prepare_sign_planes(watermark, seed1, seed2)
+    _window_crop(params, clip.height, clip.width, *sign_planes.shape[1:])
+    if boundaries is None:
+        boundaries = detect_shots(clip, threshold)
+    else:
+        boundaries = list(boundaries)
+        validate_boundaries(boundaries, clip.frame_count)
+    selected = select_shots(boundaries, seed3, fraction)
+    spans = shot_spans(boundaries)
+    out_frames = list(clip.frames)
+    records = []
+    for index in selected:
+        start, end = spans[index]
+        shot_out, realized = embed_shot(clip.frames[start:end], sign_planes, params)
+        out_frames[start:end] = shot_out
+        records.append(ShotRecord(shot_index=index, planes=realized))
+    bundle = KeyBundle(seed1, seed2, seed3, params, tuple(boundaries), records)
+    return replace(clip, frames=out_frames), bundle
 
 
 def noise_pixels(frames, sigma: float, seed: int) -> list:

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +21,7 @@ from wm3d.media_io import (
     read_pgm,
     read_video,
     write_pgm,
+    write_frames,
     write_pgm_sequence,
     write_video,
     write_y4m,
@@ -421,3 +426,102 @@ def test_a_missing_video_path_is_file_not_found(tmp_path):
     # a missing path is no directory, so it is opened as y4m, whatever the name
     with pytest.raises(FileNotFoundError):
         read_video(tmp_path / "missing")
+
+
+def _writer_clip():
+    rs = np.random.RandomState(17)
+    frames = [rs.randint(0, 256, (4, 6)) for _ in range(5)]
+    chroma = [rs.randint(0, 256, 12).astype(np.uint8).tobytes() for _ in frames]
+    return _clip(frames, chroma_token="420jpeg", chroma=chroma)
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter", "symlink", "hard-link"])
+def test_an_existing_output_ends_equal_to_a_fresh_write(tmp_path, monkeypatch, old):
+    clip = _writer_clip()
+    fresh = _y4m_bytes(clip)
+    target = tmp_path / "target.y4m"
+    target.write_bytes(b"\xff" * (len(fresh) + 999 if old != "shorter" else 17))
+    out = tmp_path / "out.y4m"
+    if old == "symlink":
+        out.symlink_to(target)
+    elif old == "hard-link":
+        os.link(target, out)
+    else:
+        out = target
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    write_y4m(clip, out)
+    assert flags and not any(f & os.O_TRUNC for f in flags)  # rewritten in place
+    assert out.read_bytes() == fresh and target.read_bytes() == fresh
+    assert out.is_symlink() == (old == "symlink")
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_a_source_that_raises_leaves_exactly_the_bytes_written(tmp_path, k):
+    clip = _writer_clip()
+    out = tmp_path / "out.y4m"
+    out.write_bytes(b"\xff" * (len(_y4m_bytes(clip)) + 999))
+    first = list(zip(clip.frames, clip.chroma))[:k]
+
+    def pairs():
+        yield from first
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_frames(out, clip.header, pairs())
+    want = io.BytesIO()
+    write_frames(want, clip.header, first)
+    assert out.read_bytes() == want.getvalue()
+
+
+WRITE_UNDER_A_SIZE_LIMIT = """
+import resource, signal, sys
+from wm3d.media_io import read_video, write_y4m
+clip = read_video(sys.argv[1])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit is EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[3]),) * 2)
+try:
+    write_y4m(clip, sys.argv[2])
+except OSError:
+    sys.exit(0)
+sys.exit("the write did not fail")
+"""
+
+
+def test_a_failed_write_leaves_no_tail_of_the_old_file(tmp_path):
+    # the flush fails part way, so only the fd's offset says what reached the file
+    clip = _writer_clip()
+    fresh = _y4m_bytes(clip)
+    write_y4m(clip, tmp_path / "in.y4m")
+    out = tmp_path / "out.y4m"
+    out.write_bytes(b"\xff" * (len(fresh) + 999))
+    limit = len(fresh) // 2
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run(
+        [sys.executable, "-c", WRITE_UNDER_A_SIZE_LIMIT, str(tmp_path / "in.y4m"), str(out),
+         str(limit)],
+        check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.read_bytes() == fresh[:limit]
+
+
+def test_a_fifo_and_dev_null_are_written_without_a_truncate(tmp_path):
+    # either would refuse a truncate (EINVAL)
+    clip = _writer_clip()
+    write_y4m(clip, os.devnull)
+    fifo = tmp_path / "fifo.y4m"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_video(clip, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [_y4m_bytes(clip)]
+    write_y4m(clip, tmp_path / "new.y4m")  # a new file is created, not rewritten
+    assert (tmp_path / "new.y4m").read_bytes() == _y4m_bytes(clip)

@@ -1,16 +1,16 @@
 """Command line interface.
 
 Video arguments are YUV4MPEG2 files (*.y4m) or directories of binary
-PGM frames; watermarks are single PGM images. An output that names one
-of the command's input files is a usage error. Exit codes: 0 success,
-1 usage error, 2 data/format error, 3 capacity/geometry error.
+PGM frames; watermarks are single PGM images. embed, extract and shots
+pass --in to embed_video, extract_video and detect_shots, which open it
+and read it frame by frame. An output that names one of the command's
+input files is a usage error. Exit codes: 0 success, 1 usage error, 2
+data/format error, 3 capacity/geometry error.
 """
 
 import argparse
-import bisect
 import csv
 import functools
-import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -26,10 +26,9 @@ from .attacks import (
 )
 from .embed import embed_clip, embed_video
 from .errors import FormatError, GeometryError
-from .extract import extract_clip, extract_frames
+from .extract import extract_clip, extract_video
 from .keyfile import EmbedParams, read_key, write_key
-from .media_io import VideoClip, open_video, read_pgm, read_video, write_frames
-from .media_io import write_pgm, write_video
+from .media_io import VideoClip, read_pgm, read_video, write_frames, write_pgm, write_video
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
 from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans
@@ -111,25 +110,10 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-class _SpanFrames:
-    """Frame indices inside disjoint [start, end) spans, as a container
-    whose size is the span count, not the frame count."""
-
-    def __init__(self, spans):
-        self.spans = sorted(spans)
-
-    def __contains__(self, k) -> bool:
-        i = bisect.bisect_right(self.spans, (k, math.inf)) - 1
-        return i >= 0 and k < self.spans[i][1]
-
-
 def cmd_extract(args) -> int:
     bundle = read_key(args.key)
     reference = read_pgm(args.ref) if args.ref else None
-    spans = shot_spans(bundle.boundaries)
-    keep = _SpanFrames(spans[i] for i in bundle.selected)
-    with open_video(args.input, keep) as (head, frames):
-        result = extract_frames(frames, head.height, head.width, bundle, reference)
+    result = extract_video(args.input, bundle, reference)
     write_pgm(result.watermark, args.output)
     for shot in result.shots:
         note = " (length mismatch)" if shot.length_mismatch else ""
@@ -167,7 +151,7 @@ def cmd_nc(args) -> int:
 
 
 def cmd_shots(args) -> int:
-    boundaries = detect_shots(read_video(args.input), args.threshold)
+    boundaries = detect_shots(args.input, args.threshold)
     print(",".join(str(b) for b in boundaries))
     return EXIT_OK
 

@@ -38,8 +38,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import FormatError, GeometryError
-from .keyfile import EmbedParams, KeyBundle, ShotRecord, _is_int
-from .media_io import VideoClip, open_video
+from .keyfile import EmbedParams, KeyBundle, ShotRecord
+from .media_io import VideoClip, _is_int, open_video
 from .prng import MASK64
 from .shots import (
     DEFAULT_THRESHOLD,

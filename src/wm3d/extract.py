@@ -10,15 +10,16 @@ embed._window_crop gives is transformed, and only as far as the integer
 sums of one subband of its coefficient frames 1..8 (see wm3d.embed), so the
 neighborhood comparison is exact, and embed's sign rule
 (embed._window_signs) decodes each bit of the window, the pair of slices
-_window_crop also gives, a tie as -1. Frames are taken in order and only the
-selected shot being filled is held, so a reader, such as media_io.open_video
-for either form, may skip every frame outside the key's shots. A shot
-shorter than the key's record is repaired in closed form: the missing frames
-repeat the last one received, so their columns of the analysis matrix fold
-onto its column, and memory follows the frames received, not the length the
-key claims.
+_window_crop also gives, a tie as -1. extract_video is the one extraction
+path: it opens the video through media_io.open_video and takes its frames
+in order, holding only the selected shot being filled and skipping every
+frame outside the key's shots unread. A shot shorter than the key's record
+is repaired in closed form: the missing frames repeat the last one
+received, so their columns of the analysis matrix fold onto its column,
+and memory follows the frames received, not the length the key claims.
 """
 
+import bisect
 from dataclasses import dataclass
 from itertools import islice
 
@@ -27,7 +28,7 @@ import numpy as np
 from .embed import _crop_coeffs, _window_crop, _window_signs
 from .errors import GeometryError
 from .keyfile import EmbedParams, KeyBundle, _check_bundle
-from .media_io import VideoClip
+from .media_io import VideoClip, open_video
 from .metrics import nc as nc_metric
 from .shots import shot_spans
 from .wmprep import compose_bitplanes, restore_bitplanes
@@ -80,53 +81,65 @@ def extract_shot(
     )
 
 
-def extract_frames(
-    frames, height: int, width: int, bundle: KeyBundle,
-    reference: np.ndarray | None = None,
-) -> ExtractionResult:
-    """Blind extraction over the received frames, taken in order.
+class _SpanFrames:
+    """Frame indices inside disjoint [start, end) spans, as a container
+    whose size is the span count, not the frame count."""
 
-    `frames` yields each HxW frame, or None where no selected shot
-    reads it. A shot is extracted once its last frame arrives, or when
-    the input ends (length repair). Before any frame is read, the bundle
-    is checked by the key file's rules (FormatError) and against the
-    frame size (GeometryError), and a reference is refused as nc would
-    refuse it (ValueError): another shape than the mark's, or all zeros.
-    The aggregate takes each bit by majority vote across shots; a tie
-    keeps the lowest-indexed shot's bit. NC values are filled in when a
-    reference watermark is given.
+    def __init__(self, spans):
+        self.starts, self.ends = zip(*sorted(spans))
+
+    def __contains__(self, k) -> bool:
+        i = bisect.bisect_right(self.starts, k) - 1
+        return i >= 0 and k < self.ends[i]
+
+
+def extract_video(
+    source, bundle: KeyBundle, reference: np.ndarray | None = None
+) -> ExtractionResult:
+    """Blind extraction from `source`, anything media_io.open_video opens,
+    read once; frames outside the key's shots are skipped unread.
+
+    A shot is extracted once its last frame arrives, or when the input
+    ends (length repair). The bundle is checked by the key file's rules
+    (FormatError) and a reference as nc would check it (ValueError: not
+    the mark's shape, or all zeros) before the source is opened, and the
+    frame size against the mark (GeometryError) before a frame is read.
+    Each aggregate bit is the majority vote across shots, a tie the
+    lowest-indexed shot's; NC values are filled in given a reference.
     """
     _check_bundle(bundle)
-    _window_crop(bundle.params, height, width, bundle.wm_height, bundle.wm_width)
+    mark = (bundle.wm_height, bundle.wm_width)
     if reference is not None:
-        shape, mark = np.shape(reference), (bundle.wm_height, bundle.wm_width)
-        if shape != mark:
+        if (shape := np.shape(reference)) != mark:
             raise ValueError(f"reference {shape} does not match the key's mark {mark}")
         if not np.any(reference):
             raise ValueError("all-zero reference watermark")
 
     spans = shot_spans(bundle.boundaries)
-    frames, received, results = iter(frames), 0, []
-    for rec in bundle.records:
-        start, end = spans[rec.shot_index]
-        before = received
-        chunk = list(islice(frames, end - before))  # up to the shot's last frame
-        received = before + len(chunk)
-        if start >= received:
-            raise GeometryError(
-                f"clip has {received} frames but shot "
-                f"{rec.shot_index} starts at {start}"
+    keep = _SpanFrames(spans[i] for i in bundle.selected)
+    with open_video(source, keep) as (header, frames):
+        _window_crop(bundle.params, header.height, header.width, *mark)
+        received, results = 0, []
+        for rec in bundle.records:
+            start, end = spans[rec.shot_index]
+            before = received
+            chunk = list(islice(frames, end - before))  # up to the shot's last frame
+            received = before + len(chunk)
+            if start >= received:
+                raise GeometryError(
+                    f"clip has {received} frames but shot "
+                    f"{rec.shot_index} starts at {start}"
+                )
+            res = extract_shot(
+                chunk[start - before :], rec.planes, bundle.seed1, bundle.seed2,
+                end - start, bundle.params,
             )
-        res = extract_shot(
-            chunk[start - before :], rec.planes, bundle.seed1, bundle.seed2,
-            end - start, bundle.params,
-        )
-        res.shot_index = rec.shot_index
-        if reference is not None:
-            res.nc = nc_metric(reference, res.watermark)
-        results.append(res)
-    for _ in frames:  # read on to the end: a damaged tail fails as in read_video
-        pass
+            res.shot_index = rec.shot_index
+            if reference is not None:
+                res.nc = nc_metric(reference, res.watermark)
+            results.append(res)
+        for _ in frames:  # read on to the end: a damaged tail fails as in read_video
+            pass
 
     votes = np.sum([r.bitplanes.astype(np.int32) for r in results], axis=0)
     count = len(results)
@@ -141,9 +154,6 @@ def extract_frames(
     return result
 
 
-def extract_clip(
-    clip: VideoClip, bundle: KeyBundle, reference: np.ndarray | None = None
-) -> ExtractionResult:
-    """Blind extraction from an in-memory clip: extract_frames over its
-    frames."""
-    return extract_frames(clip.frames, clip.height, clip.width, bundle, reference)
+def extract_clip(clip: VideoClip, bundle: KeyBundle, reference=None) -> ExtractionResult:
+    """extract_video over a clip in memory."""
+    return extract_video(clip, bundle, reference)

@@ -32,18 +32,13 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FormatError
-from .media_io import _open
+from .media_io import _is_int, _open
 from .prng import MASK64
 from .shots import MIN_EMBED_SHOT_LEN, PLANE_COUNT
 from .wavelet3d import BANDS, SubbandRect, subband_rect
 
 MAGIC = "WM3DKEY"
 VERSION = 1
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool: a value a key file stores as is."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

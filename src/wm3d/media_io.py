@@ -2,13 +2,13 @@
 
 A video is a y4m file or stream, or a directory of PGM frames; its API,
 read_video (whole clip), open_video (frame by frame, from a VideoClip too)
-and write_video, alone tells the two forms apart. Readers and writers take a
-path (str or any os.PathLike) or an open binary io stream, left open
-(readers call its readline). Every video writer wraps write_frames, which
-writes one frame at a time and rewrites an existing y4m file in place. Only
-the luma plane is processed. Chroma payloads read from 4:2:0 sources are
-kept verbatim and re-emitted untouched, so a pipeline run never rewrites
-bytes it did not watermark. Parsing never rescales sample values.
+and write_frames (frame by frame; write_video writes a clip through it),
+alone tells the two forms apart. Readers and writers take a path (str or
+any os.PathLike) or an open binary io stream, left open (readers call its
+readline). Only the luma plane is processed. Chroma payloads read from
+4:2:0 sources are kept verbatim and re-emitted untouched, so a pipeline
+run never rewrites bytes it did not watermark. Parsing never rescales
+sample values.
 """
 
 import io
@@ -47,7 +47,8 @@ class VideoClip:
     Checked at construction, so by dataclasses.replace too (frames changed
     in place later are not re-checked): ValueError for no frames or a frame
     that is not a 2-D uint8 array (0x0 is fine), FormatError for mixed
-    shapes or a chroma_token without one payload per frame.
+    shapes or a chroma_token without one payload per frame, each bytes of
+    the 4:2:0 size, W/2 x H/2 x 2.
     """
 
     frames: list
@@ -64,8 +65,11 @@ class VideoClip:
                 got = f"{getattr(f, 'dtype', type(f).__name__)} of shape {np.shape(f)}"
                 raise ValueError(f"frame {k} must be a 2-D uint8 array, got {got}")
             _check_shape(k, f, 0, self.frames[0])
-        if self.chroma_token is not None and len(self.chroma or ()) != len(self.frames):
-            raise FormatError("chroma payload count does not match frame count")
+        if self.chroma_token is not None:
+            if len(self.chroma or ()) != len(self.frames):
+                raise FormatError("chroma payload count does not match frame count")
+            for k, payload in enumerate(self.chroma):
+                _check_payload(k, payload, self.header)
 
     @property
     def frame_count(self) -> int:
@@ -88,6 +92,17 @@ def _check_shape(k: int, frame, first: int, first_frame) -> None:
     if frame.shape != first_frame.shape:
         got = f"frame {k} is {frame.shape}, frame {first} is {first_frame.shape}"
         raise FormatError(f"dimension mismatch across frames: {got}")
+
+
+def _check_payload(k: int, payload, header) -> None:
+    size = (header.width // 2) * (header.height // 2) * 2
+    if not isinstance(payload, (bytes, bytearray)) or len(payload) != size:
+        raise FormatError(f"chroma payload {k} is not {size} bytes")
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a value y4m and key files store as is."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _open(source, mode: str):
@@ -171,9 +186,7 @@ def iter_y4m(stream, keep=None, chroma=None) -> tuple:
     if not tokens or tokens[0] != "YUV4MPEG2":
         raise FormatError("malformed header: missing YUV4MPEG2 magic")
 
-    width = height = None
-    rate = None
-    ctoken = None
+    width = height = rate = ctoken = None
     extras = []
     for tok in tokens[1:]:
         if not tok:
@@ -192,21 +205,9 @@ def iter_y4m(stream, keep=None, chroma=None) -> tuple:
             ctoken = val
         else:
             extras.append(tok)
-    if not width or not height or width <= 0 or height <= 0:
-        raise FormatError("malformed header: missing or invalid W/H")
-    if rate is None:
-        raise FormatError("malformed header: missing F token")
-
-    if ctoken is None:
-        ctoken = "420jpeg"  # y4m default when C is absent
-    if ctoken == "mono":
-        ctoken = None
-    elif ctoken in _C420_TOKENS:
-        if width % 2 or height % 2:
-            raise FormatError("4:2:0 stream requires even dimensions")
-    else:
-        raise FormatError(f"unsupported chroma subsampling C{ctoken}")
+    ctoken = {None: "420jpeg", "mono": None}.get(ctoken, ctoken)  # 420jpeg: y4m's default
     header = VideoHeader(width, height, rate, ctoken, tuple(extras))
+    _check_header(header)
     return header, _y4m_frames(stream, header, keep, chroma)
 
 
@@ -231,11 +232,6 @@ def _y4m_frames(stream, header: VideoHeader, keep, chroma):
         yield luma
     if not count:
         raise FormatError("truncated frame payload: no frames after header")
-
-
-def write_y4m(clip: VideoClip, sink) -> None:
-    """Emit a clip as YUV4MPEG2; luma-only clips are written as mono."""
-    _write_clip(clip, sink, pgm=False)
 
 
 # --- PGM ---------------------------------------------------------------------
@@ -290,12 +286,6 @@ def write_pgm(image: np.ndarray, sink) -> None:
         stream.write(np.ascontiguousarray(arr, dtype=np.uint8))
 
 
-def write_pgm_sequence(clip: VideoClip, directory) -> None:
-    """Write clip frames as frame_000001.pgm, frame_000002.pgm, ... in
-    `directory`, as write_frames does."""
-    _write_clip(clip, directory, pgm=True)
-
-
 # --- either form -------------------------------------------------------------
 
 
@@ -348,26 +338,46 @@ def read_video(source) -> VideoClip:
     return VideoClip(frames, header.rate, header.chroma_token, chroma or None, header.extras)
 
 
-def write_frames(sink, header: VideoHeader, frames, pgm: bool | None = None) -> None:
-    """Write a video frame by frame from `frames`, (luma, chroma payload)
-    pairs (the payload is ignored for a mono header), each as it arrives.
+def _check_header(header: VideoHeader) -> None:
+    """FormatError for a header with no pixels, a rate not two non-negative
+    integers, or a chroma token not None (mono) or 4:2:0 (with even sizes)."""
+    width, height, rate, ctoken, _ = header
+    if not all(_is_int(v) and v > 0 for v in (width, height)):
+        raise FormatError("malformed header: missing or invalid W/H")
+    rate_ok = isinstance(rate, tuple) and len(rate) == 2
+    if not (rate_ok and all(_is_int(v) and v >= 0 for v in rate)):
+        raise FormatError(f"malformed header: missing or invalid frame rate {rate!r}")
+    if ctoken not in {None, *_C420_TOKENS}:
+        raise FormatError(f"unsupported chroma subsampling C{ctoken}")
+    if ctoken and (width % 2 or height % 2):
+        raise FormatError("4:2:0 stream requires even dimensions")
 
-    pgm=False writes y4m to a path or an open binary stream (luma-only as
-    mono). A path is opened without O_TRUNC (and made if missing) and
-    written from its start; a regular file, so one that already existed
-    is rewritten in place, is then cut to the bytes written, after an
-    exception too, so no tail of the old file survives it. A run killed
-    midway leaves the new frames followed by the old file's later ones.
-    A FIFO or /dev/null is written as it comes. pgm=True writes
-    frame_000001.pgm, frame_000002.pgm, ... into the directory `sink`,
-    which is made if missing and must hold no *.pgm file yet (FormatError),
-    so no stale frame is left to read back; chroma and frame rate have no
-    PGM form and are dropped. pgm=None picks y4m for a stream or a path
-    named *.y4m (any case), else PGM.
+
+def write_frames(sink, header: VideoHeader, frames) -> None:
+    """Write a video from `frames`, (luma, chroma payload) pairs (the
+    payload is ignored for a mono header), each as it arrives.
+
+    FormatError, before the sink is opened, for a header iter_y4m would
+    refuse to read back (one _check_header refuses, or an extra token that
+    is empty, holds whitespace or non-ASCII, or starts with W, H, F or C),
+    and before its frame is written, for a payload that is not bytes of
+    the 4:2:0 size. An open stream, or a path named *.y4m (any case), gets
+    y4m, luma-only as mono. A path is opened without O_TRUNC (and made if
+    missing) and written from its start; a regular file, so one that
+    already existed is rewritten in place, is then cut to the bytes
+    written, after an exception too, so no tail of the old file survives
+    it. A run killed midway leaves the new frames followed by the old
+    file's later ones. A FIFO or /dev/null is written as it comes. Any
+    other path is a directory, made if missing, that must hold no *.pgm
+    file yet (FormatError), so no stale frame is left to read back; it
+    gets frame_000001.pgm, frame_000002.pgm, ... without chroma or rate.
     """
-    if pgm is None:
-        pgm = isinstance(sink, (str, os.PathLike)) and Path(sink).suffix.lower() != ".y4m"
-    if pgm:
+    _check_header(header)
+    if not all(isinstance(t, str) and t.isascii() and re.fullmatch(r"[^WHFC\s]\S*", t)
+               for t in header.extras):
+        raise FormatError(f"y4m header tokens {header.extras!r} would not read back")
+    path = isinstance(sink, (str, os.PathLike))
+    if path and Path(sink).suffix.lower() != ".y4m":
         out = Path(sink)
         if any(out.glob("*.pgm")):
             raise FormatError(f"{out} already holds PGM frames")
@@ -377,14 +387,15 @@ def write_frames(sink, header: VideoHeader, frames, pgm: bool | None = None) -> 
         return
     width, height, rate, ctoken, extras = header
     line = " ".join(["YUV4MPEG2", f"W{width}", f"H{height}", f"F{rate[0]}:{rate[1]}", *extras])
-    path = isinstance(sink, (str, os.PathLike))
     if path:
         opened = open(os.open(sink, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
     with opened if path else nullcontext(sink) as stream:
         regular = path and stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
         try:
             stream.write(f"{line} C{ctoken or 'mono'}\n".encode("ascii"))
-            for frame, payload in frames:
+            for k, (frame, payload) in enumerate(frames):
+                if ctoken is not None:
+                    _check_payload(k, payload, header)
                 stream.write(b"FRAME\n")
                 stream.write(np.ascontiguousarray(frame))
                 if ctoken is not None:
@@ -397,11 +408,7 @@ def write_frames(sink, header: VideoHeader, frames, pgm: bool | None = None) -> 
                 os.ftruncate(stream.fileno(), stream.raw.tell())
 
 
-def _write_clip(clip: VideoClip, sink, pgm: bool | None) -> None:
-    payloads = clip.chroma or itertools.repeat(None)
-    write_frames(sink, clip.header, zip(clip.frames, payloads), pgm)
-
-
-def write_video(clip: VideoClip, path) -> None:
-    """Write a clip as y4m to a path named *.y4m (any case), else as PGM frames."""
-    _write_clip(clip, path, pgm=None)
+def write_video(clip: VideoClip, sink) -> None:
+    """Write a clip through write_frames: y4m to an open stream or a path
+    named *.y4m (any case), else PGM frames."""
+    write_frames(sink, clip.header, zip(clip.frames, clip.chroma or itertools.repeat(None)))

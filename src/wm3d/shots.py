@@ -1,9 +1,10 @@
 """Scene segmentation and keyed selection of watermark-carrying shots.
 
 Cuts are declared where the luma histogram jumps between consecutive
-frames. Both embedding and extraction rely on the same boundaries; the
-embedder stores them in the key bundle so extraction never depends on
-re-detection surviving an attack.
+frames, found as the frames arrive, so only two histograms are held. Both
+embedding and extraction rely on the same boundaries; the embedder stores
+them in the key bundle so extraction never depends on re-detection
+surviving an attack.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import VideoClip
+from .media_io import open_video
 
 HIST_BINS = 64
 DEFAULT_THRESHOLD = 0.35
@@ -43,14 +44,16 @@ def _distance(ha: np.ndarray, hb: np.ndarray, size: int) -> float:
     return float(np.sum(np.abs(diff))) / (2.0 * size)
 
 
-def detect_shots(clip: VideoClip, threshold: float = DEFAULT_THRESHOLD) -> list:
-    """Split a clip at histogram jumps; returns boundary frame indices.
+def detect_shots(source, threshold: float = DEFAULT_THRESHOLD) -> list:
+    """Split a video at histogram jumps; returns boundary frame indices.
 
-    The result always starts at 0 and ends at the frame count, so
-    consecutive pairs are exactly the shots. A clip with no jump above
-    `threshold` comes back as one shot.
+    `source`, anything media_io.open_video opens, is read once. The result
+    always starts at 0 and ends at the frame count, so consecutive pairs
+    are exactly the shots. A video with no jump above `threshold` comes
+    back as one shot.
     """
-    return _shots(clip.frames, threshold)
+    with open_video(source) as (_, frames):
+        return _shots(frames, threshold)
 
 
 def _shots(frames, threshold: float) -> list:

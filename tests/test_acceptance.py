@@ -25,7 +25,7 @@ from wm3d.attacks import (
 from wm3d.cli import main
 from wm3d.embed import EmbedParams, embed_clip
 from wm3d.extract import extract_clip
-from wm3d.media_io import read_pgm, write_pgm, write_y4m
+from wm3d.media_io import read_pgm, write_pgm, write_video
 from wm3d.metrics import nc, psnr, psnr_clip
 from wm3d.wavelet3d import temporal_analysis, temporal_synthesis
 
@@ -244,7 +244,7 @@ def test_criterion_10_metric_oracles():
 def test_criterion_11_blindness(tmp_path, corpus, watermark):
     video = tmp_path / "original.y4m"
     wm_path = tmp_path / "wm.pgm"
-    write_y4m(corpus["gradient"], video)
+    write_video(corpus["gradient"], video)
     write_pgm(watermark, wm_path)
     code = main(
         [
@@ -278,7 +278,7 @@ def test_criterion_12_capacity_guard(tmp_path):
     clip_path = tmp_path / "cif.y4m"
     from wm3d.media_io import VideoClip
 
-    write_y4m(
+    write_video(
         VideoClip(frames=[np.full((288, 352), 90, np.uint8)] * 9), clip_path
     )
     write_pgm(np.zeros((42, 42), np.uint8), tmp_path / "wm42.pgm")

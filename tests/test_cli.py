@@ -27,8 +27,7 @@ from wm3d.media_io import (
     read_pgm,
     read_video,
     write_pgm,
-    write_pgm_sequence,
-    write_y4m,
+    write_video,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -38,7 +37,7 @@ RUN_CLI = "import sys; from wm3d.cli import main; sys.exit(main())"
 @pytest.fixture()
 def workdir(tmp_path):
     clip = make_noise_clip(n=16)
-    write_y4m(clip, tmp_path / "in.y4m")
+    write_video(clip, tmp_path / "in.y4m")
     write_pgm(corpus_watermark(), tmp_path / "wm.pgm")
     return tmp_path
 
@@ -79,7 +78,7 @@ def test_embed_extract_flow(workdir, capsys):
 def test_extract_mismatched_dims_exits_3(workdir, tmp_path):
     assert _embed(workdir) == 0
     small = VideoClip(frames=[np.zeros((64, 64), np.uint8)] * 16)
-    write_y4m(small, tmp_path / "small.y4m")
+    write_video(small, tmp_path / "small.y4m")
     code = main(
         [
             "extract",
@@ -155,7 +154,7 @@ def test_extract_key_claiming_a_million_frames_allocates_little(
     key.write_text(key.read_text().replace("boundaries=0,16", "boundaries=0,1000000"))
     video = workdir / "marked.y4m"
     if source == "pgm-dir":
-        write_pgm_sequence(read_video(video), workdir / "frames")
+        write_video(read_video(video), workdir / "frames")
         video = workdir / "frames"
     capsys.readouterr()
     tracemalloc.start()
@@ -172,7 +171,7 @@ def test_extract_key_claiming_a_million_frames_allocates_little(
 
 def test_capacity_error_exits_3(tmp_path):
     clip = VideoClip(frames=[np.full((288, 352), 99, np.uint8)] * 9)
-    write_y4m(clip, tmp_path / "cif.y4m")
+    write_video(clip, tmp_path / "cif.y4m")
     write_pgm(np.zeros((42, 42), np.uint8), tmp_path / "wm42.pgm")
     code = main(
         [
@@ -190,7 +189,7 @@ def test_one_coefficient_subband_exits_3_and_writes_nothing(tmp_path, capsys):
     # 8x8 frames give a 1x1 subband, whose coefficient has no neighbor:
     # the realized signs would carry the mark in the key alone
     frames = np.random.RandomState(4).randint(0, 256, (9, 8, 8)).astype(np.uint8)
-    write_y4m(VideoClip(frames=list(frames)), tmp_path / "tiny.y4m")
+    write_video(VideoClip(frames=list(frames)), tmp_path / "tiny.y4m")
     write_pgm(np.full((1, 1), 200, np.uint8), tmp_path / "wm1.pgm")
     code = main(
         [
@@ -330,7 +329,7 @@ def test_attack_subcommands(workdir, tmp_path):
 
 def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
     out = workdir / "frames"
-    write_pgm_sequence(make_noise_clip(n=20, h=16, w=16), out)
+    write_video(make_noise_clip(n=20, h=16, w=16), out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(out),
                  "--type", "swap"])
@@ -341,7 +340,7 @@ def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
 
 def test_embed_into_a_directory_holding_frames_leaves_no_key(workdir, capsys):
     out = workdir / "frames"
-    write_pgm_sequence(make_noise_clip(n=2, h=16, w=16), out)
+    write_video(make_noise_clip(n=2, h=16, w=16), out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     code = main(["embed", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),
                  "--key-out", str(workdir / "k.key"), "--out", str(out)])
@@ -502,7 +501,7 @@ def test_shots_output(tmp_path, capsys):
     frames = [np.zeros((16, 16), np.uint8)] * 10 + [
         np.full((16, 16), 255, np.uint8)
     ] * 10
-    write_y4m(VideoClip(frames=frames), tmp_path / "two.y4m")
+    write_video(VideoClip(frames=frames), tmp_path / "two.y4m")
     assert main(["shots", "--in", str(tmp_path / "two.y4m")]) == 0
     assert capsys.readouterr().out.strip() == "0,10,20"
 
@@ -515,7 +514,7 @@ def test_manual_shot_override(workdir, capsys):
 
 
 def test_pgm_directory_flow(workdir, tmp_path, capsys):
-    write_pgm_sequence(read_video(workdir / "in.y4m"), tmp_path / "frames")
+    write_video(read_video(workdir / "in.y4m"), tmp_path / "frames")
     code = main(
         [
             "embed",
@@ -649,7 +648,7 @@ def stream_dir(tmp_path_factory):
     ]
     for name, count in STREAM_CASES.items():
         mono = name == "mono"
-        write_y4m(
+        write_video(
             VideoClip(
                 frames=frames[:count],
                 chroma_token=None if mono else "420jpeg",
@@ -741,7 +740,7 @@ def test_extract_from_pgm_directory_opens_only_key_frames(
     stream_dir, name, tmp_path, capsys, monkeypatch
 ):
     frames = tmp_path / "frames"
-    write_pgm_sequence(read_video(stream_dir / f"{name}.y4m"), frames)
+    write_video(read_video(stream_dir / f"{name}.y4m"), frames)
     opened = []
     real_open = media_io._open
 
@@ -764,7 +763,7 @@ def test_extract_from_pgm_directory_opens_only_key_frames(
 
 def test_extract_from_pgm_directory_checks_kept_frame_sizes(stream_dir, tmp_path, capsys):
     frames = tmp_path / "frames"
-    write_pgm_sequence(read_video(stream_dir / "mono.y4m"), frames)
+    write_video(read_video(stream_dir / "mono.y4m"), frames)
     write_pgm(np.zeros((32, 32), np.uint8), frames / "frame_000001.pgm")  # frame 0: skipped
     argv = _extract_argv(stream_dir, str(frames), "resized")
     assert main(argv) == 0

@@ -28,8 +28,7 @@ from wm3d.media_io import (
     open_video,
     read_pgm,
     write_pgm,
-    write_pgm_sequence,
-    write_y4m,
+    write_video,
 )
 from wm3d.shots import detect_shots
 
@@ -88,7 +87,7 @@ def _want(clip, fraction, manual) -> tuple:
     """(y4m bytes, key bytes) of the whole-clip reference."""
     marked, bundle = embed_clip_whole(clip, *_embed_args(fraction, manual))
     video = io.BytesIO()
-    write_y4m(marked, video)
+    write_video(marked, video)
     return video.getvalue(), _key_bytes(bundle)
 
 
@@ -131,7 +130,7 @@ def test_cli_over_a_file_equals_the_whole_clip_reference(
 ):
     clip = _clip(kind)
     video, key = _want(clip, fraction, manual)
-    write_y4m(clip, tmp_path / "in.y4m")
+    write_video(clip, tmp_path / "in.y4m")
     out = tmp_path / "out.y4m"
     if source == "file-over-longer":
         out.write_bytes(b"\xff" * (len(video) + 999))
@@ -150,7 +149,7 @@ def test_cli_over_a_file_equals_the_whole_clip_reference(
 def test_cli_over_a_pipe_equals_the_whole_clip_reference(tmp_path, kind, fraction, manual):
     clip = _clip(kind)
     video, key = _want(clip, fraction, manual)
-    write_y4m(clip, tmp_path / "in.y4m")
+    write_video(clip, tmp_path / "in.y4m")
     proc = subprocess.run(
         [sys.executable, "-c", RUN_CLI,
          *_argv(tmp_path, "/dev/stdin", tmp_path / "out.y4m", fraction, manual)],
@@ -172,7 +171,7 @@ def test_cli_over_a_pgm_directory_equals_the_whole_clip_reference(
 ):
     clip = _clip(kind)
     want, bundle = embed_clip_whole(clip, *_embed_args(fraction, manual))
-    write_pgm_sequence(clip, tmp_path / "in")
+    write_video(clip, tmp_path / "in")
     out = tmp_path / "out"
     assert main(_argv(tmp_path, tmp_path / "in", out, fraction, manual)) == 0
     frames = sorted(out.glob("*.pgm"))
@@ -185,7 +184,7 @@ def _traced_peak(tmp_path, frame_count) -> int:
     """tracemalloc peak of `wm3d embed` on a 64x64 mono clip of 16-frame shots."""
     work = tmp_path / str(frame_count)
     work.mkdir()
-    write_y4m(VideoClip(_frames((16,) * (frame_count // 16), size=64)), work / "in.y4m")
+    write_video(VideoClip(_frames((16,) * (frame_count // 16), size=64)), work / "in.y4m")
     write_pgm(np.full((4, 4), 200, np.uint8), work / "wm.pgm")
     argv = ["embed", "--in", str(work / "in.y4m"), "--wm", str(work / "wm.pgm"),
             "--key-out", str(work / "k.key"), "--out", str(work / "out.y4m")]
@@ -230,7 +229,7 @@ CHANGES = {
 @pytest.mark.parametrize("change", sorted(CHANGES))
 def test_an_input_that_changed_between_passes_is_refused(tmp_path, monkeypatch, capsys, change):
     clip = _clip("mono")
-    write_y4m(clip, tmp_path / "in.y4m")
+    write_video(clip, tmp_path / "in.y4m")
     video, _ = _want(clip, 1.0, False)
     out = tmp_path / "out.y4m"
     old = b"\xff" * (len(video) + 999)

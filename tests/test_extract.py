@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import re
 import tracemalloc
 
@@ -9,9 +10,9 @@ from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
 from oracles import embed_plane, extract_plane, quantize_luma
 from wm3d.embed import EmbedParams, embed_clip
 from wm3d.errors import FormatError, GeometryError
-from wm3d.extract import extract_clip, extract_frames, extract_shot
+from wm3d.extract import extract_clip, extract_shot, extract_video
 from wm3d.keyfile import KeyBundle, ShotRecord
-from wm3d.media_io import VideoClip
+from wm3d.media_io import VideoClip, write_video
 from wm3d.metrics import nc
 
 
@@ -182,7 +183,7 @@ def test_length_repair_memory_follows_the_received_frames():
     bundle = dataclasses.replace(bundle, boundaries=(0, 2**20 + 1))
     tracemalloc.start()
     try:
-        result = extract_frames(iter(frames), 128, 128, bundle)
+        result = extract_video(VideoClip(frames), bundle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -200,18 +201,22 @@ def test_extract_clip_empty_clip_rejected():
         extract_clip(VideoClip(frames=[]), _synthetic_bundle(1, 2))
 
 
+def _unread_y4m(count, size):
+    """A y4m stream of `count` black size x size frames; its position
+    counts the bytes read from it (or skipped)."""
+    stream = io.BytesIO()
+    write_video(VideoClip([np.zeros((size, size), np.uint8)] * count), stream)
+    stream.seek(0)
+    return stream
+
+
 def test_extract_frames_rejects_no_records_before_reading(watermark):
     bundle = _synthetic_bundle(1, 2)
     bundle.records = []
-    read = []
-
-    def frames():
-        read.append(1)
-        yield np.zeros((64, 64), np.uint8)
-
+    stream = _unread_y4m(1, 64)
     with pytest.raises(FormatError, match="selects no shots"):
-        extract_frames(frames(), 64, 64, bundle, watermark)
-    assert read == []
+        extract_video(stream, bundle, watermark)
+    assert stream.tell() == 0
 
 
 @pytest.mark.parametrize(
@@ -221,16 +226,10 @@ def test_extract_frames_rejects_no_records_before_reading(watermark):
     ids=["shape", "all-zero"],
 )
 def test_extract_frames_rejects_a_bad_reference_before_reading(reference, fragment):
-    read = []
-
-    def frames():
-        for _ in range(64):
-            read.append(1)
-            yield np.zeros((128, 128), np.uint8)
-
+    stream = _unread_y4m(64, 128)
     with pytest.raises(ValueError, match=fragment):
-        extract_frames(frames(), 128, 128, _synthetic_bundle(SEED1, SEED2), reference)
-    assert read == []
+        extract_video(stream, _synthetic_bundle(SEED1, SEED2), reference)
+    assert stream.tell() == 0
 
 
 def test_extract_geometry_mismatch(embedded, watermark):
@@ -272,13 +271,7 @@ def test_extract_frames_rejects_a_bad_in_memory_key_before_reading(name):
     changes, fragment = _BAD_KEYS[name]
     valid = dict(boundaries=(0, 32, 64), records=[_record(0), _record(1)])
     bundle = dataclasses.replace(_synthetic_bundle(SEED1, SEED2), **{**valid, **changes})
-    read = []
-
-    def frames():
-        for _ in range(64):
-            read.append(1)
-            yield np.zeros((128, 128), np.uint8)
-
+    stream = _unread_y4m(64, 128)
     with pytest.raises(FormatError, match=re.escape(fragment)):
-        extract_frames(frames(), 128, 128, bundle)
-    assert read == []
+        extract_video(stream, bundle)
+    assert stream.tell() == 0

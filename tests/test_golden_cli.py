@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from wm3d.cli import main
-from wm3d.media_io import VideoClip, write_pgm, write_y4m
+from wm3d.media_io import VideoClip, write_pgm, write_video
 from wm3d.prng import stream
 
 
@@ -40,7 +40,7 @@ def _byte_image(seed, h, w):
 
 def _mono(tmp):
     # shots of 9-20 frames: 9, 14 and 12 pad to 16 frames, 20 pads to 32
-    write_y4m(VideoClip(_luma(11, (9, 14, 20, 12), 64, 64)), tmp / "in.y4m")
+    write_video(VideoClip(_luma(11, (9, 14, 20, 12), 64, 64)), tmp / "in.y4m")
     write_pgm(_byte_image(12, 7, 6), tmp / "wm.pgm")
     return ["--band", "hl3", "--offset", "1,0"]
 
@@ -49,7 +49,7 @@ def _c420(tmp):
     # 4:2:0 with power-of-two shots; the mark fills lh3 (6x8 at 48x64)
     frames = _luma(21, (16, 16), 48, 64)
     chroma = [_byte_image(22 + k, 1, 48 * 64 // 2).tobytes() for k in range(len(frames))]
-    write_y4m(VideoClip(frames, chroma_token="420jpeg", chroma=chroma), tmp / "in.y4m")
+    write_video(VideoClip(frames, chroma_token="420jpeg", chroma=chroma), tmp / "in.y4m")
     write_pgm(_byte_image(23, 6, 8), tmp / "wm.pgm")
     return []
 

@@ -20,7 +20,7 @@ from wm3d.media_io import (  # noqa: E402
     read_pgm,
     read_video,
     write_pgm,
-    write_y4m,
+    write_video,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -41,7 +41,7 @@ def y4m_files(draw):
         extras=tuple(draw(st.sampled_from([(), ("Ip",), ("Ip", "A1:1")]))),
     )
     buf = io.BytesIO()
-    write_y4m(clip, buf)
+    write_video(clip, buf)
     data = buf.getvalue()
     return data, data.index(b"\n") + 1
 

@@ -22,15 +22,13 @@ from wm3d.media_io import (
     read_video,
     write_pgm,
     write_frames,
-    write_pgm_sequence,
     write_video,
-    write_y4m,
 )
 
 
 def _y4m_bytes(clip):
     buf = io.BytesIO()
-    write_y4m(clip, buf)
+    write_video(clip, buf)
     return buf.getvalue()
 
 
@@ -131,7 +129,7 @@ def test_y4m_extras_passthrough():
 
 def test_write_y4m_empty_clip_rejected():
     with pytest.raises(ValueError, match="empty"):
-        write_y4m(VideoClip(frames=[]), io.BytesIO())
+        write_video(VideoClip(frames=[]), io.BytesIO())
 
 
 @pytest.mark.parametrize("keep", [None, {0}, {1}, ()], ids=["all", "0", "1", "none"])
@@ -168,7 +166,7 @@ def test_readers_and_writers_take_any_path(tmp_path, kind):
     write_pgm(img, to_path(tmp_path / "x.pgm"))
     assert np.array_equal(read_pgm(to_path(tmp_path / "x.pgm")), img)
     clip = _clip([img[:4, :6], img[1:, 1:]], chroma_token="420", chroma=[b"ab" * 6, b"cd" * 6])
-    write_y4m(clip, to_path(tmp_path / "x.y4m"))
+    write_video(clip, to_path(tmp_path / "x.y4m"))
     again = read_video(to_path(tmp_path / "x.y4m"))
     assert (tmp_path / "x.y4m").read_bytes() == _y4m_bytes(again)
     assert again.chroma == clip.chroma
@@ -181,7 +179,7 @@ def test_streams_are_left_open():
     buf.seek(0)
     assert np.array_equal(read_pgm(buf), img) and not buf.closed
     buf = io.BytesIO()
-    write_y4m(_clip([img]), buf)
+    write_video(_clip([img]), buf)
     buf.seek(0)
     assert np.array_equal(read_video(buf).frames[0], img) and not buf.closed
 
@@ -308,7 +306,7 @@ def test_skipped_short_payload_allocates_little(kind, tmp_path):
 def test_pgm_sequence_roundtrip(tmp_path):
     rs = np.random.RandomState(6)
     clip = _clip([rs.randint(0, 256, (4, 4)) for _ in range(3)])
-    write_pgm_sequence(clip, tmp_path)
+    write_video(clip, tmp_path)
     names = sorted(p.name for p in tmp_path.glob("*.pgm"))
     assert names == ["frame_000001.pgm", "frame_000002.pgm", "frame_000003.pgm"]
     again = read_video(tmp_path)
@@ -324,10 +322,10 @@ def test_pgm_sequence_dimension_mismatch(tmp_path):
 
 def test_pgm_sequence_refuses_a_directory_holding_frames(tmp_path):
     rs = np.random.RandomState(7)
-    write_pgm_sequence(_clip([rs.randint(0, 256, (4, 4)) for _ in range(5)]), tmp_path)
+    write_video(_clip([rs.randint(0, 256, (4, 4)) for _ in range(5)]), tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(FormatError, match=f"{tmp_path} already holds PGM frames"):
-        write_pgm_sequence(_clip([np.zeros((4, 4))] * 3), tmp_path)
+        write_video(_clip([np.zeros((4, 4))] * 3), tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert read_video(tmp_path).frame_count == 5
 
@@ -456,7 +454,7 @@ def test_an_existing_output_ends_equal_to_a_fresh_write(tmp_path, monkeypatch, o
         return real_open(path, flag, *args)
 
     monkeypatch.setattr(os, "open", spy)
-    write_y4m(clip, out)
+    write_video(clip, out)
     assert flags and not any(f & os.O_TRUNC for f in flags)  # rewritten in place
     assert out.read_bytes() == fresh and target.read_bytes() == fresh
     assert out.is_symlink() == (old == "symlink")
@@ -482,12 +480,12 @@ def test_a_source_that_raises_leaves_exactly_the_bytes_written(tmp_path, k):
 
 WRITE_UNDER_A_SIZE_LIMIT = """
 import resource, signal, sys
-from wm3d.media_io import read_video, write_y4m
+from wm3d.media_io import read_video, write_video
 clip = read_video(sys.argv[1])
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit is EFBIG
 resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[3]),) * 2)
 try:
-    write_y4m(clip, sys.argv[2])
+    write_video(clip, sys.argv[2])
 except OSError:
     sys.exit(0)
 sys.exit("the write did not fail")
@@ -498,7 +496,7 @@ def test_a_failed_write_leaves_no_tail_of_the_old_file(tmp_path):
     # the flush fails part way, so only the fd's offset says what reached the file
     clip = _writer_clip()
     fresh = _y4m_bytes(clip)
-    write_y4m(clip, tmp_path / "in.y4m")
+    write_video(clip, tmp_path / "in.y4m")
     out = tmp_path / "out.y4m"
     out.write_bytes(b"\xff" * (len(fresh) + 999))
     limit = len(fresh) // 2
@@ -514,7 +512,9 @@ def test_a_failed_write_leaves_no_tail_of_the_old_file(tmp_path):
 def test_a_fifo_and_dev_null_are_written_without_a_truncate(tmp_path):
     # either would refuse a truncate (EINVAL)
     clip = _writer_clip()
-    write_y4m(clip, os.devnull)
+    null = tmp_path / "null.y4m"  # a *.y4m name, so write_video writes y4m to it
+    null.symlink_to(os.devnull)
+    write_video(clip, null)
     fifo = tmp_path / "fifo.y4m"
     os.mkfifo(fifo)
     got = []
@@ -523,5 +523,52 @@ def test_a_fifo_and_dev_null_are_written_without_a_truncate(tmp_path):
     write_video(clip, fifo)
     reader.join(timeout=30)
     assert not reader.is_alive() and got == [_y4m_bytes(clip)]
-    write_y4m(clip, tmp_path / "new.y4m")  # a new file is created, not rewritten
+    write_video(clip, tmp_path / "new.y4m")  # a new file is created, not rewritten
     assert (tmp_path / "new.y4m").read_bytes() == _y4m_bytes(clip)
+
+
+_F = np.zeros((4, 6), np.uint8)  # its 4:2:0 payload is 2 * 3 * 2 = 12 bytes
+
+# VideoClip values write_video refuses. Before it did, rate-one-number and
+# payload-str crashed it, extra-empty wrote a token that does not read back,
+# extra-tab and extra-non-ascii ones that y4m does not allow, and the rest a
+# y4m that read_video refuses.
+_UNWRITABLE = {
+    "rate-negative": dict(rate=(-1, 1)),
+    "rate-float": dict(rate=(25.0, 1)),
+    "rate-one-number": dict(rate=(25,)),
+    "token-444": dict(chroma_token="444", chroma=[bytes(12)]),
+    "token-mono-with-payloads": dict(chroma_token="mono", chroma=[bytes(12)]),
+    "payload-short": dict(chroma_token="420", chroma=[bytes(11)]),
+    "payload-str": dict(chroma_token="420", chroma=["x" * 12]),
+    "odd-420": dict(frames=[np.zeros((3, 5), np.uint8)], chroma_token="420", chroma=[bytes(4)]),
+    "extra-newline": dict(extras=("X\nY",)),
+    "extra-W": dict(extras=("W16",)),
+    "extra-H": dict(extras=("Ip", "H8")),
+    "extra-F": dict(extras=("F1:1",)),
+    "extra-C": dict(extras=("C420",)),
+    "extra-empty": dict(extras=("Ip", "")),
+    "extra-space": dict(extras=("A B",)),
+    "extra-tab": dict(extras=("X\tY",)),
+    "extra-non-ascii": dict(extras=("X\u00e9",)),
+    "zero-size": dict(frames=[np.zeros((0, 0), np.uint8)]),
+}
+
+
+@pytest.mark.parametrize("sink", ["out.y4m", "frames"])
+@pytest.mark.parametrize("name", sorted(_UNWRITABLE))
+def test_write_video_refuses_what_read_video_would_refuse(tmp_path, name, sink):
+    out = tmp_path / sink
+    with pytest.raises(FormatError):
+        write_video(VideoClip(**{"frames": [_F], **_UNWRITABLE[name]}), out)
+    assert not out.exists()
+
+
+def test_write_frames_refuses_a_bad_payload_before_its_frame():
+    header = VideoClip([_F], chroma_token="420", chroma=[bytes(12)]).header
+    buf, want = io.BytesIO(), io.BytesIO()
+    for payload in (bytes(11), "x" * 12, None):
+        with pytest.raises(FormatError, match="chroma payload 1 is not 12 bytes"):
+            write_frames(buf, header, [(_F, bytes(12)), (_F, payload)])
+        write_frames(want, header, [(_F, bytes(12))])
+        assert buf.getvalue() == want.getvalue()

@@ -1,11 +1,13 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import MASK64, SplitMix64, histogram_distance
 from wm3d.errors import GeometryError
-from wm3d.media_io import VideoClip
+from wm3d.media_io import VideoClip, write_video
 from wm3d.shots import (
     DEFAULT_THRESHOLD,
     HIST_BINS,
@@ -150,3 +152,42 @@ def test_select_ranks_by_sequential_splitmix64(seed3):
     for fraction in (1.0, 0.5, 0.2):
         count = math.ceil(fraction * len(eligible))
         assert select_shots(boundaries, seed3, fraction) == sorted(ranked[:count])
+
+
+def _cut_clip(n=48, h=32, w=48):
+    """Three shots of noise around 40, 140 and 220, with 4:2:0 chroma."""
+    rs = np.random.RandomState(3)
+    levels = [40] * (n // 3) + [140] * (n // 3) + [220] * (n - 2 * (n // 3))
+    frames = [rs.randint(v - 30, v + 30, (h, w)).astype(np.uint8) for v in levels]
+    return VideoClip(frames, chroma_token="420jpeg",
+                     chroma=[rs.bytes(h * w // 2) for _ in range(n)])
+
+
+def test_detect_shots_takes_every_source_form(tmp_path):
+    clip = _cut_clip()
+    want = detect_shots(clip)
+    assert want == [0, 16, 32, 48]
+    write_video(clip, tmp_path / "in.y4m")
+    write_video(clip, tmp_path / "frames")
+    with open(tmp_path / "in.y4m", "rb") as stream:
+        from_stream = detect_shots(stream, DEFAULT_THRESHOLD)
+    assert from_stream == want
+    assert detect_shots(tmp_path / "in.y4m") == want
+    assert detect_shots(str(tmp_path / "frames")) == want
+
+
+def test_detect_shots_holds_no_clip():
+    # 7 MB of y4m read frame by frame: a frame and two histograms are
+    # held (0.4 MB), not the clip
+    clip = _cut_clip(n=96, h=192, w=256)
+    stream = io.BytesIO()
+    write_video(clip, stream)
+    stream.seek(0)
+    tracemalloc.start()
+    try:
+        found = detect_shots(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [0, 32, 64, 96]
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"

@@ -12,7 +12,7 @@ from wm3d.embed import EmbedParams, embed_clip, embed_shot
 from wm3d.errors import FormatError, GeometryError
 from wm3d.extract import extract_shot
 from wm3d.keyfile import KeyBundle, ShotRecord, write_key
-from wm3d.media_io import VideoClip, write_pgm, write_y4m
+from wm3d.media_io import VideoClip, write_pgm, write_video
 from wm3d.shots import detect_shots
 from wm3d.wmprep import decompose_bitplanes
 
@@ -47,10 +47,10 @@ _CASES = {
                            1, 2, 3, boundaries=[0, 9, 9, 20]),
         GeometryError, "strictly increasing"),
     "y4m-mixed-shapes": (
-        lambda: write_y4m(VideoClip(frames=[_FRAME, _FRAME[:8]]), io.BytesIO()),
+        lambda: write_video(VideoClip(frames=[_FRAME, _FRAME[:8]]), io.BytesIO()),
         FormatError, "dimension mismatch across frames"),
     "y4m-chroma-count": (
-        lambda: write_y4m(VideoClip(frames=[_FRAME] * 2, chroma_token="420jpeg",
+        lambda: write_video(VideoClip(frames=[_FRAME] * 2, chroma_token="420jpeg",
                                     chroma=[bytes(2048)]), io.BytesIO()),
         FormatError, "chroma payload count"),
     # VideoClip checks every clip rule when it is built

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import VideoClip
+from .media_io import VideoClip, _is_int
 
 # JPEG Annex K luminance quantization table.
 _QTABLE = np.array(
@@ -90,13 +90,12 @@ def quantization_table(quality: int) -> np.ndarray:
 
 
 def _round_half_away(x: np.ndarray, out: np.ndarray) -> None:
-    """floor(|x| + 0.5) with the sign of float64 `x`, into `out`: halves
-    round away from zero, and so does 0.49999999999999994, as its + 0.5
-    rounds up to 1.0."""
-    np.abs(x, out=out)
-    out += 0.5
-    np.floor(out, out=out)
-    np.copysign(out, x, out=out)
+    """trunc(x + copysign(0.5, x)) of float64 `x` into `out`, which IEEE's
+    sign-symmetric rounding makes floor(|x| + 0.5) with x's sign: halves
+    round away from zero, and so does 0.49999999999999994 (+ 0.5 gives 1.0)."""
+    np.copysign(0.5, x, out=out)
+    out += x
+    np.trunc(out, out=out)
 
 
 def _quantize_into(out: np.ndarray, y: np.ndarray) -> None:
@@ -115,15 +114,15 @@ def _compress_frame(table, frame, out) -> None:
     small stacked products that OpenBLAS keeps on the calling thread (one
     tall product would wake its own threads and contend with the pool)."""
     h, w = frame.shape
-    strips, pieces, grid = (h // 8, 8, w), (h, w // 8, 8), (h // 8, 8, w // 8, 8)
-    step = table[:, None, :]  # table[u, v] at row u, column v of each block
+    strips, pieces = (h // 8, 8, w), (h, w // 8, 8)
+    step = np.tile(table, (1, w // 8))  # table[u, v] at row u, column v of each block
     a, b = np.empty((2, h, w))
     np.subtract(frame, 128.0, out=a, dtype=np.float64)
     np.matmul(_DCT, a.reshape(strips), out=b.reshape(strips))
     np.matmul(b.reshape(pieces), _DCT.T, out=a.reshape(pieces))
-    np.divide(a.reshape(grid), step, out=a.reshape(grid))
+    np.divide(a.reshape(strips), step, out=a.reshape(strips))
     _round_half_away(a, b)
-    np.multiply(b.reshape(grid), step, out=b.reshape(grid))
+    np.multiply(b.reshape(strips), step, out=b.reshape(strips))
     np.matmul(_DCT.T, b.reshape(strips), out=a.reshape(strips))
     np.matmul(a.reshape(pieces), _DCT, out=b.reshape(pieces))
     b += 128.0
@@ -189,7 +188,7 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
-    if not 0 <= seed <= prng.MASK64:
+    if not (_is_int(seed) and 0 <= seed <= prng.MASK64):
         raise ValueError(f"noise seed must be an unsigned 64-bit integer, got {seed}")
     step = _noise_steps(sigma)
     out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)

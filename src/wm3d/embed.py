@@ -165,8 +165,7 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
         rows = step[side].transpose(2, 0, 3, 1).reshape(h, 2, 1, 8 * w)
         pixels = frame[r0 : r0 + 8 * h, c0 : c0 + 8 * w].reshape(h, 2, 4, 8 * w)
         np.add(pixels, rows, out=total)
-        np.clip(total, 0, 255, out=total)
-        pixels[...] = total
+        np.clip(total, 0, 255, out=pixels, casting="unsafe")
     return out, realized
 
 

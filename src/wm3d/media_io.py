@@ -8,7 +8,7 @@ any os.PathLike) or an open binary io stream, left open (readers call its
 readline). Only the luma plane is processed. Chroma payloads read from
 4:2:0 sources are kept verbatim and re-emitted untouched, so a pipeline
 run never rewrites bytes it did not watermark. Parsing never rescales
-sample values.
+sample values, and writing never wraps them (_check_frame, _uint8_image).
 """
 
 import io
@@ -45,10 +45,9 @@ class VideoClip:
         for re-emission.
 
     Checked at construction, so by dataclasses.replace too (frames changed
-    in place later are not re-checked): ValueError for no frames or a frame
-    that is not a 2-D uint8 array (0x0 is fine), FormatError for mixed
-    shapes or a chroma_token without one payload per frame, each bytes of
-    the 4:2:0 size, W/2 x H/2 x 2.
+    in place later are not re-checked): ValueError for no frames,
+    FormatError for a chroma_token without one payload per frame, then
+    _check_frame's rule for each frame against frame 0 (0x0 is fine).
     """
 
     frames: list
@@ -60,16 +59,13 @@ class VideoClip:
     def __post_init__(self):
         if not self.frames:
             raise ValueError("empty clip")
-        for k, f in enumerate(self.frames):
-            if not isinstance(f, np.ndarray) or f.dtype != np.uint8 or f.ndim != 2:
-                got = f"{getattr(f, 'dtype', type(f).__name__)} of shape {np.shape(f)}"
-                raise ValueError(f"frame {k} must be a 2-D uint8 array, got {got}")
-            _check_shape(k, f, 0, self.frames[0])
-        if self.chroma_token is not None:
-            if len(self.chroma or ()) != len(self.frames):
-                raise FormatError("chroma payload count does not match frame count")
-            for k, payload in enumerate(self.chroma):
-                _check_payload(k, payload, self.header)
+        chroma = self.chroma_token is not None
+        if chroma and len(self.chroma or ()) != len(self.frames):
+            raise FormatError("chroma payload count does not match frame count")
+        shape = np.shape(self.frames[0])  # frame 0 is checked against itself first
+        payloads = self.chroma if chroma else itertools.repeat(None)
+        for k, (f, payload) in enumerate(zip(self.frames, payloads)):
+            _check_frame(k, f, payload, shape, chroma)
 
     @property
     def frame_count(self) -> int:
@@ -88,16 +84,30 @@ class VideoClip:
         return VideoHeader(self.width, self.height, self.rate, self.chroma_token, self.extras)
 
 
-def _check_shape(k: int, frame, first: int, first_frame) -> None:
-    if frame.shape != first_frame.shape:
-        got = f"frame {k} is {frame.shape}, frame {first} is {first_frame.shape}"
+def _check_frame(k: int, frame, payload, shape: tuple, chroma: bool, ref="frame 0") -> None:
+    """Each frame read or written: frame k is a 2-D uint8 array (ValueError)
+    of `shape`, the size of `ref`, and if the video has `chroma` comes with
+    a bytes payload of the 4:2:0 size, W/2 x H/2 x 2 (else FormatError)."""
+    if not isinstance(frame, np.ndarray) or frame.dtype != np.uint8 or frame.ndim != 2:
+        got = f"{getattr(frame, 'dtype', type(frame).__name__)} of shape {np.shape(frame)}"
+        raise ValueError(f"frame {k} must be a 2-D uint8 array, got {got}")
+    if frame.shape != shape:
+        got = f"frame {k} is {frame.shape}, {ref} is {shape}"
         raise FormatError(f"dimension mismatch across frames: {got}")
-
-
-def _check_payload(k: int, payload, header) -> None:
-    size = (header.width // 2) * (header.height // 2) * 2
-    if not isinstance(payload, (bytes, bytearray)) or len(payload) != size:
+    size = (shape[0] // 2) * (shape[1] // 2) * 2
+    if chroma and (not isinstance(payload, (bytes, bytearray)) or len(payload) != size):
         raise FormatError(f"chroma payload {k} is not {size} bytes")
+
+
+def _uint8_image(image) -> np.ndarray:
+    """`image` as HxW uint8, else ValueError: nonempty, 2-D, integers in [0, 255] cast exactly."""
+    img = np.asarray(image)
+    if img.ndim != 2 or img.size == 0:
+        raise ValueError("image must be a nonempty 2-D array")
+    if img.dtype != np.uint8 and not (img.dtype.kind in "biuf" and np.all(
+            (img >= 0) & (img <= 255) & (np.floor(img) == img))):
+        raise ValueError("image values must be integers in [0, 255]")
+    return img.astype(np.uint8, copy=False)
 
 
 def _is_int(value) -> bool:
@@ -276,14 +286,12 @@ def read_pgm(source) -> np.ndarray:
 
 
 def write_pgm(image: np.ndarray, sink) -> None:
-    """Write an HxW uint8 array as binary PGM, maxval 255."""
-    arr = np.asarray(image)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("image must be a nonempty 2-D array")
+    """Write an image _uint8_image takes (checked first) as binary PGM, maxval 255."""
+    arr = _uint8_image(image)
     h, w = arr.shape
     with _open(sink, "wb") as stream:
         stream.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        stream.write(np.ascontiguousarray(arr, dtype=np.uint8))
+        stream.write(np.ascontiguousarray(arr))
 
 
 # --- either form -------------------------------------------------------------
@@ -318,7 +326,7 @@ def _pgm_frames(paths, kept, first: int, image):
         frame = None
         if take:
             frame = image if k == first else read_pgm(path)
-            _check_shape(k, frame, first, image)
+            _check_frame(k, frame, None, image.shape, False, f"frame {first}")
         yield frame
 
 
@@ -360,30 +368,32 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
     FormatError, before the sink is opened, for a header iter_y4m would
     refuse to read back (one _check_header refuses, or an extra token that
     is empty, holds whitespace or non-ASCII, or starts with W, H, F or C),
-    and before its frame is written, for a payload that is not bytes of
-    the 4:2:0 size. An open stream, or a path named *.y4m (any case), gets
-    y4m, luma-only as mono. A path is opened without O_TRUNC (and made if
-    missing) and written from its start; a regular file, so one that
-    already existed is rewritten in place, is then cut to the bytes
-    written, after an exception too, so no tail of the old file survives
-    it. A run killed midway leaves the new frames followed by the old
-    file's later ones. A FIFO or /dev/null is written as it comes. Any
-    other path is a directory, made if missing, that must hold no *.pgm
-    file yet (FormatError), so no stale frame is left to read back; it
-    gets frame_000001.pgm, frame_000002.pgm, ... without chroma or rate.
+    and before each frame, _check_frame's to the header's size. An open
+    stream, or a path named *.y4m (any case), gets y4m, luma-only as mono.
+    A path is opened without O_TRUNC (and made if missing) and written from
+    its start; a regular file, so one that already existed is rewritten in
+    place, is then cut to the bytes written, after an exception too, so no
+    tail of the old file survives it. A run killed midway leaves the new
+    frames followed by the old file's later ones. A FIFO or /dev/null is
+    written as it comes. Any other path is a directory, made if missing,
+    that must hold no *.pgm file yet (FormatError), so no stale frame is
+    left to read back; it gets frame_000001.pgm, frame_000002.pgm, ...
+    without chroma or rate.
     """
     _check_header(header)
     if not all(isinstance(t, str) and t.isascii() and re.fullmatch(r"[^WHFC\s]\S*", t)
                for t in header.extras):
         raise FormatError(f"y4m header tokens {header.extras!r} would not read back")
+    shape, chroma = (header.height, header.width), header.chroma_token is not None
     path = isinstance(sink, (str, os.PathLike))
     if path and Path(sink).suffix.lower() != ".y4m":
         out = Path(sink)
         if any(out.glob("*.pgm")):
             raise FormatError(f"{out} already holds PGM frames")
         out.mkdir(parents=True, exist_ok=True)
-        for k, (frame, _) in enumerate(frames, start=1):
-            write_pgm(frame, out / f"frame_{k:06d}.pgm")
+        for k, (frame, payload) in enumerate(frames):
+            _check_frame(k, frame, payload, shape, chroma, "the header")
+            write_pgm(frame, out / f"frame_{k + 1:06d}.pgm")
         return
     width, height, rate, ctoken, extras = header
     line = " ".join(["YUV4MPEG2", f"W{width}", f"H{height}", f"F{rate[0]}:{rate[1]}", *extras])
@@ -394,11 +404,10 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
         try:
             stream.write(f"{line} C{ctoken or 'mono'}\n".encode("ascii"))
             for k, (frame, payload) in enumerate(frames):
-                if ctoken is not None:
-                    _check_payload(k, payload, header)
+                _check_frame(k, frame, payload, shape, chroma, "the header")
                 stream.write(b"FRAME\n")
                 stream.write(np.ascontiguousarray(frame))
-                if ctoken is not None:
+                if chroma:
                     stream.write(payload)
             stream.flush()
         finally:

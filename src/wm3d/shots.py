@@ -40,8 +40,7 @@ def _histogram(frame: np.ndarray) -> np.ndarray:
 def _distance(ha: np.ndarray, hb: np.ndarray, size: int) -> float:
     """Normalized L1 distance between two 64-bin luma histograms of
     `size`-pixel frames: 0 if identical, 1 when no mass shares a bin."""
-    diff = ha.astype(np.int64) - hb.astype(np.int64)
-    return float(np.sum(np.abs(diff))) / (2.0 * size)
+    return float(np.sum(np.abs(ha - hb))) / (2.0 * size)
 
 
 def detect_shots(source, threshold: float = DEFAULT_THRESHOLD) -> list:

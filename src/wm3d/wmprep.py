@@ -1,10 +1,11 @@
 """Watermark preprocessing: the (8, H, W) bitplane stack and its keys.
 
-A grayscale watermark is split into its 8 bitplanes, and the stack is
-prepared in one step: one keyed position permutation (first key)
-scatters every plane the same way, and a keyed XOR mask per plane
-(second key, salted with the plane index so planes decorrelate) maps
-each plane to a +-1 sign matrix. restore_bitplanes inverts it exactly.
+A grayscale watermark, held to write_pgm's 8-bit rule, is split into its
+8 bitplanes, and the stack is prepared in one step: one keyed position
+permutation (first key) scatters every plane the same way, and a keyed
+XOR mask per plane (second key, salted with the plane index so planes
+decorrelate) maps each plane to a +-1 sign matrix. restore_bitplanes
+inverts it exactly.
 """
 
 from functools import lru_cache
@@ -12,22 +13,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import prng
+from .media_io import _uint8_image
 
 
 def decompose_bitplanes(image: np.ndarray) -> np.ndarray:
-    """Split an 8-bit grayscale image into an (8, H, W) bit stack.
-
-    Plane b holds bit b of each pixel; index 0 is the least significant
-    bit. An image of another real dtype must hold integers in [0, 255].
-    """
-    img = np.asarray(image)
-    if img.ndim != 2 or img.size == 0:
-        raise ValueError("watermark must be a nonempty 2-D image")
-    if img.dtype != np.uint8:
-        if not np.all((img >= 0) & (img <= 255) & (np.floor(img) == img)):
-            raise ValueError("watermark values must be integers in [0, 255]")
-        img = img.astype(np.uint8)
-    return np.unpackbits(img[None], axis=0, bitorder="little")
+    """Split an 8-bit grayscale image into an (8, H, W) bit stack: plane b
+    holds bit b of each pixel, plane 0 the least significant. The image
+    keeps write_pgm's rule (media_io._uint8_image): nonempty, 2-D, integers in [0, 255]."""
+    return np.unpackbits(_uint8_image(image)[None], axis=0, bitorder="little")
 
 
 def compose_bitplanes(planes: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -43,6 +44,16 @@ def test_quantize_rounding_rules():
     out = np.empty_like(x)
     _round_half_away(x, out)
     assert out.tolist() == round_half_away(x).tolist() == [-2.0, -1.0, 0.0, 0.0, 3.0]
+    # bit for bit, signed zeros too, on edge values and random float64 bit patterns
+    bits = np.random.RandomState(10).randint(0, 2**63, 4096, dtype=np.uint64)
+    bits[::2] |= np.uint64(1 << 63)
+    edges = [-0.0, 0.0, 0.49999999999999994, -0.49999999999999994, 4503599627370495.5,
+             -2.0**52 - 0.5, 2.0**53, np.inf, -np.inf, 5e-324, -5e-324]
+    x = np.concatenate([edges, bits.view(np.float64)])
+    x = x[~np.isnan(x)]
+    out = np.empty_like(x)
+    _round_half_away(x, out)
+    assert np.array_equal(out.view(np.uint64), round_half_away(x).view(np.uint64))
 
 
 def test_quantize_equals_clamped_round_half_away():
@@ -572,3 +583,61 @@ def test_write_frames_refuses_a_bad_payload_before_its_frame():
             write_frames(buf, header, [(_F, bytes(12)), (_F, payload)])
         write_frames(want, header, [(_F, bytes(12))])
         assert buf.getvalue() == want.getvalue()
+
+
+# The frames of the writer's FOUND case: frame 0 is 2x2 under a 4x6 header,
+# frame 1 float64; each used to be written as bytes read_video refuses.
+@pytest.mark.parametrize("sink", ["stream", "out.y4m", "frames"])
+@pytest.mark.parametrize("bad, error", [(np.zeros((2, 2), np.uint8), FormatError),
+                                        (np.zeros((4, 6)), ValueError)],
+                         ids=["2x2", "float64"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_write_frames_refuses_a_bad_frame_before_its_bytes(tmp_path, sink, bad, error, k):
+    header = VideoClip([_F]).header
+    good = [(_F + j, None) for j in range(k)]
+    out = io.BytesIO() if sink == "stream" else tmp_path / sink
+    with pytest.raises(error, match=f"frame {k} "):
+        write_frames(out, header, [*good, (bad, None), (np.zeros((4, 6)), None)])
+    want = io.BytesIO()
+    write_frames(want, header, good)  # the header, then the frames before the bad one
+    if sink == "frames":
+        names = [f"frame_{j + 1:06d}.pgm" for j in range(k)]
+        assert sorted(p.name for p in out.iterdir()) == names
+    else:
+        assert (out.getvalue() if sink == "stream" else out.read_bytes()) == want.getvalue()
+
+
+# name: (frames, chroma payloads, error) that both VideoClip and
+# write_frames refuse, at frame 1
+_BAD_FRAMES = {
+    "float-frame": ([_F, _F / 2], None, ValueError),
+    "3d-frame": ([_F, _F[None]], None, ValueError),
+    "size-mismatch": ([_F, _F[:2]], None, FormatError),
+    "short-payload": ([_F, _F], [bytes(12), bytes(11)], FormatError),
+    "str-payload": ([_F, _F], [bytes(12), "x" * 12], FormatError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FRAMES))
+def test_write_frames_refuses_every_frame_videoclip_refuses(tmp_path, name):
+    frames, chroma, error = _BAD_FRAMES[name]
+    token = chroma and "420"
+    with pytest.raises(error, match="frame 1|payload 1"):
+        VideoClip(frames, chroma_token=token, chroma=chroma)
+    header = VideoClip(frames[:1], chroma_token=token, chroma=chroma and chroma[:1]).header
+    for sink in (io.BytesIO(), tmp_path / "out.y4m", tmp_path / "frames"):
+        with pytest.raises(error, match="frame 1|payload 1"):
+            write_frames(sink, header, zip(frames, chroma or itertools.repeat(None)))
+
+
+@pytest.mark.parametrize("kind", ["stream", "path"])
+def test_write_pgm_refuses_values_it_would_wrap(tmp_path, kind):
+    # each used to be cast unsafely: [[300.7, -1.0]] read back as [[44, 255]]
+    for k, image in enumerate([[[300.7, -1.0]], np.array([[1000, 2]], np.int64), [[0.5]]]):
+        sink = io.BytesIO() if kind == "stream" else tmp_path / f"{k}.pgm"
+        with pytest.raises(ValueError, match=r"image values must be integers in \[0, 255\]"):
+            write_pgm(np.array(image), sink)
+        assert sink.getvalue() == b"" if kind == "stream" else not sink.exists()
+    buf = io.BytesIO()
+    write_pgm(np.array([[0, 255]], np.int64), buf)  # exact integers are cast
+    assert buf.getvalue() == b"P5\n2 1\n255\n\x00\xff"

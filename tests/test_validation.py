@@ -69,8 +69,18 @@ _CASES = {
                             "empty clip"),
     "noise-empty-clip": (lambda: attack_noise(VideoClip(frames=[]), 2.0, 1), ValueError,
                          "empty clip"),
+    # the seed test embed_video applies: an int, not a bool, in [0, 2**64)
+    "noise-float-seed": (lambda: attack_noise(VideoClip([_FRAME[:4, :4]] * 3), 2.0, 1.5),
+                         ValueError, "noise seed must be an unsigned 64-bit integer"),
+    "noise-bool-seed": (lambda: attack_noise(VideoClip([_FRAME[:4, :4]] * 3), 2.0, True),
+                        ValueError, "noise seed must be an unsigned 64-bit integer"),
     "pgm-3d": (lambda: write_pgm(np.zeros((2, 2, 2), np.uint8), io.BytesIO()),
                ValueError, "nonempty 2-D array"),
+    # an array that is not of real numbers holds no integers in [0, 255]
+    "pgm-complex": (lambda: write_pgm(np.ones((2, 2), complex), io.BytesIO()),
+                    ValueError, "image values must be integers in [0, 255]"),
+    "bitplanes-str": (lambda: decompose_bitplanes(np.full((2, 2), "1")), ValueError,
+                      "image values must be integers in [0, 255]"),
     "params-negative-row": (lambda: EmbedParams(region_row0=-1), ValueError,
                             "region offset must be non-negative"),
     # a key file stores offsets as integers
@@ -96,8 +106,9 @@ _CASES = {
         lambda: extract_shot([_FRAME[:8, :8]] * 9, _PLANES[:, :1, :1], 1, 2, 9,
                              EmbedParams()),
         GeometryError, "subband too small"),
+    # the watermark keeps write_pgm's image rule, and so its message
     "bitplanes-1d": (lambda: decompose_bitplanes(np.zeros(4, np.uint8)), ValueError,
-                     "nonempty 2-D image"),
+                     "nonempty 2-D array"),
 }
 
 

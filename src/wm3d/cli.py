@@ -15,8 +15,6 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .attacks import (
     attack_average,
     attack_compress,
@@ -28,7 +26,7 @@ from .embed import embed_clip, embed_video
 from .errors import FormatError, GeometryError
 from .extract import extract_clip, extract_video
 from .keyfile import EmbedParams, read_key, write_key
-from .media_io import VideoClip, read_pgm, read_video, write_frames, write_pgm, write_video
+from .media_io import read_pgm, read_video, write_frames, write_pgm, write_video
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
 from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans
@@ -64,20 +62,17 @@ def _parse_offset(text: str):
 def _parse_shot_list(text: str):
     """Manual segmentation 'a:b,c:d' -> boundary list; the spans must
     follow on from 0 without gaps (embed_clip checks where they end)."""
-    boundaries = []
-    prev_end = 0
+    boundaries = [0]
     for part in text.split(","):
         try:
             a, b = (int(v) for v in part.split(":"))
         except ValueError:
             raise FormatError(f"bad shot span {part!r}, expected START:END") from None
-        if a != prev_end:
+        if a != boundaries[-1]:
             raise GeometryError(
-                f"shot spans must tile the clip; expected start {prev_end}, got {a}"
+                f"shot spans must tile the clip; expected start {boundaries[-1]}, got {a}"
             )
-        boundaries.append(a)
-        prev_end = b
-    boundaries.append(prev_end)
+        boundaries.append(b)
     return boundaries
 
 
@@ -89,7 +84,7 @@ def cmd_embed(args) -> int:
         source = read_video(source)
     watermark = read_pgm(args.wm)
     params = EmbedParams(args.alpha, *args.offset, band=args.band)
-    boundaries = _parse_shot_list(args.shots) if args.shots else None
+    boundaries = None if args.shots is None else _parse_shot_list(args.shots)
     made = not os.path.lexists(args.key_out)
     with open(args.key_out, "a"):  # opened first: a refused key path leaves no video
         try:
@@ -179,16 +174,12 @@ _ATTACKS = {
     ),
 }
 
-# Three 0x0 frames: an attack applied to them checks its parameter and
-# seed but has no pixel to work on.
-_NO_PIXELS = VideoClip([np.zeros((0, 0), np.uint8)] * 3)
-
 _BENCH_ATTACKS = ",".join(
     name if a.parse is None else f"{name}:{a.default:g}" for name, a in _ATTACKS.items()
 )
 
 
-def _parse_attack_list(text: str, seed: int):
+def _parse_attack_list(text: str):
     specs = []
     for part in text.split(","):
         name, colon, param = part.partition(":")
@@ -203,19 +194,20 @@ def _parse_attack_list(text: str, seed: int):
                 value = attack.parse(param) if param else attack.default
             except ValueError:
                 raise FormatError(f"bad {name} parameter {param!r}") from None
-        attack.apply(_NO_PIXELS, _NO_PIXELS, value, seed)  # its own checks only
         specs.append((name, value))
     return specs
 
 
 def cmd_bench(args) -> int:
-    # Arguments are checked before any output: here, then by the first embed.
+    # The table is written once the whole sweep has run, so a failed run
+    # prints none of it. The alphas and attack names are checked here, the
+    # seeds by the first embed and an attack's value when it first runs.
     strengths = [EmbedParams(alpha=float(a)) for a in args.alphas.split(",")]
-    specs = _parse_attack_list(args.attacks, args.seed)
+    specs = _parse_attack_list(args.attacks)
     clip = read_video(args.input)
     watermark = read_pgm(args.wm)
 
-    writer = csv.writer(sys.stdout)
+    rows = [["alpha", "attack", "parameter", "nc", "psnr_db"]]
     for params in strengths:
         marked, bundle = embed_clip(
             clip,
@@ -225,17 +217,15 @@ def cmd_bench(args) -> int:
             seed3=args.seed3,
             params=params,
         )
-        if params is strengths[0]:
-            writer.writerow(["alpha", "attack", "parameter", "nc", "psnr_db"])
-        baseline = extract_clip(marked, bundle, watermark)
-        psnr0 = psnr_clip(clip, marked).psnr_mean
-        writer.writerow(["%g" % params.alpha, "none", "", "%.4f" % baseline.nc, "%.4f" % psnr0])
-        for name, param in specs:
-            attacked = _ATTACKS[name].apply(marked, clip, param, args.seed)
+        for name, param in [("none", None), *specs]:
+            attacked = marked
+            if name != "none":
+                attacked = _ATTACKS[name].apply(marked, clip, param, args.seed)
             result = extract_clip(attacked, bundle, watermark)
             quality = psnr_clip(clip, attacked).psnr_mean
             cells = ["%g" % params.alpha, name, "" if param is None else "%g" % param]
-            writer.writerow([*cells, "%.4f" % result.nc, "%.4f" % quality])
+            rows.append([*cells, "%.4f" % result.nc, "%.4f" % quality])
+    csv.writer(sys.stdout).writerows(rows)
     return EXIT_OK
 
 

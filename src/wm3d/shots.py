@@ -13,7 +13,7 @@ import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import open_video
+from .media_io import _is_int, open_video
 
 HIST_BINS = 64
 DEFAULT_THRESHOLD = 0.35
@@ -79,6 +79,8 @@ def shot_spans(boundaries) -> list:
 
 def validate_boundaries(boundaries, frame_count: int) -> None:
     b = list(boundaries)
+    if not all(map(_is_int, b)):
+        raise GeometryError(f"shot boundaries must be integers, got {b}")
     if len(b) < 2 or b[0] != 0 or b[-1] != frame_count:
         raise GeometryError(
             f"boundaries must run from 0 to {frame_count}, got {b}"

@@ -16,7 +16,7 @@ from conftest import (
     make_flat_noise_clip,
     make_noise_clip,
 )
-from wm3d import media_io
+from wm3d import cli, media_io
 from wm3d.cli import main
 from wm3d.embed import embed_clip
 from wm3d.errors import FormatError, GeometryError
@@ -261,6 +261,8 @@ _REJECTED = {
     "shots-gap": (_EMBED + ["--shots", "0:8,9:16"], {}, 3, "expected start 8, got 9"),
     "shots-dash": (_EMBED + ["--shots", "0-8"], {}, 2, "bad shot span '0-8'"),
     "shots-trailing-comma": (_EMBED + ["--shots", "0:16,"], {}, 2, "bad shot span ''"),
+    # an empty list is a bad span, not a request to detect the cuts
+    "shots-empty": (_EMBED + ["--shots", ""], {}, 2, "bad shot span ''"),
     # a bare "-1,0" would be read as an option; only the = form reaches the check
     "offset-negative": (_EMBED + ["--offset=-1,0"], {}, 2,
                         "region offset must be non-negative"),
@@ -281,6 +283,7 @@ _REJECTED = {
     "key-selected-header": (*_bad_key("selected=0,1", "selected=1"), 2,
                             "shot records do not match selected shots"),
     "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot block, got 'junk'"),
+    "key-shot-index": (*_bad_key("shot=1\n", "shot=x\n"), 2, "bad shot index line 'shot=x'"),
     "y4m-odd-width": (["shots", "--in", "odd.y4m"],
                       {"odd.y4m": b"YUV4MPEG2 W5 H2 F25:1 C420\nFRAME\n" + bytes(14)},
                       2, "4:2:0 stream requires even dimensions"),
@@ -475,6 +478,29 @@ def test_bench_names_the_attack_and_value_it_cannot_parse(workdir, capsys):
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"wm3d: {message}\n"
+
+
+def test_bench_with_an_all_zero_mark_prints_no_table(workdir, capsys):
+    write_pgm(np.zeros_like(corpus_watermark()), workdir / "zero.pgm")
+    code = main(["bench", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "zero.pgm"),
+                 "--alphas", "0.1", "--attacks", "swap"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_refused_by_a_later_attack_prints_no_rows(workdir, capsys, monkeypatch):
+    def swap_refusing_pixels(clip, original, param, seed):
+        if clip.frames[0].size:
+            raise ValueError("swap refuses this clip")
+        return clip
+
+    monkeypatch.setitem(cli._ATTACKS, "swap", cli._Attack(swap_refusing_pixels))
+    code = main(["bench", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),
+                 "--alphas", "0.1", "--attacks", "drop,swap"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "wm3d: swap refuses this clip\n"
 
 
 def test_attack_drop_requires_original(workdir):

@@ -46,6 +46,15 @@ _CASES = {
         lambda: embed_clip(VideoClip(frames=[_FRAME] * 20), np.ones((2, 2), np.uint8),
                            1, 2, 3, boundaries=[0, 9, 9, 20]),
         GeometryError, "strictly increasing"),
+    # each must fail before the sink: a key cannot store it, nor islice cut at it
+    "embed-bool-boundary": (
+        lambda: embed_clip(VideoClip(frames=[_FRAME] * 32), np.ones((2, 2), np.uint8),
+                           1, 2, 3, boundaries=[False, 16, 32]),
+        GeometryError, "shot boundaries must be integers, got [False, 16, 32]"),
+    "embed-float-boundary": (
+        lambda: embed_clip(VideoClip(frames=[_FRAME] * 32), np.ones((2, 2), np.uint8),
+                           1, 2, 3, boundaries=[0, 16.0, 32]),
+        GeometryError, "shot boundaries must be integers, got [0, 16.0, 32]"),
     "y4m-mixed-shapes": (
         lambda: write_video(VideoClip(frames=[_FRAME, _FRAME[:8]]), io.BytesIO()),
         FormatError, "dimension mismatch across frames"),

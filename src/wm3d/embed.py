@@ -178,14 +178,14 @@ def embed_video(
     media_io.open_video opens twice (a path or a VideoClip, not a pipe),
     in two passes; returns the key bundle.
 
-    Pass 1 finds the cuts as each frame arrives (or, given `boundaries`,
-    counts the frames) and selects the shots. Pass 2 opens the source
-    again and calls sink(header, frames), which consumes `frames`, the
-    marked video's (luma, chroma payload) pairs in order. Only the
-    selected shot being filled is held; unselected shots pass through
-    bit-identical. A second pass with another header (checked before the
-    sink is called) or frame count (as `frames` runs out) is a FormatError;
-    a sink that returns before `frames` runs out is a RuntimeError.
+    Pass 1 finds the cuts in the luma as each frame arrives (or, given
+    `boundaries`, counts the frames) and selects the shots. Pass 2
+    opens the source again and calls sink(header, frames), which consumes
+    `frames`, the marked video's (luma, payload) pairs as open_video yields
+    them, in order. Only the selected shot being filled is held; unselected
+    shots pass through bit-identical. A second pass with another header
+    (checked before the sink is called) or frame count (as `frames` runs
+    out) is a FormatError; a sink that returns first is a RuntimeError.
     """
     if params is None:
         params = EmbedParams()
@@ -194,7 +194,7 @@ def embed_video(
             raise ValueError(f"{name} must be an unsigned 64-bit integer")
     sign_planes = prepare_sign_planes(watermark, seed1, seed2)
 
-    with open_video(source) as (header, frames):
+    with open_video(source, chroma=False) as (header, frames):
         # Fail fast on geometry before any frame is read.
         _window_crop(params, header.height, header.width, *sign_planes.shape[1:])
         if boundaries is None:
@@ -204,10 +204,9 @@ def embed_video(
             validate_boundaries(boundaries, sum(1 for _ in frames))
     selected = select_shots(boundaries, seed3, fraction)
 
-    records, chroma, finished = [], [], []
+    records, finished = [], []
 
-    def marked(frames):
-        pairs = ((f, chroma.pop() if chroma else None) for f in frames)
+    def marked(pairs):
         seen = 0
         for index, (start, end) in enumerate(shot_spans(boundaries)):
             shot = islice(pairs, end - start)
@@ -226,7 +225,7 @@ def embed_video(
             raise FormatError(f"input changed between passes: {changed}")
         finished.append(True)
 
-    with open_video(source, chroma=chroma) as (again, frames):
+    with open_video(source) as (again, frames):
         if again != header:
             raise FormatError(f"input changed between passes: {header}, then {again}")
         sink(header, marked(frames))

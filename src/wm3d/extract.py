@@ -117,7 +117,7 @@ def extract_video(
 
     spans = shot_spans(bundle.boundaries)
     keep = _SpanFrames(spans[i] for i in bundle.selected)
-    with open_video(source, keep) as (header, frames):
+    with open_video(source, keep, chroma=False) as (header, frames):
         _window_crop(bundle.params, header.height, header.width, *mark)
         received, results = 0, []
         for rec in bundle.records:
@@ -131,8 +131,8 @@ def extract_video(
                     f"{rec.shot_index} starts at {start}"
                 )
             res = extract_shot(
-                chunk[start - before :], rec.planes, bundle.seed1, bundle.seed2,
-                end - start, bundle.params,
+                [luma for luma, _ in chunk[start - before :]], rec.planes,
+                bundle.seed1, bundle.seed2, end - start, bundle.params,
             )
             res.shot_index = rec.shot_index
             if reference is not None:

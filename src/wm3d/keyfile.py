@@ -31,10 +31,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, GeometryError
 from .media_io import _is_int, _open
 from .prng import MASK64
-from .shots import MIN_EMBED_SHOT_LEN, PLANE_COUNT
+from .shots import MIN_EMBED_SHOT_LEN, PLANE_COUNT, validate_boundaries
 from .wavelet3d import BANDS, SubbandRect, subband_rect
 
 MAGIC = "WM3DKEY"
@@ -107,14 +107,16 @@ def _check_bundle(bundle: KeyBundle) -> None:
     """FormatError if the bundle breaks a key rule."""
     seeds = (bundle.seed1, bundle.seed2, bundle.seed3)
     b, selected = bundle.boundaries, bundle.selected
-    for name, values in (("seeds", seeds), ("shot boundaries", b), ("shot indices", selected)):
+    try:
+        validate_boundaries(b)
+    except GeometryError as exc:
+        raise FormatError(str(exc)) from None
+    for name, values in (("seeds", seeds), ("shot indices", selected)):
         if not all(map(_is_int, values)):
             raise FormatError(f"{name} must be integers, got {list(values)}")
     for name, v in zip(("seed1", "seed2", "seed3"), seeds):
         if not 0 <= v <= MASK64:
             raise FormatError(f"{name} out of 64-bit range")
-    if len(b) < 2 or b[0] != 0 or any(y <= x for x, y in zip(b, b[1:])):
-        raise FormatError(f"bad shot boundaries {list(b)}")
     if not selected:
         raise FormatError("key bundle selects no shots")
     if any(not 0 <= i < len(b) - 1 for i in selected):

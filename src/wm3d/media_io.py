@@ -5,10 +5,10 @@ read_video (whole clip), open_video (frame by frame, from a VideoClip too)
 and write_frames (frame by frame; write_video writes a clip through it),
 alone tells the two forms apart. Readers and writers take a path (str or
 any os.PathLike) or an open binary io stream, left open (readers call its
-readline). Only the luma plane is processed. Chroma payloads read from
-4:2:0 sources are kept verbatim and re-emitted untouched, so a pipeline
-run never rewrites bytes it did not watermark. Parsing never rescales
-sample values, and writing never wraps them (_check_frame, _uint8_image).
+readline). Frames move as the (luma, payload) pairs open_video yields and
+write_frames takes; only luma is processed, and a 4:2:0 payload (None for
+mono) is its chroma verbatim, so a run never rewrites bytes it did not
+watermark. Reading never rescales, nor writing wraps (_check_frame, _uint8_image).
 """
 
 import io
@@ -38,8 +38,7 @@ class VideoClip:
 
     frames: list of HxW uint8 arrays, all the same shape.
     rate: frame rate as a (numerator, denominator) pair; metadata only.
-    chroma_token: y4m C token of the source ("420jpeg", ...); None means
-        luma-only.
+    chroma_token: y4m C token of the source ("420jpeg", ...); None for mono.
     chroma: per-frame chroma payload bytes, verbatim from the source.
     extras: other y4m header tokens (interlacing, aspect, comments) kept
         for re-emission.
@@ -63,8 +62,7 @@ class VideoClip:
         if chroma and len(self.chroma or ()) != len(self.frames):
             raise FormatError("chroma payload count does not match frame count")
         shape = np.shape(self.frames[0])  # frame 0 is checked against itself first
-        payloads = self.chroma if chroma else itertools.repeat(None)
-        for k, (f, payload) in enumerate(zip(self.frames, payloads)):
+        for k, (f, payload) in enumerate(_clip_frames(self)):
             _check_frame(k, f, payload, shape, chroma)
 
     @property
@@ -84,10 +82,10 @@ class VideoClip:
         return VideoHeader(self.width, self.height, self.rate, self.chroma_token, self.extras)
 
 
-def _check_frame(k: int, frame, payload, shape: tuple, chroma: bool, ref="frame 0") -> None:
-    """Each frame read or written: frame k is a 2-D uint8 array (ValueError)
-    of `shape`, the size of `ref`, and if the video has `chroma` comes with
-    a bytes payload of the 4:2:0 size, W/2 x H/2 x 2 (else FormatError)."""
+def _check_frame(k: int, frame, payload, shape: tuple, chroma: bool, ref="frame 0") -> tuple:
+    """Frame k read or written, returned with its payload once checked: a 2-D
+    uint8 array (ValueError) of `shape`, the size of `ref`, and if the video
+    has `chroma` a bytes payload of the 4:2:0 size W/2 x H/2 x 2 (else FormatError)."""
     if not isinstance(frame, np.ndarray) or frame.dtype != np.uint8 or frame.ndim != 2:
         got = f"{getattr(frame, 'dtype', type(frame).__name__)} of shape {np.shape(frame)}"
         raise ValueError(f"frame {k} must be a 2-D uint8 array, got {got}")
@@ -97,6 +95,7 @@ def _check_frame(k: int, frame, payload, shape: tuple, chroma: bool, ref="frame 
     size = (shape[0] // 2) * (shape[1] // 2) * 2
     if chroma and (not isinstance(payload, (bytes, bytearray)) or len(payload) != size):
         raise FormatError(f"chroma payload {k} is not {size} bytes")
+    return frame, payload
 
 
 def _uint8_image(image) -> np.ndarray:
@@ -181,16 +180,16 @@ class VideoHeader(NamedTuple):
     extras: tuple  # other header tokens, kept for re-emission
 
 
-def iter_y4m(stream, keep=None, chroma=None) -> tuple:
+def iter_y4m(stream, keep=None, chroma=True) -> tuple:
     """Read a YUV4MPEG2 stream (binary file object) frame by frame.
 
     Parses the header at once and returns (VideoHeader, frames). `frames`
-    yields each frame's HxW uint8 luma in order, or None for a frame
-    whose index is not in `keep` (None keeps every frame), whose
-    payload is skipped unread. Each kept frame's chroma payload is
-    appended to the list `chroma` if one is given, else skipped. Only end
-    of input ends the frames: any line but a FRAME marker, an empty one
-    too, where a marker belongs is a FormatError.
+    yields in order each frame's (luma, payload) pair, the HxW uint8 luma
+    and the chroma bytes (None for mono, or if not `chroma`, when they
+    are skipped unread), or None for a frame whose index is not in `keep`
+    (None keeps every frame), skipped unread. Only end of input ends the
+    frames: any line but a FRAME marker, an empty one too, where a marker
+    belongs is a FormatError.
     """
     tokens = (_read_line(stream, "header") or b"").decode("ascii", "replace").split(" ")
     if not tokens or tokens[0] != "YUV4MPEG2":
@@ -228,18 +227,19 @@ def _y4m_frames(stream, header: VideoHeader, keep, chroma):
     while (marker := _read_line(stream, "frame marker")) is not None:
         if marker != b"FRAME" and not marker.startswith(b"FRAME "):
             raise FormatError("malformed frame marker")
-        luma = None
+        pair = None
         if keep is None or count in keep:
             luma = _read_array(stream, h * w, "frame payload").reshape(h, w)
-            if chroma is not None and chroma_size:
-                payload = _read_array(stream, chroma_size, "frame payload")
-                chroma.append(payload.tobytes())
+            payload = None
+            if chroma and chroma_size:
+                payload = _read_array(stream, chroma_size, "frame payload").tobytes()
             elif chroma_size:
                 _skip(stream, chroma_size, "frame payload")
+            pair = luma, payload
         else:
             _skip(stream, h * w + chroma_size, "frame payload")
         count += 1
-        yield luma
+        yield pair
     if not count:
         raise FormatError("truncated frame payload: no frames after header")
 
@@ -298,13 +298,14 @@ def write_pgm(image: np.ndarray, sink) -> None:
 
 
 @contextmanager
-def open_video(source, keep=None, chroma=None):
+def open_video(source, keep=None, chroma=True):
     """Open a video to read frame by frame: (VideoHeader, frames) as from
-    iter_y4m. A directory is its *.pgm files in name order, luma only at
-    25:1; it is listed once, only frames in `keep` are opened, the header
-    is the first kept frame's (frame 0's if none is), and a kept frame of
-    another size is a FormatError when read. A VideoClip yields its own
-    frames and payloads. Anything else is y4m."""
+    iter_y4m, the pairs write_frames takes (payloads None if not `chroma`).
+    A directory is its *.pgm files in name order, mono at 25:1; it is
+    listed once, only frames in `keep` are opened, the header is the first
+    kept frame's (frame 0's if none is), and a kept frame of another size
+    is a FormatError when read. A VideoClip yields its own frames and
+    payloads. Anything else is y4m."""
     if isinstance(source, VideoClip):
         yield source.header, _clip_frames(source, keep, chroma)
     elif isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
@@ -323,27 +324,25 @@ def open_video(source, keep=None, chroma=None):
 
 def _pgm_frames(paths, kept, first: int, image):
     for k, (path, take) in enumerate(zip(paths, kept)):
-        frame = None
+        pair = None
         if take:
             frame = image if k == first else read_pgm(path)
-            _check_frame(k, frame, None, image.shape, False, f"frame {first}")
-        yield frame
+            pair = _check_frame(k, frame, None, image.shape, False, f"frame {first}")
+        yield pair
 
 
-def _clip_frames(clip: VideoClip, keep, chroma):
-    for k, frame in enumerate(clip.frames):
-        take = keep is None or k in keep
-        if take and chroma is not None and clip.chroma_token is not None:
-            chroma.append(clip.chroma[k])
-        yield frame if take else None
+def _clip_frames(clip: VideoClip, keep=None, chroma=True):
+    payloads = clip.chroma if chroma and clip.chroma_token is not None else itertools.repeat(None)
+    for k, pair in enumerate(zip(clip.frames, payloads)):
+        yield pair if keep is None or k in keep else None
 
 
 def read_video(source) -> VideoClip:
     """Read a whole video, every frame and its chroma, through open_video."""
-    chroma = []
-    with open_video(source, chroma=chroma) as (header, frames):
-        frames = list(frames)
-    return VideoClip(frames, header.rate, header.chroma_token, chroma or None, header.extras)
+    with open_video(source) as (header, frames):
+        frames, chroma = zip(*frames)
+    chroma = list(chroma) if header.chroma_token is not None else None
+    return VideoClip(list(frames), header.rate, header.chroma_token, chroma, header.extras)
 
 
 def _check_header(header: VideoHeader) -> None:
@@ -385,15 +384,15 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
                for t in header.extras):
         raise FormatError(f"y4m header tokens {header.extras!r} would not read back")
     shape, chroma = (header.height, header.width), header.chroma_token is not None
+    frames = (_check_frame(k, *p, shape, chroma, "the header") for k, p in enumerate(frames))
     path = isinstance(sink, (str, os.PathLike))
     if path and Path(sink).suffix.lower() != ".y4m":
         out = Path(sink)
         if any(out.glob("*.pgm")):
             raise FormatError(f"{out} already holds PGM frames")
         out.mkdir(parents=True, exist_ok=True)
-        for k, (frame, payload) in enumerate(frames):
-            _check_frame(k, frame, payload, shape, chroma, "the header")
-            write_pgm(frame, out / f"frame_{k + 1:06d}.pgm")
+        for k, (frame, _) in enumerate(frames, start=1):
+            write_pgm(frame, out / f"frame_{k:06d}.pgm")
         return
     width, height, rate, ctoken, extras = header
     line = " ".join(["YUV4MPEG2", f"W{width}", f"H{height}", f"F{rate[0]}:{rate[1]}", *extras])
@@ -403,8 +402,7 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
         regular = path and stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
         try:
             stream.write(f"{line} C{ctoken or 'mono'}\n".encode("ascii"))
-            for k, (frame, payload) in enumerate(frames):
-                _check_frame(k, frame, payload, shape, chroma, "the header")
+            for frame, payload in frames:
                 stream.write(b"FRAME\n")
                 stream.write(np.ascontiguousarray(frame))
                 if chroma:
@@ -420,4 +418,4 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
 def write_video(clip: VideoClip, sink) -> None:
     """Write a clip through write_frames: y4m to an open stream or a path
     named *.y4m (any case), else PGM frames."""
-    write_frames(sink, clip.header, zip(clip.frames, clip.chroma or itertools.repeat(None)))
+    write_frames(sink, clip.header, _clip_frames(clip))

@@ -51,17 +51,17 @@ def detect_shots(source, threshold: float = DEFAULT_THRESHOLD) -> list:
     are exactly the shots. A video with no jump above `threshold` comes
     back as one shot.
     """
-    with open_video(source) as (_, frames):
+    with open_video(source, chroma=False) as (_, frames):
         return _shots(frames, threshold)
 
 
 def _shots(frames, threshold: float) -> list:
-    """detect_shots over frames taken in order, each compared with the one
-    before it as it arrives, so only two histograms are held."""
+    """detect_shots over (luma, payload) pairs in order, each luma compared
+    with the one before it as it arrives, so only two histograms are held."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     boundaries, prev, count = [0], None, 0
-    for count, frame in enumerate(frames, start=1):
+    for count, (frame, _) in enumerate(frames, start=1):
         if not frame.size:
             raise ValueError("zero-size frames have no histogram")
         cur = _histogram(frame)
@@ -77,16 +77,16 @@ def shot_spans(boundaries) -> list:
     return list(zip(boundaries[:-1], boundaries[1:]))
 
 
-def validate_boundaries(boundaries, frame_count: int) -> None:
+def validate_boundaries(boundaries, frame_count: int | None = None) -> None:
+    """The shot boundary rule: integers from 0 (to `frame_count` if given), strictly rising."""
     b = list(boundaries)
     if not all(map(_is_int, b)):
         raise GeometryError(f"shot boundaries must be integers, got {b}")
-    if len(b) < 2 or b[0] != 0 or b[-1] != frame_count:
-        raise GeometryError(
-            f"boundaries must run from 0 to {frame_count}, got {b}"
-        )
+    if len(b) < 2 or b[0] != 0 or (frame_count is not None and b[-1] != frame_count):
+        to = "" if frame_count is None else f" to {frame_count}"
+        raise GeometryError(f"bad shot boundaries {b}: they must run from 0{to}")
     if any(y <= x for x, y in zip(b, b[1:])):
-        raise GeometryError(f"boundaries must be strictly increasing, got {b}")
+        raise GeometryError(f"bad shot boundaries {b}: they must be strictly increasing")
 
 
 def select_shots(boundaries, seed3: int, fraction: float = 1.0) -> list:

@@ -202,12 +202,31 @@ def test_embed_memory_does_not_grow_with_the_clip(tmp_path, capsys):
     assert large - small < two_shots, (small, large)
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_embed_with_shots_refuses_a_mis_sized_pgm_frame_before_the_output(
+    tmp_path, capsys, existing
+):
+    # given --shots, the first pass still reads every frame, so a PGM frame
+    # of another size is refused before the second pass opens --out
+    write_video(_clip("mono"), tmp_path / "in")
+    frames = sorted((tmp_path / "in").glob("*.pgm"))
+    write_pgm(np.zeros((SIZE // 2, SIZE), np.uint8), frames[len(frames) // 2])
+    out = tmp_path / "out.y4m"
+    old = b"\xff" * 999
+    if existing:
+        out.write_bytes(old)
+    assert main(_argv(tmp_path, tmp_path / "in", out, 1.0, True)) == 2
+    assert "dimension mismatch across frames" in capsys.readouterr().err
+    assert not (tmp_path / "k.key").exists()
+    assert out.read_bytes() == old if existing else not out.exists()
+
+
 def _patched_second_pass(monkeypatch, change):
     """open_video whose second opening goes through change(header, frames)."""
     opened = []
 
     @contextmanager
-    def patched(source, keep=None, chroma=None):
+    def patched(source, keep=None, chroma=True):
         with open_video(source, keep, chroma) as (header, frames):
             opened.append(source)
             yield change(header, frames) if len(opened) == 2 else (header, frames)
@@ -218,7 +237,8 @@ def _patched_second_pass(monkeypatch, change):
 
 CHANGES = {
     # input that grew by one frame: every planned frame is written first
-    "grew": lambda header, frames: (header, chain(frames, [np.zeros((SIZE, SIZE), np.uint8)])),
+    "grew": lambda header, frames: (
+        header, chain(frames, [(np.zeros((SIZE, SIZE), np.uint8), None)])),
     # input cut at the last shot's start: the frames before it are written
     "shrank": lambda header, frames: (header, islice(frames, sum(SHOTS[:-1]))),
     # other geometry: refused before the output is opened

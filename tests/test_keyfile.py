@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import PATH_KINDS
-from wm3d.errors import FormatError
+from wm3d.errors import FormatError, GeometryError
 from wm3d.keyfile import EmbedParams, KeyBundle, ShotRecord, read_key, write_key
+from wm3d.shots import validate_boundaries
 
 
 def _planes(seed, h=16, w=16):
@@ -212,3 +213,27 @@ def test_selected_shot_shorter_than_minimum_rejected():
                                   records=[ShotRecord(0, _planes(1)),
                                            ShotRecord(2, _planes(2))]))
     assert again.boundaries == (0, 30, 33, 64)
+
+
+# each breaks one part of the shot boundary rule: (boundaries, message fragment)
+_BAD_BOUNDARIES = {
+    "empty": ((), "bad shot boundaries"),
+    "one": ((0,), "bad shot boundaries"),
+    "from-one": ((1, 30, 64), "bad shot boundaries"),
+    "repeated": ((0, 30, 30, 64), "strictly increasing"),
+    "falling": ((0, 40, 30, 64), "strictly increasing"),
+    "float": ((0, 30.0, 64), "shot boundaries must be integers"),
+    "bool": ((False, 30, 64), "shot boundaries must be integers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_BOUNDARIES))
+def test_shots_and_keys_hold_one_boundary_rule(name):
+    bad, fragment = _BAD_BOUNDARIES[name]
+    with pytest.raises(GeometryError) as shot_error:
+        validate_boundaries(bad)
+    with pytest.raises(FormatError) as key_error:
+        write_key(_bundle(boundaries=bad), io.StringIO())
+    assert not isinstance(key_error.value, GeometryError)
+    assert str(key_error.value) == str(shot_error.value)
+    assert fragment in str(shot_error.value)

@@ -271,16 +271,16 @@ def test_iter_y4m_decodes_only_kept_frames(kind, token):
     chroma = None if token is None else [rs.bytes(12) for _ in range(5)]
     data = _y4m_bytes(_clip(frames, chroma_token=token, chroma=chroma, rate=(30, 1)))
     for want_chroma in (True, False):
-        kept_chroma = [] if want_chroma else None
-        header, frames_in = iter_y4m(_source(kind, data), {1, 3}, kept_chroma)
+        header, frames_in = iter_y4m(_source(kind, data), {1, 3}, want_chroma)
         assert header == (6, 4, (30, 1), token, ())
         got = list(frames_in)
         assert [g is None for g in got] == [True, False, True, False, True]
         for k in (1, 3):
-            assert np.array_equal(got[k], frames[k]) and got[k].flags.writeable
-        assert not np.shares_memory(got[1], got[3])
-        if want_chroma:
-            assert kept_chroma == ([] if token is None else [chroma[1], chroma[3]])
+            luma, payload = got[k]
+            assert np.array_equal(luma, frames[k]) and luma.flags.writeable
+            # the payload is read for a kept 4:2:0 frame only if asked for
+            assert payload == (chroma[k] if want_chroma and token else None)
+        assert not np.shares_memory(got[1][0], got[3][0])
 
 
 @pytest.mark.parametrize("kind", ["seekable", "pipe"])
@@ -366,13 +366,41 @@ def test_open_video_pgm_directory_opens_only_kept_frames(tmp_path, monkeypatch):
         assert header == (6, 4, (25, 1), None, ())
         got = list(frames_in)
     assert [g is None for g in got] == [True, False, True, True, False]
-    assert np.array_equal(got[1], frames[1]) and np.array_equal(got[4], frames[4])
+    assert np.array_equal(got[1][0], frames[1]) and np.array_equal(got[4][0], frames[4])
+    assert got[1][1] is None and got[4][1] is None  # a PGM frame has no payload
     assert opened == ["f1.pgm", "f4.pgm"]
     with open_video(tmp_path, {1, 3}) as (header, frames_in):
         assert next(frames_in) is None and next(frames_in) is not None
         assert next(frames_in) is None
         with pytest.raises(FormatError, match=r"frame 3 is \(5, 6\), frame 1 is \(4, 6\)"):
             next(frames_in)
+
+
+FRAME_STREAM_FORMS = [(form, token) for form in ("path", "seekable", "pipe", "pgm-dir", "clip")
+                      for token in (None, "420jpeg") if not (form == "pgm-dir" and token)]
+
+
+@pytest.mark.parametrize("form, token", FRAME_STREAM_FORMS)
+def test_open_video_yields_what_write_frames_takes(tmp_path, form, token):
+    # the frame stream, written as it is read, gives read_video's clip's bytes
+    rs = np.random.RandomState(16)
+    frames = [rs.randint(0, 256, (4, 6)) for _ in range(3)]
+    chroma = None if token is None else [rs.bytes(12) for _ in range(3)]
+    clip = _clip(frames, chroma_token=token, chroma=chroma, rate=(30, 1), extras=("Ip",))
+    data = _y4m_bytes(clip)
+    (tmp_path / "in.y4m").write_bytes(data)
+    if form == "pgm-dir":
+        write_video(clip, tmp_path / "frames")
+    sources = {"path": lambda: tmp_path / "in.y4m", "seekable": lambda: io.BytesIO(data),
+               "pipe": lambda: _source("pipe", data), "pgm-dir": lambda: tmp_path / "frames",
+               "clip": lambda: clip}
+    streamed, whole = io.BytesIO(), io.BytesIO()
+    with open_video(sources[form]()) as (header, frames_in):
+        write_frames(streamed, header, frames_in)
+    write_video(read_video(sources[form]()), whole)
+    assert streamed.getvalue() == whole.getvalue()
+    if form != "pgm-dir":
+        assert streamed.getvalue() == data
 
 
 @pytest.mark.parametrize("kind", sorted(PATH_KINDS))

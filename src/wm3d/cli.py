@@ -122,15 +122,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    name, param = _parse_attack(args.type)
+    if name == "drop" and not args.original:
+        raise FormatError("attack type 'drop' requires --original")
     clip = read_video(args.input)
-    attack = _ATTACKS[args.type]
-    original = None
-    if args.type == "drop":
-        if not args.original:
-            raise FormatError("attack type 'drop' requires --original")
-        original = read_video(args.original)
-    param = getattr(args, attack.option) if attack.option else None
-    write_video(attack.apply(clip, original, param, args.seed), args.output)
+    original = read_video(args.original) if name == "drop" else None
+    write_video(_ATTACKS[name].apply(clip, original, param, args.seed), args.output)
     return EXIT_OK
 
 
@@ -153,24 +150,21 @@ def cmd_shots(args) -> int:
 
 class _Attack(NamedTuple):
     apply: Callable  # (clip, original, param, seed) -> attacked clip
-    option: str | None = None  # `attack` option that holds the parameter
-    parse: Callable | None = None  # parser of a `bench --attacks` NAME:PARAM
+    parse: Callable | None = None  # parser of the PARAM in NAME:PARAM
     default: float | None = None
 
 
-# The one attack table: `attack --type` choices, `bench --attacks` names
-# and both commands' dispatch come from it.
+# The one attack table: the names `attack --type` and `bench --attacks`
+# take, their parameters and both commands' dispatch come from it.
 _ATTACKS = {
     "drop": _Attack(lambda clip, original, param, seed: attack_drop(clip, original)),
     "average": _Attack(lambda clip, original, param, seed: attack_average(clip)),
     "swap": _Attack(lambda clip, original, param, seed: attack_swap(clip)),
     "compress": _Attack(
-        lambda clip, original, quality, seed: attack_compress(clip, quality),
-        "quality", int, 75,
+        lambda clip, original, quality, seed: attack_compress(clip, quality), int, 75
     ),
     "noise": _Attack(
-        lambda clip, original, sigma, seed: attack_noise(clip, sigma, seed),
-        "sigma", float, 2.0,
+        lambda clip, original, sigma, seed: attack_noise(clip, sigma, seed), float, 2.0
     ),
 }
 
@@ -179,23 +173,21 @@ _BENCH_ATTACKS = ",".join(
 )
 
 
-def _parse_attack_list(text: str):
-    specs = []
-    for part in text.split(","):
-        name, colon, param = part.partition(":")
-        attack = _ATTACKS.get(name)
-        if attack is None:
-            raise FormatError(f"unknown attack {name!r}")
-        if colon and attack.parse is None:
-            raise FormatError(f"attack {name!r} takes no parameter, got {part!r}")
-        value = None
-        if attack.parse is not None:
-            try:
-                value = attack.parse(param) if param else attack.default
-            except ValueError:
-                raise FormatError(f"bad {name} parameter {param!r}") from None
-        specs.append((name, value))
-    return specs
+def _parse_attack(part: str):
+    """One attack spec NAME[:PARAM] -> (name, value): PARAM parsed, the
+    table's default if there is no colon, None for an attack without one."""
+    name, colon, param = part.partition(":")
+    attack = _ATTACKS.get(name)
+    if attack is None:
+        raise FormatError(f"unknown attack {name!r}")
+    if colon and attack.parse is None:
+        raise FormatError(f"attack {name!r} takes no parameter, got {part!r}")
+    if not colon:
+        return name, attack.default
+    try:
+        return name, attack.parse(param)
+    except ValueError:
+        raise FormatError(f"bad {name} parameter {param!r}") from None
 
 
 def cmd_bench(args) -> int:
@@ -203,7 +195,7 @@ def cmd_bench(args) -> int:
     # prints none of it. The alphas and attack names are checked here, the
     # seeds by the first embed and an attack's value when it first runs.
     strengths = [EmbedParams(alpha=float(a)) for a in args.alphas.split(",")]
-    specs = _parse_attack_list(args.attacks)
+    specs = [_parse_attack(part) for part in args.attacks.split(",")]
     clip = read_video(args.input)
     watermark = read_pgm(args.wm)
 
@@ -275,12 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="apply a frame-level attack")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--type", required=True, choices=list(_ATTACKS))
+    p.add_argument("--type", required=True, metavar="ATTACK",
+                   help=f"NAME or NAME:PARAM, one of {_BENCH_ATTACKS} (PARAM defaults shown)")
     p.add_argument("--original", help="original video (drop attack)")
-    p.add_argument("--quality", type=int, default=_ATTACKS["compress"].default,
-                   help="compression quality 1..100 (default %(default)s)")
-    p.add_argument("--sigma", type=float, default=_ATTACKS["noise"].default,
-                   help="noise standard deviation (default %(default)s)")
     p.add_argument("--seed", type=int, default=_NOISE_SEED,
                    help="noise seed (default %(default)s)")
     p.set_defaults(func=cmd_attack)

@@ -365,8 +365,9 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
     payload is ignored for a mono header), each as it arrives.
 
     FormatError, before the sink is opened, for a header iter_y4m would
-    refuse to read back (one _check_header refuses, or an extra token that
-    is empty, holds whitespace or non-ASCII, or starts with W, H, F or C),
+    refuse to read back (one _check_header refuses, an extra token that is
+    empty, holds whitespace or non-ASCII, or starts with W, H, F or C, or a
+    header line over _HEADER_MAX bytes),
     and before each frame, _check_frame's to the header's size. An open
     stream, or a path named *.y4m (any case), gets y4m, luma-only as mono.
     A path is opened without O_TRUNC (and made if missing) and written from
@@ -383,7 +384,12 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
     if not all(isinstance(t, str) and t.isascii() and re.fullmatch(r"[^WHFC\s]\S*", t)
                for t in header.extras):
         raise FormatError(f"y4m header tokens {header.extras!r} would not read back")
-    shape, chroma = (header.height, header.width), header.chroma_token is not None
+    width, height, rate, ctoken, extras = header
+    line = " ".join(["YUV4MPEG2", f"W{width}", f"H{height}", f"F{rate[0]}:{rate[1]}", *extras,
+                     f"C{ctoken or 'mono'}"])
+    if len(line) > _HEADER_MAX:
+        raise FormatError(f"y4m header line too long: {len(line)} bytes, over {_HEADER_MAX}")
+    shape, chroma = (height, width), ctoken is not None
     frames = (_check_frame(k, *p, shape, chroma, "the header") for k, p in enumerate(frames))
     path = isinstance(sink, (str, os.PathLike))
     if path and Path(sink).suffix.lower() != ".y4m":
@@ -394,14 +400,12 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
         for k, (frame, _) in enumerate(frames, start=1):
             write_pgm(frame, out / f"frame_{k:06d}.pgm")
         return
-    width, height, rate, ctoken, extras = header
-    line = " ".join(["YUV4MPEG2", f"W{width}", f"H{height}", f"F{rate[0]}:{rate[1]}", *extras])
     if path:
         opened = open(os.open(sink, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
     with opened if path else nullcontext(sink) as stream:
         regular = path and stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
         try:
-            stream.write(f"{line} C{ctoken or 'mono'}\n".encode("ascii"))
+            stream.write(f"{line}\n".encode("ascii"))
             for frame, payload in frames:
                 stream.write(b"FRAME\n")
                 stream.write(np.ascontiguousarray(frame))

@@ -17,6 +17,7 @@ from conftest import (
     make_noise_clip,
 )
 from wm3d import cli, media_io
+from wm3d.attacks import attack_compress, attack_noise
 from wm3d.cli import main
 from wm3d.embed import embed_clip
 from wm3d.errors import FormatError, GeometryError
@@ -208,7 +209,6 @@ def test_one_coefficient_subband_exits_3_and_writes_nothing(tmp_path, capsys):
 
 def test_usage_error_exits_1(workdir):
     assert main(["embed", "--in", str(workdir / "in.y4m")]) == 1
-    assert main(["attack", "--in", "x", "--out", "y", "--type", "bogus"]) == 1
     assert main([]) == 1
 
 
@@ -268,6 +268,8 @@ _REJECTED = {
                         "region offset must be non-negative"),
     "bench-attack": (["bench", "--in", "in.y4m", "--wm", "wm.pgm", "--attacks", "bogus"],
                      {}, 2, "unknown attack 'bogus'"),
+    "attack-type": (["attack", "--in", "in.y4m", "--out", "out.y4m", "--type", "bogus"],
+                    {}, 2, "unknown attack 'bogus'"),
     "key-seed1": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "seed1 out of 64-bit range"),
     "key-wm-w": (*_bad_key("wm_w=4\n", "wm_w=0\n"), 2, "dimensions must be positive"),
     "key-row0": (*_bad_key("row0=0\n", "row0=-1\n"), 2, "offset must be non-negative"),
@@ -322,12 +324,62 @@ def test_attack_subcommands(workdir, tmp_path):
         ["--type", "drop", "--original", str(workdir / "in.y4m")],
         ["--type", "average"],
         ["--type", "swap"],
-        ["--type", "compress", "--quality", "60"],
-        ["--type", "noise", "--sigma", "1.5", "--seed", "5"],
+        ["--type", "compress:60"],
+        ["--type", "noise:1.5", "--seed", "5"],
     ):
         out = tmp_path / f"att_{extra[1]}.y4m"
         assert main(["attack", "--in", marked, "--out", str(out), *extra]) == 0
         assert read_video(out).frame_count == 16
+
+
+@pytest.mark.parametrize("extra, attack", [
+    (["--type", "compress:60"], lambda clip: attack_compress(clip, 60)),
+    (["--type", "noise:1.5", "--seed", "5"], lambda clip: attack_noise(clip, 1.5, 5)),
+], ids=["compress", "noise"])
+def test_attack_spec_writes_what_the_library_attack_writes(workdir, extra, attack):
+    out, want = workdir / "out.y4m", io.BytesIO()
+    assert main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(out), *extra]) == 0
+    write_video(attack(read_video(workdir / "in.y4m")), want)
+    assert out.read_bytes() == want.getvalue()
+
+
+# Both commands take an attack spec through one parser, so a bad one is
+# refused in the same words, before any output (_REJECTED holds 'bogus')
+@pytest.mark.parametrize("spec, message", [
+    ("swap:5", "attack 'swap' takes no parameter, got 'swap:5'"),
+    ("compress:x", "bad compress parameter 'x'"),
+    ("compress:", "bad compress parameter ''"),
+    ("noise:", "bad noise parameter ''"),
+])
+@pytest.mark.parametrize("command", ["attack", "bench"])
+def test_a_bad_attack_spec_fails_alike_in_both_commands(workdir, capsys, command, spec,
+                                                        message):
+    out = workdir / "out.y4m"
+    argv = {"attack": ["--out", str(out), "--type", spec],
+            "bench": ["--wm", str(workdir / "wm.pgm"), "--attacks", f"swap,{spec}"]}
+    assert main([command, "--in", str(workdir / "in.y4m"), *argv[command]]) == 2
+    assert capsys.readouterr() == ("", f"wm3d: {message}\n")
+    assert not out.exists()
+
+
+def test_attack_parameter_options_are_gone(workdir, capsys):
+    code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(workdir / "out.y4m"),
+                 "--type", "compress", "--quality", "60"])
+    assert code == 1
+    assert "unrecognized arguments: --quality 60" in capsys.readouterr().err
+    assert not (workdir / "out.y4m").exists()
+
+
+def test_attack_refuses_an_input_whose_header_it_cannot_write_back(tmp_path, capsys):
+    # no C token, so the writer would add " C420jpeg" past the reader's cap
+    line = b"YUV4MPEG2 W16 H16 F25:1 X".ljust(4096, b"x")
+    (tmp_path / "in.y4m").write_bytes(line + b"\n" + (b"FRAME\n" + bytes(384)) * 3)
+    out = tmp_path / "out.y4m"
+    assert read_video(tmp_path / "in.y4m").frame_count == 3
+    assert main(["attack", "--in", str(tmp_path / "in.y4m"), "--out", str(out),
+                 "--type", "swap"]) == 2
+    assert "y4m header line too long" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
@@ -430,7 +482,7 @@ def test_embed_from_pipe_equals_file(workdir, capsys):
 def test_attack_noise_non_finite_sigma_exits_2(workdir, tmp_path, sigma):
     out = tmp_path / "noisy.y4m"
     code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(out),
-                 "--type", "noise", "--sigma", sigma])
+                 "--type", f"noise:{sigma}"])
     assert code == 2
     assert not out.exists()
 

@@ -72,8 +72,8 @@ COMMANDS = {
     "psnr": (["psnr", "in.y4m", "marked.y4m"], []),
     "bench": (["bench", "--in", "in.y4m", "--wm", "wm.pgm", "--attacks", "drop,average,swap"],
               []),
-    "noise": (["attack", "--in", "marked.y4m", "--out", "noise.y4m", "--type", "noise",
-               "--sigma", "3", "--seed", "77"], ["noise.y4m"]),
+    "noise": (["attack", "--in", "marked.y4m", "--out", "noise.y4m", "--type", "noise:3",
+               "--seed", "77"], ["noise.y4m"]),
     "bench-noise": (["bench", "--in", "in.y4m", "--wm", "wm.pgm",
                      "--attacks", "noise:2,noise:6"], []),
 }

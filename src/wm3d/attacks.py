@@ -80,11 +80,23 @@ def attack_swap(clip: VideoClip) -> VideoClip:
     return replace(clip, frames=frames)
 
 
+# the compress and noise value rules, which the CLI checks before reading input
+def check_quality(quality: int) -> int:
+    if not 1 <= quality <= 100:
+        raise ValueError(f"quality {quality} outside [1, 100]")
+    return quality
+
+
+def check_sigma(sigma: float) -> float:
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    return sigma
+
+
 def quantization_table(quality: int) -> np.ndarray:
     """Luminance table scaled by the JPEG quality rule, rounded half up
     (no entry is negative, so that is half away from zero), entries >= 1."""
-    if not 1 <= quality <= 100:
-        raise ValueError(f"quality {quality} outside [1, 100]")
+    check_quality(quality)
     scale = 5000.0 / quality if quality < 50 else 200.0 - 2.0 * quality
     return np.maximum(1.0, np.floor(_QTABLE * scale / 100.0 + 0.5))
 
@@ -186,8 +198,7 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     = prng._uniform16 number k*H*W + i and step = _noise_steps(sigma): given
     z, integer arithmetic, frame by frame on the calling thread.
     """
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    check_sigma(sigma)
     if not (_is_int(seed) and 0 <= seed <= prng.MASK64):
         raise ValueError(f"noise seed must be an unsigned 64-bit integer, got {seed}")
     step = _noise_steps(sigma)

@@ -21,15 +21,17 @@ from .attacks import (
     attack_drop,
     attack_noise,
     attack_swap,
+    check_quality,
+    check_sigma,
 )
 from .embed import embed_clip, embed_video
 from .errors import FormatError, GeometryError
 from .extract import extract_clip, extract_video
-from .keyfile import EmbedParams, read_key, write_key
+from .keyfile import EmbedParams, _format_int_list, _parse_int_list, read_key, write_key
 from .media_io import read_pgm, read_video, write_frames, write_pgm, write_video
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
-from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans
+from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans, validate_boundaries
 from .wavelet3d import BANDS
 
 EXIT_OK = 0
@@ -59,24 +61,18 @@ def _parse_offset(text: str):
         raise argparse.ArgumentTypeError(f"expected ROW,COL, got {text!r}") from None
 
 
-def _parse_shot_list(text: str):
-    """Manual segmentation 'a:b,c:d' -> boundary list; the spans must
-    follow on from 0 without gaps (embed_clip checks where they end)."""
-    boundaries = [0]
-    for part in text.split(","):
-        try:
-            a, b = (int(v) for v in part.split(":"))
-        except ValueError:
-            raise FormatError(f"bad shot span {part!r}, expected START:END") from None
-        if a != boundaries[-1]:
-            raise GeometryError(
-                f"shot spans must tile the clip; expected start {boundaries[-1]}, got {a}"
-            )
-        boundaries.append(b)
+def _parse_shots(text: str) -> tuple:
+    """--shots, read as a key's boundaries= line; embed_video checks where it ends."""
+    try:  # "" is a bad list, not a request to detect the cuts
+        boundaries = _parse_int_list(text or ",")
+    except ValueError:
+        raise FormatError(f"bad --shots {text[:64]!r}, expected a list 0,B1,...,N") from None
+    validate_boundaries(boundaries)
     return boundaries
 
 
 def cmd_embed(args) -> int:
+    boundaries = None if args.shots is None else _parse_shots(args.shots)
     # A file or directory is read twice, one shot held; a pipe, or the
     # file --out rewrites, is read whole first.
     source = args.input
@@ -84,7 +80,6 @@ def cmd_embed(args) -> int:
         source = read_video(source)
     watermark = read_pgm(args.wm)
     params = EmbedParams(args.alpha, *args.offset, band=args.band)
-    boundaries = None if args.shots is None else _parse_shot_list(args.shots)
     made = not os.path.lexists(args.key_out)
     with open(args.key_out, "a"):  # opened first: a refused key path leaves no video
         try:
@@ -144,13 +139,13 @@ def cmd_nc(args) -> int:
 
 def cmd_shots(args) -> int:
     boundaries = detect_shots(args.input, args.threshold)
-    print(",".join(str(b) for b in boundaries))
+    print(_format_int_list(boundaries))
     return EXIT_OK
 
 
 class _Attack(NamedTuple):
     apply: Callable  # (clip, original, param, seed) -> attacked clip
-    parse: Callable | None = None  # parser of the PARAM in NAME:PARAM
+    parse: Callable | None = None  # PARAM of NAME:PARAM -> value, held to the attack's rule
     default: float | None = None
 
 
@@ -160,12 +155,10 @@ _ATTACKS = {
     "drop": _Attack(lambda clip, original, param, seed: attack_drop(clip, original)),
     "average": _Attack(lambda clip, original, param, seed: attack_average(clip)),
     "swap": _Attack(lambda clip, original, param, seed: attack_swap(clip)),
-    "compress": _Attack(
-        lambda clip, original, quality, seed: attack_compress(clip, quality), int, 75
-    ),
-    "noise": _Attack(
-        lambda clip, original, sigma, seed: attack_noise(clip, sigma, seed), float, 2.0
-    ),
+    "compress": _Attack(lambda clip, original, quality, seed: attack_compress(clip, quality),
+                        lambda text: check_quality(int(text)), 75),
+    "noise": _Attack(lambda clip, original, sigma, seed: attack_noise(clip, sigma, seed),
+                     lambda text: check_sigma(float(text)), 2.0),
 }
 
 _BENCH_ATTACKS = ",".join(
@@ -192,8 +185,8 @@ def _parse_attack(part: str):
 
 def cmd_bench(args) -> int:
     # The table is written once the whole sweep has run, so a failed run
-    # prints none of it. The alphas and attack names are checked here, the
-    # seeds by the first embed and an attack's value when it first runs.
+    # prints none of it. The alphas and attack specs, values included, are
+    # checked here, before any input is read; the seeds by the first embed.
     strengths = [EmbedParams(alpha=float(a)) for a in args.alphas.split(",")]
     specs = [_parse_attack(part) for part in args.attacks.split(",")]
     clip = read_video(args.input)
@@ -247,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_options(p)
     p.add_argument("--select-fraction", type=float, default=1.0,
                    help="fraction of eligible shots to watermark")
-    p.add_argument("--shots", help="manual shot spans, e.g. 0:30,30:64")
+    p.add_argument("--shots", help="shot boundaries as `wm3d shots` prints them, e.g. 0,30,64")
     p.add_argument("--shot-threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="histogram cut threshold (default %(default)s)")
     p.add_argument("--band", default=EmbedParams.band, choices=BANDS,

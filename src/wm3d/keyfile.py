@@ -21,12 +21,17 @@ Then one block per selected shot, in ascending shot order:
 Each plane is the realized sign matrix for one coefficient frame,
 bit-packed row-major (1 bit per sign, 1 <-> +1, 0 <-> -1, MSB first,
 padded to a byte boundary) and base64-encoded. Round-trips are exact.
+
+After the magic line every line is NAME=VALUE in this fixed order; a line
+out of place is refused naming the field expected ("expected wm_w=...").
 """
 
 import base64
 import binascii
 import numbers
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -162,9 +167,7 @@ def _unpack_plane(text: str, height: int, width: int) -> np.ndarray:
         raise FormatError(f"corrupt base64 plane data: {exc}") from exc
     expected = (height * width + 7) // 8
     if len(raw) != expected:
-        raise FormatError(
-            f"plane payload is {len(raw)} bytes, expected {expected}"
-        )
+        raise FormatError(f"plane payload is {len(raw)} bytes, expected {expected}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=height * width)
     return (2 * bits.astype(np.int8) - 1).reshape(height, width)
 
@@ -203,8 +206,7 @@ def write_key(bundle: KeyBundle, sink) -> None:
     lines += [f"{name}={fmt(attrgetter(attr)(bundle))}" for name, attr, _, fmt in _HEADER]
     for rec in bundle.records:
         lines.append(f"shot={rec.shot_index}")
-        for k in range(PLANE_COUNT):
-            lines.append(f"plane{k + 1}={_pack_plane(rec.planes[k])}")
+        lines += [f"plane{k}={_pack_plane(plane)}" for k, plane in enumerate(rec.planes, 1)]
     with _open(sink, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -219,52 +221,42 @@ def read_key(source) -> KeyBundle:
         except UnicodeDecodeError as exc:
             raise FormatError(f"key file is not ASCII: {exc}") from exc
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = deque(ln for ln in text.splitlines() if ln.strip())
     if not lines:
         raise FormatError("empty key file")
-    magic = lines[0].split(" ")
+    magic = lines.popleft().split(" ")
     if len(magic) != 2 or magic[0] != MAGIC:
         raise FormatError("bad magic: not a WM3DKEY file")
     if magic[1] != str(VERSION):
         raise FormatError(f"unknown key file version {magic[1]!r}")
 
-    head = {}
-    for pos, (name, _, parse, _) in enumerate(_HEADER, start=1):
-        if pos >= len(lines) or not lines[pos].startswith(f"{name}="):
-            raise FormatError(f"missing or misplaced header field {name!r}")
-        text = lines[pos].split("=", 1)[1]
+    def field(name, parse):
+        """The next line's value, which must be NAME=VALUE, through `parse`."""
+        line = lines.popleft() if lines else ""
+        key, eq, value = line.partition("=")
+        if key != name or not eq:
+            raise FormatError(f"expected {name}=..., got {line[:64]!r}")
         try:
-            head[name] = parse(text)
-        except ValueError as exc:
-            raise FormatError(f"bad {name} value {text!r}") from exc
+            return parse(value)
+        except FormatError:  # the plane reader's own, which name what is wrong
+            raise
+        except ValueError:
+            raise FormatError(f"bad {name} value {value[:64]!r}") from None
+
+    head = {name: field(name, parse) for name, _, parse, _ in _HEADER}
+    # a plane's payload is held to the header's size before anything that size is allocated
+    unpack = partial(_unpack_plane, height=head["wm_h"], width=head["wm_w"])
+    records = []
+    while lines:
+        index = field("shot", int)
+        planes = [field(f"plane{k}", unpack) for k in range(1, PLANE_COUNT + 1)]
+        records.append(ShotRecord(shot_index=index, planes=np.stack(planes)))
     try:
         params = EmbedParams(head["alpha"], head["row0"], head["col0"], head["band"])
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     bundle = KeyBundle(head["seed1"], head["seed2"], head["seed3"], params,
-                       head["boundaries"], [])
-    pos = len(_HEADER) + 1
-
-    while pos < len(lines):
-        if not lines[pos].startswith("shot="):
-            raise FormatError(f"expected shot block, got {lines[pos]!r}")
-        try:
-            index = int(lines[pos].split("=", 1)[1])
-        except ValueError as exc:
-            raise FormatError(f"bad shot index line {lines[pos]!r}") from exc
-        pos += 1
-        # Each plane's payload length is checked against the header's
-        # dimensions before anything of that size is allocated.
-        planes = []
-        for k in range(PLANE_COUNT):
-            prefix = f"plane{k + 1}="
-            if pos >= len(lines) or not lines[pos].startswith(prefix):
-                raise FormatError(f"missing plane {k + 1} for shot {index}")
-            text = lines[pos][len(prefix) :]
-            planes.append(_unpack_plane(text, head["wm_h"], head["wm_w"]))
-            pos += 1
-        bundle.records.append(ShotRecord(shot_index=index, planes=np.stack(planes)))
-
+                       head["boundaries"], records)
     if bundle.selected != head["selected"]:
         raise FormatError("shot records do not match selected shots")
     _check_bundle(bundle)

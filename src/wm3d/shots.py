@@ -14,6 +14,7 @@ import numpy as np
 from . import prng
 from .errors import GeometryError
 from .media_io import _is_int, open_video
+from .wmprep import PLANE_COUNT
 
 HIST_BINS = 64
 DEFAULT_THRESHOLD = 0.35
@@ -21,7 +22,6 @@ DEFAULT_THRESHOLD = 0.35
 # The watermark's 8 bitplanes ride on temporal coefficient frames 1..8,
 # so the shortest shot to embed into has one frame more: 9 frames pad to
 # 16 and yield 8 temporal detail frames.
-PLANE_COUNT = 8
 MIN_EMBED_SHOT_LEN = PLANE_COUNT + 1
 
 

@@ -15,6 +15,9 @@ import numpy as np
 from . import prng
 from .media_io import _uint8_image
 
+# an 8-bit mark's bitplanes, carried by temporal coefficient frames 1..8
+PLANE_COUNT = 8
+
 
 def decompose_bitplanes(image: np.ndarray) -> np.ndarray:
     """Split an 8-bit grayscale image into an (8, H, W) bit stack: plane b
@@ -26,8 +29,8 @@ def decompose_bitplanes(image: np.ndarray) -> np.ndarray:
 def compose_bitplanes(planes: np.ndarray) -> np.ndarray:
     """Rebuild the grayscale image from an (8, H, W) bit stack."""
     arr = np.asarray(planes)
-    if arr.ndim != 3 or arr.shape[0] != 8:
-        raise ValueError(f"expected 8 stacked bitplanes, got shape {arr.shape}")
+    if arr.ndim != 3 or arr.shape[0] != PLANE_COUNT:
+        raise ValueError(f"expected {PLANE_COUNT} stacked bitplanes, got shape {arr.shape}")
     if np.any((arr != 0) & (arr != 1)):
         raise ValueError("bitplanes must be binary")
     return np.packbits(arr, axis=0, bitorder="little")[0]
@@ -41,7 +44,7 @@ def _keys(shape, seed1: int, seed2: int) -> tuple:
     XOR i) XOR j), mix the splitmix64 step mod 2**64."""
     h, w = shape
     perm = prng.permutation(h * w, seed1)
-    salts = np.uint64(seed2 & prng.MASK64) ^ np.arange(8, dtype=np.uint64)
+    salts = np.uint64(seed2 & prng.MASK64) ^ np.arange(PLANE_COUNT, dtype=np.uint64)
     rows = prng.mix64_np(prng.mix64_np(salts)[:, None] ^ np.arange(h, dtype=np.uint64))
     cells = prng.mix64_np(rows[..., None] ^ np.arange(w, dtype=np.uint64))
     masks = (cells & np.uint64(1)).astype(np.uint8)
@@ -59,7 +62,7 @@ def prepare_sign_planes(watermark: np.ndarray, seed1: int, seed2: int) -> np.nda
     """
     bits = decompose_bitplanes(watermark)
     perm, masks = _keys(bits.shape[1:], seed1, seed2)
-    moved = bits.reshape(8, -1)[:, perm].reshape(bits.shape)
+    moved = bits.reshape(PLANE_COUNT, -1)[:, perm].reshape(bits.shape)
     return 2 * (moved ^ masks).astype(np.int8) - 1
 
 
@@ -69,6 +72,6 @@ def restore_bitplanes(signs: np.ndarray, seed1: int, seed2: int) -> np.ndarray:
     if np.any((arr != 1) & (arr != -1)):
         raise ValueError("sign plane values must be +1 or -1")
     perm, masks = _keys(arr.shape[1:], seed1, seed2)
-    bits = np.empty((8, perm.size), dtype=np.uint8)
-    bits[:, perm] = ((arr > 0) ^ masks).reshape(8, -1)
+    bits = np.empty((PLANE_COUNT, perm.size), dtype=np.uint8)
+    bits[:, perm] = ((arr > 0) ^ masks).reshape(PLANE_COUNT, -1)
     return bits.reshape(arr.shape)

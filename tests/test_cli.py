@@ -199,7 +199,7 @@ def test_one_coefficient_subband_exits_3_and_writes_nothing(tmp_path, capsys):
             "--wm", str(tmp_path / "wm1.pgm"),
             "--key-out", str(tmp_path / "k.key"),
             "--out", str(tmp_path / "out.y4m"),
-            "--shots", "0:9",
+            "--shots", "0,9",
         ]
     )
     assert code == 3
@@ -258,11 +258,12 @@ def _bad_key(*edits: str) -> tuple:
 # name: (argv, files written first, exit code, a fragment of stderr);
 # paths are relative to the working directory, which holds in.y4m and wm.pgm
 _REJECTED = {
-    "shots-gap": (_EMBED + ["--shots", "0:8,9:16"], {}, 3, "expected start 8, got 9"),
-    "shots-dash": (_EMBED + ["--shots", "0-8"], {}, 2, "bad shot span '0-8'"),
-    "shots-trailing-comma": (_EMBED + ["--shots", "0:16,"], {}, 2, "bad shot span ''"),
-    # an empty list is a bad span, not a request to detect the cuts
-    "shots-empty": (_EMBED + ["--shots", ""], {}, 2, "bad shot span ''"),
+    "shots-repeated": (_EMBED + ["--shots", "0,8,8,16"], {}, 3,
+                       "bad shot boundaries [0, 8, 8, 16]: they must be strictly increasing"),
+    "shots-dash": (_EMBED + ["--shots", "0-8"], {}, 2, "bad --shots '0-8'"),
+    "shots-trailing-comma": (_EMBED + ["--shots", "0,16,"], {}, 2, "bad --shots '0,16,'"),
+    # an empty list is a bad list, not a request to detect the cuts
+    "shots-empty": (_EMBED + ["--shots", ""], {}, 2, "bad --shots ''"),
     # a bare "-1,0" would be read as an option; only the = form reaches the check
     "offset-negative": (_EMBED + ["--offset=-1,0"], {}, 2,
                         "region offset must be non-negative"),
@@ -284,8 +285,8 @@ _REJECTED = {
                      "sorted and unique"),
     "key-selected-header": (*_bad_key("selected=0,1", "selected=1"), 2,
                             "shot records do not match selected shots"),
-    "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot block, got 'junk'"),
-    "key-shot-index": (*_bad_key("shot=1\n", "shot=x\n"), 2, "bad shot index line 'shot=x'"),
+    "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot=..., got 'junk'"),
+    "key-shot-index": (*_bad_key("shot=1\n", "shot=x\n"), 2, "bad shot value 'x'"),
     "y4m-odd-width": (["shots", "--in", "odd.y4m"],
                       {"odd.y4m": b"YUV4MPEG2 W5 H2 F25:1 C420\nFRAME\n" + bytes(14)},
                       2, "4:2:0 stream requires even dimensions"),
@@ -360,6 +361,35 @@ def test_a_bad_attack_spec_fails_alike_in_both_commands(workdir, capsys, command
     assert main([command, "--in", str(workdir / "in.y4m"), *argv[command]]) == 2
     assert capsys.readouterr() == ("", f"wm3d: {message}\n")
     assert not out.exists()
+
+
+# A --shots list and an attack value are held to their rules before any
+# input is opened, so a missing --in is not what the refusal names
+@pytest.mark.parametrize("shots, code, message", [
+    ("0,8,8,16", 3, "bad shot boundaries [0, 8, 8, 16]: they must be strictly increasing"),
+    ("5,16", 3, "bad shot boundaries [5, 16]: they must run from 0"),
+    ("0:8,8:16", 2, "bad --shots '0:8,8:16', expected a list 0,B1,...,N"),
+])
+def test_a_bad_shot_list_is_refused_before_the_input_is_read(tmp_path, capsys, shots, code,
+                                                             message):
+    argv = ["embed", "--in", str(tmp_path / "missing.y4m"), "--wm", str(tmp_path / "wm.pgm"),
+            "--key-out", str(tmp_path / "k.key"), "--out", str(tmp_path / "out.y4m")]
+    assert main(argv + ["--shots", shots]) == code
+    assert capsys.readouterr() == ("", f"wm3d: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["compress:0", "compress:101", "noise:nan", "noise:-1"])
+@pytest.mark.parametrize("command", ["attack", "bench"])
+def test_a_bad_attack_value_is_refused_before_the_input_is_read(tmp_path, capsys, command,
+                                                                spec):
+    out = tmp_path / "out.y4m"
+    argv = {"attack": ["--out", str(out), "--type", spec],
+            "bench": ["--wm", str(tmp_path / "wm.pgm"), "--attacks", f"swap,{spec}"]}
+    assert main([command, "--in", str(tmp_path / "missing.y4m"), *argv[command]]) == 2
+    name, _, value = spec.partition(":")
+    assert capsys.readouterr() == ("", f"wm3d: bad {name} parameter {value!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_attack_parameter_options_are_gone(workdir, capsys):
@@ -585,10 +615,10 @@ def test_shots_output(tmp_path, capsys):
 
 
 def test_manual_shot_override(workdir, capsys):
-    assert _embed(workdir, "--shots", "0:16") == 0
+    assert _embed(workdir, "--shots", "0,16") == 0
     capsys.readouterr()
-    bad = _embed(workdir, "--shots", "0:10")
-    assert bad == 3  # spans must tile the clip
+    bad = _embed(workdir, "--shots", "0,10")
+    assert bad == 3  # the boundaries must end at the frame count
 
 
 def test_pgm_directory_flow(workdir, tmp_path, capsys):

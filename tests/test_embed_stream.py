@@ -62,10 +62,6 @@ def _boundaries(shots) -> list:
     return [0, *np.cumsum(shots).tolist()]
 
 
-def _spans(boundaries) -> str:
-    return ",".join(f"{a}:{b}" for a, b in zip(boundaries, boundaries[1:]))
-
-
 # --shots with every second planned cut, so the shots differ from detection
 MANUAL = _boundaries(SHOTS)[:-1:2] + [sum(SHOTS)]
 
@@ -104,7 +100,7 @@ def _argv(tmp_path, source, output, fraction, manual) -> list:
     argv = ["embed", "--in", str(source), "--wm", str(wm), "--key-out",
             str(tmp_path / "k.key"), "--out", str(output), "--band", "hl3",
             "--select-fraction", repr(fraction)]
-    return argv + (["--shots", _spans(MANUAL)] if manual else [])
+    return argv + (["--shots", ",".join(map(str, MANUAL))] if manual else [])
 
 
 def test_the_clip_has_every_shot_length_from_9_to_33():
@@ -200,6 +196,24 @@ def test_embed_memory_does_not_grow_with_the_clip(tmp_path, capsys):
     small, large = _traced_peak(tmp_path, 64), _traced_peak(tmp_path, 512)
     two_shots = 2 * 16 * 64 * 64
     assert large - small < two_shots, (small, large)
+
+
+@pytest.mark.parametrize("kind", ["mono", "420"])
+def test_embed_with_the_shots_that_detection_prints_writes_what_detection_writes(
+    tmp_path, capsys, kind
+):
+    # `wm3d shots` prints the boundary list --shots takes, so
+    # --shots "$(wm3d shots --in X)" repeats detection's key and video
+    write_video(_clip(kind), tmp_path / "in.y4m")
+    assert main(["shots", "--in", str(tmp_path / "in.y4m")]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert printed == ",".join(map(str, _boundaries(SHOTS)))
+    assert main(_argv(tmp_path, tmp_path / "in.y4m", tmp_path / "detected.y4m", 0.5, False)) == 0
+    detected_key = (tmp_path / "k.key").read_bytes()
+    argv = _argv(tmp_path, tmp_path / "in.y4m", tmp_path / "given.y4m", 0.5, False)
+    assert main(argv + ["--shots", printed]) == 0
+    assert (tmp_path / "k.key").read_bytes() == detected_key
+    assert (tmp_path / "given.y4m").read_bytes() == (tmp_path / "detected.y4m").read_bytes()
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])

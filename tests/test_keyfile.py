@@ -131,8 +131,33 @@ def test_header_dims_checked_before_allocating(wm_w, wm_h):
 def test_missing_plane_rejected():
     _, text = _roundtrip(_bundle())
     lines = [ln for ln in text.splitlines() if not ln.startswith("plane8=")]
-    with pytest.raises(FormatError, match="plane 8"):
+    with pytest.raises(FormatError, match="expected plane8=..., got 'shot=1'"):
         read_key(io.StringIO("\n".join(lines) + "\n"))
+
+
+# every line after the magic, in file order
+_FIELDS = ["seed1", "seed2", "seed3", "alpha", "wm_w", "wm_h", "band", "row0", "col0",
+           "boundaries", "selected", "shot", *(f"plane{k}" for k in range(1, 9))]
+
+
+def test_the_fields_are_the_lines_write_key_writes():
+    _, text = _roundtrip(_bundle())
+    names = [ln.split("=", 1)[0] for ln in text.splitlines()[1:]]
+    assert names == _FIELDS + _FIELDS[-9:]  # two shot blocks
+
+
+@pytest.mark.parametrize("name", _FIELDS)
+def test_a_missing_field_is_named(name):
+    # a 36x44 mark's planes are 264 base64 characters; what the message
+    # quotes of the line it got instead is capped at 64 of them
+    _, text = _roundtrip(_bundle(records=[ShotRecord(0, _planes(1, 36, 44))]))
+    lines = text.splitlines()
+    del lines[next(i for i, ln in enumerate(lines) if ln.startswith(f"{name}="))]
+    with pytest.raises(FormatError) as error:
+        read_key(io.StringIO("\n".join(lines) + "\n"))
+    message = str(error.value)
+    assert message.startswith(f"expected {name}=..., got ")
+    assert len(message) <= len(f"expected {name}=..., got ") + 66
 
 
 @pytest.mark.parametrize(

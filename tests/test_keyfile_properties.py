@@ -137,6 +137,31 @@ def test_truncated_key_parses_or_raises_format_error(bundle, data):
     _parses_or_format_error(key[: data.draw(st.integers(0, len(key) - 1))])
 
 
+@PROPERTY
+@given(bundles(), st.data())
+def test_a_key_with_a_line_moved_or_lost_reads_back_as_written_or_not_at_all(bundle, data):
+    # read_key takes only the lines write_key writes, in its order: with
+    # one line deleted, duplicated or moved, or the file cut after a line,
+    # it refuses the key, or reads a bundle that writes back the same text
+    lines = _key_bytes(bundle).decode().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["delete", "duplicate", "move", "cut"]))
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+    elif edit == "move":
+        lines.insert(data.draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+    else:
+        del lines[i + 1:]
+    text = "".join(lines).encode()
+    try:
+        again = read_key(io.BytesIO(text))
+    except FormatError:
+        return
+    assert _key_bytes(again) == text
+
+
 def test_non_ascii_key_raises_format_error(tmp_path):
     record = ShotRecord(shot_index=0, planes=np.ones((8, 1, 1), np.int8))
     key = _key_bytes(KeyBundle(1, 2, 3, EmbedParams(), (0, 9), [record]))

@@ -2,10 +2,10 @@
 
 Embeds an 8-bit grayscale watermark into the 3D wavelet coefficients of
 video shots, extracts it again from key material alone, and ships the
-attack simulators and metrics used to judge robustness. A video, a y4m
-file or stream or a directory of PGM frames, is read whole with
-read_video, frame by frame with open_video, and written with write_video;
-read_pgm and write_pgm read and write one image, such as a watermark.
+attack simulators and metrics used to judge robustness. A video, always
+a y4m file or stream, is read whole with read_video, frame by frame with
+open_video, and written with write_video; read_pgm and write_pgm read and
+write one image, such as a watermark.
 """
 
 __version__ = "0.1.0"

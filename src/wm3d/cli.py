@@ -1,11 +1,11 @@
 """Command line interface.
 
-Video arguments are YUV4MPEG2 files (*.y4m) or directories of binary
-PGM frames; watermarks are single PGM images. embed, extract and shots
-pass --in to embed_video, extract_video and detect_shots, which open it
-and read it frame by frame. An output that names one of the command's
-input files is a usage error. Exit codes: 0 success, 1 usage error, 2
-data/format error, 3 capacity/geometry error.
+Every video argument, read or written, is a YUV4MPEG2 file or stream
+whatever its name (a directory is exit 2); watermarks are single PGM
+images. embed, extract and shots pass --in to embed_video, extract_video
+and detect_shots, which open it and read it frame by frame. An output
+that names one of the command's input files is a usage error. Exit codes:
+0 success, 1 usage error, 2 data/format error, 3 capacity/geometry error.
 """
 
 import argparse
@@ -73,10 +73,10 @@ def _parse_shots(text: str) -> tuple:
 
 def cmd_embed(args) -> int:
     boundaries = None if args.shots is None else _parse_shots(args.shots)
-    # A file or directory is read twice, one shot held; a pipe, or the
-    # file --out rewrites, is read whole first.
+    # A file is read twice, one shot held; a pipe, or the file --out
+    # rewrites, is read whole first.
     source = args.input
-    if not (os.path.isfile(source) or os.path.isdir(source)) or _same_file(args.output, source):
+    if not os.path.isfile(source) or _same_file(args.output, source):
         source = read_video(source)
     watermark = read_pgm(args.wm)
     params = EmbedParams(args.alpha, *args.offset, band=args.band)

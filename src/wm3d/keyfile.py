@@ -24,11 +24,14 @@ padded to a byte boundary) and base64-encoded. Round-trips are exact.
 
 After the magic line every line is NAME=VALUE in this fixed order; a line
 out of place is refused naming the field expected ("expected wm_w=...").
+Integers are plain decimal, 0 or digits with no leading 0, so every key
+read_key accepts is the text write_key writes for it.
 """
 
 import base64
 import binascii
 import numbers
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -172,8 +175,15 @@ def _unpack_plane(text: str, height: int, width: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).reshape(height, width)
 
 
+def _parse_int(text: str) -> int:
+    """A key integer in the one form write_key writes: 0, or digits with no leading 0."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_int_list(value: str) -> tuple:
-    return tuple(int(v) for v in value.split(",")) if value else ()
+    return tuple(map(_parse_int, value.split(","))) if value else ()
 
 
 def _format_int_list(values) -> str:
@@ -185,15 +195,15 @@ def _format_int_list(values) -> str:
 # integer alpha 0 still reads back as 0.0. wm_w, wm_h and selected repeat
 # the shot blocks, which read_key checks against them.
 _HEADER = (
-    ("seed1", "seed1", int, str),
-    ("seed2", "seed2", int, str),
-    ("seed3", "seed3", int, str),
+    ("seed1", "seed1", _parse_int, str),
+    ("seed2", "seed2", _parse_int, str),
+    ("seed3", "seed3", _parse_int, str),
     ("alpha", "params.alpha", float, lambda v: repr(float(v))),
-    ("wm_w", "wm_width", int, str),
-    ("wm_h", "wm_height", int, str),
+    ("wm_w", "wm_width", _parse_int, str),
+    ("wm_h", "wm_height", _parse_int, str),
     ("band", "params.band", str, str),
-    ("row0", "params.region_row0", int, str),
-    ("col0", "params.region_col0", int, str),
+    ("row0", "params.region_row0", _parse_int, str),
+    ("col0", "params.region_col0", _parse_int, str),
     ("boundaries", "boundaries", _parse_int_list, _format_int_list),
     ("selected", "selected", _parse_int_list, _format_int_list),
 )
@@ -248,7 +258,7 @@ def read_key(source) -> KeyBundle:
     unpack = partial(_unpack_plane, height=head["wm_h"], width=head["wm_w"])
     records = []
     while lines:
-        index = field("shot", int)
+        index = field("shot", _parse_int)
         planes = [field(f"plane{k}", unpack) for k in range(1, PLANE_COUNT + 1)]
         records.append(ShotRecord(shot_index=index, planes=np.stack(planes)))
     try:

@@ -1,9 +1,9 @@
 """Video and image I/O: YUV4MPEG2 streams and binary PGM files.
 
-A video is a y4m file or stream, or a directory of PGM frames; its API,
-read_video (whole clip), open_video (frame by frame, from a VideoClip too)
-and write_frames (frame by frame; write_video writes a clip through it),
-alone tells the two forms apart. Readers and writers take a path (str or
+A video is a y4m file or stream, read whole by read_video, frame by frame
+by open_video (from a VideoClip too) and written frame by frame by
+write_frames (write_video writes a clip through it). Watermarks and
+extracted marks are PGM images. Readers and writers take a path (str or
 any os.PathLike) or an open binary io stream, left open (readers call its
 readline). Frames move as the (luma, payload) pairs open_video yields and
 write_frames takes; only luma is processed, and a 4:2:0 payload (None for
@@ -18,7 +18,6 @@ import re
 import stat
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -294,41 +293,19 @@ def write_pgm(image: np.ndarray, sink) -> None:
         stream.write(np.ascontiguousarray(arr))
 
 
-# --- either form -------------------------------------------------------------
+# --- video -------------------------------------------------------------------
 
 
 @contextmanager
 def open_video(source, keep=None, chroma=True):
     """Open a video to read frame by frame: (VideoHeader, frames) as from
     iter_y4m, the pairs write_frames takes (payloads None if not `chroma`).
-    A directory is its *.pgm files in name order, mono at 25:1; it is
-    listed once, only frames in `keep` are opened, the header is the first
-    kept frame's (frame 0's if none is), and a kept frame of another size
-    is a FormatError when read. A VideoClip yields its own frames and
-    payloads. Anything else is y4m."""
+    A VideoClip yields its own frames and payloads; anything else is y4m."""
     if isinstance(source, VideoClip):
         yield source.header, _clip_frames(source, keep, chroma)
-    elif isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
-        paths = sorted(Path(source).glob("*.pgm"), key=lambda p: p.name)
-        if not paths:
-            raise FormatError("no PGM frames found")
-        kept = [keep is None or k in keep for k in range(len(paths))]
-        first = kept.index(True) if True in kept else 0
-        image = read_pgm(paths[first])
-        header = VideoHeader(image.shape[1], image.shape[0], (25, 1), None, ())
-        yield header, _pgm_frames(paths, kept, first, image)
     else:
         with _open(source, "rb") as stream:
             yield iter_y4m(stream, keep, chroma)
-
-
-def _pgm_frames(paths, kept, first: int, image):
-    for k, (path, take) in enumerate(zip(paths, kept)):
-        pair = None
-        if take:
-            frame = image if k == first else read_pgm(path)
-            pair = _check_frame(k, frame, None, image.shape, False, f"frame {first}")
-        yield pair
 
 
 def _clip_frames(clip: VideoClip, keep=None, chroma=True):
@@ -368,17 +345,14 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
     refuse to read back (one _check_header refuses, an extra token that is
     empty, holds whitespace or non-ASCII, or starts with W, H, F or C, or a
     header line over _HEADER_MAX bytes),
-    and before each frame, _check_frame's to the header's size. An open
-    stream, or a path named *.y4m (any case), gets y4m, luma-only as mono.
-    A path is opened without O_TRUNC (and made if missing) and written from
-    its start; a regular file, so one that already existed is rewritten in
-    place, is then cut to the bytes written, after an exception too, so no
-    tail of the old file survives it. A run killed midway leaves the new
-    frames followed by the old file's later ones. A FIFO or /dev/null is
-    written as it comes. Any other path is a directory, made if missing,
-    that must hold no *.pgm file yet (FormatError), so no stale frame is
-    left to read back; it gets frame_000001.pgm, frame_000002.pgm, ...
-    without chroma or rate.
+    and before each frame, _check_frame's to the header's size. Any sink
+    gets y4m, luma-only as mono. A path is opened without O_TRUNC (and made
+    if missing) and written from its start; a regular file, so one that
+    already existed is rewritten in place, is then cut to the bytes
+    written, after an exception too, so no tail of the old file survives
+    it. A run killed midway leaves the new frames followed by the old
+    file's later ones. A FIFO or /dev/null is written as it comes; a
+    directory is refused by the OS (IsADirectoryError).
     """
     _check_header(header)
     if not all(isinstance(t, str) and t.isascii() and re.fullmatch(r"[^WHFC\s]\S*", t)
@@ -392,14 +366,6 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
     shape, chroma = (height, width), ctoken is not None
     frames = (_check_frame(k, *p, shape, chroma, "the header") for k, p in enumerate(frames))
     path = isinstance(sink, (str, os.PathLike))
-    if path and Path(sink).suffix.lower() != ".y4m":
-        out = Path(sink)
-        if any(out.glob("*.pgm")):
-            raise FormatError(f"{out} already holds PGM frames")
-        out.mkdir(parents=True, exist_ok=True)
-        for k, (frame, _) in enumerate(frames, start=1):
-            write_pgm(frame, out / f"frame_{k:06d}.pgm")
-        return
     if path:
         opened = open(os.open(sink, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
     with opened if path else nullcontext(sink) as stream:
@@ -420,6 +386,5 @@ def write_frames(sink, header: VideoHeader, frames) -> None:
 
 
 def write_video(clip: VideoClip, sink) -> None:
-    """Write a clip through write_frames: y4m to an open stream or a path
-    named *.y4m (any case), else PGM frames."""
+    """Write a clip as y4m through write_frames."""
     write_frames(sink, clip.header, _clip_frames(clip))

@@ -17,7 +17,7 @@ from conftest import (
     make_noise_clip,
 )
 from wm3d import cli, media_io
-from wm3d.attacks import attack_compress, attack_noise
+from wm3d.attacks import attack_average, attack_compress, attack_noise
 from wm3d.cli import main
 from wm3d.embed import embed_clip
 from wm3d.errors import FormatError, GeometryError
@@ -144,19 +144,13 @@ def test_extract_key_selecting_no_shots_exits_2(workdir, capsys):
     assert "selects no shots" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["y4m", "pgm-dir"])
-def test_extract_key_claiming_a_million_frames_allocates_little(
-    workdir, capsys, source
-):
+def test_extract_key_claiming_a_million_frames_allocates_little(workdir, capsys):
     # the kept frames and the length repair follow the 16 frames received,
     # not the one shot of 10**6 frames the key claims
     assert _embed(workdir) == 0
     key = workdir / "k.key"
     key.write_text(key.read_text().replace("boundaries=0,16", "boundaries=0,1000000"))
     video = workdir / "marked.y4m"
-    if source == "pgm-dir":
-        write_video(read_video(video), workdir / "frames")
-        video = workdir / "frames"
     capsys.readouterr()
     tracemalloc.start()
     try:
@@ -264,6 +258,9 @@ _REJECTED = {
     "shots-trailing-comma": (_EMBED + ["--shots", "0,16,"], {}, 2, "bad --shots '0,16,'"),
     # an empty list is a bad list, not a request to detect the cuts
     "shots-empty": (_EMBED + ["--shots", ""], {}, 2, "bad --shots ''"),
+    # integers as a key's boundaries= line holds them: digits only, no leading 0
+    "shots-spelled": (_EMBED + ["--shots", "0, 0_8 ,16"], {}, 2, "bad --shots '0, 0_8 ,16'"),
+    "shots-leading-zero": (_EMBED + ["--shots", "0,08,16"], {}, 2, "bad --shots '0,08,16'"),
     # a bare "-1,0" would be read as an option; only the = form reaches the check
     "offset-negative": (_EMBED + ["--offset=-1,0"], {}, 2,
                         "region offset must be non-negative"),
@@ -271,9 +268,10 @@ _REJECTED = {
                      {}, 2, "unknown attack 'bogus'"),
     "attack-type": (["attack", "--in", "in.y4m", "--out", "out.y4m", "--type", "bogus"],
                     {}, 2, "unknown attack 'bogus'"),
-    "key-seed1": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "seed1 out of 64-bit range"),
+    "key-seed1": (*_bad_key("seed1=1\n", f"seed1={2**64}\n"), 2, "seed1 out of 64-bit range"),
+    "key-seed1-sign": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "bad seed1 value '-1'"),
     "key-wm-w": (*_bad_key("wm_w=4\n", "wm_w=0\n"), 2, "dimensions must be positive"),
-    "key-row0": (*_bad_key("row0=0\n", "row0=-1\n"), 2, "offset must be non-negative"),
+    "key-row0": (*_bad_key("row0=0\n", "row0=-1\n"), 2, "bad row0 value '-1'"),
     "key-alpha": (*_bad_key("alpha=0.1\n", "alpha=1.0\n"), 2, "alpha 1.0 outside [0, 1)"),
     "key-short-shot": (*_bad_key("boundaries=0,9,18", "boundaries=0,8,18"), 2,
                        "fewer than the 9 a mark needs"),
@@ -287,6 +285,18 @@ _REJECTED = {
                             "shot records do not match selected shots"),
     "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot=..., got 'junk'"),
     "key-shot-index": (*_bad_key("shot=1\n", "shot=x\n"), 2, "bad shot value 'x'"),
+    # every video path is y4m, so the OS refuses a directory as one
+    "embed-in-dir": (_EMBED + ["--in", "."], {}, 2, "Is a directory: '.'"),
+    "embed-out-dir": (_EMBED + ["--out", "."], {}, 2, "Is a directory: '.'"),
+    "extract-in-dir": (["extract", "--in", ".", "--key", "k.key", "--out", "x.pgm"],
+                       {"k.key": _KEY.encode()}, 2, "Is a directory: '.'"),
+    "extract-out-dir": (["extract", "--in", "in.y4m", "--key", "k.key", "--out", "."],
+                        {"k.key": _KEY.encode()}, 2, "Is a directory: '.'"),
+    "attack-in-dir": (["attack", "--in", ".", "--out", "out.y4m", "--type", "swap"], {}, 2,
+                      "Is a directory: '.'"),
+    "attack-out-dir": (["attack", "--in", "in.y4m", "--out", ".", "--type", "swap"], {}, 2,
+                       "Is a directory: '.'"),
+    "shots-in-dir": (["shots", "--in", "."], {}, 2, "Is a directory: '.'"),
     "y4m-odd-width": (["shots", "--in", "odd.y4m"],
                       {"odd.y4m": b"YUV4MPEG2 W5 H2 F25:1 C420\nFRAME\n" + bytes(14)},
                       2, "4:2:0 stream requires even dimensions"),
@@ -412,41 +422,63 @@ def test_attack_refuses_an_input_whose_header_it_cannot_write_back(tmp_path, cap
     assert not out.exists()
 
 
-def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
+def _frames_dir(workdir):
+    """A directory holding PGM frames: a video path that names it is refused."""
     out = workdir / "frames"
-    write_video(make_noise_clip(n=20, h=16, w=16), out)
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    out.mkdir()
+    for k in range(3):
+        write_pgm(np.full((16, 16), k, np.uint8), out / f"frame_{k + 1:06d}.pgm")
+    return out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_attack_into_a_directory_holding_frames_exits_2(workdir, capsys):
+    out, before = _frames_dir(workdir)
     code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(out),
                  "--type", "swap"])
     assert code == 2
-    assert f"{out} already holds PGM frames" in capsys.readouterr().err
+    assert f"Is a directory: '{out}'" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_embed_into_a_directory_holding_frames_leaves_no_key(workdir, capsys):
-    out = workdir / "frames"
-    write_video(make_noise_clip(n=2, h=16, w=16), out)
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    out, before = _frames_dir(workdir)
     code = main(["embed", "--in", str(workdir / "in.y4m"), "--wm", str(workdir / "wm.pgm"),
                  "--key-out", str(workdir / "k.key"), "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{out} already holds PGM frames" in captured.err
+    assert f"Is a directory: '{out}'" in captured.err
     assert not (workdir / "k.key").exists()
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_a_refused_video_leaves_an_earlier_key_unchanged(workdir, capsys):
-    out = str(workdir / "frames")
-    assert _embed(workdir, "--out", out) == 0
+    assert _embed(workdir) == 0
     key = (workdir / "k.key").read_bytes()
+    out, before = _frames_dir(workdir)
     capsys.readouterr()
-    assert _embed(workdir, "--out", out, "--alpha", "0.2") == 2  # frames/ is not empty now
+    assert _embed(workdir, "--out", str(out), "--alpha", "0.2") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{out} already holds PGM frames" in captured.err
+    assert f"Is a directory: '{out}'" in captured.err
     assert (workdir / "k.key").read_bytes() == key
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_attack_to_any_name_writes_y4m(tmp_path):
+    # a 4:2:0 clip at 30000:1001 keeps its chroma and rate under an --out
+    # not named *.y4m: every video path is y4m, with the bytes *.y4m gets
+    rs = np.random.RandomState(21)
+    frames = [rs.randint(0, 256, (16, 16)).astype(np.uint8) for _ in range(6)]
+    clip = VideoClip(frames, (30000, 1001), "420jpeg", [rs.bytes(128) for _ in frames])
+    write_video(clip, tmp_path / "in.y4m")
+    for name in ("x.yuv", "x.y4m"):
+        assert main(["attack", "--in", str(tmp_path / "in.y4m"), "--out", str(tmp_path / name),
+                     "--type", "average"]) == 0
+    got, want = read_video(tmp_path / "x.yuv"), attack_average(clip)
+    assert got.rate == clip.rate and got.chroma == clip.chroma == want.chroma
+    assert all(np.array_equal(a, b) for a, b in zip(got.frames, want.frames))
+    assert (tmp_path / "x.yuv").read_bytes() == (tmp_path / "x.y4m").read_bytes()
 
 
 def test_a_key_file_is_rewritten_whole(workdir):
@@ -619,21 +651,6 @@ def test_manual_shot_override(workdir, capsys):
     capsys.readouterr()
     bad = _embed(workdir, "--shots", "0,10")
     assert bad == 3  # the boundaries must end at the frame count
-
-
-def test_pgm_directory_flow(workdir, tmp_path, capsys):
-    write_video(read_video(workdir / "in.y4m"), tmp_path / "frames")
-    code = main(
-        [
-            "embed",
-            "--in", str(tmp_path / "frames"),
-            "--wm", str(workdir / "wm.pgm"),
-            "--key-out", str(tmp_path / "k.key"),
-            "--out", str(tmp_path / "marked_frames"),
-        ]
-    )
-    assert code == 0
-    assert len(list((tmp_path / "marked_frames").glob("*.pgm"))) == 16
 
 
 def test_embed_deterministic_bytes(workdir, tmp_path):
@@ -839,48 +856,7 @@ def test_extract_from_pipe_equals_in_memory(stream_dir, name):
         assert (stream_dir / f"{name}-pipe.pgm").read_bytes() == want_pgm
 
 
-# the STREAM_CASES a directory of PGM frames can hold
-DIR_CASES = ["long", "mono", "past-end", "short"]
-
-
-@pytest.mark.parametrize("name", DIR_CASES)
-def test_extract_from_pgm_directory_opens_only_key_frames(
-    stream_dir, name, tmp_path, capsys, monkeypatch
-):
-    frames = tmp_path / "frames"
-    write_video(read_video(stream_dir / f"{name}.y4m"), frames)
-    opened = []
-    real_open = media_io._open
-
-    def counting(source, mode):
-        opened.append(isinstance(source, Path) and source.parent == frames)
-        return real_open(source, mode)
-
-    monkeypatch.setattr(media_io, "_open", counting)
-    code = main(_extract_argv(stream_dir, str(frames), f"{name}-dir"))
-    want_code, want_out, want_pgm = _in_memory(stream_dir, name)
-    out, err = capsys.readouterr()
-    assert code == want_code
-    if want_pgm is None:
-        assert want_out in err
-    else:
-        assert out == want_out
-        assert (stream_dir / f"{name}-dir.pgm").read_bytes() == want_pgm
-    assert sum(opened) == sum(k < STREAM_CASES[name] for k in STREAM_KEPT)
-
-
-def test_extract_from_pgm_directory_checks_kept_frame_sizes(stream_dir, tmp_path, capsys):
-    frames = tmp_path / "frames"
-    write_video(read_video(stream_dir / "mono.y4m"), frames)
-    write_pgm(np.zeros((32, 32), np.uint8), frames / "frame_000001.pgm")  # frame 0: skipped
-    argv = _extract_argv(stream_dir, str(frames), "resized")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == _in_memory(stream_dir, "mono")[1]
-    write_pgm(np.zeros((32, 32), np.uint8), frames / "frame_000013.pgm")  # frame 12: kept
-    assert main(argv) == 2
-    assert "frame 12 is (32, 32), frame 9 is (64, 64)" in capsys.readouterr().err
-
-
 def test_extract_from_an_empty_directory_exits_2(stream_dir, tmp_path, capsys):
     assert main(_extract_argv(stream_dir, str(tmp_path), "empty")) == 2
-    assert "no PGM frames found" in capsys.readouterr().err
+    assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    assert not (stream_dir / "empty.pgm").exists()

@@ -1,7 +1,7 @@
 """The streaming embed against the whole-clip reference.
 
-`wm3d embed` reads a file or a directory twice, holding one shot, and holds
-a pipe or the file --out rewrites whole; embed_clip runs the same two passes
+`wm3d embed` reads a y4m file twice, holding one shot, and holds a pipe
+or the file --out rewrites whole; embed_clip runs the same two passes
 over a clip in memory. Each must write the frames and key bytes of
 oracles.embed_clip_whole, which holds the clip and detects shots over it.
 """
@@ -26,7 +26,6 @@ from wm3d.keyfile import EmbedParams, write_key
 from wm3d.media_io import (
     VideoClip,
     open_video,
-    read_pgm,
     write_pgm,
     write_video,
 )
@@ -157,25 +156,6 @@ def test_cli_over_a_pipe_equals_the_whole_clip_reference(tmp_path, kind, fractio
     assert (tmp_path / "k.key").read_bytes() == key
 
 
-@pytest.mark.parametrize(
-    "kind, fraction, manual",
-    [c for c in CONFIGS if c[0] == "mono"],
-    ids=[i for c, i in zip(CONFIGS, CONFIG_IDS) if c[0] == "mono"],
-)
-def test_cli_over_a_pgm_directory_equals_the_whole_clip_reference(
-    tmp_path, kind, fraction, manual
-):
-    clip = _clip(kind)
-    want, bundle = embed_clip_whole(clip, *_embed_args(fraction, manual))
-    write_video(clip, tmp_path / "in")
-    out = tmp_path / "out"
-    assert main(_argv(tmp_path, tmp_path / "in", out, fraction, manual)) == 0
-    frames = sorted(out.glob("*.pgm"))
-    assert len(frames) == len(want.frames)
-    assert all(np.array_equal(read_pgm(p), f) for p, f in zip(frames, want.frames))
-    assert (tmp_path / "k.key").read_bytes() == _key_bytes(bundle)
-
-
 def _traced_peak(tmp_path, frame_count) -> int:
     """tracemalloc peak of `wm3d embed` on a 64x64 mono clip of 16-frame shots."""
     work = tmp_path / str(frame_count)
@@ -217,20 +197,20 @@ def test_embed_with_the_shots_that_detection_prints_writes_what_detection_writes
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
-def test_embed_with_shots_refuses_a_mis_sized_pgm_frame_before_the_output(
+def test_embed_with_shots_refuses_a_cut_frame_before_the_output(
     tmp_path, capsys, existing
 ):
-    # given --shots, the first pass still reads every frame, so a PGM frame
-    # of another size is refused before the second pass opens --out
-    write_video(_clip("mono"), tmp_path / "in")
-    frames = sorted((tmp_path / "in").glob("*.pgm"))
-    write_pgm(np.zeros((SIZE // 2, SIZE), np.uint8), frames[len(frames) // 2])
+    # given --shots, the first pass still reads every frame, so a frame cut
+    # short at the end of the file is refused before the second pass opens --out
+    write_video(_clip("mono"), tmp_path / "in.y4m")
+    data = (tmp_path / "in.y4m").read_bytes()
+    (tmp_path / "in.y4m").write_bytes(data[:-SIZE])
     out = tmp_path / "out.y4m"
     old = b"\xff" * 999
     if existing:
         out.write_bytes(old)
-    assert main(_argv(tmp_path, tmp_path / "in", out, 1.0, True)) == 2
-    assert "dimension mismatch across frames" in capsys.readouterr().err
+    assert main(_argv(tmp_path, tmp_path / "in.y4m", out, 1.0, True)) == 2
+    assert "truncated frame payload" in capsys.readouterr().err
     assert not (tmp_path / "k.key").exists()
     assert out.read_bytes() == old if existing else not out.exists()
 

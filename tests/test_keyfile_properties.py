@@ -20,6 +20,8 @@ from wm3d.wavelet3d import BANDS  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 U64 = st.integers(0, 2**64 - 1)
+INT_FIELDS = {"seed1", "seed2", "seed3", "wm_w", "wm_h", "row0", "col0", "boundaries",
+              "selected", "shot"}
 
 
 @st.composite
@@ -141,12 +143,21 @@ def test_truncated_key_parses_or_raises_format_error(bundle, data):
 @given(bundles(), st.data())
 def test_a_key_with_a_line_moved_or_lost_reads_back_as_written_or_not_at_all(bundle, data):
     # read_key takes only the lines write_key writes, in its order: with
-    # one line deleted, duplicated or moved, or the file cut after a line,
+    # one line deleted, duplicated or moved, the file cut after a line, or
+    # one integer re-spelled in a form Python's int reads as the same value,
     # it refuses the key, or reads a bundle that writes back the same text
     lines = _key_bytes(bundle).decode().splitlines(keepends=True)
     i = data.draw(st.integers(0, len(lines) - 1))
-    edit = data.draw(st.sampled_from(["delete", "duplicate", "move", "cut"]))
-    if edit == "delete":
+    edit = data.draw(st.sampled_from(["delete", "duplicate", "move", "cut", "respell"]))
+    if edit == "respell":
+        i = data.draw(st.sampled_from([j for j, line in enumerate(lines)
+                                       if line.partition("=")[0] in INT_FIELDS]))
+        name, _, value = lines[i].rstrip("\n").partition("=")
+        items = value.split(",")
+        k = data.draw(st.integers(0, len(items) - 1))
+        items[k] = data.draw(st.sampled_from(["0{}", "+{}", " {} ", "0_{}"])).format(items[k])
+        lines[i] = f"{name}={','.join(items)}\n"
+    elif edit == "delete":
         del lines[i]
     elif edit == "duplicate":
         lines.insert(data.draw(st.integers(0, len(lines))), lines[i])

@@ -314,70 +314,8 @@ def test_skipped_short_payload_allocates_little(kind, tmp_path):
     assert peak < 32 * 2**20, f"{kind}: peak {peak / 2**20:.1f} MB"
 
 
-def test_pgm_sequence_roundtrip(tmp_path):
-    rs = np.random.RandomState(6)
-    clip = _clip([rs.randint(0, 256, (4, 4)) for _ in range(3)])
-    write_video(clip, tmp_path)
-    names = sorted(p.name for p in tmp_path.glob("*.pgm"))
-    assert names == ["frame_000001.pgm", "frame_000002.pgm", "frame_000003.pgm"]
-    again = read_video(tmp_path)
-    assert all(np.array_equal(a, b) for a, b in zip(clip.frames, again.frames))
-
-
-def test_pgm_sequence_dimension_mismatch(tmp_path):
-    write_pgm(np.zeros((2, 2), np.uint8), tmp_path / "a.pgm")
-    write_pgm(np.zeros((3, 3), np.uint8), tmp_path / "b.pgm")
-    with pytest.raises(FormatError, match="dimension mismatch"):
-        read_video(tmp_path)
-
-
-def test_pgm_sequence_refuses_a_directory_holding_frames(tmp_path):
-    rs = np.random.RandomState(7)
-    write_video(_clip([rs.randint(0, 256, (4, 4)) for _ in range(5)]), tmp_path)
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    with pytest.raises(FormatError, match=f"{tmp_path} already holds PGM frames"):
-        write_video(_clip([np.zeros((4, 4))] * 3), tmp_path)
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    assert read_video(tmp_path).frame_count == 5
-
-
-def test_pgm_sequence_empty_dir(tmp_path):
-    with pytest.raises(FormatError, match="no PGM frames"):
-        read_video(tmp_path)
-
-
-def test_open_video_pgm_directory_opens_only_kept_frames(tmp_path, monkeypatch):
-    # frame 2 is another size but not kept, so never opened; frame 3 is
-    # kept and fails when it is read, after frame 1 was yielded
-    rs = np.random.RandomState(14)
-    frames = [rs.randint(0, 256, (4, 6)).astype(np.uint8) for _ in range(5)]
-    frames[2] = frames[3] = np.zeros((5, 6), np.uint8)
-    for k, frame in enumerate(frames):
-        write_pgm(frame, tmp_path / f"f{k}.pgm")
-    opened = []
-    real_open = media_io._open
-
-    def counting(source, mode):
-        opened.append(source.name)
-        return real_open(source, mode)
-
-    monkeypatch.setattr(media_io, "_open", counting)
-    with open_video(tmp_path, {1, 4}) as (header, frames_in):
-        assert header == (6, 4, (25, 1), None, ())
-        got = list(frames_in)
-    assert [g is None for g in got] == [True, False, True, True, False]
-    assert np.array_equal(got[1][0], frames[1]) and np.array_equal(got[4][0], frames[4])
-    assert got[1][1] is None and got[4][1] is None  # a PGM frame has no payload
-    assert opened == ["f1.pgm", "f4.pgm"]
-    with open_video(tmp_path, {1, 3}) as (header, frames_in):
-        assert next(frames_in) is None and next(frames_in) is not None
-        assert next(frames_in) is None
-        with pytest.raises(FormatError, match=r"frame 3 is \(5, 6\), frame 1 is \(4, 6\)"):
-            next(frames_in)
-
-
-FRAME_STREAM_FORMS = [(form, token) for form in ("path", "seekable", "pipe", "pgm-dir", "clip")
-                      for token in (None, "420jpeg") if not (form == "pgm-dir" and token)]
+FRAME_STREAM_FORMS = [(form, token) for form in ("path", "seekable", "pipe", "clip")
+                      for token in (None, "420jpeg")]
 
 
 @pytest.mark.parametrize("form, token", FRAME_STREAM_FORMS)
@@ -389,32 +327,32 @@ def test_open_video_yields_what_write_frames_takes(tmp_path, form, token):
     clip = _clip(frames, chroma_token=token, chroma=chroma, rate=(30, 1), extras=("Ip",))
     data = _y4m_bytes(clip)
     (tmp_path / "in.y4m").write_bytes(data)
-    if form == "pgm-dir":
-        write_video(clip, tmp_path / "frames")
     sources = {"path": lambda: tmp_path / "in.y4m", "seekable": lambda: io.BytesIO(data),
-               "pipe": lambda: _source("pipe", data), "pgm-dir": lambda: tmp_path / "frames",
-               "clip": lambda: clip}
+               "pipe": lambda: _source("pipe", data), "clip": lambda: clip}
     streamed, whole = io.BytesIO(), io.BytesIO()
     with open_video(sources[form]()) as (header, frames_in):
         write_frames(streamed, header, frames_in)
     write_video(read_video(sources[form]()), whole)
-    assert streamed.getvalue() == whole.getvalue()
-    if form != "pgm-dir":
-        assert streamed.getvalue() == data
+    assert streamed.getvalue() == whole.getvalue() == data
 
 
 @pytest.mark.parametrize("kind", sorted(PATH_KINDS))
-def test_one_reader_and_writer_for_both_forms(tmp_path, kind):
+def test_every_video_path_is_y4m(tmp_path, kind):
+    # whatever its name; a directory is refused by the OS, read or written
     to_path = PATH_KINDS[kind]
     rs = np.random.RandomState(15)
     clip = _clip([rs.randint(0, 256, (4, 6)) for _ in range(3)])
-    write_video(clip, to_path(tmp_path / "frames"))
-    write_video(clip, to_path(tmp_path / "clip.Y4M"))
-    assert (tmp_path / "clip.Y4M").read_bytes() == _y4m_bytes(clip)
-    assert len(list((tmp_path / "frames").glob("*.pgm"))) == 3
-    for name in ("frames", "clip.Y4M"):
+    for name in ("frames", "clip.Y4M", "clip.yuv"):
+        write_video(clip, to_path(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == _y4m_bytes(clip)
         again = read_video(to_path(tmp_path / name))
         assert all(np.array_equal(a, b) for a, b in zip(clip.frames, again.frames))
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_video(clip, to_path(tmp_path / "dir"))
+    with pytest.raises(IsADirectoryError):
+        read_video(to_path(tmp_path / "dir"))
+    assert list((tmp_path / "dir").iterdir()) == []
 
 
 def test_the_package_exports_one_video_api():
@@ -452,15 +390,12 @@ def test_frame_views_write_the_bytes_of_their_copies(tmp_path):
     assert not any(v.flags.c_contiguous for v in views)
     copies = [v.copy() for v in views]
     assert _y4m_bytes(VideoClip(views)) == _y4m_bytes(VideoClip(copies))
-    write_video(VideoClip(views), tmp_path / "views")
-    write_video(VideoClip(copies), tmp_path / "copies")
-    for k in (1, 2, 3):
-        view, copy = (tmp_path / side / f"frame_{k:06d}.pgm" for side in ("views", "copies"))
-        assert view.read_bytes() == copy.read_bytes()
+    write_video(VideoClip(views), tmp_path / "views.y4m")
+    assert (tmp_path / "views.y4m").read_bytes() == _y4m_bytes(VideoClip(copies))
 
 
 def test_a_missing_video_path_is_file_not_found(tmp_path):
-    # a missing path is no directory, so it is opened as y4m, whatever the name
+    # every path is opened as y4m, whatever the name
     with pytest.raises(FileNotFoundError):
         read_video(tmp_path / "missing")
 
@@ -596,6 +531,7 @@ _UNWRITABLE = {
 }
 
 
+# "frames" is a path of another name, which gets y4m too
 @pytest.mark.parametrize("sink", ["out.y4m", "frames"])
 @pytest.mark.parametrize("name", sorted(_UNWRITABLE))
 def test_write_video_refuses_what_read_video_would_refuse(tmp_path, name, sink):
@@ -617,6 +553,7 @@ def test_write_frames_refuses_a_bad_payload_before_its_frame():
 
 # The frames of the writer's FOUND case: frame 0 is 2x2 under a 4x6 header,
 # frame 1 float64; each used to be written as bytes read_video refuses.
+# Every sink, "frames" too, gets y4m.
 @pytest.mark.parametrize("sink", ["stream", "out.y4m", "frames"])
 @pytest.mark.parametrize("bad, error", [(np.zeros((2, 2), np.uint8), FormatError),
                                         (np.zeros((4, 6)), ValueError)],
@@ -630,11 +567,7 @@ def test_write_frames_refuses_a_bad_frame_before_its_bytes(tmp_path, sink, bad, 
         write_frames(out, header, [*good, (bad, None), (np.zeros((4, 6)), None)])
     want = io.BytesIO()
     write_frames(want, header, good)  # the header, then the frames before the bad one
-    if sink == "frames":
-        names = [f"frame_{j + 1:06d}.pgm" for j in range(k)]
-        assert sorted(p.name for p in out.iterdir()) == names
-    else:
-        assert (out.getvalue() if sink == "stream" else out.read_bytes()) == want.getvalue()
+    assert (out.getvalue() if sink == "stream" else out.read_bytes()) == want.getvalue()
 
 
 # name: (frames, chroma payloads, error) that both VideoClip and

@@ -62,11 +62,13 @@ def _parse_offset(text: str):
 
 
 def _parse_shots(text: str) -> tuple:
-    """--shots, read as a key's boundaries= line; embed_video checks where it ends."""
+    """--shots, only as `wm3d shots` prints it; embed_video checks where it ends."""
     try:  # "" is a bad list, not a request to detect the cuts
         boundaries = _parse_int_list(text or ",")
     except ValueError:
-        raise FormatError(f"bad --shots {text[:64]!r}, expected a list 0,B1,...,N") from None
+        boundaries = None
+    if boundaries is None or _format_int_list(boundaries) != text:
+        raise FormatError(f"bad --shots {text[:64]!r}, expected a list 0,B1,...,N")
     validate_boundaries(boundaries)
     return boundaries
 

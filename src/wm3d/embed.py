@@ -46,6 +46,7 @@ from .shots import (
     MIN_EMBED_SHOT_LEN,
     PLANE_COUNT,
     _shots,
+    check_fraction,
     select_shots,
     shot_spans,
     validate_boundaries,
@@ -192,6 +193,7 @@ def embed_video(
     for name, seed in (("seed1", seed1), ("seed2", seed2), ("seed3", seed3)):
         if not (_is_int(seed) and 0 <= seed <= MASK64):
             raise ValueError(f"{name} must be an unsigned 64-bit integer")
+    check_fraction(fraction)  # before the source is opened, as the seeds are
     sign_planes = prepare_sign_planes(watermark, seed1, seed2)
 
     with open_video(source, chroma=False) as (header, frames):

@@ -24,14 +24,13 @@ padded to a byte boundary) and base64-encoded. Round-trips are exact.
 
 After the magic line every line is NAME=VALUE in this fixed order; a line
 out of place is refused naming the field expected ("expected wm_w=...").
-Integers are plain decimal, 0 or digits with no leading 0, so every key
-read_key accepts is the text write_key writes for it.
+read_key accepts a file only if it is, byte for byte, the text write_key
+writes for the bundle it parses to; a refusal quotes the first line that differs.
 """
 
 import base64
 import binascii
 import numbers
-import re
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -175,54 +174,52 @@ def _unpack_plane(text: str, height: int, width: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).reshape(height, width)
 
 
-def _parse_int(text: str) -> int:
-    """A key integer in the one form write_key writes: 0, or digits with no leading 0."""
-    if not re.fullmatch(r"0|[1-9][0-9]*", text):
-        raise ValueError(text)
-    return int(text)
-
-
 def _parse_int_list(value: str) -> tuple:
-    return tuple(map(_parse_int, value.split(","))) if value else ()
+    return tuple(map(int, value.split(","))) if value else ()
 
 
 def _format_int_list(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-# The header, in file order: (name in the file, KeyBundle attribute path,
-# parser, formatter). Alpha is written as the repr of a float, so an
-# integer alpha 0 still reads back as 0.0. wm_w, wm_h and selected repeat
-# the shot blocks, which read_key checks against them.
+# The header in file order: (name, KeyBundle attribute path, parser, formatter).
+# Alpha is written as the repr of a float, so an integer alpha 0 reads back
+# as 0.0. wm_w, wm_h and selected repeat what the shot blocks hold.
 _HEADER = (
-    ("seed1", "seed1", _parse_int, str),
-    ("seed2", "seed2", _parse_int, str),
-    ("seed3", "seed3", _parse_int, str),
+    ("seed1", "seed1", int, str),
+    ("seed2", "seed2", int, str),
+    ("seed3", "seed3", int, str),
     ("alpha", "params.alpha", float, lambda v: repr(float(v))),
-    ("wm_w", "wm_width", _parse_int, str),
-    ("wm_h", "wm_height", _parse_int, str),
+    ("wm_w", "wm_width", int, str),
+    ("wm_h", "wm_height", int, str),
     ("band", "params.band", str, str),
-    ("row0", "params.region_row0", _parse_int, str),
-    ("col0", "params.region_col0", _parse_int, str),
+    ("row0", "params.region_row0", int, str),
+    ("col0", "params.region_col0", int, str),
     ("boundaries", "boundaries", _parse_int_list, _format_int_list),
     ("selected", "selected", _parse_int_list, _format_int_list),
 )
 
 
-def write_key(bundle: KeyBundle, sink) -> None:
-    """Serialize a key bundle; fails on an inconsistent bundle."""
+def _key_text(bundle: KeyBundle) -> str:
+    """The key file's text for a bundle; fails on an inconsistent bundle."""
     _check_bundle(bundle)
     lines = [f"{MAGIC} {VERSION}"]
     lines += [f"{name}={fmt(attrgetter(attr)(bundle))}" for name, attr, _, fmt in _HEADER]
     for rec in bundle.records:
         lines.append(f"shot={rec.shot_index}")
         lines += [f"plane{k}={_pack_plane(plane)}" for k, plane in enumerate(rec.planes, 1)]
+    return "\n".join(lines) + "\n"
+
+
+def write_key(bundle: KeyBundle, sink) -> None:
+    """Serialize a key bundle; fails on an inconsistent bundle."""
+    text = _key_text(bundle)
     with _open(sink, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def read_key(source) -> KeyBundle:
-    """Parse and validate a key file; exact inverse of write_key."""
+    """Parse and validate a key file: the text write_key writes, byte for byte."""
     with _open(source, "rb") as fh:
         text = fh.read()
     if isinstance(text, bytes):
@@ -231,14 +228,12 @@ def read_key(source) -> KeyBundle:
         except UnicodeDecodeError as exc:
             raise FormatError(f"key file is not ASCII: {exc}") from exc
 
-    lines = deque(ln for ln in text.splitlines() if ln.strip())
-    if not lines:
-        raise FormatError("empty key file")
-    magic = lines.popleft().split(" ")
-    if len(magic) != 2 or magic[0] != MAGIC:
-        raise FormatError("bad magic: not a WM3DKEY file")
-    if magic[1] != str(VERSION):
-        raise FormatError(f"unknown key file version {magic[1]!r}")
+    lines = deque(text.splitlines())
+    magic, _, version = (lines.popleft() if lines else "").partition(" ")
+    if magic != MAGIC:
+        raise FormatError("bad magic: not a WM3DKEY file" if text else "empty key file")
+    if version != str(VERSION):
+        raise FormatError(f"unknown key file version {version!r}")
 
     def field(name, parse):
         """The next line's value, which must be NAME=VALUE, through `parse`."""
@@ -258,7 +253,7 @@ def read_key(source) -> KeyBundle:
     unpack = partial(_unpack_plane, height=head["wm_h"], width=head["wm_w"])
     records = []
     while lines:
-        index = field("shot", _parse_int)
+        index = field("shot", int)
         planes = [field(f"plane{k}", unpack) for k in range(1, PLANE_COUNT + 1)]
         records.append(ShotRecord(shot_index=index, planes=np.stack(planes)))
     try:
@@ -267,7 +262,8 @@ def read_key(source) -> KeyBundle:
         raise FormatError(str(exc)) from exc
     bundle = KeyBundle(head["seed1"], head["seed2"], head["seed3"], params,
                        head["boundaries"], records)
-    if bundle.selected != head["selected"]:
-        raise FormatError("shot records do not match selected shots")
-    _check_bundle(bundle)
+    if text != (want := _key_text(bundle)):  # _key_text checks the bundle first
+        pairs = zip(text.splitlines(True), want.splitlines(True))  # one line per field read
+        n, (got, line) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+        raise FormatError(f"key line {n} is {got[:64]!r}; write_key writes {line[:64]!r}")
     return bundle

@@ -58,8 +58,7 @@ def detect_shots(source, threshold: float = DEFAULT_THRESHOLD) -> list:
 def _shots(frames, threshold: float) -> list:
     """detect_shots over (luma, payload) pairs in order, each luma compared
     with the one before it as it arrives, so only two histograms are held."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+    check_fraction(threshold, "threshold")
     boundaries, prev, count = [0], None, 0
     for count, (frame, _) in enumerate(frames, start=1):
         if not frame.size:
@@ -89,6 +88,11 @@ def validate_boundaries(boundaries, frame_count: int | None = None) -> None:
         raise GeometryError(f"bad shot boundaries {b}: they must be strictly increasing")
 
 
+def check_fraction(value: float, name: str = "fraction") -> None:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1]")
+
+
 def select_shots(boundaries, seed3: int, fraction: float = 1.0) -> list:
     """Keyed choice of which shots carry the watermark.
 
@@ -97,8 +101,7 @@ def select_shots(boundaries, seed3: int, fraction: float = 1.0) -> list:
     ceil(fraction * eligible) are taken. Returns sorted shot indices;
     deterministic in all inputs.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
+    check_fraction(fraction)
     spans = shot_spans(boundaries)
     eligible = [i for i, (a, b) in enumerate(spans) if b - a >= MIN_EMBED_SHOT_LEN]
     if not eligible:

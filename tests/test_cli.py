@@ -258,9 +258,13 @@ _REJECTED = {
     "shots-trailing-comma": (_EMBED + ["--shots", "0,16,"], {}, 2, "bad --shots '0,16,'"),
     # an empty list is a bad list, not a request to detect the cuts
     "shots-empty": (_EMBED + ["--shots", ""], {}, 2, "bad --shots ''"),
-    # integers as a key's boundaries= line holds them: digits only, no leading 0
+    # only the text `wm3d shots` prints: digits only, no leading 0, no spaces
     "shots-spelled": (_EMBED + ["--shots", "0, 0_8 ,16"], {}, 2, "bad --shots '0, 0_8 ,16'"),
     "shots-leading-zero": (_EMBED + ["--shots", "0,08,16"], {}, 2, "bad --shots '0,08,16'"),
+    # refused before the input is opened, so its cut frame is never read
+    "select-fraction": (_EMBED + ["--in", "cut.y4m", "--select-fraction", "0"],
+                        {"cut.y4m": b"YUV4MPEG2 W128 H128 F25:1 Cmono\nFRAME\n" + bytes(100)},
+                        2, "fraction must be in (0, 1]"),
     # a bare "-1,0" would be read as an option; only the = form reaches the check
     "offset-negative": (_EMBED + ["--offset=-1,0"], {}, 2,
                         "region offset must be non-negative"),
@@ -269,9 +273,9 @@ _REJECTED = {
     "attack-type": (["attack", "--in", "in.y4m", "--out", "out.y4m", "--type", "bogus"],
                     {}, 2, "unknown attack 'bogus'"),
     "key-seed1": (*_bad_key("seed1=1\n", f"seed1={2**64}\n"), 2, "seed1 out of 64-bit range"),
-    "key-seed1-sign": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "bad seed1 value '-1'"),
+    "key-seed1-sign": (*_bad_key("seed1=1\n", "seed1=-1\n"), 2, "seed1 out of 64-bit range"),
     "key-wm-w": (*_bad_key("wm_w=4\n", "wm_w=0\n"), 2, "dimensions must be positive"),
-    "key-row0": (*_bad_key("row0=0\n", "row0=-1\n"), 2, "bad row0 value '-1'"),
+    "key-row0": (*_bad_key("row0=0\n", "row0=-1\n"), 2, "region offset must be non-negative"),
     "key-alpha": (*_bad_key("alpha=0.1\n", "alpha=1.0\n"), 2, "alpha 1.0 outside [0, 1)"),
     "key-short-shot": (*_bad_key("boundaries=0,9,18", "boundaries=0,8,18"), 2,
                        "fewer than the 9 a mark needs"),
@@ -281,8 +285,9 @@ _REJECTED = {
                                "shot=1\n", "shot=0\n"), 2, "sorted and unique"),
     "key-repeated": (*_bad_key("selected=0,1", "selected=0,0", "shot=1\n", "shot=0\n"), 2,
                      "sorted and unique"),
+    # selected= repeats the shot blocks, so the round trip refuses it
     "key-selected-header": (*_bad_key("selected=0,1", "selected=1"), 2,
-                            "shot records do not match selected shots"),
+                            r"key line 12 is 'selected=1\n'; write_key writes 'selected=0,1\n'"),
     "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot=..., got 'junk'"),
     "key-shot-index": (*_bad_key("shot=1\n", "shot=x\n"), 2, "bad shot value 'x'"),
     # every video path is y4m, so the OS refuses a directory as one

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -223,8 +224,41 @@ def test_selected_records_mismatch_on_read():
     # drop the whole second shot block
     lines = text.splitlines()
     start = lines.index("shot=1")
-    with pytest.raises(FormatError, match="records"):
+    with pytest.raises(FormatError, match=re.escape(
+            r"key line 12 is 'selected=0,1\n'; write_key writes 'selected=0\n'")):
         read_key(io.StringIO("\n".join(lines[:start]) + "\n"))
+
+
+# A 3x3 mark packs to bytes 0x60 0x80 ("YIA="): 9 signs, then 7 pad bits
+# in the last byte and 2 unused bits in the last base64 digit.
+_PROBE_BUNDLE = KeyBundle(1, 2, 3, EmbedParams(), (0, 9), [ShotRecord(0, np.tile(
+    np.array([-1, 1, 1, -1, -1, -1, -1, -1, 1], np.int8).reshape(3, 3), (8, 1, 1)))])
+
+# Edits of a valid key that Python's parsers and the base64 decoder read as
+# the same bundle, each with the message that names the first differing line
+_PROBES = {
+    "alpha-spelling": (lambda t: t.replace("alpha=0.1\n", "alpha=0.10\n"),
+                       r"key line 5 is 'alpha=0.10\n'; write_key writes 'alpha=0.1\n'"),
+    "blank-line": (lambda t: t.replace("seed2=2\n", "seed2=2\n\n"),
+                   "expected seed3=..., got ''"),
+    "crlf": (lambda t: t.replace("\n", "\r\n"),
+             r"key line 1 is 'WM3DKEY 1\r\n'; write_key writes 'WM3DKEY 1\n'"),
+    "no-final-newline": (lambda t: t[:-1],
+                         r"key line 21 is 'plane8=YIA='; write_key writes 'plane8=YIA=\n'"),
+    "plane-pad-bit": (lambda t: t.replace("plane1=YIA=", "plane1=YIE="),  # 0x80 -> 0x81
+                      r"key line 14 is 'plane1=YIE=\n'; write_key writes 'plane1=YIA=\n'"),
+    "base64-pad-bit": (lambda t: t.replace("plane1=YIA=", "plane1=YIB="),  # same bytes
+                       r"key line 14 is 'plane1=YIB=\n'; write_key writes 'plane1=YIA=\n'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBES))
+def test_key_text_write_key_would_not_write_is_refused(name):
+    edit, message = _PROBES[name]
+    _, text = _roundtrip(_PROBE_BUNDLE)
+    assert "\nplane1=YIA=\n" in text and edit(text) != text
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_key(io.BytesIO(edit(text).encode()))
 
 
 def test_selected_shot_shorter_than_minimum_rejected():

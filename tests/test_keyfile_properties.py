@@ -116,10 +116,12 @@ def test_short_selected_shot_raises_format_error(bundle, data):
 
 
 def _parses_or_format_error(data: bytes) -> None:
+    """read_key refuses `data`, or reads a bundle write_key writes back as `data`."""
     try:
-        read_key(io.BytesIO(data))
+        again = read_key(io.BytesIO(data))
     except FormatError:
-        pass
+        return
+    assert _key_bytes(again) == data
 
 
 @PROPERTY

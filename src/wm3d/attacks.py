@@ -11,7 +11,7 @@ import numpy as np
 
 from . import prng
 from .errors import GeometryError
-from .media_io import VideoClip, _is_int
+from .media_io import VideoClip
 
 # JPEG Annex K luminance quantization table.
 _QTABLE = np.array(
@@ -199,8 +199,7 @@ def attack_noise(clip: VideoClip, sigma: float, seed: int) -> VideoClip:
     z, integer arithmetic, frame by frame on the calling thread.
     """
     check_sigma(sigma)
-    if not (_is_int(seed) and 0 <= seed <= prng.MASK64):
-        raise ValueError(f"noise seed must be an unsigned 64-bit integer, got {seed}")
+    prng.check_seed(seed, "noise seed")
     step = _noise_steps(sigma)
     out = np.empty((clip.frame_count, clip.height, clip.width), np.uint8)
     total = np.empty(out.shape[1:], np.int16)

@@ -31,7 +31,10 @@ from .keyfile import EmbedParams, _format_int_list, _parse_int_list, read_key, w
 from .media_io import read_pgm, read_video, write_frames, write_pgm, write_video
 from .metrics import nc as nc_metric
 from .metrics import psnr_clip
-from .shots import DEFAULT_THRESHOLD, detect_shots, shot_spans, validate_boundaries
+from .prng import check_seed
+from .shots import (
+    DEFAULT_THRESHOLD, check_fraction, detect_shots, shot_spans, validate_boundaries,
+)
 from .wavelet3d import BANDS
 
 EXIT_OK = 0
@@ -74,6 +77,12 @@ def _parse_shots(text: str) -> tuple:
 
 
 def cmd_embed(args) -> int:
+    # Every value is checked before any input is read: a pipe may never end.
+    for name in ("seed1", "seed2", "seed3"):
+        check_seed(getattr(args, name), name)
+    params = EmbedParams(args.alpha, *args.offset, band=args.band)
+    check_fraction(args.select_fraction)
+    check_fraction(args.shot_threshold, "threshold")
     boundaries = None if args.shots is None else _parse_shots(args.shots)
     # A file is read twice, one shot held; a pipe, or the file --out
     # rewrites, is read whole first.
@@ -81,7 +90,6 @@ def cmd_embed(args) -> int:
     if not os.path.isfile(source) or _same_file(args.output, source):
         source = read_video(source)
     watermark = read_pgm(args.wm)
-    params = EmbedParams(args.alpha, *args.offset, band=args.band)
     made = not os.path.lexists(args.key_out)
     with open(args.key_out, "a"):  # opened first: a refused key path leaves no video
         try:
@@ -119,6 +127,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    check_seed(args.seed, "noise seed")
     name, param = _parse_attack(args.type)
     if name == "drop" and not args.original:
         raise FormatError("attack type 'drop' requires --original")
@@ -187,8 +196,11 @@ def _parse_attack(part: str):
 
 def cmd_bench(args) -> int:
     # The table is written once the whole sweep has run, so a failed run
-    # prints none of it. The alphas and attack specs, values included, are
-    # checked here, before any input is read; the seeds by the first embed.
+    # prints none of it. The seeds, alphas and attack specs, values
+    # included, are checked here, before any input is read.
+    for name in ("seed1", "seed2", "seed3"):
+        check_seed(getattr(args, name), name)
+    check_seed(args.seed, "noise seed")
     strengths = [EmbedParams(alpha=float(a)) for a in args.alphas.split(",")]
     specs = [_parse_attack(part) for part in args.attacks.split(",")]
     clip = read_video(args.input)

@@ -16,20 +16,20 @@ the frames stream to a sink; only the shot being filled is held. The
 source is a path or, for embed_clip and input that cannot be read twice,
 a VideoClip in memory.
 
-The realized sign r of a position is +1 where t, the max of its 8 neighbors
-in the subband (two separable passes), lies strictly on the side its
-prepared sign names, else -1, ties included; the realized signs are the key
-extraction needs. The paper's update scales each window coefficient by
-(1 + alpha * r). It is relative, so it runs on the integer sums E of
-wm3d.wavelet3d, a positive multiple of the orthonormal coefficients per
-frame, and ties are exact. Frame f's change under the band's +-1 sign
-pattern on each 8x8 block is d[f] = sum_k S[f, k] * r_k * E_k * alpha / 64,
-S the temporal synthesis matrix (entries 0 or +-1 over a power of two):
-exact in float64 in any summation order but for the one multiply by alpha.
-A window pixel p becomes p + floor(+-d + 0.5), clipped to [0, 255]. A
-whole-frame float round trip (a test oracle) may differ in blocks of exact
-neighbor ties, which its rounding noise decides, and where d is exactly
-k + 0.5, which it misses by up to 1e-9.
+Each window coefficient r is compared with t, the max of its 8 neighbors in
+the subband, through one margin t - r, exact in int64 (_window_margins). A
+position's realized sign g is +1 where the margin has its prepared sign, else
+-1, a tie (zero margin) included; the realized signs are the key extraction
+needs. The paper's update scales each window coefficient by (1 + alpha * g).
+It is relative, so it runs on the integer sums E of wm3d.wavelet3d, a
+positive multiple of the orthonormal coefficients per frame, and ties are
+exact. Frame f's change under the band's +-1 sign pattern on each 8x8 block
+is d[f] = sum_k S[f, k] * g_k * E_k * alpha / 64, S the temporal synthesis
+matrix (entries 0 or +-1 over a power of two): exact in float64 in any
+summation order but for the one multiply by alpha. A window pixel p becomes
+p + floor(+-d + 0.5), clipped to [0, 255]. A whole-frame float round trip (a
+test oracle) may differ in blocks of exact neighbor ties, which its rounding
+noise decides, and where d is exactly k + 0.5, which it misses by up to 1e-9.
 """
 
 from dataclasses import replace
@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import FormatError, GeometryError
 from .keyfile import EmbedParams, KeyBundle, ShotRecord
-from .media_io import VideoClip, _is_int, open_video
-from .prng import MASK64
+from .media_io import VideoClip, open_video
+from .prng import check_seed
 from .shots import (
     DEFAULT_THRESHOLD,
     MIN_EMBED_SHOT_LEN,
@@ -61,36 +61,33 @@ from .wavelet3d import (
 from .wmprep import prepare_sign_planes
 
 
-def _neighbor_max_grid(sub: np.ndarray) -> np.ndarray:
-    """Max of the 8 neighbors at each position of (..., h, w) regions, in
-    two separable passes: left/right, then with the three-wide row maxima
-    above and below; a missing neighbor counts as the dtype's lowest value."""
-    low = -np.inf if sub.dtype.kind == "f" else np.iinfo(sub.dtype).min
-    t = np.full_like(sub, low)
-    t[..., 1:] = sub[..., :-1]
-    np.maximum(t[..., :-1], sub[..., 1:], out=t[..., :-1])
-    wide = np.maximum(t, sub)
+def _window_margins(sums, win) -> np.ndarray:
+    """t - r, exact int64, over the window `win` (slices from _window_crop)
+    of (..., h, w) int64 regions: r a coefficient, t the max of its 8
+    neighbors in the region (two separable passes, a missing one int64's
+    lowest). _window_crop refuses a one-coefficient subband, so every
+    window cell has a real neighbor and t - r cannot overflow."""
+    t = np.full(sums.shape, np.iinfo(np.int64).min)
+    t[..., 1:] = sums[..., :-1]
+    np.maximum(t[..., :-1], sums[..., 1:], out=t[..., :-1])
+    wide = np.maximum(t, sums)
     np.maximum(t[..., 1:, :], wide[..., :-1, :], out=t[..., 1:, :])
     np.maximum(t[..., :-1, :], wide[..., 1:, :], out=t[..., :-1, :])
-    return t
+    win = (..., *win)
+    return t[win] - sums[win]
 
 
-def _window_signs(sub, plane, win) -> np.ndarray:
-    """Signs of the window `win` (slices from _window_crop) of (..., h, w)
-    regions, for matching (..., wm_h, wm_w) +-1 planes: +1 where the
-    neighbor max lies strictly on the side the plane names (above for
-    +1), else -1. Embed keeps these as the realized signs; given those,
-    extraction decodes the key sign where the neighbor max lies above
-    the coefficient, its negation where it lies below, and -1 at a tie."""
-    arr, wd = np.asarray(sub), np.asarray(plane)
+def _window_signs(margins, planes) -> np.ndarray:
+    """+1 where the window margins t - r have the sign of the matching
+    (..., wm_h, wm_w) +-1 planes, else -1, a tie (margin 0) included.
+    Embed keeps these as the realized signs; given those, extraction
+    decodes the key sign where t > r, its negation where t < r, -1 at a tie."""
+    wd = np.asarray(planes)
     if np.any((wd != 1) & (wd != -1)):
         raise ValueError("plane values must be +1 or -1")
-    win = (..., *win)
-    t, r = _neighbor_max_grid(arr)[win], arr[win]
-    if wd.shape != r.shape:
-        raise ValueError(f"planes {wd.shape} do not match windows {r.shape}")
-    hit = ((t > r) & (wd == 1)) | ((t < r) & (wd == -1))
-    return np.where(hit, 1, -1).astype(np.int8)
+    if wd.shape != margins.shape:
+        raise ValueError(f"planes {wd.shape} do not match windows {margins.shape}")
+    return np.where(wd * np.sign(margins) > 0, 1, -1).astype(np.int8)
 
 
 def _window_crop(params: EmbedParams, height, width, wm_h, wm_w) -> tuple:
@@ -144,7 +141,7 @@ def embed_shot(frames, sign_planes: np.ndarray, params: EmbedParams) -> tuple:
 
     crop, win = _window_crop(params, *np.shape(frames[0]), *planes.shape[1:])
     sums = _crop_coeffs(frames, crop, params.band)
-    realized = _window_signs(sums, planes, win)
+    realized = _window_signs(_window_margins(sums, win), planes)
     # terms E_k / span_k are below 64 * 255 and multiples of 1 / P, so
     # their 8-term sums are exact in float64 for P up to 2**36 frames
     synthesis = temporal_synthesis(n, PLANE_COUNT + 1)[:, 1:]
@@ -191,8 +188,7 @@ def embed_video(
     if params is None:
         params = EmbedParams()
     for name, seed in (("seed1", seed1), ("seed2", seed2), ("seed3", seed3)):
-        if not (_is_int(seed) and 0 <= seed <= MASK64):
-            raise ValueError(f"{name} must be an unsigned 64-bit integer")
+        check_seed(seed, name)
     check_fraction(fraction)  # before the source is opened, as the seeds are
     sign_planes = prepare_sign_planes(watermark, seed1, seed2)
 

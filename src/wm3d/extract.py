@@ -7,10 +7,11 @@ consulted. A bundle built in memory is held to the key file's rules, as one
 read from a file is: keyfile._check_bundle applies them, and extraction uses
 the bundle's EmbedParams. As in embedding, only the crop that
 embed._window_crop gives is transformed, and only as far as the integer
-sums of one subband of its coefficient frames 1..8 (see wm3d.embed), so the
-neighborhood comparison is exact, and embed's sign rule
-(embed._window_signs) decodes each bit of the window, the pair of slices
-_window_crop also gives, a tie as -1. extract_video is the one extraction
+sums of one subband of its coefficient frames 1..8 (see wm3d.embed), so
+the margin t - r of each window coefficient is exact, and embed's sign
+rule on it (embed._window_signs) decodes each bit of the window, the pair
+of slices _window_crop also gives: the key sign where t > r, its negation
+where t < r, -1 at a tie. extract_video is the one extraction
 path: it opens the video through media_io.open_video and takes its frames
 in order, holding only the selected shot being filled and skipping every
 frame outside the key's shots unread. A shot shorter than the key's record
@@ -25,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .embed import _crop_coeffs, _window_crop, _window_signs
+from .embed import _crop_coeffs, _window_crop, _window_margins, _window_signs
 from .errors import GeometryError
 from .keyfile import EmbedParams, KeyBundle, _check_bundle
 from .media_io import VideoClip, open_video
@@ -71,7 +72,7 @@ def extract_shot(
         params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
     )
     sums = _crop_coeffs(frames, crop, params.band, expected_length)
-    recovered = _window_signs(sums, key_planes, win)
+    recovered = _window_signs(_window_margins(sums, win), key_planes)
     bitplanes = restore_bitplanes(recovered, seed1, seed2)
     return ShotExtraction(
         shot_index=-1,

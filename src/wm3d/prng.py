@@ -13,11 +13,19 @@ import functools
 
 import numpy as np
 
+from .media_io import _is_int
+
 MASK64 = (1 << 64) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+def check_seed(value, name: str) -> None:
+    """The one seed rule: an int or numpy integer, not a bool, in [0, 2**64)."""
+    if not (_is_int(value) and 0 <= value <= MASK64):
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
 
 def mix64_np(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from wm3d.attacks import _DCT, _quantize_into
-from wm3d.embed import _window_crop, _window_signs, embed_shot
+from wm3d.embed import _window_crop, embed_shot
 from wm3d.errors import GeometryError
 from wm3d.keyfile import EmbedParams, KeyBundle, ShotRecord
 from wm3d.metrics import _psnr_from_mse
@@ -42,7 +42,7 @@ from wm3d.shots import (
     shot_spans,
     validate_boundaries,
 )
-from wm3d.wavelet3d import SPATIAL_LEVELS, band_pattern
+from wm3d.wavelet3d import SPATIAL_LEVELS, SubbandRect, band_pattern
 from wm3d.wmprep import prepare_sign_planes, restore_bitplanes
 
 _SQRT2 = math.sqrt(2.0)
@@ -149,6 +149,22 @@ def spread_sign(t: float, r: float, wd: int) -> int:
     if t < r and wd == -1:
         return 1
     return -1
+
+
+def window_signs(sub, plane, win) -> np.ndarray:
+    """The sign rule one window position at a time: spread_sign of each
+    coefficient in the window `win` (a pair of row and column slices) of
+    (..., h, w) regions against its neighbor_max in the region, for the
+    matching (..., wm_h, wm_w) +-1 `plane`. Returns int8 signs."""
+    sub, plane = np.asarray(sub), np.asarray(plane)
+    rect = SubbandRect(0, 0, *sub.shape[-2:])
+    rows, cols = range(sub.shape[-2])[win[0]], range(sub.shape[-1])[win[1]]
+    out = np.empty(plane.shape, dtype=np.int8)
+    for *lead, i, j in np.ndindex(*plane.shape):
+        region, r, c = sub[tuple(lead)], rows[i], cols[j]
+        t = neighbor_max(region, rect, r, c)
+        out[(*lead, i, j)] = spread_sign(t, float(region[r, c]), plane[(*lead, i, j)])
+    return out
 
 
 def temporal_inverse(coeffs, length: int) -> np.ndarray:
@@ -295,7 +311,7 @@ def embed_window(sub, sign_plane, win, alpha) -> tuple:
     planes).
     """
     out = np.array(sub, dtype=np.float64)
-    realized = _window_signs(out, sign_plane, win)
+    realized = window_signs(out, sign_plane, win)
     out[(..., *win)] *= 1.0 + alpha * realized
     return out, realized
 
@@ -322,12 +338,12 @@ def embed_plane(frame, sign_plane, params) -> tuple:
 
 
 def extract_plane(frame, key_plane, params) -> np.ndarray:
-    """Extraction's sign rule (wm3d.embed._window_signs) on a whole
-    coefficient frame, in the window of the band named by params.band
-    at (region_row0, region_col0), sized by the key plane."""
+    """Extraction's sign rule (window_signs) on a whole coefficient
+    frame, in the window of the band named by params.band at
+    (region_row0, region_col0), sized by the key plane."""
     arr = np.asarray(frame, dtype=np.float64)
     band, win = _band_window(params, arr.shape, key_plane)
-    return _window_signs(arr[band], key_plane, win)
+    return window_signs(arr[band], key_plane, win)
 
 
 def embed_shot_full(frames, sign_planes, params) -> tuple:

@@ -407,6 +407,32 @@ def test_a_bad_attack_value_is_refused_before_the_input_is_read(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+# Every bad value is refused before any input is read, so an --in that
+# never ends (a FIFO nothing writes, here a directory) is not reached.
+@pytest.mark.parametrize("argv", [
+    ["embed", "--select-fraction", "0"],
+    ["embed", "--shot-threshold", "0"],
+    ["embed", "--alpha", "2"],
+    ["embed", "--seed1", "-1"],
+    ["attack", "--type", "noise", "--seed", "-1"],
+    ["bench", "--seed1", "-1"],
+    ["bench", "--seed", "-1"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+def test_a_bad_value_is_refused_before_the_input_is_read(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    def read_video(source):
+        raise AssertionError(f"{source} was read")
+
+    monkeypatch.setattr(cli, "read_video", read_video)
+    command, *extra = argv
+    files = {"embed": ["--wm", "wm.pgm", "--key-out", "k.key", "--out", "out.y4m"],
+             "attack": ["--out", "out.y4m"], "bench": ["--wm", "wm.pgm"]}[command]
+    files = [a if a.startswith("--") else str(tmp_path / a) for a in files]
+    assert main([command, "--in", str(tmp_path), *files, *extra]) == 2
+    assert capsys.readouterr().err.startswith("wm3d: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_attack_parameter_options_are_gone(workdir, capsys):
     code = main(["attack", "--in", str(workdir / "in.y4m"), "--out", str(workdir / "out.y4m"),
                  "--type", "compress", "--quality", "60"])

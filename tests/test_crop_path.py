@@ -29,6 +29,7 @@ from wm3d.embed import (
     EmbedParams,
     _crop_coeffs,
     _window_crop,
+    _window_margins,
     _window_signs,
     embed_clip,
     embed_shot,
@@ -232,7 +233,7 @@ def test_exact_tie_realizes_and_decodes_as_minus_one():
         planes = np.full((8, 2, 2), sign, np.int8)
         _, realized = embed_shot(frames, planes, params)
         assert np.all(realized[plane][tied] == -1)
-        decoded = _window_signs(coeffs, planes, win)
+        decoded = _window_signs(_window_margins(coeffs, win), planes)
         assert np.all(decoded[plane][tied] == -1)
 
 

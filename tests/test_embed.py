@@ -10,7 +10,7 @@ from conftest import SEED1, SEED2, SEED3, make_noise_clip
 from oracles import embed_plane, neighbor_max, quantize_luma, spread_sign
 from wm3d.embed import (
     EmbedParams,
-    _neighbor_max_grid,
+    _window_margins,
     _window_crop,
     embed_clip,
     embed_shot,
@@ -58,7 +58,6 @@ def test_neighbor_max_exhaustive_oracle():
     rs = np.random.RandomState(10)
     frame = rs.randn(48, 48) * 10
     rect = subband_rect(48, 48, "lh3")  # 6x6 region
-    grid = _neighbor_max_grid(frame[rect.slices()])
     for i in range(rect.row0, rect.row0 + rect.rows):
         for j in range(rect.col0, rect.col0 + rect.cols):
             best = max(
@@ -68,20 +67,21 @@ def test_neighbor_max_exhaustive_oracle():
                 if (r, c) != (i, j)
             )
             assert neighbor_max(frame, rect, i, j) == pytest.approx(best)
-            assert grid[i - rect.row0, j - rect.col0] == pytest.approx(best)
 
-    # int64 regions full of ties, one row or one column, one position,
-    # and a leading plane axis, against a brute-force max
-    low = np.iinfo(np.int64).min
-    for shape in [(5, 6), (1, 7), (7, 1), (1, 1), (1, 2), (3, 5, 6), (2, 1, 4)]:
+    # the margins t - r of int64 regions full of ties, one row or one
+    # column, and a leading plane axis, over the whole region, against a
+    # brute-force max; every position has a neighbor
+    for shape in [(5, 6), (1, 7), (7, 1), (1, 2), (3, 5, 6), (2, 1, 4)]:
         region = rs.randint(-2, 2, shape).astype(np.int64)
-        want = np.full(shape, low, dtype=np.int64)
+        want = np.empty(shape, dtype=np.int64)
         for *lead, i, j in np.ndindex(*shape):
-            for r, c in np.ndindex(3, 3):
-                r, c = i + r - 1, j + c - 1
-                if (r, c) != (i, j) and 0 <= r < shape[-2] and 0 <= c < shape[-1]:
-                    want[(*lead, i, j)] = max(want[(*lead, i, j)], region[(*lead, r, c)])
-        got = _neighbor_max_grid(region)
+            want[(*lead, i, j)] = max(
+                region[(*lead, r, c)]
+                for r in range(max(i - 1, 0), min(i + 2, shape[-2]))
+                for c in range(max(j - 1, 0), min(j + 2, shape[-1]))
+                if (r, c) != (i, j)
+            ) - region[(*lead, i, j)]
+        got = _window_margins(region, (slice(0, shape[-2]), slice(0, shape[-1])))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 

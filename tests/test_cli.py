@@ -16,6 +16,7 @@ from conftest import (
     make_flat_noise_clip,
     make_noise_clip,
 )
+import wm3d
 from wm3d import cli, media_io
 from wm3d.attacks import attack_average, attack_compress, attack_noise
 from wm3d.cli import main
@@ -239,14 +240,16 @@ _EMBED = ["embed", "--in", "in.y4m", "--wm", "wm.pgm", "--key-out", "k.key",
           "--out", "out.y4m"]
 
 
+_EXTRACT_BAD_KEY = ["extract", "--in", "in.y4m", "--key", "bad.key", "--out", "x.pgm"]
+
+
 def _bad_key(*edits: str) -> tuple:
     """Key text with each old, new pair of `edits` replaced at once, so two
     pairs may swap text."""
     swap = dict(zip(edits[::2], edits[1::2]))
     assert all(old in _KEY for old in swap)
     text = re.sub("|".join(map(re.escape, swap)), lambda m: swap[m.group()], _KEY)
-    argv = ["extract", "--in", "in.y4m", "--key", "bad.key", "--out", "x.pgm"]
-    return argv, {"bad.key": text.encode()}
+    return _EXTRACT_BAD_KEY, {"bad.key": text.encode()}
 
 
 # name: (argv, files written first, exit code, a fragment of stderr);
@@ -290,6 +293,12 @@ _REJECTED = {
                             r"key line 12 is 'selected=1\n'; write_key writes 'selected=0,1\n'"),
     "key-junk-block": (*_bad_key("shot=1\n", "junk\n"), 2, "expected shot=..., got 'junk'"),
     "key-shot-index": (*_bad_key("shot=1\n", "shot=x\n"), 2, "bad shot value 'x'"),
+    # a key is only the text write_key writes, so CRLF line ends are refused
+    "key-crlf": (*_bad_key("\n", "\r\n"), 2,
+                 r"key line 1 is 'WM3DKEY 1\r\n'; write_key writes 'WM3DKEY 1\n'"),
+    "key-cut-after-alpha": (_EXTRACT_BAD_KEY,
+                            {"bad.key": "".join(_KEY.splitlines(True)[:5]).encode()}, 2,
+                            "expected wm_w=..., got ''"),
     # every video path is y4m, so the OS refuses a directory as one
     "embed-in-dir": (_EMBED + ["--in", "."], {}, 2, "Is a directory: '.'"),
     "embed-out-dir": (_EMBED + ["--out", "."], {}, 2, "Is a directory: '.'"),
@@ -408,8 +417,8 @@ def test_a_bad_attack_value_is_refused_before_the_input_is_read(tmp_path, capsys
 
 
 # Every bad value is refused before any input is read, so an --in that
-# never ends (a FIFO nothing writes, here a directory) is not reached.
-@pytest.mark.parametrize("argv", [
+# never ends (a FIFO nothing writes) is not reached.
+_BAD_VALUES = [
     ["embed", "--select-fraction", "0"],
     ["embed", "--shot-threshold", "0"],
     ["embed", "--alpha", "2"],
@@ -417,7 +426,13 @@ def test_a_bad_attack_value_is_refused_before_the_input_is_read(tmp_path, capsys
     ["attack", "--type", "noise", "--seed", "-1"],
     ["bench", "--seed1", "-1"],
     ["bench", "--seed", "-1"],
-], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+]
+_BAD_VALUE_IDS = ["-".join(a.strip("-") for a in argv) for argv in _BAD_VALUES]
+_BAD_VALUE_FILES = {"embed": ["--wm", "wm.pgm", "--key-out", "k.key", "--out", "out.y4m"],
+                    "attack": ["--out", "out.y4m"], "bench": ["--wm", "wm.pgm"]}
+
+
+@pytest.mark.parametrize("argv", _BAD_VALUES, ids=_BAD_VALUE_IDS)
 def test_a_bad_value_is_refused_before_the_input_is_read(tmp_path, capsys, monkeypatch,
                                                          argv):
     def read_video(source):
@@ -425,12 +440,28 @@ def test_a_bad_value_is_refused_before_the_input_is_read(tmp_path, capsys, monke
 
     monkeypatch.setattr(cli, "read_video", read_video)
     command, *extra = argv
-    files = {"embed": ["--wm", "wm.pgm", "--key-out", "k.key", "--out", "out.y4m"],
-             "attack": ["--out", "out.y4m"], "bench": ["--wm", "wm.pgm"]}[command]
-    files = [a if a.startswith("--") else str(tmp_path / a) for a in files]
+    files = [a if a.startswith("--") else str(tmp_path / a) for a in _BAD_VALUE_FILES[command]]
     assert main([command, "--in", str(tmp_path), *files, *extra]) == 2
     assert capsys.readouterr().err.startswith("wm3d: ")
     assert list(tmp_path.iterdir()) == []
+
+
+# The same refusals with a real FIFO as --in, in a child: a command that
+# opened the FIFO first would block there until the timeout fails the test.
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("argv", _BAD_VALUES, ids=_BAD_VALUE_IDS)
+def test_a_bad_value_is_refused_before_a_fifo_input_is_opened(tmp_path, argv):
+    os.mkfifo(tmp_path / "never.y4m")
+    write_pgm(corpus_watermark(), tmp_path / "wm.pgm")
+    command, *extra = argv
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, command, "--in", "never.y4m",
+         *_BAD_VALUE_FILES[command], *extra],
+        cwd=tmp_path, capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(b"wm3d: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["never.y4m", "wm.pgm"]
 
 
 def test_attack_parameter_options_are_gone(workdir, capsys):
@@ -515,7 +546,8 @@ def test_attack_to_any_name_writes_y4m(tmp_path):
 def test_a_key_file_is_rewritten_whole(workdir):
     (workdir / "k.key").write_text("x" * 100_000)  # longer than the key
     assert _embed(workdir) == 0
-    assert read_key(workdir / "k.key").selected
+    bundle = wm3d.read_key(workdir / "k.key")  # through the package's export
+    assert bundle.params == EmbedParams() and bundle.selected == (0,)
 
 
 def test_embed_to_a_refused_key_path_leaves_no_video(workdir, capsys):
@@ -668,13 +700,25 @@ def test_psnr_and_nc_output(workdir, capsys):
     assert capsys.readouterr().out.strip() == "1.0000"
 
 
+_TWO_SHOTS = VideoClip([np.zeros((16, 16), np.uint8)] * 10
+                       + [np.full((16, 16), 255, np.uint8)] * 10)
+
+
 def test_shots_output(tmp_path, capsys):
-    frames = [np.zeros((16, 16), np.uint8)] * 10 + [
-        np.full((16, 16), 255, np.uint8)
-    ] * 10
-    write_video(VideoClip(frames=frames), tmp_path / "two.y4m")
+    write_video(_TWO_SHOTS, tmp_path / "two.y4m")
     assert main(["shots", "--in", str(tmp_path / "two.y4m")]) == 0
     assert capsys.readouterr().out.strip() == "0,10,20"
+
+
+def test_shots_from_a_pipe_prints_what_a_file_prints(tmp_path):
+    write_video(_TWO_SHOTS, tmp_path / "two.y4m")
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, "shots", "--in", "/dev/stdin"],
+        input=(tmp_path / "two.y4m").read_bytes(),
+        capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"0,10,20\n"
 
 
 def test_manual_shot_override(workdir, capsys):
@@ -764,10 +808,24 @@ def test_huge_header_short_file_exits_2(tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy():
     # scipy's import alone costs more than an extract; only the compress
-    # oracle in tests/ may use it
+    # oracle in tests/ may use it. attack_compress's thread pool and the
+    # noise quantiles' NormalDist import theirs when called, so no CLI start
+    # pays for concurrent.futures or statistics either.
     env = dict(os.environ, PYTHONPATH=SRC)
-    code = "import wm3d, wm3d.cli, sys; assert 'scipy' not in sys.modules"
+    code = ("import wm3d, wm3d.cli, sys; "
+            "loaded = {'scipy', 'concurrent.futures', 'statistics'} & set(sys.modules); "
+            "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_the_console_script_is_cli_main(capsys):
+    # an install adds only this name-to-function line; every check of what
+    # the function does runs through main here
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip().splitlines() == ['wm3d = "wm3d.cli:main"']
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: wm3d ")
 
 
 # --- extract streams the key's shots -----------------------------------------

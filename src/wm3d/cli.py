@@ -194,6 +194,13 @@ def _parse_attack(part: str):
         raise FormatError(f"bad {name} parameter {param!r}") from None
 
 
+def _parse_alpha(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise FormatError(f"bad --alphas value {text!r}") from None
+
+
 def cmd_bench(args) -> int:
     # The table is written once the whole sweep has run, so a failed run
     # prints none of it. The seeds, alphas and attack specs, values
@@ -201,7 +208,7 @@ def cmd_bench(args) -> int:
     for name in ("seed1", "seed2", "seed3"):
         check_seed(getattr(args, name), name)
     check_seed(args.seed, "noise seed")
-    strengths = [EmbedParams(alpha=float(a)) for a in args.alphas.split(",")]
+    strengths = [EmbedParams(alpha=_parse_alpha(a)) for a in args.alphas.split(",")]
     specs = [_parse_attack(part) for part in args.attacks.split(",")]
     clip = read_video(args.input)
     watermark = read_pgm(args.wm)

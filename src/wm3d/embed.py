@@ -119,10 +119,10 @@ def _window_crop(params: EmbedParams, height, width, wm_h, wm_w) -> tuple:
 def _crop_coeffs(frames, crop, band: str, length: int | None = None) -> np.ndarray:
     """(8, h, w) int64 sums E of `band` in a crop's temporal coefficient
     frames 1..8, from the uint8 frames' band sums (other dtypes raise
-    ValueError). `frames` begin a `length`-frame shot (default all of
-    it) whose other frames repeat the last one given."""
+    ValueError). `frames`, any iterable, read once, begin a `length`-frame
+    shot (default all of it) whose other frames repeat the last one given."""
     sums = np.stack([band_sums(np.asarray(f)[crop], band) for f in frames])
-    matrix = temporal_analysis(length or len(frames), PLANE_COUNT + 1, len(frames))
+    matrix = temporal_analysis(length or len(sums), PLANE_COUNT + 1, len(sums))
     return np.tensordot(matrix[1:], sums, axes=1)
 
 

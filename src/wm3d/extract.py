@@ -11,24 +11,25 @@ sums of one subband of its coefficient frames 1..8 (see wm3d.embed), so
 the margin t - r of each window coefficient is exact, and embed's sign
 rule on it (embed._window_signs) decodes each bit of the window, the pair
 of slices _window_crop also gives: the key sign where t > r, its negation
-where t < r, -1 at a tie. extract_video is the one extraction
-path: it opens the video through media_io.open_video and takes its frames
-in order, holding only the selected shot being filled and skipping every
-frame outside the key's shots unread. A shot shorter than the key's record
-is repaired in closed form: the missing frames repeat the last one
-received, so their columns of the analysis matrix fold onto its column,
-and memory follows the frames received, not the length the key claims.
+where t < r, -1 at a tie. extract_video is the one extraction path: it
+opens the video through media_io.open_video and takes its frames in order,
+holding one frame at a time plus the band sums of the shot being filled,
+and skipping every frame outside the key's shots unread. A shot shorter
+than the key's record is repaired in closed form: the missing frames
+repeat the last one received, so their columns of the analysis matrix
+fold onto its column, and memory follows the frames received, not the
+length the key claims.
 """
 
 import bisect
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .embed import _crop_coeffs, _window_crop, _window_margins, _window_signs
 from .errors import GeometryError
-from .keyfile import EmbedParams, KeyBundle, _check_bundle
+from .keyfile import KeyBundle, _check_bundle
 from .media_io import VideoClip, open_video
 from .metrics import nc as nc_metric
 from .shots import shot_spans
@@ -51,37 +52,6 @@ class ExtractionResult:
     nc: float | None = None
 
 
-def extract_shot(
-    frames,
-    key_planes: np.ndarray,
-    seed1: int,
-    seed2: int,
-    expected_length: int,
-    params: EmbedParams,
-) -> ShotExtraction:
-    """Recover the watermark carried by one shot.
-
-    A shot of another length than `expected_length` is repaired: extra
-    frames are dropped, and missing ones repeat the last frame given.
-    """
-    if not len(frames):
-        raise GeometryError("shot has no frames left to extract from")
-    mismatch = len(frames) != expected_length
-    frames = frames[:expected_length]
-    crop, win = _window_crop(
-        params, *np.shape(frames[0]), *np.shape(key_planes)[1:]
-    )
-    sums = _crop_coeffs(frames, crop, params.band, expected_length)
-    recovered = _window_signs(_window_margins(sums, win), key_planes)
-    bitplanes = restore_bitplanes(recovered, seed1, seed2)
-    return ShotExtraction(
-        shot_index=-1,
-        watermark=compose_bitplanes(bitplanes),
-        bitplanes=bitplanes,
-        length_mismatch=mismatch,
-    )
-
-
 class _SpanFrames:
     """Frame indices inside disjoint [start, end) spans, as a container
     whose size is the span count, not the frame count."""
@@ -100,8 +70,9 @@ def extract_video(
     """Blind extraction from `source`, anything media_io.open_video opens,
     read once; frames outside the key's shots are skipped unread.
 
-    A shot is extracted once its last frame arrives, or when the input
-    ends (length repair). The bundle is checked by the key file's rules
+    Each frame of a key's shot is reduced to its band sums as it arrives,
+    and the shot is decoded after its last frame or at the end of the
+    input (length repair). The bundle is checked by the key file's rules
     (FormatError) and a reference as nc would check it (ValueError: not
     the mark's shape, or all zeros) before the source is opened, and the
     frame size against the mark (GeometryError) before a frame is read.
@@ -119,23 +90,34 @@ def extract_video(
     spans = shot_spans(bundle.boundaries)
     keep = _SpanFrames(spans[i] for i in bundle.selected)
     with open_video(source, keep, chroma=False) as (header, frames):
-        _window_crop(bundle.params, header.height, header.width, *mark)
-        received, results = 0, []
+        crop, win = _window_crop(bundle.params, header.height, header.width, *mark)
+        read, results = 0, []
+
+        def take(count):  # the next `count` frames, counted in `read`
+            nonlocal read
+            for frame in islice(frames, count):
+                read += 1
+                yield frame
+
         for rec in bundle.records:
             start, end = spans[rec.shot_index]
-            before = received
-            chunk = list(islice(frames, end - before))  # up to the shot's last frame
-            received = before + len(chunk)
-            if start >= received:
+            for _ in take(start - read):  # frames before the shot, skipped unread
+                pass
+            shot = take(end - start)
+            if (first := next(shot, None)) is None:
                 raise GeometryError(
-                    f"clip has {received} frames but shot "
-                    f"{rec.shot_index} starts at {start}"
+                    f"clip has {read} frames but shot {rec.shot_index} starts at {start}"
                 )
-            res = extract_shot(
-                [luma for luma, _ in chunk[start - before :]], rec.planes,
-                bundle.seed1, bundle.seed2, end - start, bundle.params,
+            lumas = (luma for luma, _ in chain([first], shot))
+            sums = _crop_coeffs(lumas, crop, bundle.params.band, end - start)
+            recovered = _window_signs(_window_margins(sums, win), rec.planes)
+            bitplanes = restore_bitplanes(recovered, bundle.seed1, bundle.seed2)
+            res = ShotExtraction(
+                shot_index=rec.shot_index,
+                watermark=compose_bitplanes(bitplanes),
+                bitplanes=bitplanes,
+                length_mismatch=read < end,
             )
-            res.shot_index = rec.shot_index
             if reference is not None:
                 res.nc = nc_metric(reference, res.watermark)
             results.append(res)

@@ -426,6 +426,7 @@ _BAD_VALUES = [
     ["attack", "--type", "noise", "--seed", "-1"],
     ["bench", "--seed1", "-1"],
     ["bench", "--seed", "-1"],
+    ["bench", "--alphas", "0.1,abc"],
 ]
 _BAD_VALUE_IDS = ["-".join(a.strip("-") for a in argv) for argv in _BAD_VALUES]
 _BAD_VALUE_FILES = {"embed": ["--wm", "wm.pgm", "--key-out", "k.key", "--out", "out.y4m"],
@@ -647,10 +648,12 @@ def test_bench_checks_arguments_before_any_output(workdir, capsys, extra):
 
 
 def test_bench_names_the_attack_and_value_it_cannot_parse(workdir, capsys):
-    for attacks, message in [("compress:1e3", "bad compress parameter '1e3'"),
-                             ("swap,noise:abc", "bad noise parameter 'abc'")]:
+    for option, value, message in [("--attacks", "compress:1e3", "bad compress parameter '1e3'"),
+                                   ("--attacks", "swap,noise:abc", "bad noise parameter 'abc'"),
+                                   ("--alphas", "0.1,abc", "bad --alphas value 'abc'"),
+                                   ("--alphas", "", "bad --alphas value ''")]:
         code = main(["bench", "--in", str(workdir / "in.y4m"),
-                     "--wm", str(workdir / "wm.pgm"), "--attacks", attacks])
+                     "--wm", str(workdir / "wm.pgm"), option, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

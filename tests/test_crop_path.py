@@ -34,8 +34,9 @@ from wm3d.embed import (
     embed_clip,
     embed_shot,
 )
-from wm3d.extract import extract_shot
-from wm3d.keyfile import write_key
+from wm3d.extract import extract_video
+from wm3d.keyfile import KeyBundle, ShotRecord, write_key
+from wm3d.media_io import VideoClip
 from wm3d.wavelet3d import BANDS, band_sums, subband_rect, temporal_analysis
 from wm3d.wmprep import prepare_sign_planes
 
@@ -82,7 +83,8 @@ def test_crop_path_matches_whole_frame(band, window, n):
     assert np.array_equal(realized, full_realized)
     _assert_tie_rule(marked, full_pre)
 
-    got = extract_shot(marked, realized, SEED1, SEED2, n, params).bitplanes
+    bundle = KeyBundle(SEED1, SEED2, SEED3, params, (0, n), [ShotRecord(0, realized)])
+    got = extract_video(VideoClip(marked), bundle).shots[0].bitplanes
     want = extract_planes_full(marked, realized, SEED1, SEED2, params)
     assert np.array_equal(got, want)
 
@@ -188,8 +190,12 @@ def test_crop_path_refuses_frames_that_are_not_uint8(dtype):
         _crop_coeffs(frames, crop, "lh3")
     with pytest.raises(ValueError, match="uint8"):
         embed_shot(frames, planes, params)
+    # a clip checks its frames when made, not when changed in place
+    clip = VideoClip([np.zeros((16, 16), np.uint8)] * 9)
+    clip.frames[:] = frames
+    bundle = KeyBundle(SEED1, SEED2, SEED3, params, (0, 9), [ShotRecord(0, planes)])
     with pytest.raises(ValueError, match="uint8"):
-        extract_shot(frames, planes, SEED1, SEED2, 9, params)
+        extract_video(clip, bundle)
 
 
 def test_crop_path_tie_rule_at_exact_ties():

@@ -10,7 +10,7 @@ from conftest import SEED1, SEED2, SEED3, make_flat_noise_clip
 from oracles import embed_plane, extract_plane, quantize_luma
 from wm3d.embed import EmbedParams, embed_clip
 from wm3d.errors import FormatError, GeometryError
-from wm3d.extract import extract_clip, extract_shot, extract_video
+from wm3d.extract import extract_clip, extract_video
 from wm3d.keyfile import KeyBundle, ShotRecord
 from wm3d.media_io import VideoClip, write_video
 from wm3d.metrics import nc
@@ -166,11 +166,12 @@ def test_length_repair_equals_explicit_padding(n):
     frames = list(rs.randint(0, 256, (n, 64, 64)).astype(np.uint8))
     planes = np.where(rs.rand(8, 4, 5) < 0.5, 1, -1).astype(np.int8)
     params = EmbedParams(region_row0=1, region_col0=2, band="hl3")
+    bundle = KeyBundle(SEED1, SEED2, 0, params, (0, n), [ShotRecord(0, planes)])
     for received in range(1, n):
         short = frames[:received]
         padded = short + [short[-1]] * (n - received)
-        got = extract_shot(short, planes, SEED1, SEED2, n, params)
-        want = extract_shot(padded, planes, SEED1, SEED2, n, params)
+        got = extract_video(VideoClip(short), bundle).shots[0]
+        want = extract_video(VideoClip(padded), bundle).shots[0]
         assert got.length_mismatch and not want.length_mismatch
         assert np.array_equal(got.bitplanes, want.bitplanes)
 
@@ -191,9 +192,35 @@ def test_length_repair_memory_follows_the_received_frames():
     assert peak < 4 * 2**20
 
 
-def test_extract_shot_empty_rejected():
-    with pytest.raises(GeometryError):
-        extract_shot([], np.ones((8, 2, 2), np.int8), 1, 2, 16, EmbedParams())
+def test_extract_video_empty_shot_rejected():
+    # the input ends exactly where the key's one shot starts
+    record = ShotRecord(1, np.ones((8, 2, 2), np.int8))
+    bundle = KeyBundle(1, 2, 3, EmbedParams(), (0, 9, 25), [record])
+    with pytest.raises(GeometryError, match="clip has 9 frames but shot 1 starts at 9"):
+        extract_video(VideoClip([np.zeros((64, 64), np.uint8)] * 9), bundle)
+
+
+@pytest.mark.parametrize("boundaries", [(0, 64), (0, 64, 128)], ids=["one-shot", "second-shot"])
+def test_extract_holds_one_frame_not_the_shot(boundaries):
+    # the key selects the last shot, 64 frames of 256x256 luma (4 MB) read
+    # from y4m, so each frame exists only once extraction reads it
+    rs = np.random.RandomState(9)
+    frames = list(rs.randint(0, 256, (boundaries[-1], 256, 256)).astype(np.uint8))
+    planes = np.where(rs.rand(8, 16, 16) < 0.5, 1, -1).astype(np.int8)
+    record = ShotRecord(len(boundaries) - 2, planes)
+    bundle = KeyBundle(SEED1, SEED2, 0, EmbedParams(), boundaries, [record])
+    want = extract_video(VideoClip(frames), bundle)
+    stream = io.BytesIO()
+    write_video(VideoClip(frames), stream)
+    stream.seek(0)
+    tracemalloc.start()
+    try:
+        got = extract_video(stream, bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.watermark, want.watermark)
+    assert peak < 64 * 256 * 256 // 4
 
 
 def test_extract_clip_empty_clip_rejected():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from wm3d.attacks import attack_compress, attack_noise
-from wm3d.embed import EmbedParams, embed_clip, embed_shot
+from wm3d.embed import EmbedParams, _window_signs, embed_clip, embed_shot
 from wm3d.errors import FormatError, GeometryError
-from wm3d.extract import extract_shot
+from wm3d.extract import extract_video
 from wm3d.keyfile import KeyBundle, ShotRecord, write_key
 from wm3d.media_io import VideoClip, write_pgm, write_video
 from wm3d.shots import detect_shots
@@ -101,10 +101,11 @@ _CASES = {
                           ValueError, "expected 8 sign planes"),
     "shot-plane-zero": (lambda: embed_shot([_FRAME] * 9, _HOLED, EmbedParams()),
                         ValueError, "plane values must be +1 or -1"),
-    # embed_shot sizes its window by the planes, so only a reader can
-    # hand the sign rule planes that do not match its coefficient frames
+    # embed_shot sizes its window by the planes and a key holds 8 of them,
+    # so only a direct call hands the sign rule planes that do not match
+    # its margins
     "shot-planes-shape": (
-        lambda: extract_shot([_FRAME] * 9, _PLANES[:7], 1, 2, 9, EmbedParams()),
+        lambda: _window_signs(np.zeros((8, 2, 2), np.int64), _PLANES[:7]),
         ValueError, "do not match windows"),
     # 8x8 frames have a 1x1 subband: its coefficient has no neighbor to
     # compare with, so its sign would come from the key alone
@@ -112,8 +113,8 @@ _CASES = {
         lambda: embed_shot([_FRAME[:8, :8]] * 9, _PLANES[:, :1, :1], EmbedParams()),
         GeometryError, "subband too small: 8x8 frames give it one coefficient"),
     "extract-one-coefficient-band": (
-        lambda: extract_shot([_FRAME[:8, :8]] * 9, _PLANES[:, :1, :1], 1, 2, 9,
-                             EmbedParams()),
+        lambda: extract_video(VideoClip([_FRAME[:8, :8]] * 9), KeyBundle(
+            1, 2, 3, EmbedParams(), (0, 9), [ShotRecord(0, _PLANES[:, :1, :1])])),
         GeometryError, "subband too small"),
     # the watermark keeps write_pgm's image rule, and so its message
     "bitplanes-1d": (lambda: decompose_bitplanes(np.zeros(4, np.uint8)), ValueError,
